@@ -602,13 +602,3 @@ def pprime_family() -> list[LaurentPoly]:
         u**3 * q**-2 - u**6 * q**-10 - u**6 * q**-9 + u**6 * q**-6,
         u**6 * q**-11,
     ]
-
-
-def pprime_combination_scalars():
-    """The printed scalar pair in the closing linear-combination display."""
-    from .laurent import RationalFunction
-
-    q, u = _QQ, _U
-    alpha = RationalFunction(2 * u**10 + u**7 * q, -2 * u**3 * q**10 - q**14)
-    beta = RationalFunction(u**7, -1 * q**16)
-    return alpha, beta

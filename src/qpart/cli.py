@@ -59,6 +59,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_series(args) -> int:
+    if args.qorder < 1:
+        raise ValueError("--qorder must be >= 1")
     conds = _parse_conds(args.which)
     series = gen_fun(enumerate_2colored(args.qorder - 1, conds), args.qorder)
     if args.x == "eval":
@@ -171,8 +173,7 @@ def cmd_uncouple(args) -> int:
 
 def cmd_verify_all(args) -> int:
     if args.qorder < 10:
-        print("error: --qorder must be >= 10", file=sys.stderr)
-        return 2
+        raise ValueError("--qorder must be >= 10")
     reports = verify_all(args.qorder, nmax_recurrence=args.nmax)
     for r in reports:
         line = f"{r.status.upper():4} {r.task}"
@@ -194,16 +195,14 @@ def cmd_emit(args) -> int:
     elif target == "transfer-matrix":
         system = derive_transfer_system(build_avoidance_dfa())
         if args.format != "json":
-            print("error: transfer-matrix supports only json", file=sys.stderr)
-            return 2
+            raise ValueError("transfer-matrix supports only json")
         text = serialize.dumps(system.to_json())
     elif target in ("d123-series", "d1234-series"):
         conds = CONDS[target.split("-")[0]]
         series = gen_fun(enumerate_2colored(args.qorder - 1, conds), args.qorder)
         text = serialize.biseries_csv(series) if args.format == "csv" else serialize.dumps(series.to_json())
     else:
-        print(f"error: unknown target {target!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown target {target!r}")
     _write(text, args.out)
     return 0
 
@@ -297,8 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; bad input (a ValueError) exits 2 with one line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"qpart: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

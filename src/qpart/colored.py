@@ -155,15 +155,6 @@ def contains_pattern(parts: Sequence[Part], pattern: Sequence[Part]) -> bool:
     return any(tuple(parts[i : i + lq]) == pat for i in range(lp - lq + 1))
 
 
-def d3_windows(k: int) -> list[Partition]:
-    """The three excluded windows of condition D3 at scale k >= 1."""
-    return [
-        ((3 * k, PLUS), (3 * k, MINUS), (3 * k - 2, MINUS)),
-        ((3 * k + 2, PLUS), (3 * k, PLUS), (3 * k, MINUS)),
-        ((3 * k + 2, MINUS), (3 * k + 1, PLUS), (3 * k - 1, PLUS), (3 * k - 2, MINUS)),
-    ]
-
-
 # ----------------------------------------------------------------------
 # forbidden-pattern families
 #

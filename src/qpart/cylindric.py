@@ -45,86 +45,63 @@ def is_cylindric(rows: Rows, profile: Profile) -> bool:
     return True
 
 
-def _partitions_upto(n: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], budget: int, maxpart: int) -> None:
-        out.append(tuple(prefix))
-        for p in range(min(budget, maxpart), 0, -1):
-            prefix.append(p)
-            rec(prefix, budget - p, p)
-            prefix.pop()
-
-    rec([], n, n)
-    return out
-
-
-def _row_tuples(r: int, max_size: int) -> list[tuple[Rows, int, int]]:
-    """All r-tuples of partitions with total size <= max_size.
-
-    Returns (rows, total_size, max_part) triples; shared by every profile
-    at the same bound.
-    """
-    parts = _partitions_upto(max_size)
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-    for lam in parts:
-        by_size.setdefault(sum(lam), []).append(lam)
-    out: list[tuple[Rows, int, int]] = []
-
-    def rec(i: int, rows: list[tuple[int, ...]], used: int, mx: int) -> None:
-        if i == r:
-            out.append((tuple(rows), used, mx))
-            return
-        for s in range(max_size - used + 1):
-            for lam in by_size.get(s, ()):
-                rows.append(lam)
-                rec(i + 1, rows, used + s, max(mx, lam[0] if lam else 0))
-                rows.pop()
-
-    rec(0, [], 0, 0)
-    return out
-
-
-_ROW_CACHE: dict[tuple[int, int], list[tuple[Rows, int, int]]] = {}
-
-
-def _row_tuples_cached(r: int, max_size: int) -> list[tuple[Rows, int, int]]:
-    key = (r, max_size)
-    if key not in _ROW_CACHE:
-        _ROW_CACHE.clear()  # keep at most one bound alive
-        _ROW_CACHE[key] = _row_tuples(r, max_size)
-    return _ROW_CACHE[key]
-
-
-def _satisfies(rows: Rows, p: Profile) -> bool:
-    r = len(p)
-    for i in range(r):
-        a = rows[i]
-        b = rows[(i + 1) % r]
-        off = p[(i + 1) % r]
-        la = len(a)
-        for j in range(len(b) - off):
-            if (a[j] if j < la else 0) < b[j + off]:
-                return False
-    return True
-
-
 def enumerate_cylindric(profile: Profile, max_size: int) -> BiSeries:
     """Brute-force F_profile: sum of x^max * q^size over total size <= max_size.
 
-    Iterates over r-tuples of ordinary partitions (cached across profiles)
-    and filters by the cylindric inequalities; returned with qorder
-    max_size + 1.
+    Lists every cylindric partition of the profile, building the rows one
+    part at a time: part j of row i is at most the previous part, the size
+    budget left and ``rows[i-1][j - p[i]]``; part j of the last row is at
+    least ``rows[0][j + p[0]]``, which closes the cycle.  Returned with
+    qorder max_size + 1.
     """
     p = check_profile(profile)
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
     qorder = max_size + 1
-    slices: dict[int, list[int]] = {}
-    for rows, sz, mx in _row_tuples_cached(len(p), max_size):
-        if _satisfies(rows, p):
-            slices.setdefault(mx, [0] * qorder)[sz] += 1
-    return BiSeries(qorder, {m: QSeries(qorder, row) for m, row in slices.items()})
+    last = len(p) - 1
+    counts = [[0] * qorder for _ in range(qorder)]  # [max part][size]
+    rows: list[list[int]] = [[] for _ in p]
+    # once row 0 is built: floor[j] = rows[0][j + p[0]] bounds part j of the
+    # last row below, and need[j] = sum(floor[j:]) is what those parts must
+    # at least add up to
+    floor = [0] * (max_size + 2)
+    need = [0] * (max_size + 3)
+
+    def extend(i: int, j: int, prev: int, used: int, mx: int) -> None:
+        row = rows[i]
+        lo, hi = 0, prev
+        budget = max_size - used
+        if i:
+            if j >= p[i]:
+                above = rows[i - 1]
+                k = j - p[i]
+                bound = above[k] if k < len(above) else 0
+                if bound < hi:
+                    hi = bound
+            if i == last:
+                lo = floor[j]
+                budget -= need[j + 1]
+            else:
+                budget -= need[0]
+        if budget < hi:
+            hi = budget
+        if not lo:  # row i may end after j parts
+            if i == last:
+                counts[mx][used] += 1
+            else:
+                if not i:
+                    tail = row[p[0]:]
+                    floor[:] = tail + [0] * (max_size + 2 - len(tail))
+                    for k in range(max_size + 1, -1, -1):
+                        need[k] = need[k + 1] + floor[k]
+                extend(i + 1, 0, max_size, used, mx)
+        for v in range(lo or 1, hi + 1):
+            row.append(v)
+            extend(i, j + 1, v, used + v, mx if mx > v else v)
+            row.pop()
+
+    extend(0, 0, max_size, 0, 0)
+    return BiSeries(qorder, {m: QSeries(qorder, row) for m, row in enumerate(counts) if any(row)})
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterable, Sequence
 
 from .laurent import LaurentPoly
@@ -469,53 +471,84 @@ def recurrence_from_certificate(cert: CertificateSet) -> list[LaurentPoly]:
 
 
 def term_support(term: HypTerm, n: int) -> list[tuple[int, ...]]:
-    """All summation-variable tuples with every Pochhammer length >= 0.
+    """All summation-variable tuples in the box [0..n]^r with every
+    Pochhammer length >= 0, in lexicographic order.
 
-    Scans the box [0..n]^r with pruning: once a length form whose
-    remaining coefficients are all nonpositive has gone negative, no
-    extension can rescue it.  Every term in this package bounds each k_i
-    through such a form (n minus a positive combination of the k's).
+    A length form whose coefficients on k_(i+1), .., k_r are all
+    nonpositive can only fall as those grow, so it must already be >= 0
+    once k_i is chosen: that bounds k_i above where its coefficient is
+    negative and below where it is positive, and each k_i runs over the
+    interval left.  Every term in this package bounds each k_i through such
+    a form (n minus a positive combination of the k's).
     """
-    out: list[tuple[int, ...]] = []
     r = term.nsum
-    pochs = term.pochs
+    if n < 0:
+        return []
+    forms = [(c[1:], c[0] * n + c0) for c, c0, _ in term.pochs]
+    if r == 0:
+        return [()] if all(v >= 0 for _, v in forms) else []
+    # per level, the forms that bind it: (form index, coefficient of k_i)
+    binding = [
+        [(f, c[i]) for f, (c, _) in enumerate(forms) if all(x <= 0 for x in c[i + 1 :])]
+        for i in range(r)
+    ]
+    coeffs = [c for c, _ in forms]
+    out: list[tuple[int, ...]] = []
 
-    def rec(prefix: list[int]) -> None:
+    def rec(prefix: tuple[int, ...], vals: list[int]) -> None:
         i = len(prefix)
-        if i == r:
-            out.append(tuple(prefix))
+        lo, hi = 0, n
+        for f, c in binding[i]:
+            v = vals[f]
+            if c > 0:
+                lo = max(lo, -(v // c))
+            elif c < 0:
+                hi = min(hi, v // -c)
+            elif v < 0:
+                return
+        if i + 1 == r:
+            out.extend(prefix + (k,) for k in range(lo, hi + 1))
             return
-        for k in range(n + 1):
-            prefix.append(k)
-            ok = True
-            for coeffs, const, _ in pochs:
-                val = coeffs[0] * n + const + sum(c * x for c, x in zip(coeffs[1:], prefix))
-                if val < 0 and all(c <= 0 for c in coeffs[1 + i + 1 :]):
-                    ok = False
-                    break
-                if i + 1 == r and val < 0:
-                    ok = False
-                    break
-            if ok:
-                rec(prefix)
-            prefix.pop()
+        for k in range(lo, hi + 1):
+            rec(prefix + (k,), [v + c[i] * k for v, c in zip(vals, coeffs)])
 
-    if n >= 0:
-        rec([])
+    rec((), [v for _, v in forms])
     return out
 
 
 _SUPPORT_CACHE: dict[tuple, list] = {}
 
 
-def _term_profile(term: HypTerm, n: int) -> list[tuple[int, list[int]]]:
-    """Cached (q-exponent, Pochhammer lengths) pairs over the support."""
+def _term_profile(term: HypTerm, n: int) -> list[tuple[int, tuple[int, ...], bool]]:
+    """Cached (q-exponent, Pochhammer lengths, stepped) over the support.
+
+    ``stepped`` marks a point that follows the previous one by k_r + 1.
+    Along such runs the exponent and the lengths are stepped by their
+    differences in k_r; only the first point of a run is evaluated in full.
+    """
     key = (term, n)
     if key not in _SUPPORT_CACHE:
-        rows = []
+        rows: list[tuple[int, tuple[int, ...], bool]] = []
+        last = term.nsum
+        step = tuple(c[last] for c, _, _ in term.pochs)
+        diag = term.quad2[last][last]
+        prev: tuple[int, ...] | None = None
         for k in term_support(term, n):
-            v = (n, *k)
-            rows.append((term.qexponent(v), term.poch_lengths(v)))
+            stepped = prev is not None and k[:-1] == prev[:-1]
+            if stepped:
+                # Q(v + e_r) - Q(v) = (quad2 v)_r + quad2_rr / 2 + lin_r
+                twice += d2
+                d2 += 2 * diag
+                lengths = tuple(L + c for L, c in zip(lengths, step))
+            else:
+                v = (n, *k)
+                twice = 2 * term.qexponent(v)
+                d2 = 2 * _dot(term.quad2[last], v) + diag + 2 * term.lin[last]
+                lengths = tuple(term.poch_lengths(v))
+            if twice & 1:
+                raise ValueError("quadratic form not integer-valued")
+            rows.append((twice >> 1, lengths, stepped))
+            prev = k
         _SUPPORT_CACHE[key] = rows
     return _SUPPORT_CACHE[key]
 
@@ -530,29 +563,75 @@ def poch_value(q0: Fraction, base: int, length: int) -> Fraction:
     return v
 
 
-def _poch_table(q0: Fraction, base: int, upto: int) -> list[Fraction]:
-    vals = [Fraction(1)]
-    p = q0 ** base
-    t = p
-    for _ in range(upto):
-        vals.append(vals[-1] * (1 - t))
-        t *= p
-    return vals
-
-
 def sequence_value(term: HypTerm, n: int, q0: Fraction) -> Fraction:
-    """f_n at the exact rational point q = q0 (full support, no truncation)."""
+    """f_n at the exact rational point q = q0 (full support, no truncation).
+
+    With q0 = a/b, (q0^m; q0^m)_L = N_L / b^(m L(L+1)/2) where
+    N_L = prod_{t <= L} (b^(mt) - a^(mt)).  So a point of the support
+    contributes a^e b^beta / prod_i N_(L_i), with beta = -e + sum_i
+    m_i L_i(L_i+1)/2.  The sum is taken in integers over the common
+    denominator prod_i N_(top_i), top_i the largest L_i, and one Fraction
+    is formed at the end.  Along a run of k_r the integer of a point is the
+    previous one times a quotient of a few small factors.
+    """
     if n < 0:
         return Fraction(0)
     profile = _term_profile(term, n)
-    tables = [_poch_table(q0, base, n + 1) for _, _, base in term.pochs]
-    total = Fraction(0)
-    for e, lengths in profile:
-        val = q0 ** e
-        for tab, L in zip(tables, lengths):
-            val /= tab[L]
-        total += val
-    return total
+    if not profile:
+        return Fraction(0)
+    a, b = q0.numerator, q0.denominator
+    bases = [base for _, _, base in term.pochs]
+    steps = [c[term.nsum] for c, _, _ in term.pochs]
+    tops = [max(col) for col in zip(*(lengths for _, lengths, _ in profile))]
+    # above[i][L] = N_top / N_L and span[i][L] = N_(L+|step|) / N_L for the
+    # i-th Pochhammer symbol
+    above: list[list[int]] = []
+    span: list[list[int]] = []
+    for m, top, c in zip(bases, tops, steps):
+        col = [1] * (top + 1)
+        for t in range(top, 0, -1):
+            col[t - 1] = col[t] * (b ** (m * t) - a ** (m * t))
+        above.append(col)
+        s = abs(c)
+        span.append([col[L] // col[L + s] for L in range(top + 1 - s)] if s else [])
+    tri = [[m * L * (L + 1) // 2 for L in range(top + 1)] for m, top in zip(bases, tops)]
+    betas = [sum(t[L] for t, L in zip(tri, lengths)) - e for e, lengths, _ in profile]
+    emin = min(e for e, _, _ in profile)
+    bmin = min(betas)
+    apow = list(accumulate(repeat(a, max(e for e, _, _ in profile) - emin), mul, initial=1))
+    bpow = list(accumulate(repeat(b, max(betas) - bmin), mul, initial=1))
+    total = x = 0
+    prev = (0, 0, ())
+    for (e, lengths, stepped), beta in zip(profile, betas):
+        if stepped and x:
+            pe, pbeta, plengths = prev
+            num = den = 1
+            for pows, d in ((apow, e - pe), (bpow, beta - pbeta)):
+                if d >= 0:
+                    num *= pows[d]
+                else:
+                    den *= pows[-d]
+            for c, sp, L, pL in zip(steps, span, lengths, plengths):
+                if c < 0:
+                    num *= sp[L]
+                elif c > 0:
+                    den *= sp[pL]
+            x = x * num // den
+        else:
+            x = apow[e - emin] * bpow[beta - bmin]
+            for col, L in zip(above, lengths):
+                x *= col[L]
+        total += x
+        prev = (e, beta, lengths)
+    den = 1
+    for col in above:
+        den *= col[0]
+    for base, exp in ((a, emin), (b, bmin)):
+        if exp >= 0:
+            total *= base ** exp
+        else:
+            den *= base ** -exp
+    return Fraction(total, den)
 
 
 def sequence_series(term: HypTerm, n: int, qorder: int) -> QSeries:
@@ -567,7 +646,7 @@ def sequence_series(term: HypTerm, n: int, qorder: int) -> QSeries:
             inv_cache[(base, L)] = finite_pochhammer(base, L, qorder).invert()
         return inv_cache[(base, L)]
 
-    for e, lengths in _term_profile(term, n):
+    for e, lengths, _ in _term_profile(term, n):
         if e < 0:
             raise ValueError("negative q-exponent on support")
         if e >= qorder:
@@ -764,19 +843,6 @@ def _shift_x_rat(r, qpow: int):
     from .laurent import RationalFunction
 
     return RationalFunction(_shift_x_poly(r.num, qpow), _shift_x_poly(r.den, qpow), normalize=False)
-
-
-def _strip_content(p: LaurentPoly) -> LaurentPoly:
-    """Divide by the integer content and the monomial content (cheap)."""
-    if p.is_zero():
-        return p
-    m = p.min_exponents()
-    if any(m):
-        p = p.shift_exponents(tuple(-x for x in m))
-    c = p.int_content()
-    if c > 1:
-        p = LaurentPoly(p.vars, {e: x // c for e, x in p.terms.items()})
-    return p
 
 
 def uncouple_system(matrix, component: int, step: int = 3) -> QDiffOperator:

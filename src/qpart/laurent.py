@@ -250,34 +250,6 @@ class LaurentPoly:
         out.terms = terms
         return out
 
-    def subs_int(self, assign: Mapping[str, int]):
-        """Evaluate at integer values for a subset of the variables.
-
-        Returns a LaurentPoly over the remaining variables; negative
-        exponents require the assigned value to be +-1.
-        """
-        keep = [i for i, v in enumerate(self.vars) if v not in assign]
-        vals = {i: assign[v] for i, v in enumerate(self.vars) if v in assign}
-        new_vars = tuple(self.vars[i] for i in keep)
-        terms: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            coeff = c
-            for i, val in vals.items():
-                exp = e[i]
-                if exp < 0:
-                    if val in (1, -1):
-                        coeff *= val ** (-exp & 1)
-                        continue
-                    raise ValueError("negative exponent at non-unit value")
-                coeff *= val ** exp
-            key = tuple(e[i] for i in keep)
-            s = terms.get(key, 0) + coeff
-            if s:
-                terms[key] = s
-            elif key in terms:
-                del terms[key]
-        return LaurentPoly(new_vars, terms)
-
     def project(self, new_vars: tuple[str, ...]) -> "LaurentPoly":
         """Reinterpret over ``new_vars``; dropped variables must not occur."""
         idx = []

@@ -60,10 +60,6 @@ def system_from_json(data: dict) -> tuple[list[list[RationalFunction]], int]:
     return matrix, step
 
 
-def system_to_json(matrix, step: int = 3) -> dict:
-    return {"step": step, "matrix": [[e.to_json() for e in row] for row in matrix]}
-
-
 def operator_to_json(op: QDiffOperator) -> dict:
     return op.to_json()
 

@@ -136,7 +136,7 @@ def _report(task: str, inputs: dict, ok: bool, witness: dict | None, t0: float) 
         status="pass" if ok else "fail",
         inputs=inputs,
         witness=None if ok else (witness or {"kind": "unspecified"}),
-        wall_time=time.time() - t0,
+        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -146,7 +146,7 @@ def _report(task: str, inputs: dict, ok: bool, witness: dict | None, t0: float) 
 
 def task_product_d123(run: VerificationRun) -> RunReport:
     """Enumeration at x=1 equals the D1-D3 class product; anchors 1,2,2,4."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     lhs = self_series = run.f_d123.eval_x1()
     rhs = pochhammer_expand(catalog.PRODUCT_D123, run.qorder)
     anchors = lhs.coeffs[:4] == [1, 2, 2, 4]
@@ -162,7 +162,7 @@ def task_product_d123(run: VerificationRun) -> RunReport:
 
 def task_product_d1234(run: VerificationRun) -> RunReport:
     """Enumeration at x=1 equals the D1-D4 class product; anchors at q^6, q^7."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     lhs = run.f_d1234.eval_x1()
     rhs = pochhammer_expand(catalog.PRODUCT_D1234, run.qorder)
     anchors = lhs.coeffs[6] == 5 and lhs.coeffs[7] == 4
@@ -178,7 +178,7 @@ def task_product_d1234(run: VerificationRun) -> RunReport:
 
 def task_ag_bigraded(run: VerificationRun) -> RunReport:
     """The quadruple sums equal the bigraded generating functions."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = run.bigraded_order
     checks = [
         ("d123", evaluate_ag_sum(catalog.AG_D123, n), run.f_d123.truncate(n)),
@@ -195,7 +195,7 @@ def task_ag_bigraded(run: VerificationRun) -> RunReport:
 
 def task_ag_cylindric(run: VerificationRun) -> RunReport:
     """The max-part-graded quadruple sums equal the profile series."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = run.bigraded_order
     fam = run.cw_family
     checks = [
@@ -213,7 +213,7 @@ def task_ag_cylindric(run: VerificationRun) -> RunReport:
 
 def task_aux_identity(run: VerificationRun) -> RunReport:
     """The auxiliary quadruple sum equals 1/(q,q^2;q^3)_inf."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     lhs = evaluate_ag_sum(catalog.AG_AUX, run.qorder).eval_x1()
     rhs = pochhammer_expand(catalog.PRODUCT_AUX, run.qorder)
     d = lhs.first_difference(rhs)
@@ -225,7 +225,7 @@ def task_aux_identity(run: VerificationRun) -> RunReport:
 
 def task_pattern_equivalence(run: VerificationRun, max_size: int = 18) -> RunReport:
     """Difference conditions D1-D3 match the forbidden-pattern families."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     witness = None
     count = 0
     for lam in iter_all(max_size):
@@ -238,7 +238,7 @@ def task_pattern_equivalence(run: VerificationRun, max_size: int = 18) -> RunRep
 
 def task_dfa_table(run: VerificationRun) -> RunReport:
     """The minimal DFA has 6 states, one accept state, and the golden table."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     dfa = run.dfa
     golden = Dfa.from_json(json.loads((GOLDEN_DIR / "dfa_canonical.json").read_text()))
     ok = dfa.n_states == 6 and len(dfa.accepts) == 1 and dfa == golden
@@ -250,7 +250,7 @@ def task_dfa_table(run: VerificationRun) -> RunReport:
 
 def task_transfer_matrix(run: VerificationRun) -> RunReport:
     """The derived coupled-system matrix equals the golden 5x5 matrix."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     golden = json.loads((GOLDEN_DIR / "transfer_matrix.json").read_text())
     got = [[e.to_json() for e in row] for row in run.transfer.matrix]
     ok = got == golden["matrix"] and list(run.transfer.states) == golden["states"]
@@ -267,7 +267,7 @@ def task_transfer_matrix(run: VerificationRun) -> RunReport:
 
 def task_language_series(run: VerificationRun) -> RunReport:
     """Component 0 counts the D1-D3 class; component 1 the D1-D4 class."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = run.bigraded_order
     w = _series_witness("state0-vs-d123", run.language[0], run.f_d123.truncate(n))
     if w is None:
@@ -277,7 +277,7 @@ def task_language_series(run: VerificationRun) -> RunReport:
 
 def task_qdiff_colored(run: VerificationRun) -> RunReport:
     """The two order-3 operators annihilate the enumerated series."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     witness = None
     for name, op, series in (
         ("d123", catalog.qdiff_operator_d123(), run.f_d123),
@@ -293,7 +293,7 @@ def task_qdiff_colored(run: VerificationRun) -> RunReport:
 
 def task_recursion_displays(run: VerificationRun) -> RunReport:
     """The four subset-recursion displays hold for the computed family."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     fam = run.cw_family
     witness = None
     for target, terms in catalog.RECURSION_DISPLAYS:
@@ -309,7 +309,7 @@ def task_recursion_displays(run: VerificationRun) -> RunReport:
 
 def task_first_order_relations(run: VerificationRun) -> RunReport:
     """The four derived first-order relations and the 2x2 system hold."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     fam = run.cw_family
     witness = None
     for target, terms in catalog.FIRST_ORDER_RELATIONS:
@@ -336,7 +336,7 @@ def task_first_order_relations(run: VerificationRun) -> RunReport:
 
 def task_qdiff_cylindric(run: VerificationRun) -> RunReport:
     """The two order-2 operators annihilate the profile series."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     fam = run.cw_family
     witness = None
     for name, op, series in (
@@ -353,7 +353,7 @@ def task_qdiff_cylindric(run: VerificationRun) -> RunReport:
 
 def task_cylindric_enumeration(run: VerificationRun) -> RunReport:
     """Direct enumeration equals the recursion solution for all 10 profiles."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = run.cyl_order
     fam = solve_cw_family((3, 0, 0), n + 1)
     witness = None
@@ -369,7 +369,7 @@ def task_cylindric_enumeration(run: VerificationRun) -> RunReport:
 
 def task_specialized_products(run: VerificationRun) -> RunReport:
     """F(1, q) * (q;q)_inf equals the two class product sides."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     fam = run.cw_family
     euler = pochhammer_expand(catalog.EULER_PRODUCT, run.qorder)
     witness = None
@@ -388,7 +388,7 @@ def task_specialized_products(run: VerificationRun) -> RunReport:
 
 def task_certificates(run: VerificationRun) -> RunReport:
     """All four certificate sets verify exactly after documented emendations."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     witness = None
     for name in catalog.CERTIFICATE_NAMES:
         res = verify_certificate(catalog.certificate_term(name), catalog.certificate(name))
@@ -405,7 +405,7 @@ def task_recurrences(run: VerificationRun, nmax: int = 25) -> RunReport:
     Exact rational evaluation over the full support at three fixed points,
     for every 0 <= n <= nmax.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     witness = None
     for name in catalog.CERTIFICATE_NAMES:
         term = catalog.certificate_term(name)
@@ -423,7 +423,7 @@ def task_recurrences(run: VerificationRun, nmax: int = 25) -> RunReport:
 def task_combination_identity(run: VerificationRun) -> RunReport:
     """The order-4 coefficient family is an explicit combination of the
     order-3 one and its shift, as exact rational functions."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     ps = [RationalFunction.from_poly(p) for p in
           recurrence_from_certificate(catalog.certificate("g111"))]
     pps = [RationalFunction.from_poly(p) for p in catalog.pprime_family()]
@@ -451,7 +451,7 @@ def task_chain(run: VerificationRun) -> RunReport:
     with the D1-D3 class tied to profile (1,1,1) and the D1-D4 class to
     (3,0,0).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     n = run.qorder
     fam = run.cw_family
     routes = {
@@ -484,7 +484,7 @@ def task_chain(run: VerificationRun) -> RunReport:
 
 def task_uncoupling(run: VerificationRun) -> RunReport:
     """Uncoupled scalar operators annihilate the independent series."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     witness = None
     op2 = uncouple_system(catalog.coupled_g_system(), 0)
     if not apply_qdiff(op2, run.cw_family[(3, 0, 0)]).is_zero():

@@ -1,5 +1,7 @@
 """Cylindric partitions and the profile recursion."""
 
+from itertools import product
+
 import pytest
 
 from qpart.catalog import PRODUCT_D123, PRODUCT_D1234, EULER_PRODUCT
@@ -57,6 +59,37 @@ def test_enumeration_low_order():
     f300 = enumerate_cylindric((3, 0, 0), 1)
     assert f300.coeff(0, 0) == 1 and f300.coeff(1, 1) == 1
     assert enumerate_cylindric((2, 1, 0), 0) == BiSeries.one(1)
+
+
+def _row_tuples(r, max_size):
+    """Every r-tuple of partitions of total size <= max_size."""
+    def partitions(budget, cap):
+        yield ()
+        for first in range(min(budget, cap), 0, -1):
+            for rest in partitions(budget - first, first):
+                yield (first,) + rest
+
+    if r == 0:
+        yield ()
+        return
+    for lam in partitions(max_size, max_size):
+        for rest in _row_tuples(r - 1, max_size - sum(lam)):
+            yield (lam,) + rest
+
+
+def test_enumeration_equals_naive_filter():
+    # the row-by-row listing against is_cylindric over all r-tuples of partitions
+    for r, max_size in ((1, 9), (2, 9), (3, 9), (4, 6)):
+        tuples = list(_row_tuples(r, max_size))
+        profiles = list(product(range(3), repeat=r)) + ([(5,)] if r == 1 else [])
+        for profile in profiles:
+            slices = {}
+            for rows in tuples:
+                if is_cylindric(rows, profile):
+                    mx = max((row[0] for row in rows if row), default=0)
+                    slices.setdefault(mx, [0] * (max_size + 1))[sum(map(sum, rows))] += 1
+            naive = BiSeries(max_size + 1, {m: QSeries(max_size + 1, c) for m, c in slices.items()})
+            assert enumerate_cylindric(profile, max_size) == naive, profile
 
 
 def test_fixed_point_constant_slice():

@@ -1,6 +1,7 @@
 """Certificates, recurrences, quadruple sums, operators, uncoupling."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,10 +18,12 @@ from qpart.holonomic import (
     TERM_VARS,
     apply_qdiff,
     evaluate_ag_sum,
+    poch_value,
     recurrence_from_certificate,
     recurrence_holds_at_point,
     recurrence_holds_series,
     sequence_series,
+    sequence_value,
     term_ratio,
     uncouple_system,
     verify_certificate,
@@ -183,6 +186,30 @@ def test_recurrences_annihilate_as_series(name):
     term = catalog.certificate_term(name)
     plist = recurrence_from_certificate(catalog.certificate(name))
     assert recurrence_holds_series(term, plist, 8, 110)
+
+
+@pytest.mark.parametrize("name", catalog.CERTIFICATE_NAMES)
+def test_sequence_value_matches_direct_fraction_sum(name):
+    # the integer evaluation equals the plain Fraction sum over the box
+    # [0..n]^3, term by term through poch_value
+    term = catalog.certificate_term(name)
+    for q0 in (Fraction(2), Fraction(3), Fraction(7, 5), Fraction(2, 3), Fraction(-3, 2)):
+        pochs: dict[tuple[int, int], Fraction] = {}
+        for n in range(13):
+            direct = Fraction(0)
+            for k in product(range(n + 1), repeat=term.nsum):
+                v = (n, *k)
+                if not term.supported(v):
+                    continue
+                val = q0 ** term.qexponent(v)
+                for L, (_, _, base) in zip(term.poch_lengths(v), term.pochs):
+                    if (base, L) not in pochs:
+                        pochs[base, L] = poch_value(q0, base, L)
+                    val /= pochs[base, L]
+                direct += val
+            assert sequence_value(term, n, q0) == direct, (n, q0)
+    with pytest.raises(ZeroDivisionError):
+        sequence_value(term, 5, Fraction(1))
 
 
 def test_sequences_match_series_coefficients():

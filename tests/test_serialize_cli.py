@@ -5,6 +5,8 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from qpart import catalog, serialize
 from qpart.cli import main
 from qpart.holonomic import verify_certificate
@@ -139,6 +141,17 @@ def test_verify_all_rejects_low_qorder():
 def test_emit_unknown_target_is_an_error():
     code, _, err = run_cli(["emit", "--target", "nonsense"])
     assert code == 2 and "unknown target" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cylindric", "--profile", "0,0,0"],
+    ["series", "--which", "d123", "--qorder", "0"],
+    ["enumerate", "--max-size", "5", "--cond", "D9"],
+], ids=["zero-profile", "series-qorder-0", "unknown-condition"])
+def test_bad_input_is_a_one_line_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("qpart: error: ") and err.count("\n") == 1
 
 
 def test_fail_reports_carry_witnesses():
