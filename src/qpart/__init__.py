@@ -8,7 +8,9 @@ Subpackage map:
 * ``automata``   -- block encoding, factor-avoidance DFA, transfer systems
 * ``cylindric``  -- cylindric partitions and the profile recursion engine
 * ``holonomic``  -- q-hypergeometric terms, certificates, sum/operator tools
-* ``certificates`` -- the bundled certificate data sets
+* ``catalog``    -- the bundled products, sums, operators and certificate sets
+* ``celine``     -- certificate search by a q-analogue of Sister Celine's method
+* ``serialize``  -- deterministic JSON and text encodings
 * ``verification`` -- the named end-to-end verification tasks
 * ``cli``        -- batch command-line front-end
 """

@@ -560,20 +560,17 @@ _BUILDERS = {
 }
 
 
-def certificate(name: str, mode: str = "skew", product_mode: str = "skew",
-                verbatim: bool = False) -> CertificateSet:
+def certificate(name: str, verbatim: bool = False) -> CertificateSet:
     """Build one of the bundled certificate sets.
 
-    ``mode`` chooses how the printed formulas are parsed (commutative
-    markers or written-order skew products); ``product_mode`` chooses how
-    the outer telescoping products expand.  The defaults are the readings
-    under which all four sets verify.
+    The printed formulas are read as skew products in written order;
+    ``verbatim`` selects the unemended data.
     """
     builder, order, _ = _BUILDERS[name]
-    syms = Symbols(mode)
+    syms = Symbols()
     fams = builder(syms, verbatim=verbatim)
     finished = {k: [syms.finish(e) for e in v] for k, v in fams.items()}
-    return CertificateSet(order, finished, product_mode=product_mode)
+    return CertificateSet(order, finished)
 
 
 def certificate_term(name: str) -> HypTerm:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .holonomic import (
     CertificateSet,
@@ -25,14 +25,13 @@ from .holonomic import (
     Shift,
     ShiftOp,
     TERM_VARS,
-    term_ratio_factored,
+    cleared_ratios,
     verify_certificate,
-    _poly_key,
 )
 from .laurent import LaurentPoly
 
 FAMILIES = ("p", "q", "r", "s")
-#: a slot: (family, N-power j, marker shift sigma, monomial exponents)
+#: a slot: (family, N-power j, K-shift sigma, monomial exponents)
 Slot = tuple[str, int, tuple[int, int, int], tuple[int, int, int, int, int]]
 
 
@@ -75,36 +74,6 @@ def support_of(cert: CertificateSet) -> list[Slot]:
                 for e in poly.terms:
                     slots.add((fam, j + s[0], sigma, e))
     return sorted(slots)
-
-
-def _cleared_ratios(term: HypTerm, shifts: Iterable[Shift]):
-    """Factored ratios put over the least common factored denominator."""
-    from collections import Counter
-
-    shifts = list(shifts)
-    ratios = {s: term_ratio_factored(term, s[: 1 + term.nsum]) for s in shifts}
-    common: Counter = Counter()
-    dens = {}
-    factor_of = {}
-    for s, r in ratios.items():
-        cnt: Counter = Counter()
-        for f in r.den:
-            cnt[_poly_key(f)] += 1
-            factor_of[_poly_key(f)] = f
-        dens[s] = cnt
-        for k, v in cnt.items():
-            if common[k] < v:
-                common[k] = v
-    cleared = {}
-    for s, r in ratios.items():
-        p = LaurentPoly.monomial(TERM_VARS, r.mono)
-        for f in r.num:
-            p = p * f
-        for k, mult in (common - dens[s]).items():
-            for _ in range(mult):
-                p = p * factor_of[k]
-        cleared[s] = p
-    return cleared
 
 
 def _slot_shifts(slot: Slot) -> list[Shift]:
@@ -191,7 +160,7 @@ def _assemble(order: int, slots: list[Slot], coeffs: dict[int, int]) -> Certific
         name, j, sigma, exps = slots[idx]
         mono = ShiftOp({(0, *sigma): LaurentPoly.monomial(TERM_VARS, exps, c)})
         fam[name][j] = fam[name][j] + mono
-    return CertificateSet(order, fam, product_mode="skew")
+    return CertificateSet(order, fam)
 
 
 def celine_solve(
@@ -213,7 +182,7 @@ def celine_solve(
     if not slots:
         return None
     shifts = sorted({sh for slot in slots for sh in _slot_shifts(slot)})
-    cleared = _cleared_ratios(term, shifts)
+    cleared = cleared_ratios(term, shifts)
     columns = [_slot_column(slot, cleared) for slot in slots]
     keep = [i for i, c in enumerate(columns) if not c.is_zero()]
     slots = [slots[i] for i in keep]

@@ -279,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qorder", type=int, default=30)
     p.add_argument("--nmax", type=int, default=25, help="recurrence check bound")
     p.add_argument("--timings", action="store_true")
-    p.add_argument("--seed-free", action="store_true",
-                   help="no-op: nothing here is randomized; kept for interface stability")
     p.add_argument("--report", help="write the JSON report to this file")
     p.set_defaults(func=cmd_verify_all)
 

@@ -15,12 +15,14 @@ Two equivalent descriptions of the same partition classes are implemented:
 
 All conditions are local to windows of at most four consecutive parts, so
 both the membership tests and the pruned enumeration run in linear time.
-The window tests are cross-checked in the test suite against literal
-pattern matching over the parameterized family generators.
+The pattern test decides pairs by a predicate and longer windows by lookup
+among the literal family instances; it is cross-checked in the test suite
+against literal pattern matching over all the family generators.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .series import BiSeries, QSeries, TruncationError
@@ -182,25 +184,15 @@ def _forbidden_pair(a: Part, b: Part) -> bool:
     return False
 
 
-def _forbidden_win3(a: Part, b: Part, c: Part) -> bool:
-    m = b[0]
-    if m % 3 or m < 3:
-        return False
-    # (6a): (m+, m-, (m-2)-)   (6b): ((m+2)+, m+, m-)
-    if a == (m, PLUS) and b[1] == MINUS and c == (m - 2, MINUS):
-        return True
-    return a == (m + 2, PLUS) and b[1] == PLUS and c == (m, MINUS)
-
-
-def _forbidden_win4(a: Part, b: Part, c: Part, d: Part) -> bool:
-    # (7): ((m+4)-, (m+3)+, (m+1)+, m-) with m = 3k+1
-    m = d[0]
-    return (
-        m % 3 == 1
-        and d[1] == MINUS
-        and c == (m + 1, PLUS)
-        and b == (m + 3, PLUS)
-        and a == (m + 4, MINUS)
+@lru_cache(maxsize=None)
+def _long_windows_ending_in(magnitude: int) -> frozenset[Partition]:
+    """The length-3 and length-4 family instances whose last part has this
+    magnitude; those at parameter k end in magnitude >= 3k + 1."""
+    return frozenset(
+        w
+        for k in range(magnitude // 3 + 1)
+        for w in family_windows(k)
+        if len(w) > 2 and w[-1][0] == magnitude
     )
 
 
@@ -211,20 +203,14 @@ def violates_forbidden_patterns(parts: Sequence[Part]) -> bool:
         if _forbidden_pair(parts[i - 1], parts[i]):
             return True
     for i in range(2, n):
-        if _forbidden_win3(parts[i - 2], parts[i - 1], parts[i]):
-            return True
-    for i in range(3, n):
-        if _forbidden_win4(parts[i - 3], parts[i - 2], parts[i - 1], parts[i]):
+        wins = _long_windows_ending_in(parts[i][0])
+        if tuple(parts[i - 2 : i + 1]) in wins or (i >= 3 and tuple(parts[i - 3 : i + 1]) in wins):
             return True
     return False
 
 
 def family_windows(k: int) -> list[Partition]:
-    """Literal instances of the seven pattern families at parameter k.
-
-    Kept as the reference generator; the window predicates above are the
-    fast path and the two are cross-checked in the tests.
-    """
+    """Literal instances of the seven pattern families at parameter k."""
     wins: list[Partition] = []
     if k >= 1:
         wins += [
@@ -267,21 +253,10 @@ def violates_by_pattern_matching(parts: Sequence[Part]) -> bool:
 
 
 def iter_all(max_size: int) -> Iterator[Partition]:
-    """All 2-colored partitions of size <= max_size (unspecified order)."""
-
-    def descend(prefix: list[Part], budget: int, bound: tuple[int, int]) -> Iterator[Partition]:
-        yield tuple(prefix)
-        for mag in range(min(budget, bound[0]), 0, -1):
-            for colorrank in (1, 0):
-                if (mag, colorrank) > bound:
-                    continue
-                prefix.append((mag, PLUS if colorrank else MINUS))
-                yield from descend(prefix, budget - mag, (mag, colorrank))
-                prefix.pop()
-
+    """All 2-colored partitions of size <= max_size (unspecified order), lazily."""
     if max_size < 0:
         return iter(())
-    return descend([], max_size, (max_size, 1))
+    return _walk(max_size, False, False, False, False)
 
 
 def _violation_ending_at(parts: Sequence[Part], i: int, d1: bool, d2: bool, d3: bool, d4: bool) -> bool:
@@ -303,13 +278,32 @@ def _violation_ending_at(parts: Sequence[Part], i: int, d1: bool, d2: bool, d3: 
     return d3 and _d3_violation_ending_at(parts, i)
 
 
+def _walk(max_size: int, d1: bool, d2: bool, d3: bool, d4: bool) -> Iterator[Partition]:
+    """Depth-first generation of the partitions of size <= max_size, parts
+    appended weakly decreasing in the part order, in preorder; a prefix
+    whose newest window violates a selected condition is pruned."""
+    prefix: list[Part] = []
+    pruning = d1 or d2 or d3 or d4
+
+    def descend(budget: int, bound: tuple[int, int]) -> Iterator[Partition]:
+        yield tuple(prefix)
+        for mag in range(min(budget, bound[0]), 0, -1):
+            for colorrank in (1, 0):
+                if (mag, colorrank) > bound:
+                    continue
+                prefix.append((mag, PLUS if colorrank else MINUS))
+                if not (pruning and _violation_ending_at(prefix, len(prefix) - 1, d1, d2, d3, d4)):
+                    yield from descend(budget - mag, (mag, colorrank))
+                prefix.pop()
+
+    return descend(max_size, (max_size, 1))
+
+
 def enumerate_2colored(max_size: int, cond: Iterable[str] = ()) -> list[Partition]:
     """All 2-colored partitions of size <= max_size meeting the conditions.
 
-    Depth-first generation appending parts weakly decreasing in the part
-    order, pruning on the remaining size and on any violated window; the
-    result is sorted by (size, length, part sequence, colors) for a
-    deterministic contract.
+    The pruned depth-first walk, sorted by (size, length, part sequence,
+    colors) for a deterministic contract.
     """
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
@@ -317,21 +311,7 @@ def enumerate_2colored(max_size: int, cond: Iterable[str] = ()) -> list[Partitio
     unknown = cset - {"D1", "D2", "D3", "D4"}
     if unknown:
         raise ValueError(f"unknown conditions: {sorted(unknown)}")
-    d1, d2, d3, d4 = ("D1" in cset), ("D2" in cset), ("D3" in cset), ("D4" in cset)
-    results: list[Partition] = []
-
-    def descend(prefix: list[Part], budget: int, bound: tuple[int, int]) -> None:
-        results.append(tuple(prefix))
-        for mag in range(min(budget, bound[0]), 0, -1):
-            for colorrank in (1, 0):
-                if (mag, colorrank) > bound:
-                    continue
-                prefix.append((mag, PLUS if colorrank else MINUS))
-                if not _violation_ending_at(prefix, len(prefix) - 1, d1, d2, d3, d4):
-                    descend(prefix, budget - mag, (mag, colorrank))
-                prefix.pop()
-
-    descend([], max_size, (max_size, 1))
+    results = list(_walk(max_size, "D1" in cset, "D2" in cset, "D3" in cset, "D4" in cset))
     results.sort(
         key=lambda t: (size(t), len(t), tuple((-m, -c) for m, c in map(part_key, t)))
     )

@@ -12,14 +12,13 @@ identity check.
 Certificates are elements of the shift algebra generated by N (n -> n-1)
 and K_i (k_i -> k_i - 1) over Laurent polynomials in (q, u, v):
 moving a shift past a coefficient twists the coefficient, e.g.
-N * u = (u/q) * N.  Both the honest skew product and the commutative
-"marker" reading (shifts treated as inert tags) are implemented, since
-printed certificate data in the literature is normal-ordered in ways that
-only verification can disambiguate.
+N * u = (u/q) * N.  Certificate formulas are read as skew products in
+written order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -291,54 +290,21 @@ class ShiftOp:
         return " + ".join(bits) or "0"
 
 
-# marker parse: shifts as commuting tags appended to the variable list
-MARKER_VARS = TERM_VARS + ("SN", "S1", "S2", "S3")
-
-
-def marker_to_shiftop(p: LaurentPoly) -> ShiftOp:
-    """Split a commutative marker polynomial into normal-ordered shift terms."""
-    if p.vars != MARKER_VARS:
-        raise ValueError("expected a marker polynomial")
-    terms: dict[Shift, dict] = {}
-    for e, c in p.terms.items():
-        s = tuple(e[5:9])
-        terms.setdefault(s, {})[e[:5]] = c
-    return ShiftOp({s: LaurentPoly(TERM_VARS, t) for s, t in terms.items()})
-
-
 class Symbols:
-    """The symbols handed to certificate formulas.
+    """The symbols handed to certificate formulas: ShiftOp values whose
+    products twist coefficients in written order."""
 
-    ``mode='marker'`` builds commutative polynomials with inert shift tags;
-    ``mode='skew'`` builds ShiftOp values whose products twist coefficients
-    in written order.
-    """
-
-    def __init__(self, mode: str):
-        if mode == "marker":
-            mk = lambda name: LaurentPoly.variable(MARKER_VARS, name)
-            self.q, self.u = mk("q"), mk("u")
-            self.v1, self.v2, self.v3 = mk("v1"), mk("v2"), mk("v3")
-            self.N, self.K1, self.K2, self.K3 = mk("SN"), mk("S1"), mk("S2"), mk("S3")
-            self.one = LaurentPoly.one(MARKER_VARS)
-        elif mode == "skew":
-            cf = lambda name: ShiftOp.coefficient(LaurentPoly.variable(TERM_VARS, name))
-            self.q, self.u = cf("q"), cf("u")
-            self.v1, self.v2, self.v3 = cf("v1"), cf("v2"), cf("v3")
-            self.N = ShiftOp.shift((1, 0, 0, 0))
-            self.K1 = ShiftOp.shift((0, 1, 0, 0))
-            self.K2 = ShiftOp.shift((0, 0, 1, 0))
-            self.K3 = ShiftOp.shift((0, 0, 0, 1))
-            self.one = ShiftOp.coefficient(_ONE5)
-        else:
-            raise ValueError("mode must be 'marker' or 'skew'")
-        self.mode = mode
+    def __init__(self):
+        cf = lambda name: ShiftOp.coefficient(LaurentPoly.variable(TERM_VARS, name))
+        self.q, self.u = cf("q"), cf("u")
+        self.v1, self.v2, self.v3 = cf("v1"), cf("v2"), cf("v3")
+        self.N = ShiftOp.shift((1, 0, 0, 0))
+        self.K1 = ShiftOp.shift((0, 1, 0, 0))
+        self.K2 = ShiftOp.shift((0, 0, 1, 0))
+        self.K3 = ShiftOp.shift((0, 0, 0, 1))
+        self.one = ShiftOp.coefficient(_ONE5)
 
     def finish(self, value) -> ShiftOp:
-        if self.mode == "marker":
-            if isinstance(value, int):
-                value = value * self.one
-            return marker_to_shiftop(value)
         if isinstance(value, int):
             value = value * self.one
         return value
@@ -363,7 +329,6 @@ class CertificateSet:
 
     order: int
     families: dict[str, list[ShiftOp]]
-    product_mode: str = "skew"  # how (1 - K_i) C_i is expanded
 
     def telescoped(self) -> ShiftOp:
         N = ShiftOp.shift((1, 0, 0, 0))
@@ -377,17 +342,7 @@ class CertificateSet:
             else:
                 k = {"q": 1, "r": 2, "s": 3}[fam]
                 kop = ShiftOp.shift(tuple(1 if i == k else 0 for i in range(4)))
-                if self.product_mode == "skew":
-                    total = total + tilde - kop * tilde
-                else:
-                    # marker product: shift tags multiply without twisting
-                    shifted = ShiftOp(
-                        {
-                            (s[0], s[1] + (k == 1), s[2] + (k == 2), s[3] + (k == 3)): p
-                            for s, p in tilde.terms.items()
-                        }
-                    )
-                    total = total + tilde - shifted
+                total = total + tilde - kop * tilde
         return total
 
     def p_family(self) -> list[LaurentPoly]:
@@ -417,48 +372,39 @@ def verify_certificate(term: HypTerm, cert: CertificateSet) -> VerificationResul
     identically.
     """
     total = cert.telescoped()
-    return _operator_annihilates(term, total)
-
-
-def _operator_annihilates(term: HypTerm, total: ShiftOp) -> VerificationResult:
-    from collections import Counter
-
-    ratios: dict[Shift, FactoredRatio] = {}
-    dens: dict[Shift, Counter] = {}
-    common: Counter = Counter()
-    for s in total.terms:
-        r = term_ratio_factored(term, s[: 1 + term.nsum])
-        ratios[s] = r
-        cnt = Counter()
-        for f in r.den:
-            cnt[_poly_key(f)] += 1
-        dens[s] = cnt
-        for k, v in cnt.items():
-            if common[k] < v:
-                common[k] = v
-    factor_of = {}
-    for s, r in ratios.items():
-        for f in r.den:
-            factor_of[_poly_key(f)] = f
-
+    cleared = cleared_ratios(term, total.terms)
     acc = LaurentPoly.zero(TERM_VARS)
     for s, coeff in total.terms.items():
-        r = ratios[s]
-        p = coeff.shift_exponents(r.mono)
+        acc = acc + coeff * cleared[s]
+    sample = acc.sorted_terms()[:5]
+    return VerificationResult(acc.is_zero(), len(acc.terms), [[list(e), c] for e, c in sample])
+
+
+def cleared_ratios(term: HypTerm, shifts: Iterable[Shift]) -> dict[Shift, LaurentPoly]:
+    """F(v - s)/F(v) for each shift s, as numerators over the least common
+    factored denominator of them all."""
+    ratios = {s: term_ratio_factored(term, s[: 1 + term.nsum]) for s in shifts}
+    common: Counter = Counter()
+    dens: dict[Shift, Counter] = {}
+    factor_of: dict[frozenset, LaurentPoly] = {}
+    for s, r in ratios.items():
+        cnt: Counter = Counter()
+        for f in r.den:
+            key = frozenset(f.terms.items())
+            cnt[key] += 1
+            factor_of[key] = f
+        dens[s] = cnt
+        common |= cnt
+    cleared = {}
+    for s, r in ratios.items():
+        p = _mono(r.mono)
         for f in r.num:
             p = p * f
-        deficit = common - dens[s]
-        for k, mult in deficit.items():
+        for key, mult in (common - dens[s]).items():
             for _ in range(mult):
-                p = p * factor_of[k]
-        acc = acc + p
-    ok = acc.is_zero()
-    sample = acc.sorted_terms()[:5]
-    return VerificationResult(ok, len(acc.terms), [[list(e), c] for e, c in sample])
-
-
-def _poly_key(p: LaurentPoly):
-    return frozenset(p.terms.items())
+                p = p * factor_of[key]
+        cleared[s] = p
+    return cleared
 
 
 def recurrence_from_certificate(cert: CertificateSet) -> list[LaurentPoly]:
@@ -837,12 +783,6 @@ def apply_qdiff(op: QDiffOperator, s: BiSeries) -> BiSeries:
 
 def _shift_x_poly(p: LaurentPoly, qpow: int) -> LaurentPoly:
     return p.twist("x", "q", qpow)
-
-
-def _shift_x_rat(r, qpow: int):
-    from .laurent import RationalFunction
-
-    return RationalFunction(_shift_x_poly(r.num, qpow), _shift_x_poly(r.den, qpow), normalize=False)
 
 
 def uncouple_system(matrix, component: int, step: int = 3) -> QDiffOperator:

@@ -84,19 +84,23 @@ def certificate_to_json(cert) -> dict:
             [[list(s), p.to_json()] for s, p in sorted(op.terms.items())]
             for op in ops
         ]
-    return {"order": cert.order, "families": fams, "product_mode": cert.product_mode}
+    return {"order": cert.order, "families": fams, "product_mode": "skew"}
 
 
 def certificate_from_json(data: dict):
+    """Inverse of certificate_to_json; only the skew product reading exists."""
     from .holonomic import CertificateSet, ShiftOp
 
+    mode = data.get("product_mode", "skew")
+    if mode != "skew":
+        raise ValueError(f"unsupported certificate product_mode {mode!r}; only 'skew' is implemented")
     fams = {}
     for name, ops in data["families"].items():
         fams[name] = [
             ShiftOp({tuple(s): LaurentPoly.from_json(p) for s, p in terms})
             for terms in ops
         ]
-    return CertificateSet(int(data["order"]), fams, data.get("product_mode", "skew"))
+    return CertificateSet(int(data["order"]), fams)
 
 
 def hypterm_from_json(data: dict):

@@ -363,9 +363,6 @@ class BiSeries:
     def truncate(self, qorder: int) -> "BiSeries":
         return BiSeries(qorder, {m: s.truncate(qorder) for m, s in self.slices.items()})
 
-    def truncate_x(self, max_x: int) -> "BiSeries":
-        return BiSeries(self.qorder, {m: s for m, s in self.slices.items() if m <= max_x})
-
     def first_difference(self, other: "BiSeries") -> tuple[int, int] | None:
         """(x_exp, q_exp) of the first mismatching coefficient, or None."""
         n = min(self.qorder, other.qorder)

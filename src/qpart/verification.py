@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
+from typing import Iterable
 
 from . import catalog
 from .automata import (
@@ -31,6 +32,7 @@ from .colored import (
     enumerate_2colored,
     gen_fun,
     iter_all,
+    to_pairs,
     violates_forbidden_patterns,
 )
 from .cylindric import enumerate_cylindric, g_to_f, profile_orbit, solve_cw_family
@@ -44,7 +46,7 @@ from .holonomic import (
     verify_certificate,
 )
 from .laurent import RationalFunction
-from .series import BiSeries, pochhammer_expand
+from .series import BiSeries, QSeries, pochhammer_expand
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent.parent / "golden"
 
@@ -54,7 +56,7 @@ RECURRENCE_POINTS = (Fraction(2), Fraction(3), Fraction(7, 5))
 @dataclass
 class RunReport:
     task: str
-    status: str  # "pass" | "fail"
+    status: str  # "pass" | "fail" | "error"
     inputs: dict
     witness: dict | None = None
     wall_time: float = 0.0
@@ -72,7 +74,7 @@ class RunReport:
         return out
 
 
-def _series_witness(kind: str, a: BiSeries, b: BiSeries) -> dict | None:
+def _series_witness(kind: str, a: BiSeries, b: BiSeries, **extra) -> dict | None:
     d = a.first_difference(b)
     if d is None:
         return None
@@ -83,7 +85,20 @@ def _series_witness(kind: str, a: BiSeries, b: BiSeries) -> dict | None:
         "q_exp": i,
         "lhs": str(a.coeff(m, i)),
         "rhs": str(b.coeff(m, i)),
+        **extra,
     }
+
+
+def _qseries_witness(kind: str, a: QSeries, b: QSeries, **extra) -> dict | None:
+    d = a.first_difference(b)
+    if d is None:
+        return None
+    return {"kind": kind, "q_exp": d, "lhs": str(a.coeffs[d]), "rhs": str(b.coeffs[d]), **extra}
+
+
+def _first_witness(witnesses: Iterable[dict | None]) -> dict | None:
+    """The first witness of a lazily evaluated sequence of checks."""
+    return next((w for w in witnesses if w is not None), None)
 
 
 class VerificationRun:
@@ -93,7 +108,7 @@ class VerificationRun:
         if qorder < 10:
             raise ValueError("qorder must be >= 10")
         self.qorder = qorder
-        self.bigraded_order = min(qorder, 25) if qorder >= 25 else qorder
+        self.bigraded_order = min(qorder, 25)
         # criterion: enumeration vs recursion mod q^20 (total size <= 19)
         self.cyl_order = min(qorder - 10, 19)
 
@@ -130,14 +145,47 @@ class VerificationRun:
         return solve_language_series(self.transfer, self.bigraded_order)
 
 
-def _report(task: str, inputs: dict, ok: bool, witness: dict | None, t0: float) -> RunReport:
-    return RunReport(
-        task=task,
-        status="pass" if ok else "fail",
-        inputs=inputs,
-        witness=None if ok else (witness or {"kind": "unspecified"}),
-        wall_time=time.perf_counter() - t0,
-    )
+def _report(task: str, inputs: dict, witness: dict | None) -> RunReport:
+    return RunReport(task, "pass" if witness is None else "fail", inputs, witness)
+
+
+def _product_report(
+    task: str, run: VerificationRun, lhs: QSeries, spec, anchors: dict[int, int]
+) -> RunReport:
+    """lhs against the product; once they agree, the anchor coefficients too."""
+    witness = _qseries_witness("coefficient", lhs, pochhammer_expand(spec, run.qorder))
+    got = [lhs.coeffs[e] for e in anchors]
+    expected = list(anchors.values())
+    if witness is None and got != expected:
+        witness = {"kind": "anchor", "got": [str(c) for c in got], "expected": [str(c) for c in expected]}
+    return _report(task, {"qorder": run.qorder}, witness)
+
+
+def _qdiff_report(task: str, run: VerificationRun, checks) -> RunReport:
+    """Each (name, operator, series) must give zero; the witness is the lowest term left."""
+
+    def witness(name, op, series) -> dict | None:
+        res = apply_qdiff(op, series)
+        if res.is_zero():
+            return None
+        m = min(res.slices)
+        return {"kind": f"operator-{name}", "x_exp": m, "q_exp": res.slices[m].valuation()}
+
+    return _report(task, {"qorder": run.qorder}, _first_witness(witness(*c) for c in checks))
+
+
+def _relations_report(task: str, run: VerificationRun, relations) -> RunReport:
+    """Each (kind, target, terms) must hold over the profile family:
+    target = sum of coeff * source(x q^shift) over its (coeff, shift, source) terms."""
+    fam = run.cw_family
+
+    def witness(kind, target, terms) -> dict | None:
+        rhs = BiSeries.zero(run.qorder)
+        for coeff, shift, source in terms:
+            rhs = rhs + poly_times_biseries(coeff, fam[source].apply_xshift(shift))
+        return _series_witness(kind, fam[target], rhs)
+
+    return _report(task, {"qorder": run.qorder}, _first_witness(witness(*r) for r in relations))
 
 
 # ----------------------------------------------------------------------
@@ -146,257 +194,170 @@ def _report(task: str, inputs: dict, ok: bool, witness: dict | None, t0: float) 
 
 def task_product_d123(run: VerificationRun) -> RunReport:
     """Enumeration at x=1 equals the D1-D3 class product; anchors 1,2,2,4."""
-    t0 = time.perf_counter()
-    lhs = self_series = run.f_d123.eval_x1()
-    rhs = pochhammer_expand(catalog.PRODUCT_D123, run.qorder)
-    anchors = lhs.coeffs[:4] == [1, 2, 2, 4]
-    d = lhs.first_difference(rhs)
-    ok = anchors and d is None
-    witness = None
-    if d is not None:
-        witness = {"kind": "coefficient", "q_exp": d, "lhs": str(lhs.coeffs[d]), "rhs": str(rhs.coeffs[d])}
-    elif not anchors:
-        witness = {"kind": "anchor", "got": [str(c) for c in lhs.coeffs[:4]], "expected": ["1", "2", "2", "4"]}
-    return _report("product-d123", {"qorder": run.qorder}, ok, witness, t0)
+    return _product_report("product-d123", run, run.f_d123.eval_x1(), catalog.PRODUCT_D123,
+                           {0: 1, 1: 2, 2: 2, 3: 4})
 
 
 def task_product_d1234(run: VerificationRun) -> RunReport:
     """Enumeration at x=1 equals the D1-D4 class product; anchors at q^6, q^7."""
-    t0 = time.perf_counter()
-    lhs = run.f_d1234.eval_x1()
-    rhs = pochhammer_expand(catalog.PRODUCT_D1234, run.qorder)
-    anchors = lhs.coeffs[6] == 5 and lhs.coeffs[7] == 4
-    d = lhs.first_difference(rhs)
-    ok = anchors and d is None
-    witness = None
-    if d is not None:
-        witness = {"kind": "coefficient", "q_exp": d, "lhs": str(lhs.coeffs[d]), "rhs": str(rhs.coeffs[d])}
-    elif not anchors:
-        witness = {"kind": "anchor", "got": [str(lhs.coeffs[6]), str(lhs.coeffs[7])], "expected": ["5", "4"]}
-    return _report("product-d1234", {"qorder": run.qorder}, ok, witness, t0)
+    return _product_report("product-d1234", run, run.f_d1234.eval_x1(), catalog.PRODUCT_D1234, {6: 5, 7: 4})
 
 
 def task_ag_bigraded(run: VerificationRun) -> RunReport:
     """The quadruple sums equal the bigraded generating functions."""
-    t0 = time.perf_counter()
     n = run.bigraded_order
-    checks = [
-        ("d123", evaluate_ag_sum(catalog.AG_D123, n), run.f_d123.truncate(n)),
-        ("d1234", evaluate_ag_sum(catalog.AG_D1234, n), run.f_d1234.truncate(n)),
-    ]
-    witness = None
-    for name, lhs, rhs in checks:
-        w = _series_witness(f"bigraded-{name}", lhs, rhs)
-        if w is not None:
-            witness = w
-            break
-    return _report("ag-bigraded", {"qorder": n}, witness is None, witness, t0)
+    witness = _first_witness(
+        _series_witness(f"bigraded-{name}", evaluate_ag_sum(spec, n), series.truncate(n))
+        for name, spec, series in (
+            ("d123", catalog.AG_D123, run.f_d123),
+            ("d1234", catalog.AG_D1234, run.f_d1234),
+        )
+    )
+    return _report("ag-bigraded", {"qorder": n}, witness)
 
 
 def task_ag_cylindric(run: VerificationRun) -> RunReport:
     """The max-part-graded quadruple sums equal the profile series."""
-    t0 = time.perf_counter()
     n = run.bigraded_order
     fam = run.cw_family
-    checks = [
-        ("g111", evaluate_ag_sum(catalog.AG_G111, n), fam[(1, 1, 1)].truncate(n)),
-        ("g300", evaluate_ag_sum(catalog.AG_G300, n), fam[(3, 0, 0)].truncate(n)),
-    ]
-    witness = None
-    for name, lhs, rhs in checks:
-        w = _series_witness(f"sum-{name}", lhs, rhs)
-        if w is not None:
-            witness = w
-            break
-    return _report("ag-cylindric", {"qorder": n}, witness is None, witness, t0)
+    witness = _first_witness(
+        _series_witness(f"sum-{name}", evaluate_ag_sum(spec, n), fam[profile].truncate(n))
+        for name, spec, profile in (
+            ("g111", catalog.AG_G111, (1, 1, 1)),
+            ("g300", catalog.AG_G300, (3, 0, 0)),
+        )
+    )
+    return _report("ag-cylindric", {"qorder": n}, witness)
 
 
 def task_aux_identity(run: VerificationRun) -> RunReport:
     """The auxiliary quadruple sum equals 1/(q,q^2;q^3)_inf."""
-    t0 = time.perf_counter()
     lhs = evaluate_ag_sum(catalog.AG_AUX, run.qorder).eval_x1()
-    rhs = pochhammer_expand(catalog.PRODUCT_AUX, run.qorder)
-    d = lhs.first_difference(rhs)
-    witness = None if d is None else {
-        "kind": "coefficient", "q_exp": d, "lhs": str(lhs.coeffs[d]), "rhs": str(rhs.coeffs[d])
-    }
-    return _report("aux-identity", {"qorder": run.qorder}, d is None, witness, t0)
+    witness = _qseries_witness("coefficient", lhs, pochhammer_expand(catalog.PRODUCT_AUX, run.qorder))
+    return _report("aux-identity", {"qorder": run.qorder}, witness)
 
 
 def task_pattern_equivalence(run: VerificationRun, max_size: int = 18) -> RunReport:
     """Difference conditions D1-D3 match the forbidden-pattern families."""
-    t0 = time.perf_counter()
     witness = None
     count = 0
     for lam in iter_all(max_size):
         count += 1
         if check_condition(lam, COND_D123) != (not violates_forbidden_patterns(lam)):
-            witness = {"kind": "partition", "partition": [[c, m] for m, c in lam]}
+            witness = {"kind": "partition", "partition": to_pairs(lam)}
             break
-    return _report("pattern-equivalence", {"max_size": max_size, "checked": count}, witness is None, witness, t0)
+    return _report("pattern-equivalence", {"max_size": max_size, "checked": count}, witness)
 
 
 def task_dfa_table(run: VerificationRun) -> RunReport:
     """The minimal DFA has 6 states, one accept state, and the golden table."""
-    t0 = time.perf_counter()
     dfa = run.dfa
     golden = Dfa.from_json(json.loads((GOLDEN_DIR / "dfa_canonical.json").read_text()))
-    ok = dfa.n_states == 6 and len(dfa.accepts) == 1 and dfa == golden
     witness = None
-    if not ok:
+    if not (dfa.n_states == 6 and len(dfa.accepts) == 1 and dfa == golden):
         witness = {"kind": "dfa", "states": dfa.n_states, "accepts": sorted(dfa.accepts)}
-    return _report("dfa-table", {"words": 48}, ok, witness, t0)
+    return _report("dfa-table", {"words": 48}, witness)
 
 
 def task_transfer_matrix(run: VerificationRun) -> RunReport:
     """The derived coupled-system matrix equals the golden 5x5 matrix."""
-    t0 = time.perf_counter()
     golden = json.loads((GOLDEN_DIR / "transfer_matrix.json").read_text())
     got = [[e.to_json() for e in row] for row in run.transfer.matrix]
-    ok = got == golden["matrix"] and list(run.transfer.states) == golden["states"]
     witness = None
-    if not ok:
-        witness = {"kind": "matrix"}
-        for i, (grow, row) in enumerate(zip(golden["matrix"], got)):
-            for j, (ge, e) in enumerate(zip(grow, row)):
-                if ge != e:
-                    witness = {"kind": "matrix-entry", "row": i, "col": j}
-                    break
-    return _report("transfer-matrix", {}, ok, witness, t0)
+    if got != golden["matrix"] or list(run.transfer.states) != golden["states"]:
+        witness = _first_witness(
+            {"kind": "matrix-entry", "row": i, "col": j}
+            for i, (grow, row) in enumerate(zip(golden["matrix"], got))
+            for j, (ge, e) in enumerate(zip(grow, row))
+            if ge != e
+        ) or {"kind": "matrix"}
+    return _report("transfer-matrix", {}, witness)
 
 
 def task_language_series(run: VerificationRun) -> RunReport:
     """Component 0 counts the D1-D3 class; component 1 the D1-D4 class."""
-    t0 = time.perf_counter()
     n = run.bigraded_order
-    w = _series_witness("state0-vs-d123", run.language[0], run.f_d123.truncate(n))
-    if w is None:
-        w = _series_witness("state1-vs-d1234", run.language[1], run.f_d1234.truncate(n))
-    return _report("language-series", {"qorder": n}, w is None, w, t0)
+    witness = _first_witness(
+        _series_witness(kind, run.language[component], series.truncate(n))
+        for kind, component, series in (
+            ("state0-vs-d123", 0, run.f_d123),
+            ("state1-vs-d1234", 1, run.f_d1234),
+        )
+    )
+    return _report("language-series", {"qorder": n}, witness)
 
 
 def task_qdiff_colored(run: VerificationRun) -> RunReport:
     """The two order-3 operators annihilate the enumerated series."""
-    t0 = time.perf_counter()
-    witness = None
-    for name, op, series in (
+    return _qdiff_report("qdiff-colored", run, (
         ("d123", catalog.qdiff_operator_d123(), run.f_d123),
         ("d1234", catalog.qdiff_operator_d1234(), run.f_d1234),
-    ):
-        res = apply_qdiff(op, series)
-        if not res.is_zero():
-            m = sorted(res.slices)[0]
-            witness = {"kind": f"operator-{name}", "x_exp": m, "q_exp": res.slices[m].valuation()}
-            break
-    return _report("qdiff-colored", {"qorder": run.qorder}, witness is None, witness, t0)
+    ))
 
 
 def task_recursion_displays(run: VerificationRun) -> RunReport:
     """The four subset-recursion displays hold for the computed family."""
-    t0 = time.perf_counter()
-    fam = run.cw_family
-    witness = None
-    for target, terms in catalog.RECURSION_DISPLAYS:
-        rhs = BiSeries.zero(run.qorder)
-        for coeff, shift, source in terms:
-            rhs = rhs + poly_times_biseries(coeff, fam[source].apply_xshift(shift))
-        w = _series_witness(f"recursion-{target}", fam[target], rhs)
-        if w is not None:
-            witness = w
-            break
-    return _report("recursion-displays", {"qorder": run.qorder}, witness is None, witness, t0)
+    return _relations_report("recursion-displays", run, [
+        (f"recursion-{target}", target, terms) for target, terms in catalog.RECURSION_DISPLAYS
+    ])
 
 
 def task_first_order_relations(run: VerificationRun) -> RunReport:
     """The four derived first-order relations and the 2x2 system hold."""
-    t0 = time.perf_counter()
-    fam = run.cw_family
-    witness = None
-    for target, terms in catalog.FIRST_ORDER_RELATIONS:
-        rhs = BiSeries.zero(run.qorder)
-        for coeff, shift, source in terms:
-            rhs = rhs + poly_times_biseries(coeff, fam[source].apply_xshift(shift))
-        w = _series_witness(f"first-order-{target}", fam[target], rhs)
-        if w is not None:
-            witness = w
-            break
-    if witness is None:
-        mat = catalog.coupled_g_system()
-        vec = [fam[(3, 0, 0)], fam[(1, 1, 1)]]
-        for i in range(2):
-            rhs = BiSeries.zero(run.qorder)
-            for j in range(2):
-                rhs = rhs + poly_times_biseries(mat[i][j], vec[j].apply_xshift(3))
-            w = _series_witness(f"system-row-{i}", vec[i], rhs)
-            if w is not None:
-                witness = w
-                break
-    return _report("first-order-relations", {"qorder": run.qorder}, witness is None, witness, t0)
+    mat = catalog.coupled_g_system()
+    pair = [(3, 0, 0), (1, 1, 1)]
+    relations = [(f"first-order-{target}", target, terms) for target, terms in catalog.FIRST_ORDER_RELATIONS]
+    relations += [(f"system-row-{i}", pair[i], [(mat[i][j], 3, pair[j]) for j in range(2)]) for i in range(2)]
+    return _relations_report("first-order-relations", run, relations)
 
 
 def task_qdiff_cylindric(run: VerificationRun) -> RunReport:
     """The two order-2 operators annihilate the profile series."""
-    t0 = time.perf_counter()
     fam = run.cw_family
-    witness = None
-    for name, op, series in (
+    return _qdiff_report("qdiff-cylindric", run, (
         ("g300", catalog.qdiff_operator_g300(), fam[(3, 0, 0)]),
         ("g111", catalog.qdiff_operator_g111(), fam[(1, 1, 1)]),
-    ):
-        res = apply_qdiff(op, series)
-        if not res.is_zero():
-            m = sorted(res.slices)[0]
-            witness = {"kind": f"operator-{name}", "x_exp": m, "q_exp": res.slices[m].valuation()}
-            break
-    return _report("qdiff-cylindric", {"qorder": run.qorder}, witness is None, witness, t0)
+    ))
 
 
 def task_cylindric_enumeration(run: VerificationRun) -> RunReport:
     """Direct enumeration equals the recursion solution for all 10 profiles."""
-    t0 = time.perf_counter()
     n = run.cyl_order
     fam = solve_cw_family((3, 0, 0), n + 1)
-    witness = None
-    for profile in profile_orbit((3, 0, 0)):
-        direct = enumerate_cylindric(profile, n)
-        via_g = g_to_f(fam[profile])
-        w = _series_witness(f"profile-{profile}", direct, via_g)
-        if w is not None:
-            witness = dict(w, profile=list(profile))
-            break
-    return _report("cylindric-enumeration", {"max_size": n, "profiles": 10}, witness is None, witness, t0)
+    witness = _first_witness(
+        _series_witness(f"profile-{profile}", enumerate_cylindric(profile, n), g_to_f(fam[profile]),
+                        profile=list(profile))
+        for profile in profile_orbit((3, 0, 0))
+    )
+    return _report("cylindric-enumeration", {"max_size": n, "profiles": 10}, witness)
 
 
 def task_specialized_products(run: VerificationRun) -> RunReport:
     """F(1, q) * (q;q)_inf equals the two class product sides."""
-    t0 = time.perf_counter()
     fam = run.cw_family
     euler = pochhammer_expand(catalog.EULER_PRODUCT, run.qorder)
-    witness = None
-    for name, profile, spec in (
-        ("g111-vs-d123-product", (1, 1, 1), catalog.PRODUCT_D123),
-        ("g300-vs-d1234-product", (3, 0, 0), catalog.PRODUCT_D1234),
-    ):
-        lhs = g_to_f(fam[profile]).eval_x1() * euler
-        rhs = pochhammer_expand(spec, run.qorder)
-        d = lhs.first_difference(rhs)
-        if d is not None:
-            witness = {"kind": name, "q_exp": d, "lhs": str(lhs.coeffs[d]), "rhs": str(rhs.coeffs[d])}
-            break
-    return _report("specialized-products", {"qorder": run.qorder}, witness is None, witness, t0)
+    witness = _first_witness(
+        _qseries_witness(name, g_to_f(fam[profile]).eval_x1() * euler, pochhammer_expand(spec, run.qorder))
+        for name, profile, spec in (
+            ("g111-vs-d123-product", (1, 1, 1), catalog.PRODUCT_D123),
+            ("g300-vs-d1234-product", (3, 0, 0), catalog.PRODUCT_D1234),
+        )
+    )
+    return _report("specialized-products", {"qorder": run.qorder}, witness)
 
 
 def task_certificates(run: VerificationRun) -> RunReport:
     """All four certificate sets verify exactly after documented emendations."""
-    t0 = time.perf_counter()
-    witness = None
-    for name in catalog.CERTIFICATE_NAMES:
+
+    def witness(name: str) -> dict | None:
         res = verify_certificate(catalog.certificate_term(name), catalog.certificate(name))
-        if not res.ok:
-            witness = {"kind": f"certificate-{name}", "residual_terms": res.residual_terms,
-                       "residual_sample": res.residual_sample}
-            break
-    return _report("certificates", {"sets": list(catalog.CERTIFICATE_NAMES)}, witness is None, witness, t0)
+        if res.ok:
+            return None
+        return {"kind": f"certificate-{name}", "residual_terms": res.residual_terms,
+                "residual_sample": res.residual_sample}
+
+    return _report("certificates", {"sets": list(catalog.CERTIFICATE_NAMES)},
+                   _first_witness(witness(name) for name in catalog.CERTIFICATE_NAMES))
 
 
 def task_recurrences(run: VerificationRun, nmax: int = 25) -> RunReport:
@@ -405,25 +366,22 @@ def task_recurrences(run: VerificationRun, nmax: int = 25) -> RunReport:
     Exact rational evaluation over the full support at three fixed points,
     for every 0 <= n <= nmax.
     """
-    t0 = time.perf_counter()
-    witness = None
-    for name in catalog.CERTIFICATE_NAMES:
-        term = catalog.certificate_term(name)
-        plist = recurrence_from_certificate(catalog.certificate(name))
-        for q0 in RECURRENCE_POINTS:
-            if not recurrence_holds_at_point(term, plist, nmax, q0):
-                witness = {"kind": f"recurrence-{name}", "q0": str(q0)}
-                break
-        if witness:
-            break
+
+    def witnesses():
+        for name in catalog.CERTIFICATE_NAMES:
+            term = catalog.certificate_term(name)
+            plist = recurrence_from_certificate(catalog.certificate(name))
+            for q0 in RECURRENCE_POINTS:
+                if not recurrence_holds_at_point(term, plist, nmax, q0):
+                    yield {"kind": f"recurrence-{name}", "q0": str(q0)}
+
     return _report("recurrences", {"nmax": nmax, "points": [str(p) for p in RECURRENCE_POINTS]},
-                   witness is None, witness, t0)
+                   _first_witness(witnesses()))
 
 
 def task_combination_identity(run: VerificationRun) -> RunReport:
     """The order-4 coefficient family is an explicit combination of the
     order-3 one and its shift, as exact rational functions."""
-    t0 = time.perf_counter()
     ps = [RationalFunction.from_poly(p) for p in
           recurrence_from_certificate(catalog.certificate("g111"))]
     pps = [RationalFunction.from_poly(p) for p in catalog.pprime_family()]
@@ -441,7 +399,7 @@ def task_combination_identity(run: VerificationRun) -> RunReport:
         if not (lhs - pps[j]).is_zero():
             witness = {"kind": "combination-component", "j": j}
             break
-    return _report("combination-identity", {}, witness is None, witness, t0)
+    return _report("combination-identity", {}, witness)
 
 
 def task_chain(run: VerificationRun) -> RunReport:
@@ -451,7 +409,6 @@ def task_chain(run: VerificationRun) -> RunReport:
     with the D1-D3 class tied to profile (1,1,1) and the D1-D4 class to
     (3,0,0).
     """
-    t0 = time.perf_counter()
     n = run.qorder
     fam = run.cw_family
     routes = {
@@ -468,23 +425,16 @@ def task_chain(run: VerificationRun) -> RunReport:
             ("product", pochhammer_expand(catalog.PRODUCT_D1234, n)),
         ],
     }
-    witness = None
-    for cls, items in routes.items():
-        base_name, base = items[0]
-        for name, series in items[1:]:
-            d = base.first_difference(series)
-            if d is not None:
-                witness = {"kind": f"chain-{cls}", "routes": [base_name, name], "q_exp": d,
-                           "lhs": str(base.coeffs[d]), "rhs": str(series.coeffs[d])}
-                break
-        if witness:
-            break
-    return _report("chain", {"qorder": n}, witness is None, witness, t0)
+    witness = _first_witness(
+        _qseries_witness(f"chain-{cls}", items[0][1], series, routes=[items[0][0], name])
+        for cls, items in routes.items()
+        for name, series in items[1:]
+    )
+    return _report("chain", {"qorder": n}, witness)
 
 
 def task_uncoupling(run: VerificationRun) -> RunReport:
     """Uncoupled scalar operators annihilate the independent series."""
-    t0 = time.perf_counter()
     witness = None
     op2 = uncouple_system(catalog.coupled_g_system(), 0)
     if not apply_qdiff(op2, run.cw_family[(3, 0, 0)]).is_zero():
@@ -496,7 +446,7 @@ def task_uncoupling(run: VerificationRun) -> RunReport:
             if not apply_qdiff(op5, series.truncate(run.bigraded_order)).is_zero():
                 witness = {"kind": "uncouple-5x5", "component": comp}
                 break
-    return _report("uncoupling", {}, witness is None, witness, t0)
+    return _report("uncoupling", {}, witness)
 
 
 TASKS = [
@@ -524,12 +474,22 @@ TASKS = [
 
 
 def verify_all(qorder: int = 30, nmax_recurrence: int = 25) -> list[RunReport]:
-    """Run the whole battery in fixed task order."""
+    """Run the whole battery in fixed task order, timing each task.
+
+    A task that raises is reported with status "error" and the exception
+    as its witness, under its function name less ``task_``; the remaining
+    tasks still run.
+    """
     run = VerificationRun(qorder)
     reports = []
     for task in TASKS:
-        if task is task_recurrences:
-            reports.append(task(run, nmax=nmax_recurrence))
-        else:
-            reports.append(task(run))
+        t0 = time.perf_counter()
+        try:
+            report = task(run, nmax=nmax_recurrence) if task is task_recurrences else task(run)
+        except Exception as exc:
+            name = task.__name__.removeprefix("task_").replace("_", "-")
+            witness = {"kind": "exception", "type": type(exc).__name__, "message": str(exc)}
+            report = RunReport(name, "error", {}, witness)
+        report.wall_time = time.perf_counter() - t0
+        reports.append(report)
     return reports

@@ -165,3 +165,22 @@ def test_fail_reports_carry_witnesses():
     assert w == {"kind": "probe", "x_exp": 0, "q_exp": 2, "lhs": "3", "rhs": "4"}
     r = RunReport(task="t", status="fail", inputs={}, witness=w)
     assert not r.ok and r.to_json()["witness"]["q_exp"] == 2
+
+
+def test_certificate_json_writes_skew_product_mode():
+    data = serialize.certificate_to_json(catalog.certificate("g111"))
+    assert data["product_mode"] == "skew"
+
+
+def test_certificate_json_rejects_other_product_modes(tmp_path):
+    data = serialize.certificate_to_json(catalog.certificate("g111"))
+    data["product_mode"] = "marker"
+    with pytest.raises(ValueError, match="product_mode"):
+        serialize.certificate_from_json(data)
+    term_file = tmp_path / "term.json"
+    cert_file = tmp_path / "cert.json"
+    term_file.write_text(json.dumps(catalog.certificate_term("g111").to_json()))
+    cert_file.write_text(json.dumps(data))
+    code, out, err = run_cli(["certify", "--term", str(term_file), "--cert", str(cert_file)])
+    assert code == 2 and out == ""
+    assert err.startswith("qpart: error: ") and err.count("\n") == 1
