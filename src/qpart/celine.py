@@ -8,15 +8,22 @@ with unknown rational coefficients attached to explicit monomial slots:
 p-slots are monomials in (q, u) times N^j, and C_i-slots are monomials in
 (q, u, v) times shift monomials N^j K^sigma.  Applying a slot to the term
 and dividing by it is a rational function, so annihilation becomes an
-exact linear system over Q; any kernel vector with p_0 != 0 yields a
+exact linear system with integer entries (one row per monomial of the
+cleared numerators); any kernel vector with p_0 != 0 yields a
 certificate, which is checked by ``verify_certificate`` before being
 returned.
+
+The kernel is found by fraction-free elimination over Z.  Each pivot row
+takes its least column as pivot; then the pivot columns are the least
+columns of the row space, so the pivot set, the free set and the basis
+are the same whatever order the rows are eliminated in.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import product
+from math import gcd
 from typing import Sequence
 
 from .holonomic import (
@@ -86,72 +93,109 @@ def _slot_shifts(slot: Slot) -> list[Shift]:
     return [base, bumped]
 
 
-def _slot_column(slot: Slot, cleared) -> LaurentPoly:
-    """The cleared contribution of a unit coefficient in this slot."""
-    fam, j, sigma, exps = slot
-    mu = LaurentPoly.monomial(TERM_VARS, exps)
-    base = (j, *sigma)
-    col = mu * cleared[base]
-    if fam != "p":
-        k = FAMILIES.index(fam)
-        bumped = tuple(x + (1 if i == k else 0) for i, x in enumerate(base))
-        twisted = mu.twist(TERM_VARS[1 + k], "q", -1)
-        col = col - twisted * cleared[bumped]
+def _slot_column(slot: Slot, cleared) -> dict[tuple[int, ...], int]:
+    """The cleared contribution of a unit coefficient in this slot.
+
+    Each part is the cleared ratio of one shift times a monomial, so the
+    column is built by adding exponent vectors: ``exps`` for the base shift
+    and, for a C_i-slot, ``exps`` with the q-exponent lowered by the
+    v_i-exponent (the twist v_i -> v_i q^-1) for the bumped shift, whose
+    part is subtracted.
+    """
+    fam, _, _, exps = slot
+    x0, x1, x2, x3, x4 = exps
+    shifts = _slot_shifts(slot)
+    col = {
+        (a + x0, b + x1, c + x2, d + x3, e + x4): v
+        for (a, b, c, d, e), v in cleared[shifts[0]].terms.items()
+    }
+    if len(shifts) > 1:
+        x0 -= exps[1 + FAMILIES.index(fam)]
+        for (a, b, c, d, e), v in cleared[shifts[1]].terms.items():
+            key = (a + x0, b + x1, c + x2, d + x3, e + x4)
+            col[key] = col.get(key, 0) - v
+        if not all(col.values()):
+            col = {key: v for key, v in col.items() if v}
     return col
 
 
-def _nullspace_solutions(columns: list[LaurentPoly], max_solutions: int):
-    """Kernel basis vectors (over Q) of sum_i x_i * columns_i = 0."""
-    rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
+def _nullspace_solutions(columns: list[dict[tuple[int, ...], int]], max_solutions: int):
+    """Kernel basis of sum_i x_i * columns_i = 0, as primitive integer vectors.
+
+    Fraction-free elimination over Z: each row (one exponent of the
+    columns, shortest rows first) is reduced in place against the pivot
+    rows, taking the hits in increasing column order from a heap.  A
+    reduced row that is not zero becomes the pivot row of its least column,
+    divided by its content with the sign that makes that entry positive.
+    A pivot row is zero on the pivot columns made before it, so the pivots
+    are the least columns of the row space whatever the order of rows and
+    hits.  The basis vector of a free column (1 there, 0 on the other free
+    columns, scaled to coprime integers) is therefore independent of that
+    order as well.
+    """
+    rows: dict[tuple[int, ...], dict[int, int]] = {}
     for i, col in enumerate(columns):
-        for e, c in col.terms.items():
-            rows.setdefault(e, {})[i] = Fraction(c)
-    pivots: dict[int, dict[int, Fraction]] = {}
+        for e, c in col.items():
+            rows.setdefault(e, {})[i] = c
+    pivots: dict[int, dict[int, int]] = {}
     for row in sorted(rows.values(), key=len):
-        row = dict(row)
-        while True:
-            row = {i: c for i, c in row.items() if c}
-            hit = next((i for i in row if i in pivots), None)
-            if hit is None:
-                break
+        hits = [i for i in row if i in pivots]
+        heapify(hits)
+        while hits:
+            hit = heappop(hits)
+            a = row.get(hit)
+            if a is None:
+                continue
             prow = pivots[hit]
-            f = row[hit] / prow[hit]
-            for i2, c2 in prow.items():
-                row[i2] = row.get(i2, 0) - f * c2
-        row = {i: c for i, c in row.items() if c}
+            b = prow[hit]
+            f = a
+            if b != 1:
+                g = gcd(a, b)
+                f = a // g
+                if b != g:
+                    s = b // g
+                    for i in row:
+                        row[i] *= s
+            for i, c in prow.items():
+                c = row.get(i, 0) - f * c
+                if not c:
+                    del row[i]
+                    continue
+                if i not in row and i in pivots:
+                    heappush(hits, i)
+                row[i] = c
         if row:
-            pivots[min(row)] = row
+            piv = min(row)
+            g = gcd(*row.values())
+            if row[piv] < 0:
+                g = -g
+            if g != 1:
+                for i in row:
+                    row[i] //= g
+            pivots[piv] = row
     free = [i for i in range(len(columns)) if i not in pivots]
+    order = sorted(pivots, reverse=True)
     basis = []
     for f in free[:max_solutions]:
-        sol = {f: Fraction(1)}
-        for piv in sorted(pivots, reverse=True):
+        # a positive multiple of the kernel vector, kept coprime: a scaling
+        # by m is followed by a new entry val // b that is prime to m
+        sol = {f: 1}
+        for piv in order:
             row = pivots[piv]
-            val = Fraction(0)
+            val = 0
             for i, c in row.items():
-                if i != piv:
-                    val -= c * sol.get(i, 0)
-            v = val / row[piv]
-            if v:
-                sol[piv] = v
+                if i in sol:
+                    val -= c * sol[i]
+            if val:
+                b = row[piv]
+                if val % b:
+                    m = b // gcd(val, b)
+                    for i in sol:
+                        sol[i] *= m
+                    val *= m
+                sol[piv] = val // b
         basis.append(sol)
     return basis
-
-
-def _clear_rationals(sol: dict[int, Fraction]) -> dict[int, int]:
-    from math import gcd, lcm
-
-    den = 1
-    for v in sol.values():
-        if v:
-            den = lcm(den, v.denominator)
-    ints = {i: int(v * den) for i, v in sol.items() if v}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if g > 1:
-        ints = {i: v // g for i, v in ints.items()}
-    return ints
 
 
 def _assemble(order: int, slots: list[Slot], coeffs: dict[int, int]) -> CertificateSet:
@@ -184,14 +228,11 @@ def celine_solve(
     shifts = sorted({sh for slot in slots for sh in _slot_shifts(slot)})
     cleared = cleared_ratios(term, shifts)
     columns = [_slot_column(slot, cleared) for slot in slots]
-    keep = [i for i, c in enumerate(columns) if not c.is_zero()]
+    keep = [i for i, c in enumerate(columns) if c]
     slots = [slots[i] for i in keep]
     columns = [columns[i] for i in keep]
     candidates = []
-    for sol in _nullspace_solutions(columns, max_solutions):
-        ints = _clear_rationals(sol)
-        if not ints:
-            continue
+    for ints in _nullspace_solutions(columns, max_solutions):
         cert = _assemble(order, slots, ints)
         if cert.families["p"][0].is_zero():
             continue

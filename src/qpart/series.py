@@ -328,38 +328,6 @@ class BiSeries:
             acc = acc + s
         return acc
 
-    def invert(self) -> "BiSeries":
-        """Inverse of a BiSeries whose x^0 slice is the unit series 1."""
-        if self.slice(0) != 1:
-            raise ValueError("invert requires x^0 slice equal to 1")
-        maxm = max(self.slices, default=0)
-        # slicewise recursion: B_0 = 1, B_m = -sum_{e=1..m} A_e * B_{m-e}
-        out: dict[int, QSeries] = {0: QSeries.one(self.qorder)}
-        # the inverse can have arbitrarily many slices; cut where slices vanish
-        # identically below qorder: slice m of any product here has valuation
-        # >= m when every nonconstant input slice has valuation >= 1.
-        bound = self._xslice_bound()
-        for m in range(1, bound + 1):
-            acc = QSeries.zero(self.qorder)
-            for e in range(1, min(m, maxm) + 1):
-                ae = self.slices.get(e)
-                if ae is not None and m - e in out:
-                    acc = acc + ae * out[m - e]
-            if not acc.is_zero():
-                out[m] = -acc
-        return BiSeries(self.qorder, out)
-
-    def _xslice_bound(self) -> int:
-        """Bound on x-degrees that can carry coefficients below qorder.
-
-        Valid when every slice m >= 1 has q-valuation >= 1 (true for all
-        series handled here: a counted object of x-weight m has size >= m).
-        """
-        vals = [s.valuation() for m, s in self.slices.items() if m >= 1]
-        vmin = min((v for v in vals if v is not None), default=1)
-        vmin = max(vmin, 1)
-        return self.qorder // vmin + 1
-
     def truncate(self, qorder: int) -> "BiSeries":
         return BiSeries(qorder, {m: s.truncate(qorder) for m, s in self.slices.items()})
 

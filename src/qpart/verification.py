@@ -48,7 +48,7 @@ from .holonomic import (
 from .laurent import RationalFunction
 from .series import BiSeries, QSeries, pochhammer_expand
 
-GOLDEN_DIR = Path(__file__).resolve().parent.parent.parent / "golden"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 RECURRENCE_POINTS = (Fraction(2), Fraction(3), Fraction(7, 5))
 
@@ -109,8 +109,9 @@ class VerificationRun:
             raise ValueError("qorder must be >= 10")
         self.qorder = qorder
         self.bigraded_order = min(qorder, 25)
-        # criterion: enumeration vs recursion mod q^20 (total size <= 19)
-        self.cyl_order = min(qorder - 10, 19)
+        # criterion: enumeration vs recursion mod q^20 (total size <= 19);
+        # the task solves its own recursion, so below q^20 it checks sizes < qorder
+        self.cyl_order = min(qorder - 1, 19)
 
     @cached_property
     def d123_partitions(self):

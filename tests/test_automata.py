@@ -27,7 +27,7 @@ from qpart.holonomic import poly_times_biseries
 from qpart.laurent import LaurentPoly
 from qpart.series import BiSeries
 
-GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+GOLDEN = Path(__file__).resolve().parent.parent / "src" / "qpart" / "golden"
 
 
 def test_alphabet_data():

@@ -11,7 +11,7 @@ from qpart import catalog, serialize
 from qpart.cli import main
 from qpart.holonomic import verify_certificate
 
-GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+GOLDEN = Path(__file__).resolve().parent.parent / "src" / "qpart" / "golden"
 
 
 def run_cli(argv):

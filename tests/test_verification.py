@@ -1,7 +1,11 @@
 """The verification task layer: failure witnesses and crash isolation."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from qpart.verification import (
     VerificationRun,
     task_aux_identity,
     task_chain,
+    task_cylindric_enumeration,
     task_product_d123,
     task_product_d1234,
     task_specialized_products,
@@ -95,3 +100,19 @@ def test_a_crashing_task_is_reported_and_the_rest_still_run(monkeypatch, tmp_pat
     written = json.loads(report.read_text())
     assert [r["task"] for r in written] == [r.task for r in reports]
     assert written[index]["status"] == "error"
+
+
+def test_cylindric_enumeration_is_not_vacuous_at_the_lowest_qorder():
+    r = task_cylindric_enumeration(VerificationRun(qorder=10))
+    assert r.ok and r.inputs == {"max_size": 9, "profiles": 10}
+
+
+def test_verify_all_passes_from_a_copied_package(tmp_path):
+    # the golden files travel with the package, not with the source tree
+    src = Path(__file__).resolve().parent.parent / "src" / "qpart"
+    shutil.copytree(src, tmp_path / "qpart", ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    out = subprocess.run([sys.executable, "-m", "qpart.cli", "verify-all", "--qorder", "10"],
+                         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert sum(line.startswith("PASS ") for line in out.stderr.splitlines()) == 20
