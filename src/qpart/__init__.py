@@ -7,7 +7,7 @@ Subpackage map:
 * ``colored``    -- 2-colored partitions, difference conditions, patterns
 * ``automata``   -- block encoding, factor-avoidance DFA, transfer systems
 * ``cylindric``  -- cylindric partitions and the profile recursion engine
-* ``holonomic``  -- q-hypergeometric terms, certificates, sum/operator tools
+* ``holonomic``  -- q-hypergeometric terms, certificates, sums, x-shift systems
 * ``catalog``    -- the bundled products, sums, operators and certificate sets
 * ``celine``     -- certificate search by a q-analogue of Sister Celine's method
 * ``serialize``  -- deterministic JSON and text encodings

@@ -10,8 +10,8 @@ A finite set J of forbidden two-letter factors characterizes the encoded
 partitions satisfying the difference conditions; the minimal complete DFA
 recognizing "contains a factor from J" is built by an Aho-Corasick
 construction followed by Hopcroft minimization, and its non-accepting part
-yields a coupled system of q-difference equations for the generating
-functions, solved here by fixed-point iteration.
+yields a coupled system of q-difference equations in x for the generating
+functions, solved by the shared q-adic solver ``holonomic.solve_shift_system``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .colored import PLUS, MINUS, Part, Partition, part_key, validate
+from .holonomic import XQ_VARS, solve_shift_system
 from .laurent import LaurentPoly
 from .series import BiSeries
 
@@ -224,25 +225,9 @@ def _aho_corasick_dfa(words: tuple[str, ...], alphabet: str) -> Dfa:
     return Dfa(n + 1, alphabet, tuple(tuple(r) for r in delta_rows), start, frozenset({accept}))
 
 
-def _reachable(dfa: Dfa) -> Dfa:
-    seen = [dfa.start]
-    vis = {dfa.start}
-    for s in seen:
-        for t in dfa.delta[s]:
-            if t not in vis:
-                vis.add(t)
-                seen.append(t)
-    remap = {s: i for i, s in enumerate(sorted(vis))}
-    delta = tuple(
-        tuple(remap[dfa.delta[s][i]] for i in range(len(dfa.alphabet)))
-        for s in sorted(vis)
-    )
-    return Dfa(len(vis), dfa.alphabet, delta, remap[dfa.start], frozenset(remap[a] for a in dfa.accepts if a in vis))
-
-
 def hopcroft_minimize(dfa: Dfa) -> Dfa:
     """Hopcroft's partition-refinement minimization of a complete DFA."""
-    dfa = _reachable(dfa)
+    dfa = canonical_relabel(dfa)  # drops the unreachable states
     n, k = dfa.n_states, len(dfa.alphabet)
     # predecessor lists per letter
     preds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(k)]
@@ -294,7 +279,8 @@ def hopcroft_minimize(dfa: Dfa) -> Dfa:
 
 
 def canonical_relabel(dfa: Dfa) -> Dfa:
-    """Rename states in BFS order from the start, letters in alphabet order."""
+    """Rename the reachable states in BFS order from the start, letters in
+    alphabet order; unreachable states are dropped."""
     order = [dfa.start]
     remap = {dfa.start: 0}
     for s in order:
@@ -306,7 +292,7 @@ def canonical_relabel(dfa: Dfa) -> Dfa:
     delta = tuple(
         tuple(remap[dfa.delta[s][i]] for i in range(len(dfa.alphabet))) for s in order
     )
-    return Dfa(len(order), dfa.alphabet, delta, 0, frozenset(remap[a] for a in dfa.accepts))
+    return Dfa(len(order), dfa.alphabet, delta, 0, frozenset(remap[a] for a in dfa.accepts if a in remap))
 
 
 def build_avoidance_dfa(words: tuple[str, ...] = FORBIDDEN_WORDS, alphabet: str = ALPHABET) -> Dfa:
@@ -316,9 +302,6 @@ def build_avoidance_dfa(words: tuple[str, ...] = FORBIDDEN_WORDS, alphabet: str 
 
 # ----------------------------------------------------------------------
 # transfer system
-
-XQ_VARS = ("x", "q")
-
 
 @dataclass(frozen=True)
 class TransferSystem:
@@ -358,46 +341,14 @@ def derive_transfer_system(dfa: Dfa, pi: dict[str, Partition] = PI, shift: int =
     return TransferSystem(states, tuple(rows), shift)
 
 
-def language_series(system: TransferSystem, state: int, qorder: int) -> BiSeries:
-    """Generating function of the avoiding language from ``state`` mod q^qorder."""
-    return solve_language_series(system, qorder)[state]
-
-
 def solve_language_series(system: TransferSystem, qorder: int) -> dict[int, BiSeries]:
-    """Solve the coupled system for all components by q-adic iteration.
+    """Solve the coupled system for all components mod q^qorder.
 
-    Each pass substitutes the current approximations into the right-hand
-    side; the x-shift by q^shift raises the q-order of every nonconstant
-    slice, so the map is a contraction and the iteration stabilizes.
+    The x-shift by q^shift raises the q-order of every nonconstant slice,
+    so the shared q-adic solver converges.
     """
-    if qorder < 1:
-        raise ValueError("qorder must be >= 1")
-    cur = {s: BiSeries.one(qorder) for s in system.states}
-    mat = {
-        (u, v): _poly_to_biseries(system.matrix[i][j], qorder)
-        for i, u in enumerate(system.states)
-        for j, v in enumerate(system.states)
-        if not system.matrix[i][j].is_zero()
+    equations = {
+        u: [(entry, system.shift, v) for entry, v in zip(row, system.states) if not entry.is_zero()]
+        for u, row in zip(system.states, system.matrix)
     }
-    for _ in range(qorder + 2):
-        nxt: dict[int, BiSeries] = {}
-        for u in system.states:
-            acc = BiSeries.zero(qorder)
-            for v in system.states:
-                entry = mat.get((u, v))
-                if entry is not None:
-                    acc = acc + entry * cur[v].apply_xshift(system.shift)
-            nxt[u] = acc
-        if nxt == cur:
-            return cur
-        cur = nxt
-    raise AssertionError("language series iteration failed to converge")
-
-
-def _poly_to_biseries(p: LaurentPoly, qorder: int) -> BiSeries:
-    out = BiSeries.zero(qorder)
-    for (ex, eq), c in p.terms.items():
-        if ex < 0 or eq < 0:
-            raise ValueError("transfer weights must have nonnegative exponents")
-        out = out + BiSeries.monomial(qorder, ex, eq, c)
-    return out
+    return solve_shift_system(equations, qorder)

@@ -81,21 +81,6 @@ def to_pairs(parts: Sequence[Part]) -> list[list]:
 # difference conditions as window predicates
 
 
-def _d1_ok(a: Part, b: Part) -> bool:
-    # consecutive parts differing by at most 1 must sum to a multiple of 3
-    # and carry opposite colors
-    if a[0] - b[0] <= 1:
-        return (a[0] + b[0]) % 3 == 0 and a[1] != b[1]
-    return True
-
-
-def _d2_ok(a: Part, b: Part) -> bool:
-    # a gap of exactly 2 with sum not a multiple of 3 excludes colors (-, +)
-    if a[0] - b[0] == 2 and (a[0] + b[0]) % 3 != 0:
-        return (a[1], b[1]) != (MINUS, PLUS)
-    return True
-
-
 def _d3_win3(a: Part, b: Part, c: Part) -> bool:
     """True iff (a, b, c) is one of the two excluded length-3 windows."""
     m = b[0]
@@ -127,20 +112,45 @@ def _d3_violation_ending_at(parts: Sequence[Part], i: int) -> bool:
 _D4_BANNED = frozenset({(1, PLUS), (1, MINUS), (2, MINUS)})
 
 
-def check_condition(parts: Sequence[Part], which: Iterable[str]) -> bool:
-    """Check a subset of the conditions {"D1", "D2", "D3", "D4"}."""
-    wanted = set(which)
+def _violation_ending_at(parts: Sequence[Part], i: int, d1: bool, d2: bool, d3: bool, d4: bool) -> bool:
+    """A condition violation in a window ending at index i.
+
+    All conditions are contiguous-window properties, so a partition meets
+    them iff no index ends a violation, and pruning a DFS on the first
+    violating suffix window is exact.
+    """
+    p = parts[i]
+    if d4 and p in _D4_BANNED:
+        return True
+    if i == 0:
+        return False
+    a = parts[i - 1]
+    gap = a[0] - p[0]
+    # D1: parts differing by at most 1 must sum to a multiple of 3 and
+    # carry opposite colors
+    if d1 and gap <= 1 and ((a[0] + p[0]) % 3 or a[1] == p[1]):
+        return True
+    # D2: a gap of exactly 2 with sum not a multiple of 3 excludes colors (-, +)
+    if d2 and gap == 2 and (a[0] + p[0]) % 3 and a[1] == MINUS and p[1] == PLUS:
+        return True
+    return d3 and _d3_violation_ending_at(parts, i)
+
+
+def _condition_flags(which: Iterable[str]) -> tuple[bool, bool, bool, bool]:
+    """Which of D1..D4 are selected; any other name is an error."""
+    wanted = frozenset(which)
     unknown = wanted - {"D1", "D2", "D3", "D4"}
     if unknown:
         raise ValueError(f"unknown conditions: {sorted(unknown)}")
-    if "D1" in wanted and not all(_d1_ok(a, b) for a, b in zip(parts, parts[1:])):
-        return False
-    if "D2" in wanted and not all(_d2_ok(a, b) for a, b in zip(parts, parts[1:])):
-        return False
-    if "D3" in wanted and any(_d3_violation_ending_at(parts, i) for i in range(2, len(parts))):
-        return False
-    if "D4" in wanted and any(p in _D4_BANNED for p in parts):
-        return False
+    return "D1" in wanted, "D2" in wanted, "D3" in wanted, "D4" in wanted
+
+
+def check_condition(parts: Sequence[Part], which: Iterable[str]) -> bool:
+    """Check a subset of the conditions {"D1", "D2", "D3", "D4"}."""
+    d1, d2, d3, d4 = _condition_flags(which)
+    for i in range(len(parts)):
+        if _violation_ending_at(parts, i, d1, d2, d3, d4):
+            return False
     return True
 
 
@@ -259,25 +269,6 @@ def iter_all(max_size: int) -> Iterator[Partition]:
     return _walk(max_size, False, False, False, False)
 
 
-def _violation_ending_at(parts: Sequence[Part], i: int, d1: bool, d2: bool, d3: bool, d4: bool) -> bool:
-    """A condition violation in a window ending at index i.
-
-    All conditions are contiguous-window properties, so pruning a DFS on
-    the first violating suffix window is exact.
-    """
-    p = parts[i]
-    if d4 and p in _D4_BANNED:
-        return True
-    if i == 0:
-        return False
-    a = parts[i - 1]
-    if d1 and not _d1_ok(a, p):
-        return True
-    if d2 and not _d2_ok(a, p):
-        return True
-    return d3 and _d3_violation_ending_at(parts, i)
-
-
 def _walk(max_size: int, d1: bool, d2: bool, d3: bool, d4: bool) -> Iterator[Partition]:
     """Depth-first generation of the partitions of size <= max_size, parts
     appended weakly decreasing in the part order, in preorder; a prefix
@@ -307,11 +298,7 @@ def enumerate_2colored(max_size: int, cond: Iterable[str] = ()) -> list[Partitio
     """
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
-    cset = frozenset(cond)
-    unknown = cset - {"D1", "D2", "D3", "D4"}
-    if unknown:
-        raise ValueError(f"unknown conditions: {sorted(unknown)}")
-    results = list(_walk(max_size, "D1" in cset, "D2" in cset, "D3" in cset, "D4" in cset))
+    results = list(_walk(max_size, *_condition_flags(cond)))
     results.sort(
         key=lambda t: (size(t), len(t), tuple((-m, -c) for m, c in map(part_key, t)))
     )

@@ -5,14 +5,16 @@ partition of that profile is an r-tuple of ordinary partitions whose rows
 dominate each other cyclically with offsets given by the profile.  Two
 generating functions are tracked per profile: F (weight x^max * q^size)
 and G = (xq; q)_inf * F.  G satisfies a coupled recursion over subsets of
-the profile's support, which is solved here for the whole orbit of
-profiles at once by q-adic fixed-point iteration.
+the profile's support, a linear q-difference system in x over the whole
+orbit of profiles, which ``holonomic.solve_shift_system`` solves at once.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from .holonomic import XQ_VARS, solve_shift_system
+from .laurent import LaurentPoly
 from .series import BiSeries, QSeries, xq_pochhammer, inv_xq_pochhammer
 
 Profile = tuple[int, ...]
@@ -149,44 +151,26 @@ def profile_orbit(profile: Profile) -> list[Profile]:
     return sorted(vis, reverse=True)
 
 
-def finite_xq_pochhammer(degree: int, qorder: int) -> BiSeries:
-    """(xq; q)_degree as a BiSeries."""
-    out = BiSeries.one(qorder)
-    for j in range(1, degree + 1):
-        out = out * (BiSeries.one(qorder) - BiSeries.monomial(qorder, 1, j))
-    return out
-
-
-def cw_fixed_point(profile: Profile, qorder: int) -> BiSeries:
-    """G_profile mod q^qorder via the joint fixed point over the orbit."""
-    return solve_cw_family(profile, qorder)[check_profile(profile)]
-
-
 def solve_cw_family(profile: Profile, qorder: int) -> dict[Profile, BiSeries]:
     """Solve the G-recursion for every profile in the orbit at once.
 
-    Every child term shifts x by at least q^1, so slices of positive
-    x-degree gain q-order each pass and the iteration stabilizes; the
-    constant slice of every G is 1.
+    Each child term is sign * (xq; q)_deg * G_child(x q^|J|); every shift
+    is at least 1, so the shared q-adic solver converges, and the constant
+    slice of every G is 1.
     """
-    if qorder < 1:
-        raise ValueError("qorder must be >= 1")
-    orbit = profile_orbit(profile)
-    children = {p: cw_children(p) for p in orbit}
-    poch = {d: finite_xq_pochhammer(d, qorder) for d in range(len(profile) + 1)}
-    cur = {p: BiSeries.one(qorder) for p in orbit}
-    for _ in range(qorder + 2):
-        nxt: dict[Profile, BiSeries] = {}
-        for p in orbit:
-            acc = BiSeries.zero(qorder)
-            for J, sign, deg, child in children[p]:
-                term = poch[deg] * cur[child].apply_xshift(len(J))
-                acc = acc + (term if sign > 0 else -term)
-            nxt[p] = acc
-        if nxt == cur:
-            return cur
-        cur = nxt
-    raise AssertionError("profile recursion failed to converge")
+    one = LaurentPoly.one(XQ_VARS)
+
+    def coeff(sign: int, deg: int) -> LaurentPoly:
+        out = LaurentPoly.constant(XQ_VARS, sign)
+        for j in range(1, deg + 1):
+            out = out * (one - LaurentPoly.monomial(XQ_VARS, (1, j)))
+        return out
+
+    equations = {
+        p: [(coeff(sign, deg), len(J), child) for J, sign, deg, child in cw_children(p)]
+        for p in profile_orbit(profile)
+    }
+    return solve_shift_system(equations, qorder)
 
 
 def g_to_f(g: BiSeries) -> BiSeries:

@@ -14,6 +14,11 @@ and K_i (k_i -> k_i - 1) over Laurent polynomials in (q, u, v):
 moving a shift past a coefficient twists the coefficient, e.g.
 N * u = (u/q) * N.  Certificate formulas are read as skew products in
 written order.
+
+Linear q-difference systems in x (the profile recursion, the automaton
+system) share one layer: ``shift_combination`` forms
+sum coeff(x, q) * F(x q^shift), and ``solve_shift_system`` solves
+F_u = sum coeff * F_v(x q^shift) by q-adic fixed-point iteration.
 """
 
 from __future__ import annotations
@@ -37,12 +42,34 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
+def _check_form(quad2: Sequence[Sequence[int]], lin: Sequence[int], dim: int) -> None:
+    """The form v^T quad2 v / 2 + lin . v needs quad2 dim x dim, symmetric and
+    even on the diagonal (which makes it integer-valued), and lin of length dim."""
+    if len(quad2) != dim or any(len(r) != dim for r in quad2):
+        raise ValueError(f"quad2 must be {dim} x {dim}")
+    if any(quad2[i][j] != quad2[j][i] for i in range(dim) for j in range(i)):
+        raise ValueError("quad2 must be symmetric")
+    if any(quad2[i][i] % 2 for i in range(dim)):
+        raise ValueError("quad2 must have an even diagonal")
+    if len(lin) != dim:
+        raise ValueError(f"lin must have length {dim}")
+
+
+def _form_value(quad2: Sequence[Sequence[int]], lin: Sequence[int], v: Sequence[int]) -> int:
+    """v^T quad2 v / 2 + lin . v for a form that passed ``_check_form``."""
+    s = 0
+    for x, row in zip(v, quad2):
+        s += x * _dot(row, v)
+    return s // 2 + _dot(lin, v)
+
+
 @dataclass(frozen=True)
 class HypTerm:
     """A proper q-hypergeometric term in n and up to three summation variables.
 
-    ``quad2`` is twice the symmetric matrix of the quadratic form, so the
-    q-exponent is Q(v) = v^T quad2 v / 2 + lin . v + const over the
+    ``quad2`` is twice the symmetric matrix of the quadratic form, with an
+    even diagonal, so the integer q-exponent is
+    Q(v) = v^T quad2 v / 2 + lin . v + const over the
     variable vector v = (n, k_1, .., k_r).  Each Pochhammer denominator is
     (q^base; q^base)_{L} for a linear form L = coeffs . v + const; the
     term is zero by convention when some L < 0.  ``xcoeffs`` records the
@@ -59,20 +86,14 @@ class HypTerm:
 
     def __post_init__(self):
         dim = 1 + self.nsum
-        if len(self.quad2) != dim or any(len(r) != dim for r in self.quad2):
-            raise ValueError("quad2 must be (1+nsum) x (1+nsum)")
-        if any(self.quad2[i][j] != self.quad2[j][i] for i in range(dim) for j in range(dim)):
-            raise ValueError("quad2 must be symmetric")
-        if len(self.lin) != dim:
-            raise ValueError("lin must have length 1+nsum")
+        _check_form(self.quad2, self.lin, dim)
+        if any(len(c) != dim for c, _, _ in self.pochs):
+            raise ValueError(f"Pochhammer length forms must have {dim} coefficients")
+        if self.xcoeffs and len(self.xcoeffs) != dim:
+            raise ValueError(f"xcoeffs must be empty or of length {dim}")
 
     def qexponent(self, v: Sequence[int]) -> int:
-        s = 0
-        for i, row in enumerate(self.quad2):
-            s += v[i] * _dot(row, v)
-        if s % 2:
-            raise ValueError("quadratic form not integer-valued")
-        return s // 2 + _dot(self.lin, v) + self.const
+        return _form_value(self.quad2, self.lin, v) + self.const
 
     def poch_lengths(self, v: Sequence[int]) -> list[int]:
         return [_dot(c, v) + c0 for c, c0, _ in self.pochs]
@@ -483,17 +504,15 @@ def _term_profile(term: HypTerm, n: int) -> list[tuple[int, tuple[int, ...], boo
             stepped = prev is not None and k[:-1] == prev[:-1]
             if stepped:
                 # Q(v + e_r) - Q(v) = (quad2 v)_r + quad2_rr / 2 + lin_r
-                twice += d2
-                d2 += 2 * diag
+                e += d
+                d += diag
                 lengths = tuple(L + c for L, c in zip(lengths, step))
             else:
                 v = (n, *k)
-                twice = 2 * term.qexponent(v)
-                d2 = 2 * _dot(term.quad2[last], v) + diag + 2 * term.lin[last]
+                e = term.qexponent(v)
+                d = _dot(term.quad2[last], v) + diag // 2 + term.lin[last]
                 lengths = tuple(term.poch_lengths(v))
-            if twice & 1:
-                raise ValueError("quadratic form not integer-valued")
-            rows.append((twice >> 1, lengths, stepped))
+            rows.append((e, lengths, stepped))
             prev = k
         _SUPPORT_CACHE[key] = rows
     return _SUPPORT_CACHE[key]
@@ -618,6 +637,8 @@ def recurrence_holds_at_point(
     term: HypTerm, plist: Sequence[LaurentPoly], nmax: int, q0: Fraction, nmin: int = 0
 ) -> bool:
     """Exact check of sum_j p_j(q^n) f_(n-j) = 0 for nmin <= n <= nmax at q = q0."""
+    if nmax < nmin:
+        raise ValueError(f"empty recurrence check: nmax {nmax} < nmin {nmin}")
     values: dict[int, Fraction] = {}
     for m in range(nmin - len(plist), nmax + 1):
         values[m] = sequence_value(term, m, q0)
@@ -667,9 +688,9 @@ class AGSumSpec:
     """A positive multiple sum: q^Q(k) x^(E.k) / prod (q^(m_i); q^(m_i))_(k_i).
 
     ``quad2`` is twice the symmetric matrix of Q over the summation
-    variables; all entries of quad2 and lin must be nonnegative so the
-    exponent is monotone in each variable, which makes the lattice
-    enumeration bound rigorous.
+    variables, checked like ``HypTerm``'s; all entries of quad2 and lin
+    must be nonnegative so the exponent is monotone in each variable,
+    which makes the lattice enumeration bound rigorous.
     """
 
     quad2: tuple[tuple[int, ...], ...]
@@ -678,15 +699,16 @@ class AGSumSpec:
     bases: tuple[int, ...]
 
     def qexponent(self, k: Sequence[int]) -> int:
-        s = 0
-        for i, row in enumerate(self.quad2):
-            s += k[i] * _dot(row, k)
-        return s // 2 + _dot(self.lin, k)
+        return _form_value(self.quad2, self.lin, k)
 
     def __post_init__(self):
+        dim = len(self.bases)
+        _check_form(self.quad2, self.lin, dim)
+        if len(self.xcoeffs) != dim:
+            raise ValueError(f"xcoeffs must have length {dim}")
         if any(c < 0 for row in self.quad2 for c in row) or any(c < 0 for c in self.lin):
             raise ValueError("growth monotonicity requires nonnegative coefficients")
-        if any(self.quad2[i][i] <= 0 for i in range(len(self.quad2))):
+        if any(self.quad2[i][i] <= 0 for i in range(dim)):
             raise ValueError("diagonal must be positive for termination")
 
 
@@ -761,20 +783,55 @@ class QDiffOperator:
 
 
 def poly_times_biseries(p: LaurentPoly, s: BiSeries) -> BiSeries:
-    out = BiSeries.zero(s.qorder)
+    """p(x, q) * s for a polynomial p over (x, q), truncated at s.qorder."""
+    n = s.qorder
+    rows: dict[int, list[int]] = {}
     for (ex, eq), c in p.terms.items():
         if ex < 0 or eq < 0:
             raise ValueError("operator coefficients must be polynomial")
-        out = out + s.scale_monomial(ex, eq, c)
-    return out
+        if eq >= n:
+            continue
+        for m, sl in s.slices.items():
+            row = rows.get(m + ex)
+            if row is None:
+                row = rows[m + ex] = [0] * n
+            row[eq:] = [r + c * a for r, a in zip(row[eq:], sl.coeffs)]
+    return BiSeries(n, {m: QSeries(n, row) for m, row in rows.items()})
+
+
+def shift_combination(terms: Iterable[tuple[LaurentPoly, int, BiSeries]], qorder: int) -> BiSeries:
+    """sum of coeff(x, q) * series(x q^shift) over (coeff, shift, series) terms, mod q^qorder."""
+    acc = BiSeries.zero(qorder)
+    for coeff, shift, series in terms:
+        acc = acc + poly_times_biseries(coeff, series.apply_xshift(shift))
+    return acc
+
+
+def solve_shift_system(equations: dict, qorder: int) -> dict:
+    """Solve F_u(x) = sum of coeff(x, q) * F_v(x q^shift) over the
+    (coeff, shift, v) terms of equations[u], for every u, mod q^qorder.
+
+    q-adic fixed-point iteration from F = 1: when every shift is positive,
+    slices of positive x-degree gain q-order each pass, so the iteration
+    stabilizes within qorder + 2 passes.
+    """
+    if qorder < 1:
+        raise ValueError("qorder must be >= 1")
+    cur = {u: BiSeries.one(qorder) for u in equations}
+    for _ in range(qorder + 2):
+        nxt = {
+            u: shift_combination(((coeff, shift, cur[v]) for coeff, shift, v in terms), qorder)
+            for u, terms in equations.items()
+        }
+        if nxt == cur:
+            return cur
+        cur = nxt
+    raise AssertionError("shift system iteration failed to converge")
 
 
 def apply_qdiff(op: QDiffOperator, s: BiSeries) -> BiSeries:
     """Apply the operator to a BiSeries, truncated at s.qorder."""
-    acc = BiSeries.zero(s.qorder)
-    for coeff, shift in op.terms:
-        acc = acc + poly_times_biseries(coeff, s.apply_xshift(op.step * shift))
-    return acc
+    return shift_combination(((coeff, op.step * shift, s) for coeff, shift in op.terms), s.qorder)
 
 
 # ----------------------------------------------------------------------

@@ -306,13 +306,6 @@ class BiSeries:
                 out[m] = out[m] + p if m in out else p
         return BiSeries(n, out)
 
-    def scale_monomial(self, xexp: int, qexp: int, coeff: int = 1) -> "BiSeries":
-        """Multiply by coeff * x^xexp * q^qexp."""
-        return BiSeries(
-            self.qorder,
-            {m + xexp: s.shift(qexp).scale(coeff) for m, s in self.slices.items()},
-        )
-
     def apply_xshift(self, k: int) -> "BiSeries":
         """Substitute x -> x*q^k: slice m is multiplied by q^(k*m)."""
         if k < 0:

@@ -39,9 +39,9 @@ from .cylindric import enumerate_cylindric, g_to_f, profile_orbit, solve_cw_fami
 from .holonomic import (
     apply_qdiff,
     evaluate_ag_sum,
-    poly_times_biseries,
     recurrence_from_certificate,
     recurrence_holds_at_point,
+    shift_combination,
     uncouple_system,
     verify_certificate,
 )
@@ -181,9 +181,7 @@ def _relations_report(task: str, run: VerificationRun, relations) -> RunReport:
     fam = run.cw_family
 
     def witness(kind, target, terms) -> dict | None:
-        rhs = BiSeries.zero(run.qorder)
-        for coeff, shift, source in terms:
-            rhs = rhs + poly_times_biseries(coeff, fam[source].apply_xshift(shift))
+        rhs = shift_combination(((coeff, shift, fam[source]) for coeff, shift, source in terms), run.qorder)
         return _series_witness(kind, fam[target], rhs)
 
     return _report(task, {"qorder": run.qorder}, _first_witness(witness(*r) for r in relations))
@@ -392,15 +390,14 @@ def task_combination_identity(run: VerificationRun) -> RunReport:
 
     alpha = pps[0] / ps[0]
     beta = pps[4] / sig(ps[3])
-    witness = None
-    for j in range(5):
+
+    def witness(j: int) -> dict | None:
         lhs = alpha * ps[j] if j < 4 else alpha * 0
         if j >= 1:
             lhs = lhs + beta * sig(ps[j - 1])
-        if not (lhs - pps[j]).is_zero():
-            witness = {"kind": "combination-component", "j": j}
-            break
-    return _report("combination-identity", {}, witness)
+        return None if (lhs - pps[j]).is_zero() else {"kind": "combination-component", "j": j}
+
+    return _report("combination-identity", {}, _first_witness(witness(j) for j in range(5)))
 
 
 def task_chain(run: VerificationRun) -> RunReport:
@@ -436,18 +433,19 @@ def task_chain(run: VerificationRun) -> RunReport:
 
 def task_uncoupling(run: VerificationRun) -> RunReport:
     """Uncoupled scalar operators annihilate the independent series."""
-    witness = None
-    op2 = uncouple_system(catalog.coupled_g_system(), 0)
-    if not apply_qdiff(op2, run.cw_family[(3, 0, 0)]).is_zero():
-        witness = {"kind": "uncouple-2x2"}
-    if witness is None:
-        mat5 = [list(row) for row in run.transfer.matrix]
-        for comp, series in ((0, run.f_d123), (1, run.f_d1234)):
-            op5 = uncouple_system(mat5, comp)
-            if not apply_qdiff(op5, series.truncate(run.bigraded_order)).is_zero():
-                witness = {"kind": "uncouple-5x5", "component": comp}
-                break
-    return _report("uncoupling", {}, witness)
+    n = run.bigraded_order
+    # (witness, system, component, series): system and series are built only when their check runs
+    checks = (
+        ({"kind": "uncouple-2x2"}, catalog.coupled_g_system, 0, lambda: run.cw_family[(3, 0, 0)]),
+        ({"kind": "uncouple-5x5", "component": 0}, lambda: run.transfer.matrix, 0,
+         lambda: run.f_d123.truncate(n)),
+        ({"kind": "uncouple-5x5", "component": 1}, lambda: run.transfer.matrix, 1,
+         lambda: run.f_d1234.truncate(n)),
+    )
+    return _report("uncoupling", {}, _first_witness(
+        None if apply_qdiff(uncouple_system(system(), comp), series()).is_zero() else witness
+        for witness, system, comp, series in checks
+    ))
 
 
 TASKS = [
@@ -481,6 +479,8 @@ def verify_all(qorder: int = 30, nmax_recurrence: int = 25) -> list[RunReport]:
     as its witness, under its function name less ``task_``; the remaining
     tasks still run.
     """
+    if nmax_recurrence < 0:
+        raise ValueError("nmax must be >= 0")
     run = VerificationRun(qorder)
     reports = []
     for task in TASKS:

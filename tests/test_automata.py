@@ -17,7 +17,6 @@ from qpart.automata import (
     derive_transfer_system,
     encode,
     hopcroft_minimize,
-    language_series,
     letter_weight,
     solve_language_series,
     word_contains_factor,
@@ -85,6 +84,15 @@ def test_minimization_is_fixed_point():
     assert canonical_relabel(dfa) == dfa
 
 
+def test_minimization_drops_unreachable_states():
+    # a second accepting sink that no state enters
+    dfa = build_avoidance_dfa()
+    sink = (dfa.n_states,) * len(dfa.alphabet)
+    padded = Dfa(dfa.n_states + 1, dfa.alphabet, dfa.delta + (sink,), dfa.start,
+                 dfa.accepts | {dfa.n_states})
+    assert hopcroft_minimize(padded) == dfa
+
+
 def test_small_word_sets():
     assert build_avoidance_dfa(("b",)).n_states == 2
     assert build_avoidance_dfa(("fb",)).n_states == 3
@@ -137,7 +145,7 @@ def test_language_series_counts_partition_classes():
     sols = solve_language_series(system, n)
     assert sols[0] == gen_fun(enumerate_2colored(n - 1, COND_D123), n)
     assert sols[1] == gen_fun(enumerate_2colored(n - 1, COND_D1234), n)
-    assert language_series(system, 0, 1) == BiSeries.one(1)
+    assert solve_language_series(system, 1)[0] == BiSeries.one(1)
 
 
 def test_language_series_nonnegative_and_consistent():

@@ -8,7 +8,6 @@ from qpart.catalog import PRODUCT_D123, PRODUCT_D1234, EULER_PRODUCT
 from qpart.colored import COND_D123, COND_D1234, enumerate_2colored, gen_fun
 from qpart.cylindric import (
     cw_children,
-    cw_fixed_point,
     enumerate_cylindric,
     f_to_g,
     g_to_f,
@@ -94,12 +93,12 @@ def test_enumeration_equals_naive_filter():
 
 def test_fixed_point_constant_slice():
     for profile in ((3, 0, 0), (1, 1, 1), (2, 0, 1)):
-        g = cw_fixed_point(profile, 12)
+        g = solve_cw_family(profile, 12)[profile]
         assert g.slice(0) == QSeries.one(12)
 
 
 def test_g_to_f_round_trip_and_x0_slice():
-    g = cw_fixed_point((1, 1, 1), 15)
+    g = solve_cw_family((1, 1, 1), 15)[(1, 1, 1)]
     f = g_to_f(g)
     assert f_to_g(f) == g
     assert f.slice(0) == g.slice(0)

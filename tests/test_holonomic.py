@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpart import catalog
 from qpart.automata import build_avoidance_dfa, derive_transfer_system, solve_language_series
@@ -19,11 +21,13 @@ from qpart.holonomic import (
     apply_qdiff,
     evaluate_ag_sum,
     poch_value,
+    poly_times_biseries,
     recurrence_from_certificate,
     recurrence_holds_at_point,
     recurrence_holds_series,
     sequence_series,
     sequence_value,
+    solve_shift_system,
     term_ratio,
     uncouple_system,
     verify_certificate,
@@ -32,6 +36,7 @@ from qpart.laurent import LaurentPoly, RationalFunction
 from qpart.series import BiSeries, QSeries
 
 QU = ("q", "u")
+XQ = ("x", "q")
 
 
 def test_term_ratio_zero_shift():
@@ -230,6 +235,61 @@ def test_evaluate_ag_sum_d123_low_order():
 def test_evaluate_ag_sum_requires_monotone_spec():
     with pytest.raises(ValueError):
         AGSumSpec(((2, -1), (-1, 2)), (0, 0), (1, 1), (1, 1))
+
+
+@pytest.mark.parametrize("quad2, lin", [
+    (catalog.AG_D123.quad2, (0, 0, 0)),  # k4's linear term would be dropped
+    (((1, 2, 3, 3),) + catalog.AG_D123.quad2[1:], (0, 0, 0, 0)),  # odd diagonal: k1^2/2 floored
+    (((2, 2, 3, 3), (2, 2, 3, 3), (3, 3, 6, 6), (3, 3, 5, 6)), (0, 0, 0, 0)),  # not symmetric
+], ids=["short-lin", "odd-diagonal", "asymmetric"])
+def test_ag_sum_spec_rejects_malformed_forms(quad2, lin):
+    with pytest.raises(ValueError):
+        AGSumSpec(quad2, lin, (1, 1, 2, 2), (1, 1, 3, 3))
+
+
+def test_malformed_lengths_are_rejected():
+    with pytest.raises(ValueError):
+        AGSumSpec(catalog.AG_D123.quad2, (0, 0, 0, 0), (1, 1, 2), (1, 1, 3, 3))
+    with pytest.raises(ValueError):
+        HypTerm(nsum=0, quad2=((2,),), lin=(0,), const=0, pochs=(((1, 1), 0, 1),), names=("n",))
+    with pytest.raises(ValueError):
+        HypTerm(nsum=0, quad2=((2,),), lin=(0,), const=0, pochs=(), names=("n",), xcoeffs=(1, 1))
+    with pytest.raises(ValueError):
+        HypTerm(nsum=0, quad2=((1,),), lin=(0,), const=0, pochs=(), names=("n",))
+
+
+def test_catalog_sums_still_build():
+    for spec in (catalog.AG_D123, catalog.AG_D1234, catalog.AG_G111, catalog.AG_G300, catalog.AG_AUX):
+        assert AGSumSpec(spec.quad2, spec.lin, spec.xcoeffs, spec.bases) == spec
+
+
+def test_a_non_contracting_shift_system_does_not_converge():
+    # F = (1 + x) F(x): with shift 0 the x-degree grows every pass
+    growing = LaurentPoly(XQ, {(0, 0): 1, (1, 0): 1})
+    with pytest.raises(AssertionError):
+        solve_shift_system({0: [(growing, 0, 0)]}, 6)
+    with pytest.raises(ValueError):
+        solve_shift_system({0: [(growing, 1, 0)]}, 0)
+
+
+@st.composite
+def poly_and_series(draw):
+    qorder = draw(st.integers(1, 9))
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, qorder + 3)),
+                                 st.integers(-4, 4), max_size=6))
+    slices = draw(st.dictionaries(st.integers(0, 4), st.lists(st.integers(-5, 5), max_size=qorder), max_size=4))
+    return LaurentPoly(XQ, terms), BiSeries(qorder, {m: QSeries(qorder, c) for m, c in slices.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly_and_series())
+def test_poly_times_biseries_is_the_biseries_product(case):
+    # q-exponents at or above qorder are drawn too; they contribute nothing
+    p, s = case
+    as_series = BiSeries.zero(s.qorder)
+    for (ex, eq), c in p.terms.items():
+        as_series = as_series + BiSeries.monomial(s.qorder, ex, eq, c)
+    assert poly_times_biseries(p, s) == as_series * s
 
 
 def test_apply_qdiff_identity():

@@ -147,7 +147,10 @@ def test_emit_unknown_target_is_an_error():
     ["cylindric", "--profile", "0,0,0"],
     ["series", "--which", "d123", "--qorder", "0"],
     ["enumerate", "--max-size", "5", "--cond", "D9"],
-], ids=["zero-profile", "series-qorder-0", "unknown-condition"])
+    ["verify-all", "--qorder", "10", "--nmax", "-1"],
+    ["certify", "--name", "g111", "--recurrence-check", "-3"],
+], ids=["zero-profile", "series-qorder-0", "unknown-condition", "verify-all-nmax-negative",
+        "certify-recurrence-check-negative"])
 def test_bad_input_is_a_one_line_error(argv):
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""

@@ -1,5 +1,6 @@
 """The verification task layer: failure witnesses and crash isolation."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -17,11 +18,13 @@ from qpart.verification import (
     VerificationRun,
     task_aux_identity,
     task_chain,
+    task_combination_identity,
     task_cylindric_enumeration,
     task_product_d123,
     task_product_d1234,
     task_specialized_products,
     task_transfer_matrix,
+    task_uncoupling,
     verify_all,
 )
 
@@ -77,6 +80,42 @@ def test_transfer_matrix_witness_is_the_first_mismatch(run, monkeypatch, tmp_pat
     monkeypatch.setattr(verification, "GOLDEN_DIR", tmp_path)
     r = task_transfer_matrix(run)
     assert r.status == "fail" and r.witness == {"kind": "matrix-entry", "row": 1, "col": 2}
+
+
+def test_uncoupling_witnesses_are_pinned(run, monkeypatch):
+    coupled = catalog.coupled_g_system
+
+    def doubled_corner():
+        mat = coupled()
+        mat[0][0] = mat[0][0] + mat[0][0]
+        return mat
+
+    monkeypatch.setattr(catalog, "coupled_g_system", doubled_corner)
+    assert task_uncoupling(run).witness == {"kind": "uncouple-2x2"}
+    # the first failing check ends the task before the 5x5 system is derived
+    assert "transfer" not in vars(run) and "f_d123" not in vars(run)
+    monkeypatch.undo()
+    transfer = run.transfer
+    rows = [list(row) for row in transfer.matrix]
+    rows[1][1] = rows[1][1] + rows[1][1]
+    run.transfer = dataclasses.replace(transfer, matrix=tuple(map(tuple, rows)))
+    assert task_uncoupling(run).witness == {"kind": "uncouple-5x5", "component": 0}
+    run.transfer = transfer
+    run.f_d1234 = run.f_d123
+    assert task_uncoupling(run).witness == {"kind": "uncouple-5x5", "component": 1}
+
+
+@pytest.mark.parametrize("doubled, j", [(0, 1), (2, 2), (4, 1)])
+def test_combination_identity_witness_is_pinned(run, monkeypatch, doubled, j):
+    pprime = catalog.pprime_family
+
+    def perturbed():
+        ps = pprime()
+        ps[doubled] = ps[doubled] + ps[doubled]
+        return ps
+
+    monkeypatch.setattr(catalog, "pprime_family", perturbed)
+    assert task_combination_identity(run).witness == {"kind": "combination-component", "j": j}
 
 
 def test_a_crashing_task_is_reported_and_the_rest_still_run(monkeypatch, tmp_path):
