@@ -10,13 +10,18 @@ p-slots are monomials in (q, u) times N^j, and C_i-slots are monomials in
 and dividing by it is a rational function, so annihilation becomes an
 exact linear system with integer entries (one row per monomial of the
 cleared numerators); any kernel vector with p_0 != 0 yields a
-certificate, which is checked by ``verify_certificate`` before being
-returned.
+certificate.
 
-The kernel is found by fraction-free elimination over Z.  Each pivot row
-takes its least column as pivot; then the pivot columns are the least
-columns of the row space, so the pivot set, the free set and the basis
-are the same whatever order the rows are eliminated in.
+The system is eliminated once, fraction-free over Z, with the p_0 slots
+as the last columns.  Each pivot row takes its least column as pivot;
+then the pivot columns are the least columns of the row space, whatever
+order the rows are eliminated in.  That makes the search a decision: if
+every p_0 column is a pivot, their pivot rows hold only p_0 columns and
+form a triangular system that forces p_0 = 0, and if some p_0 column is
+free, its kernel vector is 1 there.  The certificate returned is the
+kernel vector of the first free p_0 column, primitive and positive at
+its greatest slot in sorted slot order, checked by
+``verify_certificate``.
 """
 
 from __future__ import annotations
@@ -119,19 +124,17 @@ def _slot_column(slot: Slot, cleared) -> dict[tuple[int, ...], int]:
     return col
 
 
-def _nullspace_solutions(columns: list[dict[tuple[int, ...], int]], max_solutions: int):
-    """Kernel basis of sum_i x_i * columns_i = 0, as primitive integer vectors.
+def _eliminate(columns: list[dict[tuple[int, ...], int]]) -> dict[int, dict[int, int]]:
+    """Pivot rows of sum_i x_i * columns_i = 0, keyed by pivot column.
 
     Fraction-free elimination over Z: each row (one exponent of the
     columns, shortest rows first) is reduced in place against the pivot
     rows, taking the hits in increasing column order from a heap.  A
     reduced row that is not zero becomes the pivot row of its least column,
     divided by its content with the sign that makes that entry positive.
-    A pivot row is zero on the pivot columns made before it, so the pivots
-    are the least columns of the row space whatever the order of rows and
-    hits.  The basis vector of a free column (1 there, 0 on the other free
-    columns, scaled to coprime integers) is therefore independent of that
-    order as well.
+    A pivot row is zero on the pivot columns made before it and has no
+    entry before its pivot, so the pivots are the least columns of the row
+    space whatever the order of rows and hits.
     """
     rows: dict[tuple[int, ...], dict[int, int]] = {}
     for i, col in enumerate(columns):
@@ -173,29 +176,35 @@ def _nullspace_solutions(columns: list[dict[tuple[int, ...], int]], max_solution
                 for i in row:
                     row[i] //= g
             pivots[piv] = row
-    free = [i for i in range(len(columns)) if i not in pivots]
-    order = sorted(pivots, reverse=True)
-    basis = []
-    for f in free[:max_solutions]:
-        # a positive multiple of the kernel vector, kept coprime: a scaling
-        # by m is followed by a new entry val // b that is prime to m
-        sol = {f: 1}
-        for piv in order:
-            row = pivots[piv]
-            val = 0
-            for i, c in row.items():
-                if i in sol:
-                    val -= c * sol[i]
-            if val:
-                b = row[piv]
-                if val % b:
-                    m = b // gcd(val, b)
-                    for i in sol:
-                        sol[i] *= m
-                    val *= m
-                sol[piv] = val // b
-        basis.append(sol)
-    return basis
+    return pivots
+
+
+def _kernel_vector(pivots: dict[int, dict[int, int]], free: int) -> dict[int, int]:
+    """The kernel vector of a free column, as a primitive integer vector.
+
+    It is 1 at ``free`` and 0 at the other free columns, scaled to coprime
+    integers with a positive entry at ``free``; since the pivots do not
+    depend on the order of elimination, neither does this vector.  Pivot
+    rows past ``free`` hold only columns past it, so only the pivots before
+    it are solved for, last first.  Each scaling by m is followed by a new
+    entry val // b that is prime to m, which keeps the vector coprime.
+    """
+    sol = {free: 1}
+    for piv in sorted((p for p in pivots if p < free), reverse=True):
+        row = pivots[piv]
+        val = 0
+        for i, c in row.items():
+            if i in sol:
+                val -= c * sol[i]
+        if val:
+            b = row[piv]
+            if val % b:
+                m = b // gcd(val, b)
+                for i in sol:
+                    sol[i] *= m
+                val *= m
+            sol[piv] = val // b
+    return sol
 
 
 def _assemble(order: int, slots: list[Slot], coeffs: dict[int, int]) -> CertificateSet:
@@ -207,41 +216,42 @@ def _assemble(order: int, slots: list[Slot], coeffs: dict[int, int]) -> Certific
     return CertificateSet(order, fam)
 
 
+def _is_p0(slot: Slot) -> bool:
+    return slot[0] == "p" and slot[1] == 0
+
+
 def celine_solve(
     term: HypTerm,
     order: int,
     support: list[Slot] | None = None,
-    max_solutions: int = 24,
     **bound_kwargs,
 ) -> CertificateSet | None:
     """Search for a certificate of the given order within the support.
 
-    Returns a verified CertificateSet with p_0 != 0 (preferring small
-    support), or None when the ansatz admits no such relation.
+    The p_0 slots are put last and the system is eliminated once.  A
+    kernel vector with p_0 != 0 exists exactly when some p_0 column is
+    free, so None is a proof that the support holds no certificate.
+    Otherwise the kernel vector of the first free p_0 column, primitive
+    and positive at its greatest slot in sorted slot order, is verified
+    exactly and returned.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     slots = support if support is not None else default_support(order, nsum=term.nsum, **bound_kwargs)
-    slots = [s for s in slots if s[1] <= order]
+    # a repeated p_0 slot would be a free p_0 column whose vector cancels
+    slots = sorted((s for s in dict.fromkeys(slots) if s[1] <= order), key=_is_p0)
     if not slots:
         return None
     shifts = sorted({sh for slot in slots for sh in _slot_shifts(slot)})
     cleared = cleared_ratios(term, shifts)
-    columns = [_slot_column(slot, cleared) for slot in slots]
-    keep = [i for i, c in enumerate(columns) if c]
-    slots = [slots[i] for i in keep]
-    columns = [columns[i] for i in keep]
-    candidates = []
-    for ints in _nullspace_solutions(columns, max_solutions):
-        cert = _assemble(order, slots, ints)
-        if cert.families["p"][0].is_zero():
-            continue
-        candidates.append((len(ints), sorted(ints), cert))
-    if not candidates:
+    pivots = _eliminate([_slot_column(slot, cleared) for slot in slots])
+    free = next((i for i, slot in enumerate(slots) if _is_p0(slot) and i not in pivots), None)
+    if free is None:
         return None
-    candidates.sort(key=lambda t: (t[0], t[1]))
-    cert = candidates[0][2]
-    check = verify_certificate(term, cert)
-    if not check.ok:
+    ints = _kernel_vector(pivots, free)
+    if ints[max(ints, key=slots.__getitem__)] < 0:
+        ints = {i: -c for i, c in ints.items()}
+    cert = _assemble(order, slots, ints)
+    if not verify_certificate(term, cert).ok:
         raise AssertionError("celine solution failed exact verification")
     return cert

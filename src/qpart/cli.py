@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import catalog, serialize
@@ -20,12 +19,13 @@ from .celine import celine_solve, default_support, support_of
 from .colored import enumerate_2colored, gen_fun, size
 from .cylindric import enumerate_cylindric, g_to_f, solve_cw_family
 from .holonomic import (
+    HypTerm,
     recurrence_from_certificate,
     recurrence_holds_at_point,
     uncouple_system,
     verify_certificate,
 )
-from .verification import verify_all
+from .verification import RECURRENCE_POINTS, verify_all
 
 CONDS = {"d123": ("D1", "D2", "D3"), "d1234": ("D1", "D2", "D3", "D4")}
 
@@ -115,7 +115,7 @@ def _load_term_cert(args):
         term = catalog.certificate_term(args.name)
         cert = catalog.certificate(args.name, verbatim=args.verbatim)
         return term, cert
-    term = serialize.hypterm_from_json(json.loads(Path(args.term).read_text()))
+    term = HypTerm.from_json(json.loads(Path(args.term).read_text()))
     cert = serialize.certificate_from_json(json.loads(Path(args.cert).read_text()))
     return term, cert
 
@@ -127,9 +127,10 @@ def cmd_certify(args) -> int:
     if args.recurrence_check and res.ok:
         plist = recurrence_from_certificate(cert)
         report["recurrence_nmax"] = args.recurrence_check
+        report["recurrence_points"] = [str(q0) for q0 in RECURRENCE_POINTS]
         report["recurrence_ok"] = all(
             recurrence_holds_at_point(term, plist, args.recurrence_check, q0)
-            for q0 in (Fraction(2), Fraction(3))
+            for q0 in RECURRENCE_POINTS
         )
     _write(serialize.dumps(report), args.out)
     return 0 if res.ok and report.get("recurrence_ok", True) else 1
@@ -140,7 +141,7 @@ def cmd_celine(args) -> int:
         term = catalog.certificate_term(args.name)
         support = support_of(catalog.certificate(args.name)) if args.support == "printed" else None
     else:
-        term = serialize.hypterm_from_json(json.loads(Path(args.term).read_text()))
+        term = HypTerm.from_json(json.loads(Path(args.term).read_text()))
         support = None
     if support is None:
         support = default_support(
@@ -167,7 +168,7 @@ def cmd_uncouple(args) -> int:
     else:
         matrix, step = serialize.system_from_json(json.loads(Path(args.system).read_text()))
     op = uncouple_system(matrix, args.component, step)
-    _write(serialize.dumps(serialize.operator_to_json(op)), args.out)
+    _write(serialize.dumps(op.to_json()), args.out)
     return 0
 
 

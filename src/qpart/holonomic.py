@@ -30,7 +30,7 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterable, Sequence
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, RationalFunction
 from .series import BiSeries, QSeries, finite_pochhammer
 
 TERM_VARS = ("q", "u", "v1", "v2", "v3")
@@ -194,8 +194,6 @@ def term_ratio_factored(term: HypTerm, shift: Sequence[int]) -> FactoredRatio:
 
 def term_ratio(term: HypTerm, shift: Sequence[int]):
     """F(v - shift)/F(v) as a RationalFunction over (q, u, v1, v2, v3)."""
-    from .laurent import RationalFunction
-
     r = term_ratio_factored(term, shift)
     return RationalFunction(r.numerator_poly(), r.denominator_poly())
 
@@ -366,16 +364,6 @@ class CertificateSet:
                 total = total + tilde - kop * tilde
         return total
 
-    def p_family(self) -> list[LaurentPoly]:
-        """The recurrence coefficients p_0..p_J over (q, u)."""
-        out = []
-        for op in self.families["p"]:
-            if any(s != (0, 0, 0, 0) for s in op.terms):
-                raise ValueError("p family must be shift-free")
-            poly = op.terms.get((0, 0, 0, 0), LaurentPoly.zero(TERM_VARS))
-            out.append(poly.project(QU_VARS))
-        return out
-
 
 @dataclass
 class VerificationResult:
@@ -430,7 +418,13 @@ def cleared_ratios(term: HypTerm, shifts: Iterable[Shift]) -> dict[Shift, Lauren
 
 def recurrence_from_certificate(cert: CertificateSet) -> list[LaurentPoly]:
     """The coefficient family [p_0 .. p_J] over (q, u), p_0 kept explicit."""
-    return cert.p_family()
+    out = []
+    for op in cert.families["p"]:
+        if any(s != (0, 0, 0, 0) for s in op.terms):
+            raise ValueError("p family must be shift-free")
+        poly = op.terms.get((0, 0, 0, 0), LaurentPoly.zero(TERM_VARS))
+        out.append(poly.project(QU_VARS))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -850,42 +844,24 @@ def uncouple_system(matrix, component: int, step: int = 3) -> QDiffOperator:
     linear dependency among those rows, cleared to polynomial
     coefficients.  Any solution of the system is annihilated.
     """
-    from .laurent import RationalFunction
-
     m = len(matrix)
     if not (0 <= component < m):
         raise ValueError("component out of range")
-    rows: list[list[LaurentPoly]] = []
-    scale = LaurentPoly.one(XQ_VARS)
+    # one polynomial scale clears every denominator; the rows of the scaled
+    # system are the original rows times shifted copies of the scale
+    one = LaurentPoly.one(XQ_VARS)
+    scale = one
+    entries = []
     for row in matrix:
         if len(row) != m:
             raise ValueError("matrix must be square")
-        cleaned = []
-        for e in row:
-            if isinstance(e, RationalFunction):
-                if not e.den.is_constant() or e.den.constant_value() not in (1, -1):
-                    # clear a genuine denominator into the common row scale
-                    scale = scale * e.den
-                    cleaned.append(("rat", e))
-                else:
-                    cleaned.append(("poly", e.num * e.den.constant_value()))
-            else:
-                cleaned.append(("poly", e))
-        rows.append(cleaned)
-    poly_rows: list[list[LaurentPoly]] = []
-    for row in rows:
-        out = []
-        for kind, e in row:
-            if kind == "poly":
-                out.append(e * scale)
-            else:
-                out.append(e.num * scale.divexact(e.den))
-        poly_rows.append(out)
-    # a common polynomial scale multiplies every entry; dependencies of the
-    # scaled system are dependencies of the original one
+        entries.append([(e.num, e.den) if isinstance(e, RationalFunction) else (e, one) for e in row])
+        for _, den in entries[-1]:
+            if not den.is_constant() or den.constant_value() not in (1, -1):
+                scale = scale * den
+    poly_rows = [[num * scale.divexact(den) for num, den in row] for row in entries]
 
     zero = LaurentPoly.zero(XQ_VARS)
-    one = LaurentPoly.one(XQ_VARS)
     e_i = [one if j == component else zero for j in range(m)]
 
     def mat_at(k: int):
@@ -908,6 +884,10 @@ def uncouple_system(matrix, component: int, step: int = 3) -> QDiffOperator:
         W.append(e_i)
         dep = _polynomial_nullvector([list(w) for w in W])
         if dep is not None:
+            # W[k] went through the scaled matrices at k, ..., s - 1
+            for k in range(s):
+                for j in range(k, s):
+                    dep[k] = dep[k] * _shift_x_poly(scale, step * j)
             return _normalize_operator(dep, step)
     raise AssertionError("no dependency found; elimination degenerated")
 

@@ -11,7 +11,6 @@ import json
 from typing import Any
 
 from .colored import Partition, from_pairs, to_pairs
-from .holonomic import QDiffOperator
 from .laurent import LaurentPoly, RationalFunction
 from .series import BiSeries, QSeries
 
@@ -60,14 +59,6 @@ def system_from_json(data: dict) -> tuple[list[list[RationalFunction]], int]:
     return matrix, step
 
 
-def operator_to_json(op: QDiffOperator) -> dict:
-    return op.to_json()
-
-
-def operator_from_json(data: dict) -> QDiffOperator:
-    return QDiffOperator.from_json(data)
-
-
 # ----------------------------------------------------------------------
 # certificates
 
@@ -101,9 +92,3 @@ def certificate_from_json(data: dict):
             for terms in ops
         ]
     return CertificateSet(int(data["order"]), fams)
-
-
-def hypterm_from_json(data: dict):
-    from .holonomic import HypTerm
-
-    return HypTerm.from_json(data)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpart import catalog, serialize
-from qpart.celine import _nullspace_solutions, celine_solve, default_support, support_of
+from qpart.celine import _eliminate, _kernel_vector, celine_solve, default_support, support_of
 from qpart.holonomic import (
     HypTerm,
     recurrence_from_certificate,
@@ -27,6 +27,14 @@ def test_one_variable_contiguous_relation():
     assert len(plist) == 2 and not plist[0].is_zero()
     assert recurrence_holds_at_point(SQUARE_TERM, plist, 12, Fraction(2))
     assert recurrence_holds_at_point(SQUARE_TERM, plist, 12, Fraction(5, 3))
+
+
+def test_the_first_free_p0_column_gives_the_certificate():
+    # ten p_0 columns are free in this box; the first, in slot order, gives
+    # (u - 1)/q + u^2/q^2 N with nothing else in the p family
+    cert = celine_solve(SQUARE_TERM, 1, u_range=(0, 3), q_range=(-2, 3))
+    plist = recurrence_from_certificate(cert)
+    assert [p.to_json()["terms"] for p in plist] == [[[[-1, 0], "-1"], [[-1, 1], "1"]], [[[-2, 2], "1"]]]
 
 
 def test_order_zero_finds_nothing():
@@ -84,6 +92,12 @@ def test_rederived_certificates_are_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == REDERIVED_SHA256[name]
 
 
+def test_repeated_slots_find_nothing_new():
+    # a repeated p_0 slot would be a free column whose kernel vector has p_0 = 0
+    support = default_support(0, nsum=0, u_range=(0, 3), q_range=(-2, 3))
+    assert celine_solve(SQUARE_TERM, 0, support=support + support) is None
+
+
 def test_default_g111_box_finds_nothing():
     # the CLI's default box at order 3: --deg 3 --qdeg 3 --kbox 1
     term = catalog.certificate_term("g111")
@@ -92,7 +106,22 @@ def test_default_g111_box_finds_nothing():
     assert celine_solve(term, 3, support=support) is None
 
 
-def _fraction_nullspace(columns, max_solutions):
+def test_box_with_the_printed_support_finds_a_certificate():
+    # 2,925 slots whose kernel is 560-dimensional: sampling the first free
+    # columns of the kernel found no vector with p_0 != 0 here
+    term = catalog.certificate_term("g111")
+    box = default_support(3, nsum=term.nsum, kbox=(1, 1, 1), u_range=(0, 3), q_range=(-3, 3))
+    support = sorted(set(support_of(catalog.certificate("g111"))) | set(box))
+    assert len(support) == 2925
+    cert = celine_solve(term, 3, support=support)
+    assert cert is not None
+    assert verify_certificate(term, cert).ok
+    # the first free p_0 column gives the certificate of the printed support
+    text = serialize.dumps(serialize.certificate_to_json(cert))
+    assert hashlib.sha256(text.encode()).hexdigest() == REDERIVED_SHA256["g111"]
+
+
+def _fraction_nullspace(columns):
     """The elimination over Fraction that the integer one replaced, kept
     as an oracle: same rows, same row order, same least-column pivots."""
     rows = {}
@@ -116,7 +145,7 @@ def _fraction_nullspace(columns, max_solutions):
             pivots[min(row)] = row
     free = [i for i in range(len(columns)) if i not in pivots]
     basis = []
-    for f in free[:max_solutions]:
+    for f in free:
         sol = {f: Fraction(1)}
         for piv in sorted(pivots, reverse=True):
             row = pivots[piv]
@@ -164,10 +193,12 @@ def sparse_systems(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(sparse_systems(), st.integers(1, 12), st.randoms(use_true_random=False))
-def test_integer_nullspace_matches_fraction_oracle(columns, max_solutions, rnd):
-    basis = _nullspace_solutions(columns, max_solutions)
-    oracle = [_clear_rationals(sol) for sol in _fraction_nullspace(columns, max_solutions)]
+@given(sparse_systems(), st.randoms(use_true_random=False))
+def test_integer_nullspace_matches_fraction_oracle(columns, rnd):
+    pivots = _eliminate(columns)
+    free = [i for i in range(len(columns)) if i not in pivots]
+    basis = [_kernel_vector(pivots, f) for f in free]
+    oracle = [_clear_rationals(sol) for sol in _fraction_nullspace(columns)]
     assert [list(v.items()) for v in basis] == [list(v.items()) for v in oracle]
     for vec in basis:
         total = {}
@@ -181,4 +212,16 @@ def test_integer_nullspace_matches_fraction_oracle(columns, max_solutions, rnd):
         items = list(col.items())
         rnd.shuffle(items)
         shuffled.append(dict(items))
-    assert _nullspace_solutions(shuffled, max_solutions) == basis
+    reordered = _eliminate(shuffled)
+    assert sorted(reordered) == sorted(pivots)
+    assert [_kernel_vector(reordered, f) for f in free] == basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems(), st.data())
+def test_a_trailing_block_has_a_free_column_iff_the_kernel_reaches_it(columns, data):
+    # the decision in celine_solve, with the p_0 columns as the block
+    block = range(data.draw(st.integers(0, len(columns) - 1)), len(columns))
+    pivots = _eliminate(columns)
+    oracle = _fraction_nullspace(columns)
+    assert any(i not in pivots for i in block) == any(sol.get(i) for sol in oracle for i in block)

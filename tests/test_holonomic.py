@@ -316,6 +316,26 @@ def test_uncouple_trivial_1x1():
     assert (shifts[0] * x + shifts[1]).is_zero()
 
 
+def test_uncouple_clears_denominators():
+    zero, one = LaurentPoly.zero(("x", "q")), LaurentPoly.one(("x", "q"))
+    xq = LaurentPoly.variable(("x", "q"), "x") * LaurentPoly.variable(("x", "q"), "q")
+    cases = (
+        # F(x) = F(xq) / (1 - xq); an operator of the cleared system
+        # F(x) = F(xq) does not annihilate F = 1/(xq;q)_oo
+        ([[RationalFunction(one, one - xq)]], {0: [(xq, 0, 0), (one, 1, 0)]}),
+        # F(x) = (1 - xq) F(xq) with the denominator -1, as a system file can carry it
+        ([[RationalFunction(xq - one, -one, normalize=False)]], {0: [(one - xq, 1, 0)]}),
+        # F0(x) = F1(xq) / (1 - xq), F1(x) = F0(xq): the dependency needs two steps
+        ([[zero, RationalFunction(one, one - xq)], [one, zero]],
+         {0: [(xq, 0, 0), (one, 1, 1)], 1: [(one, 1, 0)]}),
+    )
+    for matrix, equations in cases:
+        sols = solve_shift_system(equations, 20)
+        for component in sols:
+            op = uncouple_system(matrix, component, step=1)
+            assert apply_qdiff(op, sols[component]).is_zero()
+
+
 def test_uncouple_2x2():
     n = 20
     fam = solve_cw_family((3, 0, 0), n)

@@ -9,7 +9,7 @@ import pytest
 
 from qpart import catalog, serialize
 from qpart.cli import main
-from qpart.holonomic import verify_certificate
+from qpart.holonomic import HypTerm, QDiffOperator, verify_certificate
 
 GOLDEN = Path(__file__).resolve().parent.parent / "src" / "qpart" / "golden"
 
@@ -30,7 +30,7 @@ def test_certificate_json_round_trip():
 
 def test_hypterm_json_round_trip():
     term = catalog.TERM_D1234
-    assert serialize.hypterm_from_json(term.to_json()) == term
+    assert HypTerm.from_json(term.to_json()) == term
 
 
 def test_partition_json():
@@ -87,6 +87,13 @@ def test_certify_from_files(tmp_path):
     assert code == 0 and json.loads(out)["verified"] is True
 
 
+def test_certify_checks_the_recurrence_at_the_battery_points():
+    code, out, _ = run_cli(["certify", "--name", "g111", "--recurrence-check", "6"])
+    report = json.loads(out)
+    assert code == 0 and report["recurrence_ok"] is True
+    assert report["recurrence_points"] == ["2", "3", "7/5"]
+
+
 def test_uncouple_builtin_deterministic():
     code1, out1, _ = run_cli(["uncouple", "--system", "builtin-2x2", "--component", "0"])
     code2, out2, _ = run_cli(["uncouple", "--system", "builtin-2x2", "--component", "0"])
@@ -103,7 +110,7 @@ def test_uncouple_from_file(tmp_path):
     }))
     code, out, _ = run_cli(["uncouple", "--system", str(sysfile), "--component", "1"])
     assert code == 0
-    op = serialize.operator_from_json(json.loads(out))
+    op = QDiffOperator.from_json(json.loads(out))
     assert max(s for _, s in op.terms) >= 1
 
 
