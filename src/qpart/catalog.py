@@ -2,9 +2,19 @@
 
 Everything here is fixed input data for the verification tasks: infinite
 product descriptions, quadruple-sum specifications, scalar q-difference
-operators, the profile recursion displays, and four certificate sets
-proving the q-holonomic recurrences.  Formulas are written with u = q^n
-and v_i = q^(k_i).
+operators, the profile recursion displays and first-order relations, and
+four certificate sets proving the q-holonomic recurrences.  Formulas are
+written with u = q^n and v_i = q^(k_i).
+
+Each identity is typed in once; three entries are derived from it:
+
+* ``TERM_*`` (and ``certificate_term``), the terms the certificates
+  telescope, are the x^n coefficients of the sums ``AG_*``
+  (``AGSumSpec.coefficient_term``);
+* ``pprime_family`` is the x^n-coefficient recurrence of
+  ``qdiff_operator_g111`` (``recurrence_from_operator``);
+* ``coupled_g_system`` is the (3,0,0) and (1,1,1) rows of
+  ``FIRST_ORDER_RELATIONS``.
 
 Two certificate coefficients carry a one-token emendation (selected by
 verification, recorded in the project notes): a stray x in one g111
@@ -21,6 +31,7 @@ from .holonomic import (
     HypTerm,
     QDiffOperator,
     Symbols,
+    recurrence_from_operator,
 )
 from .laurent import LaurentPoly
 from .series import PochhammerSpec
@@ -148,15 +159,6 @@ def qdiff_operator_g111() -> QDiffOperator:
     return _op((c0, 0), (-c1, 1), (-c2, 2))
 
 
-def coupled_g_system() -> list[list[LaurentPoly]]:
-    """The 2x2 first-order system for (G_(3,0,0), G_(1,1,1)) at shift q^3."""
-    x, q = _X, _Q
-    return [
-        [2 * x * q**3, 1 + x * q**2],
-        [3 * x * q**3 * (1 + x * q), 1 + 2 * x * q + 2 * x * q**2 + x**2 * q**3],
-    ]
-
-
 #: profile recursion displays: target profile = sum of (coeff, xshift, source)
 RECURSION_DISPLAYS: list[tuple[tuple[int, ...], list[tuple[LaurentPoly, int, tuple[int, ...]]]]] = [
     ((3, 0, 0), [(_1, 1, (2, 1, 0))]),
@@ -190,82 +192,26 @@ FIRST_ORDER_RELATIONS: list[tuple[tuple[int, ...], list[tuple[LaurentPoly, int, 
 ]
 
 
+def coupled_g_system() -> list[list[LaurentPoly]]:
+    """The 2x2 system F(x) = A(x) F(x q^3) for F = (G_(3,0,0), G_(1,1,1)):
+    the rows of FIRST_ORDER_RELATIONS for those two profiles."""
+    pair = ((3, 0, 0), (1, 1, 1))
+    entries = {
+        (target, source): coeff
+        for target, terms in FIRST_ORDER_RELATIONS if target in pair
+        for coeff, shift, source in terms if shift == 3
+    }
+    return [[entries[target, source] for source in pair] for target in pair]
+
+
 # ----------------------------------------------------------------------
-# hypergeometric terms behind the four certificates
-#
-# Written over (n, k1, k2, k3); the quadratic parts are the closed forms
-# of the substituted exponents:
-#   grading n = a+b+c+2d:   n^2 + c^2 + d^2 + nc - nd + cd
-#   grading n = a+b+2c+2d:  n^2 + c^2 + d^2 - nc - nd + 2cd
+# hypergeometric terms behind the four certificates: the x^n coefficients
+# of the sums, over (n, the three k's left) once one k is substituted out
 
-_QUAD_NARROW = (
-    (2, 0, 1, -1),
-    (0, 0, 0, 0),
-    (1, 0, 2, 1),
-    (-1, 0, 1, 2),
-)
-_QUAD_WIDE = (
-    (2, 0, -1, -1),
-    (0, 0, 0, 0),
-    (-1, 0, 2, 2),
-    (-1, 0, 2, 2),
-)
-
-TERM_G111 = HypTerm(
-    nsum=3,
-    quad2=_QUAD_NARROW,
-    lin=(0, 0, 0, 0),
-    const=0,
-    pochs=(
-        ((1, -1, -1, -2), 0, 1),  # (q;q)_(n-b-c-2d)
-        ((0, 1, 0, 0), 0, 1),     # (q;q)_b
-        ((0, 0, 1, 0), 0, 3),     # (q^3;q^3)_c
-        ((0, 0, 0, 1), 0, 3),     # (q^3;q^3)_d
-    ),
-    names=("n", "b", "c", "d"),
-)
-
-TERM_G300 = HypTerm(
-    nsum=3,
-    quad2=_QUAD_NARROW,
-    lin=(2, -1, 1, -1),
-    const=0,
-    pochs=(
-        ((0, 1, 0, 0), 0, 1),     # (q;q)_a
-        ((1, -1, -1, -2), 0, 1),  # (q;q)_(n-a-c-2d)
-        ((0, 0, 1, 0), 0, 3),
-        ((0, 0, 0, 1), 0, 3),
-    ),
-    names=("n", "a", "c", "d"),
-)
-
-TERM_D123 = HypTerm(
-    nsum=3,
-    quad2=_QUAD_WIDE,
-    lin=(0, 0, 0, 0),
-    const=0,
-    pochs=(
-        ((1, -1, -2, -2), 0, 1),  # (q;q)_(n-b-2c-2d)
-        ((0, 1, 0, 0), 0, 1),
-        ((0, 0, 1, 0), 0, 3),
-        ((0, 0, 0, 1), 0, 3),
-    ),
-    names=("n", "b", "c", "d"),
-)
-
-TERM_D1234 = HypTerm(
-    nsum=3,
-    quad2=_QUAD_WIDE,
-    lin=(2, -1, -1, -1),
-    const=0,
-    pochs=(
-        ((0, 1, 0, 0), 0, 1),     # (q;q)_a
-        ((1, -1, -2, -2), 0, 1),  # (q;q)_(n-a-2c-2d)
-        ((0, 0, 1, 0), 0, 3),
-        ((0, 0, 0, 1), 0, 3),
-    ),
-    names=("n", "a", "c", "d"),
-)
+TERM_G111 = AG_G111.coefficient_term(0)
+TERM_G300 = AG_G300.coefficient_term(1)
+TERM_D123 = AG_D123.coefficient_term(0)
+TERM_D1234 = AG_D1234.coefficient_term(1)
 
 
 # ----------------------------------------------------------------------
@@ -580,22 +526,7 @@ def certificate_term(name: str) -> HypTerm:
 CERTIFICATE_NAMES = tuple(_BUILDERS)
 
 
-# ----------------------------------------------------------------------
-# the order-4 recurrence for the G_(1,1,1) coefficient sequence
-
-QU = ("q", "u")
-_QQ = LaurentPoly.variable(QU, "q")
-_U = LaurentPoly.variable(QU, "u")
-
-
 def pprime_family() -> list[LaurentPoly]:
-    """[p'_0 .. p'_4]: the recurrence encoded by the G_(1,1,1) operator."""
-    q, u = _QQ, _U
-    return [
-        -1 + u**3,
-        -q**4 + 2 * u**3 * q**-2 + 2 * u**3 * q**-1 + 2 * u**3 + u**3 * q + u**6 * q**-3,
-        u**3 * q**-3 + 2 * u**3 * q**-2 + 2 * u**3 * q**-1 + 2 * u**3 + u**6 * q**-8
-        - u**6 * q**-5 - u**6 * q**-4,
-        u**3 * q**-2 - u**6 * q**-10 - u**6 * q**-9 + u**6 * q**-6,
-        u**6 * q**-11,
-    ]
+    """[p'_0 .. p'_4]: the recurrence for the x^n coefficients of G_(1,1,1),
+    read off its order-2 operator."""
+    return recurrence_from_operator(qdiff_operator_g111())

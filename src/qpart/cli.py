@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import catalog, serialize
-from .automata import build_avoidance_dfa, derive_transfer_system
+from .automata import FORBIDDEN_WORDS, build_avoidance_dfa, derive_transfer_system
 from .celine import celine_solve, default_support, support_of
 from .colored import enumerate_2colored, gen_fun, size
 from .cylindric import enumerate_cylindric, g_to_f, solve_cw_family
@@ -25,6 +25,7 @@ from .holonomic import (
     uncouple_system,
     verify_certificate,
 )
+from .series import BiSeries
 from .verification import RECURRENCE_POINTS, verify_all
 
 CONDS = {"d123": ("D1", "D2", "D3"), "d1234": ("D1", "D2", "D3", "D4")}
@@ -58,70 +59,82 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def cmd_series(args) -> int:
-    if args.qorder < 1:
+def _class_series(conds: tuple[str, ...], qorder: int) -> BiSeries:
+    if qorder < 1:
         raise ValueError("--qorder must be >= 1")
-    conds = _parse_conds(args.which)
-    series = gen_fun(enumerate_2colored(args.qorder - 1, conds), args.qorder)
-    if args.x == "eval":
+    return gen_fun(enumerate_2colored(qorder - 1, conds), qorder)
+
+
+def _series_text(series: BiSeries, x: str, fmt: str) -> str:
+    """The series (or its x = 1 value for ``x == "eval"``) as CSV or JSON."""
+    if x == "eval":
         s = series.eval_x1()
-        text = serialize.qseries_csv(s) if args.format == "csv" else serialize.dumps(s.to_json())
-    else:
-        text = serialize.biseries_csv(series) if args.format == "csv" else serialize.dumps(series.to_json())
-    _write(text, args.out)
+        return serialize.qseries_csv(s) if fmt == "csv" else serialize.dumps(s.to_json())
+    return serialize.biseries_csv(series) if fmt == "csv" else serialize.dumps(series.to_json())
+
+
+def _dfa_text(dfa, fmt: str) -> str:
+    return dfa.to_dot() if fmt == "dot" else serialize.dumps(dfa.to_json())
+
+
+def _system_text() -> str:
+    return serialize.dumps(derive_transfer_system(build_avoidance_dfa()).to_json())
+
+
+def cmd_series(args) -> int:
+    series = _class_series(_parse_conds(args.which), args.qorder)
+    _write(_series_text(series, args.x, args.format), args.out)
     return 0
 
 
 def cmd_dfa(args) -> int:
     if args.emit_words:
-        from .automata import FORBIDDEN_WORDS
-
         _write("\n".join(FORBIDDEN_WORDS) + "\n", args.out)
         return 0
+    words = FORBIDDEN_WORDS
     if args.words:
         words = tuple(w.strip() for w in Path(args.words).read_text().splitlines() if w.strip())
-        dfa = build_avoidance_dfa(words)
-    else:
-        dfa = build_avoidance_dfa()
-    text = dfa.to_dot() if args.format == "dot" else serialize.dumps(dfa.to_json())
-    _write(text, args.out)
+    _write(_dfa_text(build_avoidance_dfa(words), args.format), args.out)
     return 0
 
 
 def cmd_system(args) -> int:
-    system = derive_transfer_system(build_avoidance_dfa())
-    _write(serialize.dumps(system.to_json()), args.out)
+    _write(_system_text(), args.out)
     return 0
 
 
 def cmd_cylindric(args) -> int:
     profile = tuple(int(c) for c in args.profile.split(","))
-    if args.stat == "F" and args.enumerate:
+    if args.enumerate:
+        if args.stat != "F":
+            raise ValueError("--enumerate lists F; give --stat F")
         series = enumerate_cylindric(profile, args.qorder - 1)
     else:
         g = solve_cw_family(profile, args.qorder)[profile]
         series = g_to_f(g) if args.stat == "F" else g
-    if args.x == "eval":
-        s = series.eval_x1()
-        text = serialize.qseries_csv(s) if args.format == "csv" else serialize.dumps(s.to_json())
-    else:
-        text = serialize.biseries_csv(series) if args.format == "csv" else serialize.dumps(series.to_json())
-    _write(text, args.out)
+    _write(_series_text(series, args.x, args.format), args.out)
     return 0
 
 
-def _load_term_cert(args):
-    if args.name:
-        term = catalog.certificate_term(args.name)
-        cert = catalog.certificate(args.name, verbatim=args.verbatim)
-        return term, cert
-    term = HypTerm.from_json(json.loads(Path(args.term).read_text()))
-    cert = serialize.certificate_from_json(json.loads(Path(args.cert).read_text()))
-    return term, cert
+def _load_term(args) -> HypTerm:
+    """The bundled term of --name or the term of the --term file; exactly one must be given."""
+    if (args.name is None) == (args.term is None):
+        raise ValueError("give exactly one of --name and --term")
+    if args.name is not None:
+        return catalog.certificate_term(args.name)
+    return HypTerm.from_json(json.loads(Path(args.term).read_text()))
 
 
 def cmd_certify(args) -> int:
-    term, cert = _load_term_cert(args)
+    if (args.term is None) != (args.cert is None):
+        raise ValueError("--term and --cert go together")
+    if args.verbatim and args.name is None:
+        raise ValueError("--verbatim applies only to --name")
+    term = _load_term(args)
+    if args.name is not None:
+        cert = catalog.certificate(args.name, verbatim=args.verbatim)
+    else:
+        cert = serialize.certificate_from_json(json.loads(Path(args.cert).read_text()))
     res = verify_certificate(term, cert)
     report = {"verified": res.ok, "residual_terms": res.residual_terms}
     if args.recurrence_check and res.ok:
@@ -137,13 +150,12 @@ def cmd_certify(args) -> int:
 
 
 def cmd_celine(args) -> int:
-    if args.name:
-        term = catalog.certificate_term(args.name)
-        support = support_of(catalog.certificate(args.name)) if args.support == "printed" else None
+    if args.support == "printed" and args.name is None:
+        raise ValueError("--support printed needs --name: a --term file has no printed support")
+    term = _load_term(args)
+    if args.support == "printed":
+        support = support_of(catalog.certificate(args.name))
     else:
-        term = HypTerm.from_json(json.loads(Path(args.term).read_text()))
-        support = None
-    if support is None:
         support = default_support(
             args.order,
             nsum=term.nsum,
@@ -191,17 +203,13 @@ def cmd_verify_all(args) -> int:
 def cmd_emit(args) -> int:
     target = args.target
     if target == "dfa":
-        dfa = build_avoidance_dfa()
-        text = dfa.to_dot() if args.format == "dot" else serialize.dumps(dfa.to_json())
+        text = _dfa_text(build_avoidance_dfa(), args.format)
     elif target == "transfer-matrix":
-        system = derive_transfer_system(build_avoidance_dfa())
         if args.format != "json":
             raise ValueError("transfer-matrix supports only json")
-        text = serialize.dumps(system.to_json())
+        text = _system_text()
     elif target in ("d123-series", "d1234-series"):
-        conds = CONDS[target.split("-")[0]]
-        series = gen_fun(enumerate_2colored(args.qorder - 1, conds), args.qorder)
-        text = serialize.biseries_csv(series) if args.format == "csv" else serialize.dumps(series.to_json())
+        text = _series_text(_class_series(CONDS[target.split("-")[0]], args.qorder), "keep", args.format)
     else:
         raise ValueError(f"unknown target {target!r}")
     _write(text, args.out)

@@ -72,8 +72,7 @@ class HypTerm:
     Q(v) = v^T quad2 v / 2 + lin . v + const over the
     variable vector v = (n, k_1, .., k_r).  Each Pochhammer denominator is
     (q^base; q^base)_{L} for a linear form L = coeffs . v + const; the
-    term is zero by convention when some L < 0.  ``xcoeffs`` records the
-    x-grading exponent for bigraded sums (unused by certificate checks).
+    term is zero by convention when some L < 0.
     """
 
     nsum: int
@@ -82,15 +81,12 @@ class HypTerm:
     const: int
     pochs: tuple[tuple[tuple[int, ...], int, int], ...]  # (coeffs, const, base)
     names: tuple[str, ...] = ("n", "k1", "k2", "k3")
-    xcoeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
         dim = 1 + self.nsum
         _check_form(self.quad2, self.lin, dim)
         if any(len(c) != dim for c, _, _ in self.pochs):
             raise ValueError(f"Pochhammer length forms must have {dim} coefficients")
-        if self.xcoeffs and len(self.xcoeffs) != dim:
-            raise ValueError(f"xcoeffs must be empty or of length {dim}")
 
     def qexponent(self, v: Sequence[int]) -> int:
         return _form_value(self.quad2, self.lin, v) + self.const
@@ -109,7 +105,6 @@ class HypTerm:
             "const": self.const,
             "pochs": [[list(c), c0, m] for c, c0, m in self.pochs],
             "names": list(self.names),
-            "xcoeffs": list(self.xcoeffs),
         }
 
     @classmethod
@@ -121,7 +116,6 @@ class HypTerm:
             const=int(data["const"]),
             pochs=tuple((tuple(int(x) for x in c), int(c0), int(m)) for c, c0, m in data["pochs"]),
             names=tuple(data["names"]),
-            xcoeffs=tuple(int(x) for x in data.get("xcoeffs", ())),
         )
 
 
@@ -427,6 +421,30 @@ def recurrence_from_certificate(cert: CertificateSet) -> list[LaurentPoly]:
     return out
 
 
+def recurrence_from_operator(op: QDiffOperator) -> list[LaurentPoly]:
+    """[p_0 .. p_d] over (q, u) with sum_i p_i(q^n) g_(n-i) = 0, where g_n is
+    the x^n coefficient of any solution of ``op``.
+
+    [x^n] x^i q^e F(x q^(step s)) = q^(e + step s (n - i)) g_(n-i), so
+    x^i q^e in the coefficient of shift s adds q^(e - step s i) u^(step s)
+    to p_i.  The sign is ``_normalize_operator``'s: the last p_i has a
+    positive leading term.
+    """
+    rows: dict[int, dict[tuple[int, int], int]] = {}
+    for coeff, shift in op.terms:
+        k = op.step * shift
+        for (ex, eq), c in coeff.terms.items():
+            if ex < 0:
+                raise ValueError("operator coefficients must be polynomial in x")
+            row, key = rows.setdefault(ex, {}), (eq - k * ex, k)
+            row[key] = row.get(key, 0) + c
+    plist = [LaurentPoly(QU_VARS, rows.get(i)) for i in range(max(rows, default=-1) + 1)]
+    lead = next((p for p in reversed(plist) if not p.is_zero()), None)
+    if lead is not None and lead.leading()[1] < 0:
+        plist = [-p for p in plist]
+    return plist
+
+
 # ----------------------------------------------------------------------
 # summed sequences and recurrence validation
 
@@ -704,6 +722,32 @@ class AGSumSpec:
             raise ValueError("growth monotonicity requires nonnegative coefficients")
         if any(self.quad2[i][i] <= 0 for i in range(dim)):
             raise ValueError("diagonal must be positive for termination")
+
+    def coefficient_term(self, eliminate: int) -> HypTerm:
+        """The term whose sum over the other k's is the x^n coefficient.
+
+        Substitutes k_e = n - sum_(i != e) xcoeffs_i k_i for e = ``eliminate``,
+        which needs xcoeffs_e = 1.  The term is over v = (n, the other k's in
+        order) and k = S v: Pochhammer i has length form row i of S and base
+        bases_i, and the exponent form becomes S^T quad2 S and lin S.
+        """
+        r = len(self.bases)
+        if not 0 <= eliminate < r or self.xcoeffs[eliminate] != 1:
+            raise ValueError("the eliminated variable must have x-coefficient 1")
+        others = [i for i in range(r) if i != eliminate]
+        rows = [
+            (1, *(-self.xcoeffs[j] for j in others)) if i == eliminate else (0, *(int(i == j) for j in others))
+            for i in range(r)
+        ]
+        cols = list(zip(*rows))
+        quad_cols = [[_dot(row, c) for row in self.quad2] for c in cols]
+        return HypTerm(
+            nsum=r - 1,
+            quad2=tuple(tuple(_dot(a, qb) for qb in quad_cols) for a in cols),
+            lin=tuple(_dot(self.lin, c) for c in cols),
+            const=0,
+            pochs=tuple((row, 0, base) for row, base in zip(rows, self.bases)),
+        )
 
 
 def evaluate_ag_sum(spec: AGSumSpec, qorder: int) -> BiSeries:

@@ -23,6 +23,7 @@ from qpart.holonomic import (
     poch_value,
     poly_times_biseries,
     recurrence_from_certificate,
+    recurrence_from_operator,
     recurrence_holds_at_point,
     recurrence_holds_series,
     sequence_series,
@@ -218,13 +219,66 @@ def test_sequence_value_matches_direct_fraction_sum(name):
 
 
 def test_sequences_match_series_coefficients():
-    # the summed sequences are the x-coefficients of the bigraded series
+    # each certificate term, summed over its support, is the x^m coefficient
+    # of the quadruple sum it is derived from
     n = 12
-    fd123 = gen_fun(enumerate_2colored(n - 1, COND_D123), n)
-    fam = solve_cw_family((3, 0, 0), n)
-    for m in range(6):
-        assert sequence_series(catalog.TERM_D123, m, n) == fd123.slice(m)
-        assert sequence_series(catalog.TERM_G111, m, n) == fam[(1, 1, 1)].slice(m)
+    sums = {"g111": catalog.AG_G111, "g300": catalog.AG_G300, "d123": catalog.AG_D123, "d1234": catalog.AG_D1234}
+    assert set(sums) == set(catalog.CERTIFICATE_NAMES)
+    for name, spec in sums.items():
+        series = evaluate_ag_sum(spec, n)
+        for m in range(8):
+            assert sequence_series(catalog.certificate_term(name), m, n) == series.slice(m), (name, m)
+
+
+# the terms, the order-4 recurrence and the 2x2 system as they were once typed
+# into the catalog, kept as the reference for what is now derived
+_NARROW = ((2, 0, 1, -1), (0, 0, 0, 0), (1, 0, 2, 1), (-1, 0, 1, 2))
+_WIDE = ((2, 0, -1, -1), (0, 0, 0, 0), (-1, 0, 2, 2), (-1, 0, 2, 2))
+_C, _D = ((0, 0, 1, 0), 0, 3), ((0, 0, 0, 1), 0, 3)
+_TYPED_TERMS = {
+    "g111": (_NARROW, (0, 0, 0, 0), (((1, -1, -1, -2), 0, 1), ((0, 1, 0, 0), 0, 1), _C, _D)),
+    "g300": (_NARROW, (2, -1, 1, -1), (((0, 1, 0, 0), 0, 1), ((1, -1, -1, -2), 0, 1), _C, _D)),
+    "d123": (_WIDE, (0, 0, 0, 0), (((1, -1, -2, -2), 0, 1), ((0, 1, 0, 0), 0, 1), _C, _D)),
+    "d1234": (_WIDE, (2, -1, -1, -1), (((0, 1, 0, 0), 0, 1), ((1, -1, -2, -2), 0, 1), _C, _D)),
+}
+
+
+def test_derived_catalog_entries_match_the_typed_forms():
+    for name, (quad2, lin, pochs) in _TYPED_TERMS.items():
+        t = catalog.certificate_term(name)
+        assert (t.nsum, t.quad2, t.lin, t.const, t.pochs) == (3, quad2, lin, 0, pochs), name
+    q, u = LaurentPoly.variable(QU, "q"), LaurentPoly.variable(QU, "u")
+    assert catalog.pprime_family() == [
+        -1 + u**3,
+        -q**4 + 2 * u**3 * q**-2 + 2 * u**3 * q**-1 + 2 * u**3 + u**3 * q + u**6 * q**-3,
+        u**3 * q**-3 + 2 * u**3 * q**-2 + 2 * u**3 * q**-1 + 2 * u**3 + u**6 * q**-8
+        - u**6 * q**-5 - u**6 * q**-4,
+        u**3 * q**-2 - u**6 * q**-10 - u**6 * q**-9 + u**6 * q**-6,
+        u**6 * q**-11,
+    ]
+    x, q = LaurentPoly.variable(XQ, "x"), LaurentPoly.variable(XQ, "q")
+    assert catalog.coupled_g_system() == [
+        [2 * x * q**3, 1 + x * q**2],
+        [3 * x * q**3 * (1 + x * q), 1 + 2 * x * q + 2 * x * q**2 + x**2 * q**3],
+    ]
+
+
+def test_coefficient_term_needs_a_unit_x_coefficient():
+    with pytest.raises(ValueError):
+        catalog.AG_G111.coefficient_term(3)  # x-coefficient 2
+    with pytest.raises(ValueError):
+        catalog.AG_G111.coefficient_term(4)
+
+
+def test_recurrence_from_operator_reads_the_x_coefficients():
+    # F(x) = (1 + x) F(x q) gives (1 - q^n) g_n = q^(n-1) g_(n-1); the last
+    # coefficient is made positive
+    x, q = LaurentPoly.variable(XQ, "x"), LaurentPoly.variable(XQ, "q")
+    op = QDiffOperator(((LaurentPoly.one(XQ), 0), (-(1 + x), 1)), step=1)
+    qq, u = LaurentPoly.variable(QU, "q"), LaurentPoly.variable(QU, "u")
+    assert recurrence_from_operator(op) == [-(1 - u), u * qq**-1]
+    with pytest.raises(ValueError):
+        recurrence_from_operator(QDiffOperator(((x**-1 * q, 0),), step=1))
 
 
 def test_evaluate_ag_sum_d123_low_order():
@@ -252,8 +306,6 @@ def test_malformed_lengths_are_rejected():
         AGSumSpec(catalog.AG_D123.quad2, (0, 0, 0, 0), (1, 1, 2), (1, 1, 3, 3))
     with pytest.raises(ValueError):
         HypTerm(nsum=0, quad2=((2,),), lin=(0,), const=0, pochs=(((1, 1), 0, 1),), names=("n",))
-    with pytest.raises(ValueError):
-        HypTerm(nsum=0, quad2=((2,),), lin=(0,), const=0, pochs=(), names=("n",), xcoeffs=(1, 1))
     with pytest.raises(ValueError):
         HypTerm(nsum=0, quad2=((1,),), lin=(0,), const=0, pochs=(), names=("n",))
 

@@ -156,8 +156,18 @@ def test_emit_unknown_target_is_an_error():
     ["enumerate", "--max-size", "5", "--cond", "D9"],
     ["verify-all", "--qorder", "10", "--nmax", "-1"],
     ["certify", "--name", "g111", "--recurrence-check", "-3"],
+    # the file arguments below are checked before any file is read
+    ["celine", "--term", "term.json", "--order", "3", "--support", "printed"],
+    ["certify"],
+    ["celine", "--order", "3"],
+    ["certify", "--term", "term.json"],
+    ["certify", "--name", "g111", "--term", "term.json", "--cert", "cert.json"],
+    ["celine", "--name", "g111", "--term", "term.json", "--order", "3"],
+    ["cylindric", "--profile", "1,1,1", "--qorder", "5", "--enumerate"],
 ], ids=["zero-profile", "series-qorder-0", "unknown-condition", "verify-all-nmax-negative",
-        "certify-recurrence-check-negative"])
+        "certify-recurrence-check-negative", "celine-term-with-printed-support", "certify-no-term",
+        "celine-no-term", "certify-term-without-cert", "certify-name-and-term", "celine-name-and-term",
+        "cylindric-enumerate-without-stat-f"])
 def test_bad_input_is_a_one_line_error(argv):
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""
