@@ -176,7 +176,7 @@ def cmd_uncouple(args) -> int:
     if args.system == "builtin-2x2":
         matrix, step = catalog.coupled_g_system(), 3
     elif args.system == "builtin-5x5":
-        matrix, step = [list(r) for r in derive_transfer_system(build_avoidance_dfa()).matrix], 3
+        matrix, step = derive_transfer_system(build_avoidance_dfa()).matrix, 3
     else:
         matrix, step = serialize.system_from_json(json.loads(Path(args.system).read_text()))
     op = uncouple_system(matrix, args.component, step)
@@ -200,18 +200,27 @@ def cmd_verify_all(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+#: the formats each emit target can encode
+EMIT_FORMATS = {
+    "d123-series": ("json", "csv"),
+    "d1234-series": ("json", "csv"),
+    "dfa": ("json", "dot"),
+    "transfer-matrix": ("json",),
+}
+
+
 def cmd_emit(args) -> int:
-    target = args.target
-    if target == "dfa":
-        text = _dfa_text(build_avoidance_dfa(), args.format)
-    elif target == "transfer-matrix":
-        if args.format != "json":
-            raise ValueError("transfer-matrix supports only json")
-        text = _system_text()
-    elif target in ("d123-series", "d1234-series"):
-        text = _series_text(_class_series(CONDS[target.split("-")[0]], args.qorder), "keep", args.format)
-    else:
+    target, fmt = args.target, args.format
+    if target not in EMIT_FORMATS:
         raise ValueError(f"unknown target {target!r}")
+    if fmt not in EMIT_FORMATS[target]:
+        raise ValueError(f"{target} supports only {' or '.join(EMIT_FORMATS[target])}")
+    if target == "dfa":
+        text = _dfa_text(build_avoidance_dfa(), fmt)
+    elif target == "transfer-matrix":
+        text = _system_text()
+    else:
+        text = _series_text(_class_series(CONDS[target.split("-")[0]], args.qorder), "keep", fmt)
     _write(text, args.out)
     return 0
 
@@ -292,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_all)
 
     p = sub.add_parser("emit", help="emit a series or table deterministically")
-    p.add_argument("--target", required=True,
-                   help="d123-series | d1234-series | dfa | transfer-matrix")
+    p.add_argument("--target", required=True, help=" | ".join(EMIT_FORMATS))
     p.add_argument("--qorder", type=int, default=10)
     p.add_argument("--format", choices=("json", "csv", "dot"), default="json")
     p.add_argument("--out")

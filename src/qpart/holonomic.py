@@ -30,7 +30,7 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterable, Sequence
 
-from .laurent import LaurentPoly, RationalFunction
+from .laurent import LaurentPoly, RationalFunction, poly_gcd
 from .series import BiSeries, QSeries, finite_pochhammer
 
 TERM_VARS = ("q", "u", "v1", "v2", "v3")
@@ -146,18 +146,6 @@ class FactoredRatio:
     num: tuple[LaurentPoly, ...]
     den: tuple[LaurentPoly, ...]
 
-    def numerator_poly(self) -> LaurentPoly:
-        p = _mono(self.mono)
-        for f in self.num:
-            p = p * f
-        return p
-
-    def denominator_poly(self) -> LaurentPoly:
-        p = _ONE5
-        for f in self.den:
-            p = p * f
-        return p
-
 
 def term_ratio_factored(term: HypTerm, shift: Sequence[int]) -> FactoredRatio:
     s = tuple(shift)
@@ -184,12 +172,6 @@ def term_ratio_factored(term: HypTerm, shift: Sequence[int]) -> FactoredRatio:
             for t in range(1, -delta + 1):
                 den.append(_binomial_factor(base, coeffs, const + t))
     return FactoredRatio(tuple(mono), tuple(num), tuple(den))
-
-
-def term_ratio(term: HypTerm, shift: Sequence[int]):
-    """F(v - shift)/F(v) as a RationalFunction over (q, u, v1, v2, v3)."""
-    r = term_ratio_factored(term, shift)
-    return RationalFunction(r.numerator_poly(), r.denominator_poly())
 
 
 # ----------------------------------------------------------------------
@@ -427,8 +409,7 @@ def recurrence_from_operator(op: QDiffOperator) -> list[LaurentPoly]:
 
     [x^n] x^i q^e F(x q^(step s)) = q^(e + step s (n - i)) g_(n-i), so
     x^i q^e in the coefficient of shift s adds q^(e - step s i) u^(step s)
-    to p_i.  The sign is ``_normalize_operator``'s: the last p_i has a
-    positive leading term.
+    to p_i.  The sign is ``_normalize_operator``'s (``_last_leads_positive``).
     """
     rows: dict[int, dict[tuple[int, int], int]] = {}
     for coeff, shift in op.terms:
@@ -439,10 +420,14 @@ def recurrence_from_operator(op: QDiffOperator) -> list[LaurentPoly]:
             row, key = rows.setdefault(ex, {}), (eq - k * ex, k)
             row[key] = row.get(key, 0) + c
     plist = [LaurentPoly(QU_VARS, rows.get(i)) for i in range(max(rows, default=-1) + 1)]
-    lead = next((p for p in reversed(plist) if not p.is_zero()), None)
-    if lead is not None and lead.leading()[1] < 0:
-        plist = [-p for p in plist]
-    return plist
+    return _last_leads_positive(plist)
+
+
+def _last_leads_positive(polys: list[LaurentPoly]) -> list[LaurentPoly]:
+    """The one sign rule for operators and recurrences: negate the list if
+    its last nonzero entry has a negative leading coefficient."""
+    lead = next((p for p in reversed(polys) if not p.is_zero()), None)
+    return [-p for p in polys] if lead is not None and lead.leading()[1] < 0 else polys
 
 
 # ----------------------------------------------------------------------
@@ -940,8 +925,9 @@ def _polynomial_nullvector(vectors: list[list[LaurentPoly]]):
     """A nontrivial polynomial combination of the rows summing to zero.
 
     Fraction-free (Bareiss) elimination on the rows augmented with the
-    identity; divisions by the previous pivot are exact, and rows are
-    content-stripped to keep coefficients small.
+    identity, pivoting on the entry with the fewest terms; divisions by the
+    previous pivot are exact.  Rows are not content-stripped:
+    ``_normalize_operator`` clears the common factor of the result.
     """
     nrows = len(vectors)
     ncols = len(vectors[0])
@@ -992,8 +978,8 @@ def _polynomial_nullvector(vectors: list[list[LaurentPoly]]):
 
 
 def _normalize_operator(dep: list[LaurentPoly], step: int) -> QDiffOperator:
-    from .laurent import poly_gcd
-
+    """The dependency as an operator: its gcd (integer content included) and
+    its least monomial divided out, signed by ``_last_leads_positive``."""
     cleared = list(dep)
     g = LaurentPoly.zero(XQ_VARS)
     for p in cleared:
@@ -1006,14 +992,5 @@ def _normalize_operator(dep: list[LaurentPoly], step: int) -> QDiffOperator:
     if mins:
         shift = tuple(-min(m[i] for m in mins) for i in range(len(XQ_VARS)))
         cleared = [p.shift_exponents(shift) if not p.is_zero() else p for p in cleared]
-    c = 0
-    for p in cleared:
-        from math import gcd as _ig
-        for x in p.terms.values():
-            c = _ig(c, x)
-    if c > 1:
-        cleared = [LaurentPoly(XQ_VARS, {e: x // c for e, x in p.terms.items()}) for p in cleared]
-    lead = next((p for p in reversed(cleared) if not p.is_zero()), None)
-    if lead is not None and lead.leading()[1] < 0:
-        cleared = [-p for p in cleared]
+    cleared = _last_leads_positive(cleared)
     return QDiffOperator(tuple((p, k) for k, p in enumerate(cleared) if not p.is_zero()), step)

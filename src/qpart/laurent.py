@@ -274,11 +274,16 @@ class LaurentPoly:
         rem = self
         quo_terms: dict[tuple[int, ...], int] = {}
         le, lc = other.leading()
+        # every exponent of an exact quotient is at least this, componentwise;
+        # the bound also keeps a division that is not exact from running forever
+        floor = tuple(a - b for a, b in zip(self.min_exponents(), other.min_exponents()))
         while not rem.is_zero():
             re, rc = rem.leading()
             if rc % lc:
                 raise ValueError("not exactly divisible (coefficient)")
             qe = tuple(a - b for a, b in zip(re, le))
+            if any(e < f for e, f in zip(qe, floor)):
+                raise ValueError("not exactly divisible (exponent)")
             qc = rc // lc
             quo_terms[qe] = qc
             rem = rem - other * LaurentPoly.monomial(self.vars, qe, qc)
@@ -383,8 +388,10 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """gcd of two Laurent polynomials, up to sign; monomial parts stripped.
 
     Uses a primitive PRS over the coefficient ring, recursing on the
-    number of variables. The result is content-normalized with positive
-    leading coefficient.
+    number of variables; the main variable is the one of least degree, and
+    the PRS is skipped where ``_coprime_in`` shows it would end in a
+    constant.  The result is content-normalized with positive leading
+    coefficient.
     """
     if a.vars != b.vars:
         raise VariableMismatch(f"{a.vars} vs {b.vars}")
@@ -398,23 +405,48 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         g = _gcd_nonneg(a0, b0)
     if g.is_zero():
         return g
+    g, _ = _to_nonneg(g)
     if g.leading()[1] < 0:
         g = -g
     return g
 
 
+def _coprime_in(a: LaurentPoly, b: LaurentPoly, main: int) -> bool:
+    """True if a and b share no factor of positive degree in the main variable.
+
+    Shown at one point, every other variable set to one integer: a common
+    factor divides both leading coefficients, so where neither vanishes its
+    degree survives, and a constant gcd of the images rules it out.  False
+    means undecided.
+    """
+    var = a.vars[main]
+    for point in (2, 3, 5, 7):
+        images = []
+        for f in (a, b):
+            terms: dict[tuple[int, ...], int] = {}
+            for e, c in f.terms.items():
+                key = tuple(x if i == main else 0 for i, x in enumerate(e))
+                terms[key] = terms.get(key, 0) + c * point ** (sum(e) - e[main])
+            images.append(LaurentPoly(a.vars, terms))
+        if all(not g.is_zero() and g.degree(var) == f.degree(var) for f, g in zip((a, b), images)):
+            return _gcd_nonneg(*images).is_constant()
+    return False
+
+
 def _gcd_nonneg(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     vars = a.vars
-    # main variable: last one occurring with positive degree in either
-    main = -1
-    for i in range(len(vars) - 1, -1, -1):
-        if a.degree(vars[i]) > 0 or b.degree(vars[i]) > 0:
-            main = i
-            break
-    if main < 0:
+    # main variable: the one of least degree, preferring one missing from
+    # either polynomial (the gcd of the contents is then the whole answer)
+    degs = [(min(da, db), max(da, db), -i) for i, v in enumerate(vars)
+            for da, db in [(a.degree(v), b.degree(v))] if da or db]
+    if not degs:
         return LaurentPoly.constant(vars, _int_gcd(a.constant_value(), b.constant_value()))
+    main = -min(degs)[2]
     ca, cb = _poly_content(a, main), _poly_content(b, main)
     cont = poly_gcd(ca, cb)
+    # with one variable there is nothing to evaluate: the images are a and b
+    if len(degs) > 1 and _coprime_in(a, b, main):
+        return cont
     ua = _split_main(a, main)
     ub = _split_main(b, main)
     ua = {d: c.divexact(ca) for d, c in ua.items()}

@@ -287,7 +287,7 @@ def task_language_series(run: VerificationRun) -> RunReport:
 
 
 def task_qdiff_colored(run: VerificationRun) -> RunReport:
-    """The two order-3 operators annihilate the enumerated series."""
+    """The two order-3 operators of the automaton annihilate the enumerated series."""
     return _qdiff_report("qdiff-colored", run, (
         ("d123", catalog.qdiff_operator_d123(), run.f_d123),
         ("d1234", catalog.qdiff_operator_d1234(), run.f_d1234),
@@ -309,7 +309,7 @@ def task_first_order_relations(run: VerificationRun) -> RunReport:
 
 
 def task_qdiff_cylindric(run: VerificationRun) -> RunReport:
-    """The two order-2 operators annihilate the profile series."""
+    """The two order-2 operators of the 2x2 system annihilate the profile series."""
     fam = run.cw_family
     return _qdiff_report("qdiff-cylindric", run, (
         ("g300", catalog.qdiff_operator_g300(), fam[(3, 0, 0)]),

@@ -1,13 +1,15 @@
 """Certificates, recurrences, quadruple sums, operators, uncoupling."""
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpart import catalog
+from qpart import catalog, serialize
 from qpart.automata import build_avoidance_dfa, derive_transfer_system, solve_language_series
 from qpart.colored import COND_D123, enumerate_2colored, gen_fun
 from qpart.cylindric import solve_cw_family
@@ -19,6 +21,7 @@ from qpart.holonomic import (
     ShiftOp,
     TERM_VARS,
     apply_qdiff,
+    cleared_ratios,
     evaluate_ag_sum,
     poch_value,
     poly_times_biseries,
@@ -29,7 +32,6 @@ from qpart.holonomic import (
     sequence_series,
     sequence_value,
     solve_shift_system,
-    term_ratio,
     uncouple_system,
     verify_certificate,
 )
@@ -40,16 +42,22 @@ QU = ("q", "u")
 XQ = ("x", "q")
 
 
+def _shift_ratio(term: HypTerm, shift) -> RationalFunction:
+    """F(v - shift)/F(v): the cleared numerator of the shift over that of no shift."""
+    c = cleared_ratios(term, [(0, 0, 0, 0), shift])
+    return RationalFunction(c[shift], c[(0, 0, 0, 0)])
+
+
 def test_term_ratio_zero_shift():
     term = catalog.TERM_G111
-    r = term_ratio(term, (0, 0, 0, 0))
+    r = _shift_ratio(term, (0, 0, 0, 0))
     assert r == RationalFunction.from_poly(LaurentPoly.one(TERM_VARS))
 
 
 def test_term_ratio_single_pochhammer():
     # F(n) = 1/(q;q)_n gives F(n-1)/F(n) = 1 - q^n
     t = HypTerm(nsum=0, quad2=((0,),), lin=(0,), const=0, pochs=(((1,), 0, 1),), names=("n",))
-    r = term_ratio(t, (1,))
+    r = _shift_ratio(t, (1, 0, 0, 0))
     u = LaurentPoly.variable(TERM_VARS, "u")
     assert r == RationalFunction.from_poly(1 - u)
 
@@ -75,7 +83,7 @@ def test_term_ratio_numeric_oracle():
             f1, f2 = value(v), value(vv)
             if not f1 or f2 is None:
                 continue
-            r = term_ratio(term, s)
+            r = _shift_ratio(term, s)
             subs = [q0, q0 ** v[0], q0 ** v[1], q0 ** v[2], q0 ** v[3]]
 
             def ev(p):
@@ -263,6 +271,95 @@ def test_derived_catalog_entries_match_the_typed_forms():
     ]
 
 
+# the four operators as they were once typed into the catalog, kept as the
+# reference for the uncoupled ones
+_X, _Q, _1 = LaurentPoly.variable(XQ, "x"), LaurentPoly.variable(XQ, "q"), LaurentPoly.one(XQ)
+
+
+def _op(*terms: tuple[LaurentPoly, int]) -> QDiffOperator:
+    return QDiffOperator(tuple((c, s) for c, s in terms if not c.is_zero()), step=3)
+
+
+def qdiff_operator_d123() -> QDiffOperator:
+    """Order-3 operator annihilating the length-graded D1-D3 series."""
+    x, q = _X, _Q
+    c0 = 2 + 3 * x * q**4 + x * q**6
+    c1 = (
+        2 + 4 * x * q + 4 * x * q**2 + 4 * x * q**3 + 3 * x * q**4 + x * q**6
+        + 4 * x**2 * q**3 + 6 * x**2 * q**4 + 6 * x**2 * q**5 + 8 * x**2 * q**6
+        + 2 * x**2 * q**7 + 2 * x**2 * q**8 + 2 * x**2 * q**9
+        + 6 * x**3 * q**7 + 2 * x**3 * q**9 + 3 * x**3 * q**10 + x**3 * q**12
+    )
+    c2 = x**2 * q**7 * (
+        2 + 2 * q + 3 * x * q + 4 * x * q**2 + x * q**3 + 4 * x * q**4 - x * q**5
+        + 4 * x * q**6 + x * q**7 + 2 * x**2 * q**5 + 6 * x**2 * q**7
+        + 6 * x**2 * q**8 + 2 * x**2 * q**9 + 2 * x**2 * q**10 + 4 * x**2 * q**11
+        + 3 * x**3 * q**9 + x**3 * q**11 + 6 * x**3 * q**12 + 2 * x**3 * q**14
+    )
+    c3 = x**4 * q**21 * (_1 - x * q**6) ** 2 * (2 + 3 * x * q + x * q**3)
+    return _op((c0, 0), (-c1, 1), (c2, 2), (-c3, 3))
+
+
+def qdiff_operator_d1234() -> QDiffOperator:
+    """Order-3 operator annihilating the length-graded D1-D4 series."""
+    x, q = _X, _Q
+    c0 = 1 + x * q**5 + x * q**7
+    c1 = (
+        1 + x * q**2 + 2 * x * q**3 + 2 * x * q**4 + 2 * x * q**5 + x * q**7
+        + 3 * x**2 * q**6 + 2 * x**2 * q**7 + 3 * x**2 * q**8 + 3 * x**2 * q**9
+        + 2 * x**2 * q**10 + x**2 * q**11 + x**2 * q**12
+        + 2 * x**3 * q**11 + 2 * x**3 * q**13 + x**3 * q**14 + x**3 * q**16
+    )
+    c2 = x**2 * q**10 * (
+        1 + q + x * q**2 + x * q**3 + 2 * x * q**4 + 2 * x * q**6 + x * q**7
+        + x * q**8 - x**2 * q**7 + 2 * x**2 * q**8 + x**2 * q**9 + 2 * x**2 * q**10
+        + 3 * x**2 * q**11 + x**2 * q**12 + x**2 * q**13 + 2 * x**2 * q**14
+        + x**3 * q**13 + x**3 * q**15 + 2 * x**3 * q**16 + 2 * x**3 * q**18
+    )
+    c3 = x**4 * q**27 * (_1 - x * q**6) * (_1 - x * q**9) * (1 + x * q**2 + x * q**4)
+    return _op((c0, 0), (-c1, 1), (c2, 2), (-c3, 3))
+
+
+def qdiff_operator_g300() -> QDiffOperator:
+    """Order-2 operator annihilating G_(3,0,0)."""
+    x, q = _X, _Q
+    c0 = 1 + x * q**5
+    c1 = (
+        1 + x * q**2 + 2 * x * q**3 + 2 * x * q**4 + 2 * x * q**5
+        + 2 * x**2 * q**6 + 2 * x**2 * q**7 + 2 * x**2 * q**8 + x**2 * q**9
+        + x**3 * q**11
+    )
+    c2 = x * q**6 * (1 + x * q**2) * (_1 - x * q**4) * (_1 - x * q**5)
+    return _op((c0, 0), (-c1, 1), (-c2, 2))
+
+
+def qdiff_operator_g111() -> QDiffOperator:
+    """Order-2 operator annihilating G_(1,1,1)."""
+    x, q = _X, _Q
+    c0 = 1 + x * q**4
+    c1 = (
+        1 + 2 * x * q + 2 * x * q**2 + 2 * x * q**3 + x * q**4
+        + x**2 * q**3 + 2 * x**2 * q**4 + 2 * x**2 * q**5 + 2 * x**2 * q**6
+        + x**3 * q**7
+    )
+    c2 = x * q**3 * (1 + x * q) * (_1 - x * q**4) * (_1 - x * q**5)
+    return _op((c0, 0), (-c1, 1), (-c2, 2))
+
+
+_TYPED_OPERATORS = {
+    "g300": qdiff_operator_g300,
+    "g111": qdiff_operator_g111,
+    "d123": qdiff_operator_d123,
+    "d1234": qdiff_operator_d1234,
+}
+
+
+def test_uncoupled_operators_match_the_typed_forms():
+    for name, typed in _TYPED_OPERATORS.items():
+        derived = getattr(catalog, f"qdiff_operator_{name}")()
+        assert serialize.dumps(derived.to_json()) == serialize.dumps(typed().to_json()), name
+
+
 def test_coefficient_term_needs_a_unit_x_coefficient():
     with pytest.raises(ValueError):
         catalog.AG_G111.coefficient_term(3)  # x-coefficient 2
@@ -366,6 +463,15 @@ def test_uncouple_trivial_1x1():
     assert set(shifts) == {0, 1}
     # 0 = c0 F(x) + c1 F(xq^3) = (c0 a + c1) F(xq^3) forces c0*a + c1 = 0
     assert (shifts[0] * x + shifts[1]).is_zero()
+
+
+def test_uncoupled_operators_are_primitive():
+    # the dependencies of this 2x2 system carry the integer content 2, which
+    # the polynomial gcd divides out with the rest of the common factor
+    x, q, one = LaurentPoly.variable(XQ, "x"), LaurentPoly.variable(XQ, "q"), LaurentPoly.one(XQ)
+    for component in (0, 1):
+        op = uncouple_system([[4 * x, 2 * one], [2 * one, 6 * x * q]], component)
+        assert reduce(gcd, (c.int_content() for c, _ in op.terms)) == 1
 
 
 def test_uncouple_clears_denominators():

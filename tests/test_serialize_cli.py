@@ -164,10 +164,12 @@ def test_emit_unknown_target_is_an_error():
     ["certify", "--name", "g111", "--term", "term.json", "--cert", "cert.json"],
     ["celine", "--name", "g111", "--term", "term.json", "--order", "3"],
     ["cylindric", "--profile", "1,1,1", "--qorder", "5", "--enumerate"],
+    ["emit", "--target", "d123-series", "--format", "dot"],
+    ["emit", "--target", "dfa", "--format", "csv"],
 ], ids=["zero-profile", "series-qorder-0", "unknown-condition", "verify-all-nmax-negative",
         "certify-recurrence-check-negative", "celine-term-with-printed-support", "certify-no-term",
         "celine-no-term", "certify-term-without-cert", "certify-name-and-term", "celine-name-and-term",
-        "cylindric-enumerate-without-stat-f"])
+        "cylindric-enumerate-without-stat-f", "emit-series-as-dot", "emit-dfa-as-csv"])
 def test_bad_input_is_a_one_line_error(argv):
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""

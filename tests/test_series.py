@@ -1,6 +1,8 @@
 """Truncated q-series, Pochhammer products, and (x, q)-series."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpart.series import (
     BiSeries,
@@ -113,3 +115,28 @@ def test_json_round_trip():
     assert QSeries.from_json(s.to_json()) == s
     b = BiSeries(4, {0: QSeries.one(4), 2: QSeries(4, [0, 0, 7])})
     assert BiSeries.from_json(b.to_json()) == b
+
+
+# ----------------------------------------------------------------------
+# properties
+
+ORDER = 12
+
+
+def qseries(constant=st.integers(-5, 5)):
+    return st.builds(lambda c0, rest: QSeries(ORDER, [c0] + rest),
+                     constant, st.lists(st.integers(-5, 5), min_size=ORDER - 1, max_size=ORDER - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(qseries(), qseries(), qseries())
+def test_qseries_multiplication_is_commutative_and_associative(a, b, c):
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qseries(st.sampled_from((1, -1))), qseries(st.sampled_from((1, -1))))
+def test_inverse_of_a_product_is_the_product_of_inverses(s, t):
+    assert (s * t).invert() == s.invert() * t.invert()
+    assert s * s.invert() == QSeries.one(ORDER)

@@ -22,6 +22,8 @@ from qpart.verification import (
     task_cylindric_enumeration,
     task_product_d123,
     task_product_d1234,
+    task_qdiff_colored,
+    task_qdiff_cylindric,
     task_specialized_products,
     task_transfer_matrix,
     task_uncoupling,
@@ -103,6 +105,31 @@ def test_uncoupling_witnesses_are_pinned(run, monkeypatch):
     run.transfer = transfer
     run.f_d1234 = run.f_d123
     assert task_uncoupling(run).witness == {"kind": "uncouple-5x5", "component": 1}
+
+
+def test_operator_witnesses_follow_the_systems_they_are_derived_from(run, monkeypatch):
+    # the operators are uncoupled from the catalog's systems, so perturbing
+    # a system, not an operator, is what the qdiff tasks must catch
+    coupled = catalog.coupled_g_system
+
+    def doubled_corner():
+        mat = coupled()
+        mat[0][0] = mat[0][0] + mat[0][0]
+        return mat
+
+    monkeypatch.setattr(catalog, "coupled_g_system", doubled_corner)
+    assert task_qdiff_cylindric(run).witness == {"kind": "operator-g300", "x_exp": 1, "q_exp": 3}
+    monkeypatch.undo()
+    derive = catalog.derive_transfer_system
+
+    def doubled_entry(dfa):
+        transfer = derive(dfa)
+        rows = [list(row) for row in transfer.matrix]
+        rows[1][0] = rows[1][0] + rows[1][0]
+        return dataclasses.replace(transfer, matrix=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(catalog, "derive_transfer_system", doubled_entry)
+    assert task_qdiff_colored(run).witness == {"kind": "operator-d123", "x_exp": 1, "q_exp": 3}
 
 
 @pytest.mark.parametrize("doubled, j", [(0, 1), (2, 2), (4, 1)])
