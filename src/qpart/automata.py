@@ -11,7 +11,7 @@ partitions satisfying the difference conditions; the minimal complete DFA
 recognizing "contains a factor from J" is built by an Aho-Corasick
 construction followed by Hopcroft minimization, and its non-accepting part
 yields a coupled system of q-difference equations in x for the generating
-functions, solved by the shared q-adic solver ``holonomic.solve_shift_system``.
+functions, solved by the shared solver ``holonomic.solve_shift_system``.
 """
 
 from __future__ import annotations
@@ -344,8 +344,9 @@ def derive_transfer_system(dfa: Dfa, pi: dict[str, Partition] = PI, shift: int =
 def solve_language_series(system: TransferSystem, qorder: int) -> dict[int, BiSeries]:
     """Solve the coupled system for all components mod q^qorder.
 
-    The x-shift by q^shift raises the q-order of every nonconstant slice,
-    so the shared q-adic solver converges.
+    The x-shift by q^shift makes slice m of F_v(x q^shift) lag slice m of
+    F_v by q^(shift*m), so each nonconstant slice of the shared solver's
+    sweep has one fixed point.
     """
     equations = {
         u: [(entry, system.shift, v) for entry, v in zip(row, system.states) if not entry.is_zero()]

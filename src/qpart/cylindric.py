@@ -6,7 +6,8 @@ dominate each other cyclically with offsets given by the profile.  Two
 generating functions are tracked per profile: F (weight x^max * q^size)
 and G = (xq; q)_inf * F.  G satisfies a coupled recursion over subsets of
 the profile's support, a linear q-difference system in x over the whole
-orbit of profiles, which ``holonomic.solve_shift_system`` solves at once.
+orbit of profiles, which ``holonomic.solve_shift_system`` solves at once,
+one x-slice at a time.
 """
 
 from __future__ import annotations
@@ -155,8 +156,8 @@ def solve_cw_family(profile: Profile, qorder: int) -> dict[Profile, BiSeries]:
     """Solve the G-recursion for every profile in the orbit at once.
 
     Each child term is sign * (xq; q)_deg * G_child(x q^|J|); every shift
-    is at least 1, so the shared q-adic solver converges, and the constant
-    slice of every G is 1.
+    is at least 1, so each x-slice of the shared solver's sweep has one
+    fixed point, and the constant slice of every G is 1.
     """
     one = LaurentPoly.one(XQ_VARS)
 

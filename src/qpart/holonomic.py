@@ -18,7 +18,8 @@ written order.
 Linear q-difference systems in x (the profile recursion, the automaton
 system) share one layer: ``shift_combination`` forms
 sum coeff(x, q) * F(x q^shift), and ``solve_shift_system`` solves
-F_u = sum coeff * F_v(x q^shift) by q-adic fixed-point iteration.
+F_u = sum coeff * F_v(x q^shift) one x-slice at a time, in increasing
+x-degree, each slice by its own q-adic fixed-point iteration.
 """
 
 from __future__ import annotations
@@ -596,30 +597,6 @@ def sequence_value(term: HypTerm, n: int, q0: Fraction) -> Fraction:
     return Fraction(total, den)
 
 
-def sequence_series(term: HypTerm, n: int, qorder: int) -> QSeries:
-    """f_n as a q-series mod q^qorder (terms with exponent >= qorder vanish)."""
-    acc = QSeries.zero(qorder)
-    if n < 0:
-        return acc
-    inv_cache: dict[tuple[int, int], QSeries] = {}
-
-    def inv(base: int, L: int) -> QSeries:
-        if (base, L) not in inv_cache:
-            inv_cache[(base, L)] = finite_pochhammer(base, L, qorder).invert()
-        return inv_cache[(base, L)]
-
-    for e, lengths, _ in _term_profile(term, n):
-        if e < 0:
-            raise ValueError("negative q-exponent on support")
-        if e >= qorder:
-            continue
-        s = QSeries.monomial(qorder, e)
-        for (coeffs, const, base), L in zip(term.pochs, lengths):
-            s = s * inv(base, L)
-        acc = acc + s
-    return acc
-
-
 def eval_qu_poly(p: LaurentPoly, n: int, q0: Fraction) -> Fraction:
     """Evaluate a (q, u)-polynomial at q = q0, u = q0^n."""
     if p.vars != QU_VARS:
@@ -644,34 +621,6 @@ def recurrence_holds_at_point(
         for j, p in enumerate(plist):
             s += eval_qu_poly(p, n, q0) * values[n - j]
         if s != 0:
-            return False
-    return True
-
-
-def recurrence_holds_series(
-    term: HypTerm, plist: Sequence[LaurentPoly], nmax: int, qorder: int
-) -> bool:
-    """q-series check of the recurrence: all coefficients below the valid
-    order must vanish for every 0 <= n <= nmax."""
-    fs = {m: sequence_series(term, m, qorder) for m in range(-len(plist), nmax + 1)}
-    for n in range(nmax + 1):
-        acc: dict[int, int] = {}
-        minexp = 0
-        for j, p in enumerate(plist):
-            coeffs: dict[int, int] = {}
-            for (eq, eu), c in p.project(QU_VARS).terms.items():
-                e = eq + n * eu
-                coeffs[e] = coeffs.get(e, 0) + c
-                minexp = min(minexp, e)
-            f = fs[n - j]
-            for e, c in coeffs.items():
-                if not c:
-                    continue
-                for i, fc in enumerate(f.coeffs):
-                    if fc:
-                        acc[e + i] = acc.get(e + i, 0) + c * fc
-        bound = qorder + minexp
-        if any(v and e < bound for e, v in acc.items()):
             return False
     return True
 
@@ -830,26 +779,70 @@ def shift_combination(terms: Iterable[tuple[LaurentPoly, int, BiSeries]], qorder
     return acc
 
 
+def _shifted_sum(row: list[int], terms: Iterable[tuple[list[int], int, int]]) -> list[int]:
+    """row + sum of c * q^off * src over the (src, off, c) terms, cut to len(row)."""
+    row = row[:]
+    for src, off, c in terms:
+        row[off:] = [r + c * a for r, a in zip(row[off:], src)]
+    return row
+
+
 def solve_shift_system(equations: dict, qorder: int) -> dict:
     """Solve F_u(x) = sum of coeff(x, q) * F_v(x q^shift) over the
     (coeff, shift, v) terms of equations[u], for every u, mod q^qorder.
 
-    q-adic fixed-point iteration from F = 1: when every shift is positive,
-    slices of positive x-degree gain q-order each pass, so the iteration
-    stabilizes within qorder + 2 passes.
+    The x-slices are filled in increasing order m = 0, 1, 2, ...: a term
+    c x^ex q^eq F_v(x q^shift) adds c q^(eq + shift*(m - ex)) times slice
+    m - ex of F_v to slice m.  The terms with ex >= 1 read slices that are
+    already final and are added once; then slice m is iterated on its own
+    with the same-slice terms (ex = 0), slice 0 from 1 and every higher
+    slice from 0, within qorder + 2 passes.  For m >= 1 a same-slice term
+    with a positive shift lags by at least one q-power, so when every
+    shift-0 coefficient is divisible by x each higher slice has exactly one
+    fixed point, and the result is the limit of the q-adic iteration of
+    the whole system from F = 1 whenever that iteration settles.  The sweep
+    stops once m exceeds the largest x-degree D among the coefficients and
+    the last D slices of every unknown are zero.  A nonzero slice above
+    (qorder + 1) * D, which qorder + 2 passes of the whole-system iteration
+    cannot reach, fails like a slice that does not settle.
     """
     if qorder < 1:
         raise ValueError("qorder must be >= 1")
-    cur = {u: BiSeries.one(qorder) for u in equations}
-    for _ in range(qorder + 2):
-        nxt = {
-            u: shift_combination(((coeff, shift, cur[v]) for coeff, shift, v in terms), qorder)
-            for u, terms in equations.items()
-        }
-        if nxt == cur:
-            return cur
-        cur = nxt
-    raise AssertionError("shift system iteration failed to converge")
+    flat: dict = {u: [] for u in equations}
+    for u, terms in equations.items():
+        for coeff, shift, v in terms:
+            if v not in equations:
+                raise KeyError(v)
+            if shift < 0:
+                raise ValueError("negative x-shift")
+            for (ex, eq), c in coeff.terms.items():
+                if ex < 0 or eq < 0:
+                    raise ValueError("operator coefficients must be polynomial")
+                flat[u].append((v, shift, ex, eq, c))
+    top = max((ex for terms in flat.values() for _, _, ex, _, _ in terms), default=0)
+    sol: dict = {u: [] for u in equations}
+    m = 0
+    while m <= top or any(any(row) for rows in sol.values() for row in rows[m - top:]):
+        lower, same = {}, {}
+        for u, terms in flat.items():
+            here = [(v, ex, off, c) for v, shift, ex, eq, c in terms
+                    if ex <= m and (off := eq + shift * (m - ex)) < qorder]
+            lower[u] = _shifted_sum([0] * qorder, [(sol[v][m - ex], off, c) for v, ex, off, c in here if ex])
+            same[u] = [(v, off, c) for v, ex, off, c in here if not ex]
+        cur = {u: [int(m == 0 and not i) for i in range(qorder)] for u in equations}
+        for _ in range(qorder + 2):
+            nxt = {u: _shifted_sum(row, ((cur[v], off, c) for v, off, c in same[u])) for u, row in lower.items()}
+            if nxt == cur:
+                break
+            cur = nxt
+        else:
+            raise AssertionError("shift system iteration failed to converge")
+        if m > (qorder + 1) * top and any(map(any, cur.values())):
+            raise AssertionError("shift system iteration failed to converge")
+        for u, row in cur.items():
+            sol[u].append(row)
+        m += 1
+    return {u: BiSeries(qorder, {m: QSeries(qorder, row) for m, row in enumerate(rows)}) for u, rows in sol.items()}
 
 
 def apply_qdiff(op: QDiffOperator, s: BiSeries) -> BiSeries:

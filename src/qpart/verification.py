@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
+from importlib.resources import files
 from typing import Iterable
 
 from . import catalog
@@ -48,7 +48,7 @@ from .holonomic import (
 from .laurent import RationalFunction
 from .series import BiSeries, QSeries, pochhammer_expand
 
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_DIR = files("qpart") / "golden"
 
 RECURRENCE_POINTS = (Fraction(2), Fraction(3), Fraction(7, 5))
 

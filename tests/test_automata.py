@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qpart.automata import (
     ALPHABET,
@@ -102,6 +104,34 @@ def test_dfa_run_agrees_with_factor_search():
     dfa = build_avoidance_dfa()
     for word in ("", "abc", "fb", "afba", "ffff", "maei", "md", "hi", "ih", "jj", "aj"):
         assert dfa.accepts_word(word) == word_contains_factor(word)
+
+
+_BUNDLED_DFA = build_avoidance_dfa()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(ALPHABET, max_size=10))
+def test_bundled_dfa_accepts_exactly_the_words_with_a_forbidden_factor(word):
+    assert _BUNDLED_DFA.accepts_word(word) == word_contains_factor(word)
+
+
+@st.composite
+def word_sets_and_words(draw):
+    # factors and words share a few letters so that both answers are common
+    letters = "".join(draw(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=3, unique=True)))
+    words = tuple(draw(st.lists(st.text(letters, min_size=1, max_size=3), min_size=1, max_size=4)))
+    return words, draw(st.lists(st.text(letters + ALPHABET[-1], max_size=8), min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_sets_and_words())
+# "c" ends the prefix "bc" of "bcd": the trie node of "bc" must accept too
+@example((("bcd", "c"), ["bc", "abca", "bcb"]))
+def test_dfa_accepts_exactly_the_words_with_a_factor_from_its_set(case):
+    words, tests = case
+    dfa = build_avoidance_dfa(words)
+    for word in tests:
+        assert dfa.accepts_word(word) == word_contains_factor(word, words), (words, word)
 
 
 def test_transfer_matrix_matches_golden():

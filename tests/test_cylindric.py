@@ -112,6 +112,17 @@ def test_enumeration_matches_recursion_all_profiles():
         assert enumerate_cylindric(profile, n) == g_to_f(fam[profile])
 
 
+@pytest.mark.parametrize("profile, n", (
+    ((2, 0), 14), ((1, 1), 14), ((5, 0), 12), ((4, 0, 0), 12), ((2, 2, 0), 12),
+    ((1, 1, 1, 1), 10), ((2, 1, 1, 0), 10),
+))
+def test_enumeration_matches_recursion_off_the_level_three_orbit(profile, n):
+    # systems of 3 to 35 unknowns, unlike the ten of the (3,0,0) orbit
+    fam = solve_cw_family(profile, n + 1)
+    for p in profile_orbit(profile):
+        assert enumerate_cylindric(p, n) == g_to_f(fam[p]), p
+
+
 def test_rotation_invariance():
     n = 12
     fam = solve_cw_family((3, 0, 0), n)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpart import catalog, serialize
+from qpart import automata, catalog, cylindric, serialize
 from qpart.automata import build_avoidance_dfa, derive_transfer_system, solve_language_series
 from qpart.colored import COND_D123, enumerate_2colored, gen_fun
 from qpart.cylindric import solve_cw_family
@@ -28,15 +28,15 @@ from qpart.holonomic import (
     recurrence_from_certificate,
     recurrence_from_operator,
     recurrence_holds_at_point,
-    recurrence_holds_series,
-    sequence_series,
     sequence_value,
+    shift_combination,
     solve_shift_system,
+    term_support,
     uncouple_system,
     verify_certificate,
 )
 from qpart.laurent import LaurentPoly, RationalFunction
-from qpart.series import BiSeries, QSeries
+from qpart.series import BiSeries, QSeries, finite_pochhammer
 
 QU = ("q", "u")
 XQ = ("x", "q")
@@ -193,6 +193,56 @@ def test_recurrences_annihilate_at_points(name):
     plist = recurrence_from_certificate(catalog.certificate(name))
     for q0 in (Fraction(2), Fraction(7, 5)):
         assert recurrence_holds_at_point(term, plist, 14, q0)
+
+
+def sequence_series(term: HypTerm, n: int, qorder: int) -> QSeries:
+    """f_n as a q-series mod q^qorder (terms with exponent >= qorder vanish)."""
+    acc = QSeries.zero(qorder)
+    inv_cache: dict[tuple[int, int], QSeries] = {}
+
+    def inv(base: int, L: int) -> QSeries:
+        if (base, L) not in inv_cache:
+            inv_cache[(base, L)] = finite_pochhammer(base, L, qorder).invert()
+        return inv_cache[(base, L)]
+
+    for k in term_support(term, n):
+        v = (n, *k)
+        e = term.qexponent(v)
+        if e < 0:
+            raise ValueError("negative q-exponent on support")
+        if e >= qorder:
+            continue
+        s = QSeries.monomial(qorder, e)
+        for (_, _, base), L in zip(term.pochs, term.poch_lengths(v)):
+            s = s * inv(base, L)
+        acc = acc + s
+    return acc
+
+
+def recurrence_holds_series(term: HypTerm, plist, nmax: int, qorder: int) -> bool:
+    """q-series check of the recurrence: all coefficients below the valid
+    order must vanish for every 0 <= n <= nmax."""
+    fs = {m: sequence_series(term, m, qorder) for m in range(-len(plist), nmax + 1)}
+    for n in range(nmax + 1):
+        acc: dict[int, int] = {}
+        minexp = 0
+        for j, p in enumerate(plist):
+            coeffs: dict[int, int] = {}
+            for (eq, eu), c in p.project(QU).terms.items():
+                e = eq + n * eu
+                coeffs[e] = coeffs.get(e, 0) + c
+                minexp = min(minexp, e)
+            f = fs[n - j]
+            for e, c in coeffs.items():
+                if not c:
+                    continue
+                for i, fc in enumerate(f.coeffs):
+                    if fc:
+                        acc[e + i] = acc.get(e + i, 0) + c * fc
+        bound = qorder + minexp
+        if any(v and e < bound for e, v in acc.items()):
+            return False
+    return True
 
 
 @pytest.mark.parametrize("name", catalog.CERTIFICATE_NAMES)
@@ -419,6 +469,97 @@ def test_a_non_contracting_shift_system_does_not_converge():
         solve_shift_system({0: [(growing, 0, 0)]}, 6)
     with pytest.raises(ValueError):
         solve_shift_system({0: [(growing, 1, 0)]}, 0)
+
+
+def _solve_by_whole_series_iteration(equations: dict, qorder: int) -> dict:
+    """The reference solver: q-adic fixed-point iteration of all slices at
+    once from F = 1, within qorder + 2 passes."""
+    if qorder < 1:
+        raise ValueError("qorder must be >= 1")
+    cur = {u: BiSeries.one(qorder) for u in equations}
+    for _ in range(qorder + 2):
+        nxt = {
+            u: shift_combination(((coeff, shift, cur[v]) for coeff, shift, v in terms), qorder)
+            for u, terms in equations.items()
+        }
+        if nxt == cur:
+            return cur
+        cur = nxt
+    raise AssertionError("shift system iteration failed to converge")
+
+
+def _outcome(solver, equations, qorder):
+    try:
+        return solver(equations, qorder)
+    except (AssertionError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def shift_systems(draw):
+    """Systems F_u = sum coeff * F_v(x q^shift) with shifts 1-3 and shift-0
+    terms whose coefficient is divisible by x.  In half of them the only
+    x^0 q^0 coefficients are those of anchor terms F_u(x q^shift) of an
+    unknown whose other coefficients are divisible by x: slice 0 then
+    settles at 1 or 0, and many solutions have nonzero higher slices."""
+    size = draw(st.integers(1, 3))
+    anchored = draw(st.booleans())
+    unknowns = st.integers(0, size - 1)
+
+    def coeff(min_xdeg):
+        keys = st.tuples(st.integers(min_xdeg, 2), st.integers(0, 4))
+        if anchored:
+            keys = keys.filter(lambda k: k != (0, 0))
+        return LaurentPoly(XQ, draw(st.dictionaries(keys, st.integers(-3, 3), min_size=1, max_size=4)))
+
+    equations = {}
+    for u in range(size):
+        anchor = anchored and draw(st.booleans())
+        terms = [(coeff(int(anchor)), draw(st.integers(1, 3)), draw(unknowns))
+                 for _ in range(draw(st.integers(0, 3)))]
+        terms += [(coeff(1), 0, draw(unknowns)) for _ in range(draw(st.integers(0, 2)))]
+        if anchor:
+            terms.append((LaurentPoly.one(XQ), draw(st.integers(1, 3)), u))
+        equations[u] = terms
+    return equations, draw(st.integers(1, 12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(shift_systems())
+def test_slice_sweep_matches_whole_series_iteration(case):
+    equations, qorder = case
+    new = _outcome(solve_shift_system, equations, qorder)
+    old = _outcome(_solve_by_whole_series_iteration, equations, qorder)
+    if old is AssertionError and isinstance(new, dict):
+        # a shift-0 term can keep the whole-series iterates from settling
+        # (F = x F(x) runs 1, x, x^2, ...) where every slice has one fixed
+        # point (here 0): the sweep's answer must then solve the system
+        assert new == {
+            u: shift_combination(((coeff, shift, new[v]) for coeff, shift, v in terms), qorder)
+            for u, terms in equations.items()
+        }
+    else:
+        assert new == old
+
+
+@pytest.mark.parametrize("qorder", (1, 2, 7, 20))
+def test_slice_sweep_matches_whole_series_iteration_on_the_bundled_systems(qorder, monkeypatch):
+    fam = solve_cw_family((3, 0, 0), qorder)
+    language = solve_language_series(derive_transfer_system(build_avoidance_dfa()), qorder)
+    monkeypatch.setattr(cylindric, "solve_shift_system", _solve_by_whole_series_iteration)
+    monkeypatch.setattr(automata, "solve_shift_system", _solve_by_whole_series_iteration)
+    assert fam == solve_cw_family((3, 0, 0), qorder)
+    assert language == solve_language_series(derive_transfer_system(build_avoidance_dfa()), qorder)
+
+
+def test_shift_system_edge_cases():
+    one = LaurentPoly.one(XQ)
+    # F = F(x) is solved by the start value
+    assert solve_shift_system({0: [(one, 0, 0)]}, 5) == {0: BiSeries.one(5)}
+    with pytest.raises(ValueError):
+        solve_shift_system({0: [(LaurentPoly(XQ, {(0, -1): 1}), 1, 0)]}, 5)
+    with pytest.raises(ValueError):
+        solve_shift_system({0: [(LaurentPoly(XQ, {(-1, 0): 1}), 1, 0)]}, 5)
 
 
 @st.composite

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -182,3 +183,24 @@ def test_verify_all_passes_from_a_copied_package(tmp_path):
                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
     assert out.returncode == 0, out.stderr
     assert sum(line.startswith("PASS ") for line in out.stderr.splitlines()) == 20
+
+
+def test_golden_files_are_read_from_a_zipped_package(tmp_path):
+    # a package imported from a zip has no directory to open the golden files in
+    src = Path(__file__).resolve().parent.parent / "src" / "qpart"
+    archive = tmp_path / "qpart.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in sorted(src.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, Path("qpart") / path.relative_to(src))
+    script = (
+        "from qpart import verification as v\n"
+        "assert v.__file__.startswith(%r), v.__file__\n"
+        "run = v.VerificationRun(10)\n"
+        "print(v.task_dfa_table(run).status, v.task_transfer_matrix(run).status)\n" % str(archive)
+    )
+    env = dict(os.environ, PYTHONPATH=str(archive))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                         cwd=tmp_path, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["pass", "pass"]
