@@ -9,8 +9,8 @@ p-slots are monomials in (q, u) times N^j, and C_i-slots are monomials in
 (q, u, v) times shift monomials N^j K^sigma.  Applying a slot to the term
 and dividing by it is a rational function, so annihilation becomes an
 exact linear system with integer entries (one row per monomial of the
-cleared numerators); any kernel vector with p_0 != 0 yields a
-certificate.
+cleared numerators, each monomial's exponent vector packed into one int
+by a mixed radix); any kernel vector with p_0 != 0 yields a certificate.
 
 The system is eliminated once, fraction-free over Z, with the p_0 slots
 as the last columns.  Each pivot row takes its least column as pivot;
@@ -18,14 +18,17 @@ then the pivot columns are the least columns of the row space, whatever
 order the rows are eliminated in.  That makes the search a decision: if
 every p_0 column is a pivot, their pivot rows hold only p_0 columns and
 form a triangular system that forces p_0 = 0, and if some p_0 column is
-free, its kernel vector is 1 there.  The certificate returned is the
-kernel vector of the first free p_0 column, primitive and positive at
-its greatest slot in sorted slot order, checked by
+free, its kernel vector is 1 there.  The elimination stops as soon as
+every p_0 column is a pivot: more rows only add least columns to the row
+space, so the answer "none" is settled then.  The certificate returned
+is the kernel vector of the first free p_0 column, primitive and
+positive at its greatest slot in sorted slot order, checked by
 ``verify_certificate``.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd
@@ -55,7 +58,15 @@ def default_support(
     q_range: tuple[int, int] = (-2, 2),
     v_ranges: Sequence[tuple[int, int]] = ((0, 0), (0, 0), (0, 0)),
 ) -> list[Slot]:
-    """Enumerate ansatz slots from degree bounds."""
+    """Enumerate ansatz slots from degree bounds.
+
+    An empty degree range or a negative shift bound would leave a box
+    with no p-slots or no C-slots, whose "none found" says nothing.
+    """
+    if any(lo > hi for lo, hi in (u_range, q_range, *v_ranges)):
+        raise ValueError("the degree ranges must not be empty")
+    if any(b < 0 for b in kbox):
+        raise ValueError("the shift box must be >= 0")
     out: list[Slot] = []
     for j in range(order + 1):
         for eu in range(u_range[0], u_range[1] + 1):
@@ -88,59 +99,97 @@ def support_of(cert: CertificateSet) -> list[Slot]:
     return sorted(slots)
 
 
-def _slot_shifts(slot: Slot) -> list[Shift]:
-    fam, j, sigma, _ = slot
+def _slot_parts(slot: Slot) -> list[tuple[Shift, tuple[int, ...]]]:
+    """The (shift, monomial) of each part of a slot.
+
+    A p-slot has one part.  A C_i-slot also has the part of the shift
+    bumped in N or K_i, which is subtracted; its monomial has the
+    q-exponent lowered by the v_i-exponent (the twist v_i -> v_i q^-1).
+    """
+    fam, j, sigma, exps = slot
     base = (j, *sigma)
     if fam == "p":
-        return [base]
+        return [(base, exps)]
     k = FAMILIES.index(fam)
-    bumped = tuple(x + (1 if i == k else 0) for i, x in enumerate(base))
-    return [base, bumped]
+    bumped = tuple(x + (i == k) for i, x in enumerate(base))
+    return [(base, exps), (bumped, (exps[0] - exps[1 + k], *exps[1:]))]
 
 
-def _slot_column(slot: Slot, cleared) -> dict[tuple[int, ...], int]:
-    """The cleared contribution of a unit coefficient in this slot.
+def _packed_ratios(term: HypTerm, slots: list[Slot]) -> tuple[dict[Shift, dict[int, int]], tuple[int, ...]]:
+    """The cleared ratios of the slots' shifts keyed by packed exponent,
+    and the place values of the packing.
 
-    Each part is the cleared ratio of one shift times a monomial, so the
-    column is built by adding exponent vectors: ``exps`` for the base shift
-    and, for a C_i-slot, ``exps`` with the q-exponent lowered by the
-    v_i-exponent (the twist v_i -> v_i q^-1) for the bumped shift, whose
-    part is subtracted.
+    A mixed radix packs each exponent vector e of the system into one int,
+    sum_k e_k * place_k.  Every exponent of a column is a cleared ratio's
+    exponent plus a part's monomial, so coordinate k lies in a window of
+    width (span of the ratios) + (span of the monomials), and radix k is
+    that width.  On such a box the packing is one-to-one, and it is
+    linear, so the packed column of a part is the packed ratio with every
+    key offset by the packed monomial.
     """
-    fam, _, _, exps = slot
-    x0, x1, x2, x3, x4 = exps
-    shifts = _slot_shifts(slot)
-    col = {
-        (a + x0, b + x1, c + x2, d + x3, e + x4): v
-        for (a, b, c, d, e), v in cleared[shifts[0]].terms.items()
-    }
-    if len(shifts) > 1:
-        x0 -= exps[1 + FAMILIES.index(fam)]
-        for (a, b, c, d, e), v in cleared[shifts[1]].terms.items():
-            key = (a + x0, b + x1, c + x2, d + x3, e + x4)
+    parts = [part for slot in slots for part in _slot_parts(slot)]
+    cleared = cleared_ratios(term, sorted({sh for sh, _ in parts}))
+    ratio_exps = [e for poly in cleared.values() for e in poly.terms]
+    places = []
+    place = 1
+    for k in range(len(TERM_VARS)):
+        ratio_k = [e[k] for e in ratio_exps]
+        mono_k = [x[k] for _, x in parts]
+        places.append(place)
+        place *= max(ratio_k) - min(ratio_k) + max(mono_k) - min(mono_k) + 1
+    packed = {sh: {_pack(e, places): v for e, v in poly.terms.items()} for sh, poly in cleared.items()}
+    return packed, tuple(places)
+
+
+def _pack(exps: tuple[int, ...], places: tuple[int, ...]) -> int:
+    return sum(e * p for e, p in zip(exps, places))
+
+
+def _slot_column(slot: Slot, packed: dict[Shift, dict[int, int]], places: tuple[int, ...]) -> dict[int, int]:
+    """The cleared contribution of a unit coefficient in this slot, keyed
+    by packed exponent: each part's packed ratio with every key offset by
+    the packed monomial, the bumped part of a C_i-slot subtracted."""
+    (shift, mono), *bumped = _slot_parts(slot)
+    off = _pack(mono, places)
+    col = {key + off: v for key, v in packed[shift].items()}
+    for shift, mono in bumped:
+        off = _pack(mono, places)
+        for key, v in packed[shift].items():
+            key += off
             col[key] = col.get(key, 0) - v
         if not all(col.values()):
             col = {key: v for key, v in col.items() if v}
     return col
 
 
-def _eliminate(columns: list[dict[tuple[int, ...], int]]) -> dict[int, dict[int, int]]:
+def _eliminate(columns: list[dict], decide_from: int | None = None) -> dict[int, dict[int, int]]:
     """Pivot rows of sum_i x_i * columns_i = 0, keyed by pivot column.
 
-    Fraction-free elimination over Z: each row (one exponent of the
-    columns, shortest rows first) is reduced in place against the pivot
-    rows, taking the hits in increasing column order from a heap.  A
-    reduced row that is not zero becomes the pivot row of its least column,
-    divided by its content with the sign that makes that entry positive.
-    A pivot row is zero on the pivot columns made before it and has no
-    entry before its pivot, so the pivots are the least columns of the row
-    space whatever the order of rows and hits.
+    Fraction-free elimination over Z: each row (one key of the columns,
+    shortest rows first) is reduced in place against the pivot rows,
+    taking the hits in increasing column order from a heap.  A reduced row
+    that is not zero becomes the pivot row of its least column, divided by
+    its content with the sign that makes that entry positive.  A pivot row
+    is zero on the pivot columns made before it and has no entry before
+    its pivot, so the pivots are the least columns of the row space of the
+    rows seen so far, whatever the order of rows and hits.
+
+    With ``decide_from``, the elimination stops as soon as every column
+    from that index on is a pivot.  A larger row space only adds least
+    columns, so those columns stay pivots of the whole system, and their
+    pivot rows, which hold only columns from ``decide_from`` on, force them
+    to 0 in every kernel vector.  The rows returned then span only part of
+    the system; whether a column from ``decide_from`` on is free is still
+    decided exactly, and if one is, the elimination runs to the end.
     """
-    rows: dict[tuple[int, ...], dict[int, int]] = {}
+    rows: defaultdict = defaultdict(dict)
     for i, col in enumerate(columns):
         for e, c in col.items():
-            rows.setdefault(e, {})[i] = c
+            rows[e][i] = c
     pivots: dict[int, dict[int, int]] = {}
+    if decide_from is None:
+        decide_from = len(columns)
+    undecided = len(columns) - decide_from
     for row in sorted(rows.values(), key=len):
         hits = [i for i in row if i in pivots]
         heapify(hits)
@@ -176,6 +225,10 @@ def _eliminate(columns: list[dict[tuple[int, ...], int]]) -> dict[int, dict[int,
                 for i in row:
                     row[i] //= g
             pivots[piv] = row
+            if piv >= decide_from:
+                undecided -= 1
+                if not undecided:
+                    break
     return pivots
 
 
@@ -228,9 +281,10 @@ def celine_solve(
 ) -> CertificateSet | None:
     """Search for a certificate of the given order within the support.
 
-    The p_0 slots are put last and the system is eliminated once.  A
-    kernel vector with p_0 != 0 exists exactly when some p_0 column is
-    free, so None is a proof that the support holds no certificate.
+    The p_0 slots are put last and the system is eliminated once, until
+    every p_0 column is a pivot.  A kernel vector with p_0 != 0 exists
+    exactly when some p_0 column is free, so None is a proof that the
+    support holds no certificate; a support without p_0 slots holds none.
     Otherwise the kernel vector of the first free p_0 column, primitive
     and positive at its greatest slot in sorted slot order, is verified
     exactly and returned.
@@ -240,12 +294,12 @@ def celine_solve(
     slots = support if support is not None else default_support(order, nsum=term.nsum, **bound_kwargs)
     # a repeated p_0 slot would be a free p_0 column whose vector cancels
     slots = sorted((s for s in dict.fromkeys(slots) if s[1] <= order), key=_is_p0)
-    if not slots:
+    first_p0 = next((i for i, slot in enumerate(slots) if _is_p0(slot)), None)
+    if first_p0 is None:
         return None
-    shifts = sorted({sh for slot in slots for sh in _slot_shifts(slot)})
-    cleared = cleared_ratios(term, shifts)
-    pivots = _eliminate([_slot_column(slot, cleared) for slot in slots])
-    free = next((i for i, slot in enumerate(slots) if _is_p0(slot) and i not in pivots), None)
+    packed, places = _packed_ratios(term, slots)
+    pivots = _eliminate([_slot_column(slot, packed, places) for slot in slots], first_p0)
+    free = next((i for i in range(first_p0, len(slots)) if i not in pivots), None)
     if free is None:
         return None
     ints = _kernel_vector(pivots, free)

@@ -797,10 +797,13 @@ def solve_shift_system(equations: dict, qorder: int) -> dict:
     already final and are added once; then slice m is iterated on its own
     with the same-slice terms (ex = 0), slice 0 from 1 and every higher
     slice from 0, within qorder + 2 passes.  For m >= 1 a same-slice term
-    with a positive shift lags by at least one q-power, so when every
-    shift-0 coefficient is divisible by x each higher slice has exactly one
+    lags by at least one q-power unless it is the x^0 q^0 term of a shift-0
+    coefficient.  Without such terms each higher slice has exactly one
     fixed point, and the result is the limit of the q-adic iteration of
-    the whole system from F = 1 whenever that iteration settles.  The sweep
+    the whole system from F = 1 whenever that iteration settles.  With one,
+    a higher slice can have many (F0 = F0 + x F1(x) leaves slice 1 of F0
+    free), so a slice m >= 1 that settles with such a term raises
+    ValueError instead of returning one of them.  The sweep
     stops once m exceeds the largest x-degree D among the coefficients and
     the last D slices of every unknown are zero.  A nonzero slice above
     (qorder + 1) * D, which qorder + 2 passes of the whole-system iteration
@@ -837,6 +840,8 @@ def solve_shift_system(equations: dict, qorder: int) -> dict:
             cur = nxt
         else:
             raise AssertionError("shift system iteration failed to converge")
+        if m and any(not off for terms in same.values() for _, off, _ in terms):
+            raise ValueError("a shift-0 coefficient with an x^0 q^0 term leaves an x-slice not unique")
         if m > (qorder + 1) * top and any(map(any, cur.values())):
             raise AssertionError("shift system iteration failed to converge")
         for u, row in cur.items():

@@ -8,10 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpart import catalog, serialize
-from qpart.celine import _eliminate, _kernel_vector, celine_solve, default_support, support_of
+from qpart import catalog, celine, serialize
+from qpart.celine import (
+    FAMILIES,
+    _eliminate,
+    _kernel_vector,
+    _packed_ratios,
+    _slot_column,
+    celine_solve,
+    default_support,
+    support_of,
+)
 from qpart.holonomic import (
     HypTerm,
+    cleared_ratios,
     recurrence_from_certificate,
     recurrence_holds_at_point,
     verify_certificate,
@@ -121,6 +131,87 @@ def test_box_with_the_printed_support_finds_a_certificate():
     assert hashlib.sha256(text.encode()).hexdigest() == REDERIVED_SHA256["g111"]
 
 
+def _default_box():
+    # the CLI's default box at order 3, which is also the benchmark's g111 box
+    return default_support(3, nsum=3, kbox=(1, 1, 1), u_range=(0, 3), q_range=(-3, 3))
+
+
+def test_a_vacuous_box_is_rejected():
+    for bounds in ({"u_range": (0, -1)}, {"q_range": (1, 0)}, {"kbox": (1, -1, 1)},
+                   {"v_ranges": ((0, 0), (1, 0), (0, 0))}):
+        with pytest.raises(ValueError):
+            default_support(3, **bounds)
+    # no summation variable: a box of p-slots only is not vacuous
+    assert len(default_support(1, nsum=0, u_range=(0, 0), q_range=(0, 0))) == 2
+
+
+def test_a_support_without_p0_slots_is_decided_before_any_ratio_is_cleared(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cleared a ratio")
+
+    monkeypatch.setattr(celine, "cleared_ratios", refuse)
+    term = catalog.certificate_term("g111")
+    support = [slot for slot in _default_box() if slot[:2] != ("p", 0)]
+    assert celine_solve(term, 3, support=support) is None
+    assert celine_solve(term, 3, support=[]) is None
+
+
+def _tuple_column(slot, cleared):
+    """The column builder that the packed one replaced, kept as a
+    reference: exponent tuples as keys, tuples built per entry."""
+    fam, j, sigma, exps = slot
+    x0, x1, x2, x3, x4 = exps
+    base = (j, *sigma)
+    col = {(a + x0, b + x1, c + x2, d + x3, e + x4): v for (a, b, c, d, e), v in cleared[base].terms.items()}
+    if fam != "p":
+        k = FAMILIES.index(fam)
+        bumped = tuple(x + (i == k) for i, x in enumerate(base))
+        x0 -= exps[1 + k]
+        for (a, b, c, d, e), v in cleared[bumped].terms.items():
+            key = (a + x0, b + x1, c + x2, d + x3, e + x4)
+            col[key] = col.get(key, 0) - v
+        col = {key: v for key, v in col.items() if v}
+    return col
+
+
+def _slot_shifts(slot):
+    fam, j, sigma, _ = slot
+    base = (j, *sigma)
+    if fam == "p":
+        return [base]
+    k = FAMILIES.index(fam)
+    return [base, tuple(x + (i == k) for i, x in enumerate(base))]
+
+
+def _unpack(key, lows, places):
+    rest = key - sum(lo * p for lo, p in zip(lows, places))
+    out = []
+    for k, place in enumerate(places):
+        digit = rest // place
+        if k + 1 < len(places):
+            digit %= places[k + 1] // place
+        out.append(lows[k] + digit)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name,support", [
+    ("g111", _default_box),
+    ("g300", _default_box),
+    *((name, lambda name=name: support_of(catalog.certificate(name))) for name in catalog.CERTIFICATE_NAMES),
+], ids=["g111-box", "g300-box", *(f"{name}-printed" for name in catalog.CERTIFICATE_NAMES)])
+def test_packed_columns_unpack_to_the_tuple_keyed_columns(name, support):
+    term = catalog.certificate_term(name)
+    slots = support()
+    cleared = cleared_ratios(term, sorted({sh for slot in slots for sh in _slot_shifts(slot)}))
+    reference = [_tuple_column(slot, cleared) for slot in slots]
+    lows = tuple(min(key[k] for col in reference for key in col) for k in range(5))
+    packed, places = _packed_ratios(term, slots)
+    for slot, ref in zip(slots, reference):
+        col = _slot_column(slot, packed, places)
+        assert list(col.values()) == list(ref.values())
+        assert [_unpack(key, lows, places) for key in col] == list(ref)
+
+
 def _fraction_nullspace(columns):
     """The elimination over Fraction that the integer one replaced, kept
     as an oracle: same rows, same row order, same least-column pivots."""
@@ -225,3 +316,10 @@ def test_a_trailing_block_has_a_free_column_iff_the_kernel_reaches_it(columns, d
     pivots = _eliminate(columns)
     oracle = _fraction_nullspace(columns)
     assert any(i not in pivots for i in block) == any(sol.get(i) for sol in oracle for i in block)
+    # stopping once every column of the block is a pivot decides the same;
+    # if a block column is free the elimination runs to the end
+    early = _eliminate(columns, block.start)
+    assert set(early) <= set(pivots)
+    assert any(i not in early for i in block) == any(i not in pivots for i in block)
+    if any(i not in pivots for i in block):
+        assert early == pivots

@@ -562,6 +562,17 @@ def test_shift_system_edge_cases():
         solve_shift_system({0: [(LaurentPoly(XQ, {(-1, 0): 1}), 1, 0)]}, 5)
 
 
+def test_a_higher_slice_without_a_unique_solution_is_rejected():
+    # F0 = F0(x) + x F1(x), F1 = q F1(xq): slice 1 of F0 is free (the
+    # whole-series iteration settles at 1/(1 - q) there, the sweep at 0)
+    x = LaurentPoly(XQ, {(1, 0): 1})
+    q = LaurentPoly(XQ, {(0, 1): 1})
+    system = {0: [(LaurentPoly.one(XQ), 0, 0), (x, 0, 1)], 1: [(q, 1, 1)]}
+    with pytest.raises(ValueError, match="unique"):
+        solve_shift_system(system, 6)
+    assert _solve_by_whole_series_iteration(system, 6)[0].slices[1] == QSeries(6, [1] * 6)
+
+
 @st.composite
 def poly_and_series(draw):
     qorder = draw(st.integers(1, 9))

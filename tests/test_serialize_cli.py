@@ -166,10 +166,15 @@ def test_emit_unknown_target_is_an_error():
     ["cylindric", "--profile", "1,1,1", "--qorder", "5", "--enumerate"],
     ["emit", "--target", "d123-series", "--format", "dot"],
     ["emit", "--target", "dfa", "--format", "csv"],
+    # an empty degree range or a negative shift box would decide a vacuous box
+    ["celine", "--name", "g111", "--order", "3", "--deg", "-1"],
+    ["celine", "--name", "g111", "--order", "3", "--qdeg", "-1"],
+    ["celine", "--name", "g111", "--order", "3", "--kbox", "-1"],
 ], ids=["zero-profile", "series-qorder-0", "unknown-condition", "verify-all-nmax-negative",
         "certify-recurrence-check-negative", "celine-term-with-printed-support", "certify-no-term",
         "celine-no-term", "certify-term-without-cert", "certify-name-and-term", "celine-name-and-term",
-        "cylindric-enumerate-without-stat-f", "emit-series-as-dot", "emit-dfa-as-csv"])
+        "cylindric-enumerate-without-stat-f", "emit-series-as-dot", "emit-dfa-as-csv",
+        "celine-empty-u-range", "celine-empty-q-range", "celine-negative-kbox"])
 def test_bad_input_is_a_one_line_error(argv):
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""
