@@ -58,12 +58,6 @@ FORBIDDEN_WORDS: tuple[str, ...] = (
 )
 
 
-def letter_weight(letter: str) -> tuple[int, int]:
-    """(length, size) of the block image of a letter."""
-    img = PI[letter]
-    return len(img), sum(m for m, _ in img)
-
-
 class NotEncodable(ValueError):
     """Raised when a partition's blocks do not match the letter images."""
 
@@ -104,10 +98,6 @@ def encode(parts: Partition) -> str:
     return "".join(word)
 
 
-def word_contains_factor(word: str, factors: tuple[str, ...] = FORBIDDEN_WORDS) -> bool:
-    return any(f in word for f in factors)
-
-
 # ----------------------------------------------------------------------
 # DFA
 
@@ -121,18 +111,6 @@ class Dfa:
     delta: tuple[tuple[int, ...], ...]  # delta[state][letter_index]
     start: int
     accepts: frozenset[int]
-
-    def step(self, state: int, letter: str) -> int:
-        return self.delta[state][self.alphabet.index(letter)]
-
-    def run(self, word: str) -> int:
-        s = self.start
-        for ch in word:
-            s = self.delta[s][self.alphabet.index(ch)]
-        return s
-
-    def accepts_word(self, word: str) -> bool:
-        return self.run(word) in self.accepts
 
     def to_json(self) -> dict:
         return {

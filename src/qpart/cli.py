@@ -20,8 +20,8 @@ from .colored import enumerate_2colored, gen_fun, size
 from .cylindric import enumerate_cylindric, g_to_f, solve_cw_family
 from .holonomic import (
     HypTerm,
+    first_recurrence_failure,
     recurrence_from_certificate,
-    recurrence_holds_at_point,
     uncouple_system,
     verify_certificate,
 )
@@ -29,6 +29,9 @@ from .series import BiSeries
 from .verification import RECURRENCE_POINTS, verify_all
 
 CONDS = {"d123": ("D1", "D2", "D3"), "d1234": ("D1", "D2", "D3", "D4")}
+
+#: the box of a bounds search when its flags are not given
+BOX_DEFAULTS = {"--deg": 3, "--qdeg": 3, "--kbox": 1}
 
 
 def _write(text: str, out: str | None) -> None:
@@ -141,28 +144,26 @@ def cmd_certify(args) -> int:
         plist = recurrence_from_certificate(cert)
         report["recurrence_nmax"] = args.recurrence_check
         report["recurrence_points"] = [str(q0) for q0 in RECURRENCE_POINTS]
-        report["recurrence_ok"] = all(
-            recurrence_holds_at_point(term, plist, args.recurrence_check, q0)
-            for q0 in RECURRENCE_POINTS
-        )
+        failure = first_recurrence_failure(term, plist, args.recurrence_check, RECURRENCE_POINTS)
+        report["recurrence_ok"] = failure is None
     _write(serialize.dumps(report), args.out)
     return 0 if res.ok and report.get("recurrence_ok", True) else 1
 
 
 def cmd_celine(args) -> int:
-    if args.support == "printed" and args.name is None:
-        raise ValueError("--support printed needs --name: a --term file has no printed support")
+    box = {"--deg": args.deg, "--qdeg": args.qdeg, "--kbox": args.kbox}
+    if args.support == "printed":
+        if args.name is None:
+            raise ValueError("--support printed needs --name: a --term file has no printed support")
+        if given := [flag for flag, value in box.items() if value is not None]:
+            raise ValueError(f"--support printed searches no box: drop {', '.join(given)}")
     term = _load_term(args)
     if args.support == "printed":
         support = support_of(catalog.certificate(args.name))
     else:
-        support = default_support(
-            args.order,
-            nsum=term.nsum,
-            kbox=tuple([args.kbox] * 3),
-            u_range=(0, args.deg),
-            q_range=(-args.qdeg, args.qdeg),
-        )
+        deg, qdeg, kbox = (BOX_DEFAULTS[flag] if value is None else value for flag, value in box.items())
+        support = default_support(args.order, nsum=term.nsum, kbox=(kbox,) * 3,
+                                  u_range=(0, deg), q_range=(-qdeg, qdeg))
     cert = celine_solve(term, args.order, support=support)
     if cert is None:
         _write(serialize.dumps({"found": False}), args.out)
@@ -280,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--term", help="HypTerm JSON file")
     p.add_argument("--name", choices=catalog.CERTIFICATE_NAMES)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--deg", type=int, default=3, help="u-degree bound")
-    p.add_argument("--qdeg", type=int, default=3, help="q-degree bound")
-    p.add_argument("--kbox", type=int, default=1, help="shift box per summation variable")
+    p.add_argument("--deg", type=int, help="u-degree bound (default 3)")
+    p.add_argument("--qdeg", type=int, help="q-degree bound (default 3)")
+    p.add_argument("--kbox", type=int, help="shift box per summation variable (default 1)")
     p.add_argument("--support", choices=("bounds", "printed"), default="bounds")
     p.add_argument("--out")
     p.set_defaults(func=cmd_celine)

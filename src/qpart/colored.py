@@ -158,15 +158,6 @@ COND_D123 = frozenset({"D1", "D2", "D3"})
 COND_D1234 = frozenset({"D1", "D2", "D3", "D4"})
 
 
-def contains_pattern(parts: Sequence[Part], pattern: Sequence[Part]) -> bool:
-    """True iff ``pattern`` occurs as a contiguous factor of ``parts``."""
-    if not pattern:
-        raise ValueError("pattern must be nonempty")
-    lp, lq = len(parts), len(pattern)
-    pat = tuple(pattern)
-    return any(tuple(parts[i : i + lq]) == pat for i in range(lp - lq + 1))
-
-
 # ----------------------------------------------------------------------
 # forbidden-pattern families
 #
@@ -244,18 +235,6 @@ def family_windows(k: int) -> list[Partition]:
             ((3 * k + 5, MINUS), (3 * k + 4, PLUS), (3 * k + 2, PLUS), (3 * k + 1, MINUS)),
         ]
     return wins
-
-
-def violates_by_pattern_matching(parts: Sequence[Part]) -> bool:
-    """Reference implementation of the family test via contains_pattern."""
-    if not parts:
-        return False
-    kmax = max(p[0] for p in parts) + 1
-    for k in range(kmax + 1):
-        for w in family_windows(k):
-            if len(w) <= len(parts) and contains_pattern(parts, w):
-                return True
-    return False
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .holonomic import XQ_VARS, solve_shift_system
 from .laurent import LaurentPoly
-from .series import BiSeries, QSeries, xq_pochhammer, inv_xq_pochhammer
+from .series import BiSeries, QSeries, inv_xq_pochhammer
 
 Profile = tuple[int, ...]
 Rows = tuple[tuple[int, ...], ...]
@@ -177,8 +177,3 @@ def solve_cw_family(profile: Profile, qorder: int) -> dict[Profile, BiSeries]:
 def g_to_f(g: BiSeries) -> BiSeries:
     """Divide by (xq; q)_inf, recovering F from G."""
     return g * inv_xq_pochhammer(g.qorder)
-
-
-def f_to_g(f: BiSeries) -> BiSeries:
-    """Multiply by (xq; q)_inf, producing G from F."""
-    return f * xq_pochhammer(f.qorder)

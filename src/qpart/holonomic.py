@@ -27,9 +27,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul
-from typing import Iterable, Sequence
+from math import prod
+from operator import add, mul
+from typing import Iterable, NamedTuple, Sequence
 
 from .laurent import LaurentPoly, RationalFunction, poly_gcd
 from .series import BiSeries, QSeries, finite_pochhammer
@@ -40,7 +40,7 @@ XQ_VARS = ("x", "q")
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _check_form(quad2: Sequence[Sequence[int]], lin: Sequence[int], dim: int) -> None:
@@ -481,52 +481,107 @@ def term_support(term: HypTerm, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-_SUPPORT_CACHE: dict[tuple, list] = {}
+class _Profile(NamedTuple):
+    """The part of ``sequence_value`` at one (term, n) that does not depend on q0."""
+
+    rows: list[tuple]  # see _term_profile
+    tops: tuple[int, ...]  # the largest length of each Pochhammer symbol
+    erange: tuple[int, int]  # least and largest e
+    brange: tuple[int, int]  # least and largest beta
 
 
-def _term_profile(term: HypTerm, n: int) -> list[tuple[int, tuple[int, ...], bool]]:
-    """Cached (q-exponent, Pochhammer lengths, stepped) over the support.
+def _term_profile(term: HypTerm, n: int) -> _Profile | None:
+    """The q0-free part of ``sequence_value`` at (term, n); None on an empty support.
 
-    ``stepped`` marks a point that follows the previous one by k_r + 1.
-    Along such runs the exponent and the lengths are stepped by their
-    differences in k_r; only the first point of a run is evaluated in full.
+    One row per support point, in ``term_support`` order: the q-exponent e,
+    beta = -e + sum_i m_i L_i(L_i+1)/2, the Pochhammer lengths L_i, and,
+    for a point stepped from a reference point, the reference's lengths and
+    de and dbeta from it, each split as (up, down) = (max(x, 0), max(-x, 0)),
+    and whether it steps along k_r.  The reference is the previous point if
+    this one follows it by k_r + 1; else it is the start of the previous
+    run of k_r if this one follows that by k_(r-1) + 1 (a jump); else the
+    row is evaluated in full.  The lengths step by their coefficients of k_r
+    or k_(r-1), and de and dbeta by constants.
     """
-    key = (term, n)
-    if key not in _SUPPORT_CACHE:
-        rows: list[tuple[int, tuple[int, ...], bool]] = []
-        last = term.nsum
-        step = tuple(c[last] for c, _, _ in term.pochs)
-        diag = term.quad2[last][last]
-        prev: tuple[int, ...] | None = None
-        for k in term_support(term, n):
-            stepped = prev is not None and k[:-1] == prev[:-1]
-            if stepped:
-                # Q(v + e_r) - Q(v) = (quad2 v)_r + quad2_rr / 2 + lin_r
-                e += d
-                d += diag
-                lengths = tuple(L + c for L, c in zip(lengths, step))
+    support = term_support(term, n)
+    if not support:
+        return None
+    r, q2 = term.nsum, term.quad2
+    bases = [m for _, _, m in term.pochs]
+    steps, jumps = (tuple(c[j] for c, _, _ in term.pochs) for j in (r, r - 1))
+    curve = sum(m * c * c for m, c in zip(bases, steps)) - q2[r][r]  # the step of dbeta along k_r
+
+    def dbeta(lengths, col, de):
+        """beta at lengths + col less beta at lengths, when e moves by de."""
+        return sum(m * (c * L + c * (c + 1) // 2) for m, c, L in zip(bases, col, lengths)) - de
+
+    rows: list[tuple] = []
+    prev = start = None  # start: the last run start's k, e, beta, lengths, de along k_r and k_(r-1)
+    for k in support:
+        if prev is not None and k[:-1] == prev[:-1]:
+            plengths, lengths = lengths, tuple(map(add, lengths, steps))
+            e, beta = e + d, beta + g
+            rows.append((e, beta, lengths, plengths, max(d, 0), max(-d, 0), max(g, 0), max(-g, 0), True))
+            d, g = d + q2[r][r], g + curve
+        else:
+            if r > 1 and start and k[-1] == start[0][-1] and k[-2] == start[0][-2] + 1 and k[:-2] == start[0][:-2]:
+                _, se, sbeta, slengths, sd, sd2 = start
+                g2 = dbeta(slengths, jumps, sd2)
+                e, beta, lengths = se + sd2, sbeta + g2, tuple(map(add, slengths, jumps))
+                d, d2 = sd + q2[r][r - 1], sd2 + q2[r - 1][r - 1]
+                rows.append((e, beta, lengths, slengths, max(sd2, 0), max(-sd2, 0), max(g2, 0), max(-g2, 0), False))
             else:
                 v = (n, *k)
-                e = term.qexponent(v)
-                d = _dot(term.quad2[last], v) + diag // 2 + term.lin[last]
-                lengths = tuple(term.poch_lengths(v))
-            rows.append((e, lengths, stepped))
-            prev = k
-        _SUPPORT_CACHE[key] = rows
-    return _SUPPORT_CACHE[key]
+                e, lengths = term.qexponent(v), tuple(term.poch_lengths(v))
+                beta = sum(m * L * (L + 1) for m, L in zip(bases, lengths)) // 2 - e
+                # Q(v + e_j) - Q(v) = (quad2 v)_j + quad2_jj / 2 + lin_j
+                d, d2 = (_dot(q2[j], v) + q2[j][j] // 2 + term.lin[j] for j in (r, r - 1))
+                rows.append((e, beta, lengths, None, 0, 0, 0, 0, False))
+            g = dbeta(lengths, steps, d)
+            start = (k, e, beta, lengths, d, d2)
+        prev = k
+    es, betas = [row[0] for row in rows], [row[1] for row in rows]
+    tops = tuple(map(max, zip(*(row[2] for row in rows))))
+    return _Profile(rows, tops, (min(es), max(es)), (min(betas), max(betas)))
 
 
-def poch_value(q0: Fraction, base: int, length: int) -> Fraction:
-    v = Fraction(1)
-    p = q0 ** base
-    t = p
-    for _ in range(length):
-        v *= 1 - t
-        t *= p
-    return v
+class SequenceTables:
+    """What ``sequence_value`` reuses between calls: the profile of each
+    (term, n) and, per point q0 = a/b, the powers of a and b, the factors
+    b^(mt) - a^(mt) of each base m and their products over windows of
+    consecutive t.  The caller owns an instance and drops it when done;
+    nothing is kept at module level."""
+
+    def __init__(self):
+        self._profiles: dict[tuple[HypTerm, int], _Profile | None] = {}
+        self._lists: dict[tuple, list[int]] = {}
+
+    def profile(self, term: HypTerm, n: int) -> _Profile | None:
+        if (term, n) not in self._profiles:
+            self._profiles[term, n] = _term_profile(term, n)
+        return self._profiles[term, n]
+
+    def _grown(self, key: tuple, size: int, entry) -> list[int]:
+        """The list at ``key`` with at least ``size`` entries, each new one entry(the list so far)."""
+        col = self._lists.setdefault(key, [])
+        while len(col) < size:
+            col.append(entry(col))
+        return col
+
+    def powers(self, x: int, size: int) -> list[int]:
+        return self._grown(("power", x), size, lambda col: col[-1] * x if col else 1)
+
+    def factors(self, a: int, b: int, m: int, size: int) -> list[int]:
+        """Entry t is b^(mt) - a^(mt)."""
+        return self._grown(("factor", a, b, m), size, lambda col: b ** (m * len(col)) - a ** (m * len(col)))
+
+    def span(self, a: int, b: int, m: int, width: int, size: int) -> list[int]:
+        """Entry L is the product of the factors L+1 .. L+width of base m."""
+        f = self.factors(a, b, m, size + width)
+        return self._grown(("span", a, b, m, width), size, lambda col: prod(f[len(col) + 1 : len(col) + width + 1]))
 
 
-def sequence_value(term: HypTerm, n: int, q0: Fraction) -> Fraction:
+def sequence_value(term: HypTerm, n: int, q0: Fraction, tables: SequenceTables | None = None) -> Fraction:
     """f_n at the exact rational point q = q0 (full support, no truncation).
 
     With q0 = a/b, (q0^m; q0^m)_L = N_L / b^(m L(L+1)/2) where
@@ -534,95 +589,97 @@ def sequence_value(term: HypTerm, n: int, q0: Fraction) -> Fraction:
     contributes a^e b^beta / prod_i N_(L_i), with beta = -e + sum_i
     m_i L_i(L_i+1)/2.  The sum is taken in integers over the common
     denominator prod_i N_(top_i), top_i the largest L_i, and one Fraction
-    is formed at the end.  Along a run of k_r the integer of a point is the
-    previous one times a quotient of a few small factors.
+    is formed at the end.  The integer of a stepped point is its
+    reference's times a quotient of a few small factors: a symbol whose
+    length steps by c contributes the product of |c| consecutive factors,
+    above its new length if c < 0 and, dividing, above its old one if c > 0.
+
+    The profile of (term, n) (``_term_profile``) and the powers, factors
+    and spans of q0 come from ``tables``: pass one instance to the calls
+    that share a term or a point.  Without it every table is built for
+    this call alone.
     """
     if n < 0:
         return Fraction(0)
-    profile = _term_profile(term, n)
-    if not profile:
+    tables = SequenceTables() if tables is None else tables
+    profile = tables.profile(term, n)
+    if profile is None:
         return Fraction(0)
     a, b = q0.numerator, q0.denominator
-    bases = [base for _, _, base in term.pochs]
-    steps = [c[term.nsum] for c, _, _ in term.pochs]
-    tops = [max(col) for col in zip(*(lengths for _, lengths, _ in profile))]
-    # above[i][L] = N_top / N_L and span[i][L] = N_(L+|step|) / N_L for the
-    # i-th Pochhammer symbol
-    above: list[list[int]] = []
-    span: list[list[int]] = []
-    for m, top, c in zip(bases, tops, steps):
+    (emin, emax), (bmin, bmax) = profile.erange, profile.brange
+    apow, bpow = tables.powers(a, emax - emin + 1), tables.powers(b, bmax - bmin + 1)
+    above: list[list[int]] = []  # above[i][L] = N_top / N_L for the i-th symbol
+    # (span table, symbol) of the symbols whose length falls / rises along k_r and, if r > 1, k_(r-1)
+    moves: dict[bool, tuple[list, list]] = {True: ([], []), False: ([], [])}
+    for i, ((coeffs, _, m), top) in enumerate(zip(term.pochs, profile.tops)):
+        f = tables.factors(a, b, m, top + 1)
         col = [1] * (top + 1)
         for t in range(top, 0, -1):
-            col[t - 1] = col[t] * (b ** (m * t) - a ** (m * t))
+            col[t - 1] = col[t] * f[t]
         above.append(col)
-        s = abs(c)
-        span.append([col[L] // col[L + s] for L in range(top + 1 - s)] if s else [])
-    tri = [[m * L * (L + 1) // 2 for L in range(top + 1)] for m, top in zip(bases, tops)]
-    betas = [sum(t[L] for t, L in zip(tri, lengths)) - e for e, lengths, _ in profile]
-    emin = min(e for e, _, _ in profile)
-    bmin = min(betas)
-    apow = list(accumulate(repeat(a, max(e for e, _, _ in profile) - emin), mul, initial=1))
-    bpow = list(accumulate(repeat(b, max(betas) - bmin), mul, initial=1))
-    total = x = 0
-    prev = (0, 0, ())
-    for (e, lengths, stepped), beta in zip(profile, betas):
-        if stepped and x:
-            pe, pbeta, plengths = prev
-            num = den = 1
-            for pows, d in ((apow, e - pe), (bpow, beta - pbeta)):
-                if d >= 0:
-                    num *= pows[d]
-                else:
-                    den *= pows[-d]
-            for c, sp, L, pL in zip(steps, span, lengths, plengths):
-                if c < 0:
-                    num *= sp[L]
-                elif c > 0:
-                    den *= sp[pL]
-            x = x * num // den
+        for along, c in ((True, coeffs[term.nsum]), (False, coeffs[term.nsum - 1]))[: term.nsum]:
+            if c:
+                moves[along][c > 0].append((tables.span(a, b, m, abs(c), top - abs(c) + 1), i))
+    total = x = xstart = 0
+    for e, beta, lengths, rlengths, aup, adown, bup, bdown, along in profile.rows:
+        ref = x if along else xstart
+        if rlengths is not None and ref:  # a zero reference (q0 = 0) is evaluated in full
+            num, den = apow[aup] * bpow[bup], apow[adown] * bpow[bdown]
+            ups, downs = moves[along]
+            for span, i in ups:
+                num *= span[lengths[i]]
+            for span, i in downs:
+                den *= span[rlengths[i]]
+            x = ref * num // den
         else:
             x = apow[e - emin] * bpow[beta - bmin]
             for col, L in zip(above, lengths):
                 x *= col[L]
+        if not along:
+            xstart = x
         total += x
-        prev = (e, beta, lengths)
-    den = 1
-    for col in above:
-        den *= col[0]
-    for base, exp in ((a, emin), (b, bmin)):
-        if exp >= 0:
-            total *= base ** exp
-        else:
-            den *= base ** -exp
-    return Fraction(total, den)
+    # times a^emin b^bmin
+    num = total * a ** max(emin, 0) * b ** max(bmin, 0)
+    return Fraction(num, prod(col[0] for col in above) * a ** max(-emin, 0) * b ** max(-bmin, 0))
 
 
 def eval_qu_poly(p: LaurentPoly, n: int, q0: Fraction) -> Fraction:
-    """Evaluate a (q, u)-polynomial at q = q0, u = q0^n."""
+    """Evaluate a (q, u)-polynomial at q = q0, u = q0^n.
+
+    With q0 = a/b and the exponents e = eq + n eu between lo and hi, the
+    value is q0^lo times sum c a^(e-lo) b^(hi-e) over b^(hi-lo).
+    """
     if p.vars != QU_VARS:
         p = p.project(QU_VARS)
-    total = Fraction(0)
-    for (eq, eu), c in p.terms.items():
-        total += c * q0 ** (eq + n * eu)
-    return total
+    exps = [(eq + n * eu, c) for (eq, eu), c in p.terms.items()]
+    if not exps:
+        return Fraction(0)
+    lo, hi = min(exps)[0], max(exps)[0]
+    a, b = q0.numerator, q0.denominator
+    return q0**lo * Fraction(sum(c * a ** (e - lo) * b ** (hi - e) for e, c in exps), b ** (hi - lo))
 
 
-def recurrence_holds_at_point(
-    term: HypTerm, plist: Sequence[LaurentPoly], nmax: int, q0: Fraction, nmin: int = 0
-) -> bool:
-    """Exact check of sum_j p_j(q^n) f_(n-j) = 0 for nmin <= n <= nmax at q = q0."""
+def recurrence_holds_at_point(term: HypTerm, plist: Sequence[LaurentPoly], nmax: int, q0: Fraction, nmin: int = 0,
+                              tables: SequenceTables | None = None) -> bool:
+    """Exact check of sum_j p_j(q^n) f_(n-j) = 0 for nmin <= n <= nmax at q = q0,
+    with f_n from ``sequence_value`` on ``tables`` (a fresh one if None)."""
     if nmax < nmin:
         raise ValueError(f"empty recurrence check: nmax {nmax} < nmin {nmin}")
-    values: dict[int, Fraction] = {}
-    for m in range(nmin - len(plist), nmax + 1):
-        values[m] = sequence_value(term, m, q0)
+    tables = SequenceTables() if tables is None else tables
+    values = {m: sequence_value(term, m, q0, tables) for m in range(nmin - len(plist), nmax + 1)}
     for n in range(nmin, nmax + 1):
-        s = Fraction(0)
-        for j, p in enumerate(plist):
-            s += eval_qu_poly(p, n, q0) * values[n - j]
-        if s != 0:
+        if sum(eval_qu_poly(p, n, q0) * values[n - j] for j, p in enumerate(plist)) != 0:
             return False
     return True
+
+
+def first_recurrence_failure(term: HypTerm, plist: Sequence[LaurentPoly], nmax: int,
+                             points: Iterable[Fraction]) -> Fraction | None:
+    """The first of ``points`` where ``recurrence_holds_at_point`` fails for
+    0 <= n <= nmax, or None.  One ``SequenceTables`` serves every point, so
+    each support profile is built once; it is dropped on return."""
+    tables = SequenceTables()
+    return next((q0 for q0 in points if not recurrence_holds_at_point(term, plist, nmax, q0, tables=tables)), None)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .colored import Partition, from_pairs, to_pairs
+from .colored import Partition, to_pairs
 from .laurent import LaurentPoly, RationalFunction
 from .series import BiSeries, QSeries
 
@@ -22,10 +22,6 @@ def dumps(obj: Any) -> str:
 
 def partition_to_json(parts: Partition) -> list:
     return to_pairs(parts)
-
-
-def partition_from_json(data: list) -> Partition:
-    return from_pairs((c, int(m)) for c, m in data)
 
 
 def biseries_csv(s: BiSeries) -> str:

@@ -213,11 +213,6 @@ def pochhammer_expand(spec: PochhammerSpec, order: int) -> QSeries:
     return num * den.invert()
 
 
-def infinite_pochhammer(residue: int, modulus: int, order: int) -> QSeries:
-    """(q^residue; q^modulus)_infinity as a QSeries modulo q^order."""
-    return pochhammer_expand(PochhammerSpec.quotient([(residue, modulus)], []), order)
-
-
 def finite_pochhammer(base_exp: int, length: int, order: int) -> QSeries:
     """(q^base_exp; q^base_exp)_length, i.e. prod_{j=1..length} (1 - q^(base_exp*j))."""
     s = QSeries.one(order)
@@ -349,21 +344,6 @@ class BiSeries:
     @classmethod
     def from_json(cls, data: dict) -> "BiSeries":
         return cls(int(data["qorder"]), {int(m): QSeries.from_json(s) for m, s in data["slices"].items()})
-
-
-def xq_pochhammer(order: int) -> BiSeries:
-    """(xq; q)_infinity as a BiSeries modulo q^order.
-
-    Slice m is (-1)^m q^(m(m+1)/2) / (q;q)_m.
-    """
-    out: dict[int, QSeries] = {}
-    m = 0
-    while m * (m + 1) // 2 < order:
-        val = m * (m + 1) // 2
-        s = finite_pochhammer(1, m, order).invert().shift(val)
-        out[m] = s.scale(-1 if m % 2 else 1)
-        m += 1
-    return BiSeries(order, out)
 
 
 def inv_xq_pochhammer(order: int) -> BiSeries:

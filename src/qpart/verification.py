@@ -4,8 +4,8 @@ Each task checks one exact identity family (a theorem's product side, an
 operator annihilation, a recursion display, a certificate, ...) at a
 configurable truncation order and returns a RunReport; failures always
 carry a witness locating the first mismatching coefficient.  Heavy
-intermediates (enumerations, the profile family, language series) are
-cached per run.
+intermediates (enumerations, the profile family, language series, the
+uncoupled operators) are cached per run.
 """
 
 from __future__ import annotations
@@ -37,10 +37,12 @@ from .colored import (
 )
 from .cylindric import enumerate_cylindric, g_to_f, profile_orbit, solve_cw_family
 from .holonomic import (
+    QDiffOperator,
     apply_qdiff,
     evaluate_ag_sum,
+    first_recurrence_failure,
     recurrence_from_certificate,
-    recurrence_holds_at_point,
+    recurrence_from_operator,
     shift_combination,
     uncouple_system,
     verify_certificate,
@@ -112,6 +114,7 @@ class VerificationRun:
         # criterion: enumeration vs recursion mod q^20 (total size <= 19);
         # the task solves its own recursion, so below q^20 it checks sizes < qorder
         self.cyl_order = min(qorder - 1, 19)
+        self._uncoupled: dict[tuple[str, int], QDiffOperator] = {}
 
     @cached_property
     def d123_partitions(self):
@@ -144,6 +147,16 @@ class VerificationRun:
     @cached_property
     def language(self) -> dict[int, BiSeries]:
         return solve_language_series(self.transfer, self.bigraded_order)
+
+    def uncoupled(self, system: str, component: int) -> QDiffOperator:
+        """The 2x2 profile system (``"2x2"``) or the automaton's transfer
+        system (``"5x5"``) uncoupled at one component, once per run.  The
+        catalog's ``qdiff_operator_*`` are these operators negated."""
+        key = (system, component)
+        if key not in self._uncoupled:
+            matrix = catalog.coupled_g_system() if system == "2x2" else self.transfer.matrix
+            self._uncoupled[key] = uncouple_system(matrix, component)
+        return self._uncoupled[key]
 
 
 def _report(task: str, inputs: dict, witness: dict | None) -> RunReport:
@@ -289,8 +302,8 @@ def task_language_series(run: VerificationRun) -> RunReport:
 def task_qdiff_colored(run: VerificationRun) -> RunReport:
     """The two order-3 operators of the automaton annihilate the enumerated series."""
     return _qdiff_report("qdiff-colored", run, (
-        ("d123", catalog.qdiff_operator_d123(), run.f_d123),
-        ("d1234", catalog.qdiff_operator_d1234(), run.f_d1234),
+        ("d123", run.uncoupled("5x5", 0), run.f_d123),
+        ("d1234", run.uncoupled("5x5", 1), run.f_d1234),
     ))
 
 
@@ -312,8 +325,8 @@ def task_qdiff_cylindric(run: VerificationRun) -> RunReport:
     """The two order-2 operators of the 2x2 system annihilate the profile series."""
     fam = run.cw_family
     return _qdiff_report("qdiff-cylindric", run, (
-        ("g300", catalog.qdiff_operator_g300(), fam[(3, 0, 0)]),
-        ("g111", catalog.qdiff_operator_g111(), fam[(1, 1, 1)]),
+        ("g300", run.uncoupled("2x2", 0), fam[(3, 0, 0)]),
+        ("g111", run.uncoupled("2x2", 1), fam[(1, 1, 1)]),
     ))
 
 
@@ -366,11 +379,10 @@ def task_recurrences(run: VerificationRun, nmax: int = 25) -> RunReport:
 
     def witnesses():
         for name in catalog.CERTIFICATE_NAMES:
-            term = catalog.certificate_term(name)
             plist = recurrence_from_certificate(catalog.certificate(name))
-            for q0 in RECURRENCE_POINTS:
-                if not recurrence_holds_at_point(term, plist, nmax, q0):
-                    yield {"kind": f"recurrence-{name}", "q0": str(q0)}
+            q0 = first_recurrence_failure(catalog.certificate_term(name), plist, nmax, RECURRENCE_POINTS)
+            if q0 is not None:
+                yield {"kind": f"recurrence-{name}", "q0": str(q0)}
 
     return _report("recurrences", {"nmax": nmax, "points": [str(p) for p in RECURRENCE_POINTS]},
                    _first_witness(witnesses()))
@@ -381,7 +393,8 @@ def task_combination_identity(run: VerificationRun) -> RunReport:
     order-3 one and its shift, as exact rational functions."""
     ps = [RationalFunction.from_poly(p) for p in
           recurrence_from_certificate(catalog.certificate("g111"))]
-    pps = [RationalFunction.from_poly(p) for p in catalog.pprime_family()]
+    # catalog.pprime_family, read off the run's operator (the sign rule makes it the same)
+    pps = [RationalFunction.from_poly(p) for p in recurrence_from_operator(run.uncoupled("2x2", 1))]
 
     def sig(r: RationalFunction) -> RationalFunction:
         return RationalFunction(r.num.twist("u", "q", -1), r.den.twist("u", "q", -1), normalize=False)
@@ -432,16 +445,14 @@ def task_chain(run: VerificationRun) -> RunReport:
 def task_uncoupling(run: VerificationRun) -> RunReport:
     """Uncoupled scalar operators annihilate the independent series."""
     n = run.bigraded_order
-    # (witness, system, component, series): system and series are built only when their check runs
+    # (witness, system, component, series): the series is built only when its check runs
     checks = (
-        ({"kind": "uncouple-2x2"}, catalog.coupled_g_system, 0, lambda: run.cw_family[(3, 0, 0)]),
-        ({"kind": "uncouple-5x5", "component": 0}, lambda: run.transfer.matrix, 0,
-         lambda: run.f_d123.truncate(n)),
-        ({"kind": "uncouple-5x5", "component": 1}, lambda: run.transfer.matrix, 1,
-         lambda: run.f_d1234.truncate(n)),
+        ({"kind": "uncouple-2x2"}, "2x2", 0, lambda: run.cw_family[(3, 0, 0)]),
+        ({"kind": "uncouple-5x5", "component": 0}, "5x5", 0, lambda: run.f_d123.truncate(n)),
+        ({"kind": "uncouple-5x5", "component": 1}, "5x5", 1, lambda: run.f_d1234.truncate(n)),
     )
     return _report("uncoupling", {}, _first_witness(
-        None if apply_qdiff(uncouple_system(system(), comp), series()).is_zero() else witness
+        None if apply_qdiff(run.uncoupled(system, comp), series()).is_zero() else witness
         for witness, system, comp, series in checks
     ))
 

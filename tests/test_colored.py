@@ -6,21 +6,40 @@ from qpart.colored import (
     COND_D123,
     COND_D1234,
     check_condition,
-    contains_pattern,
     enumerate_2colored,
+    family_windows,
     from_pairs,
     gen_fun,
     iter_all,
     part_key,
     size,
     to_pairs,
-    violates_by_pattern_matching,
     violates_forbidden_patterns,
 )
 from qpart.series import TruncationError
 
 P = "+"
 M = "-"
+
+
+def contains_pattern(parts, pattern) -> bool:
+    """True iff ``pattern`` occurs as a contiguous factor of ``parts``."""
+    if not pattern:
+        raise ValueError("pattern must be nonempty")
+    lq = len(pattern)
+    return any(tuple(parts[i : i + lq]) == tuple(pattern) for i in range(len(parts) - lq + 1))
+
+
+def violates_by_pattern_matching(parts) -> bool:
+    """The oracle for violates_forbidden_patterns: the family test via contains_pattern."""
+    if not parts:
+        return False
+    kmax = max(p[0] for p in parts) + 1
+    for k in range(kmax + 1):
+        for w in family_windows(k):
+            if len(w) <= len(parts) and contains_pattern(parts, w):
+                return True
+    return False
 
 
 def test_condition_examples():

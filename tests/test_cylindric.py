@@ -9,13 +9,20 @@ from qpart.colored import COND_D123, COND_D1234, enumerate_2colored, gen_fun
 from qpart.cylindric import (
     cw_children,
     enumerate_cylindric,
-    f_to_g,
     g_to_f,
     is_cylindric,
     profile_orbit,
     solve_cw_family,
 )
 from qpart.series import BiSeries, QSeries, inv_xq_pochhammer, pochhammer_expand
+
+
+def f_to_g(f: BiSeries) -> BiSeries:
+    """The oracle for g_to_f: multiply by the literal product (xq; q)_inf = prod_j (1 - x q^j)."""
+    n = f.qorder
+    for j in range(1, n):
+        f = f * (BiSeries.one(n) - BiSeries.monomial(n, 1, j))
+    return f
 
 
 def test_is_cylindric_examples():

@@ -18,12 +18,14 @@ from qpart.holonomic import (
     CertificateSet,
     HypTerm,
     QDiffOperator,
+    SequenceTables,
     ShiftOp,
     TERM_VARS,
     apply_qdiff,
     cleared_ratios,
+    eval_qu_poly,
     evaluate_ag_sum,
-    poch_value,
+    first_recurrence_failure,
     poly_times_biseries,
     recurrence_from_certificate,
     recurrence_from_operator,
@@ -40,6 +42,17 @@ from qpart.series import BiSeries, QSeries, finite_pochhammer
 
 QU = ("q", "u")
 XQ = ("x", "q")
+
+
+def poch_value(q0: Fraction, base: int, length: int) -> Fraction:
+    """(q0^base; q0^base)_length, factor by factor."""
+    v = Fraction(1)
+    p = q0**base
+    t = p
+    for _ in range(length):
+        v *= 1 - t
+        t *= p
+    return v
 
 
 def _shift_ratio(term: HypTerm, shift) -> RationalFunction:
@@ -64,8 +77,6 @@ def test_term_ratio_single_pochhammer():
 
 def test_term_ratio_numeric_oracle():
     # F(v - s)/F(v) from the factored formula equals the direct quotient
-    from qpart.holonomic import poch_value
-
     term = catalog.TERM_G300
     q0 = Fraction(3, 2)
 
@@ -119,8 +130,6 @@ def test_perturbed_certificate_fails():
 def test_telescoped_identity_at_integer_points():
     # evaluating the telescoped operator against literal term values at
     # fixed integer points gives 0 whenever all shifted terms are supported
-    from qpart.holonomic import poch_value
-
     term = catalog.certificate_term("g111")
     total = catalog.certificate("g111").telescoped()
     q0 = Fraction(2)
@@ -252,28 +261,105 @@ def test_recurrences_annihilate_as_series(name):
     assert recurrence_holds_series(term, plist, 8, 110)
 
 
+def _direct_value(term: HypTerm, n: int, q0: Fraction, pochs: dict) -> Fraction:
+    """The plain Fraction sum over the box [0..n]^r, term by term through poch_value."""
+    direct = Fraction(0)
+    for k in product(range(n + 1), repeat=term.nsum):
+        v = (n, *k)
+        if not term.supported(v):
+            continue
+        val = q0 ** term.qexponent(v)
+        for L, (_, _, base) in zip(term.poch_lengths(v), term.pochs):
+            if (base, L) not in pochs:
+                pochs[base, L] = poch_value(q0, base, L)
+            val /= pochs[base, L]
+        direct += val
+    return direct
+
+
 @pytest.mark.parametrize("name", catalog.CERTIFICATE_NAMES)
 def test_sequence_value_matches_direct_fraction_sum(name):
-    # the integer evaluation equals the plain Fraction sum over the box
-    # [0..n]^3, term by term through poch_value
     term = catalog.certificate_term(name)
     for q0 in (Fraction(2), Fraction(3), Fraction(7, 5), Fraction(2, 3), Fraction(-3, 2)):
         pochs: dict[tuple[int, int], Fraction] = {}
         for n in range(13):
-            direct = Fraction(0)
-            for k in product(range(n + 1), repeat=term.nsum):
-                v = (n, *k)
-                if not term.supported(v):
-                    continue
-                val = q0 ** term.qexponent(v)
-                for L, (_, _, base) in zip(term.poch_lengths(v), term.pochs):
-                    if (base, L) not in pochs:
-                        pochs[base, L] = poch_value(q0, base, L)
-                    val /= pochs[base, L]
-                direct += val
-            assert sequence_value(term, n, q0) == direct, (n, q0)
+            assert sequence_value(term, n, q0) == _direct_value(term, n, q0, pochs), (n, q0)
     with pytest.raises(ZeroDivisionError):
         sequence_value(term, 5, Fraction(1))
+
+
+_SHAPES = {
+    # no summation: F(n) = q^(n^2) / (q; q)_n
+    "r0": HypTerm(nsum=0, quad2=((2,),), lin=(0,), const=0, pochs=(((1,), 0, 1),), names=("n",)),
+    # the exponent n - k falls along the run of k, so at q = 0 only k = n is left
+    "r1-falling-exponent": HypTerm(nsum=1, quad2=((0, 0), (0, 0)), lin=(1, -1), const=0,
+                                   pochs=(((1, -1), 0, 1), ((0, 1), 0, 2))),
+    # k2 >= (n - 1 - k1)/2: consecutive runs of k2 start at different k2
+    "r2-moving-lower-bound": HypTerm(nsum=2, quad2=((0, 0, 0), (0, 2, 1), (0, 1, 2)), lin=(0, 1, 0), const=0,
+                                     pochs=(((1, -1, -1), 0, 1), ((0, 1, 0), 0, 1), ((0, 0, 1), 0, 3),
+                                            ((-1, 1, 2), 1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", _SHAPES)
+def test_sequence_value_matches_direct_fraction_sum_on_other_shapes(name):
+    # fewer summation variables, runs that do not all start at k_r = 0, and
+    # q = 0, where a run can start with zero terms
+    term = _SHAPES[name]
+    for q0 in (Fraction(0), Fraction(2), Fraction(7, 5), Fraction(-3, 2)):
+        tables, pochs = SequenceTables(), {}
+        for n in range(10):
+            assert sequence_value(term, n, q0, tables) == _direct_value(term, n, q0, pochs), (n, q0)
+
+
+_POINTS = (Fraction(2), Fraction(3), Fraction(7, 5), Fraction(-3, 2), Fraction(1, 3))
+
+
+def _fraction_value(terms: dict, n: int, q0: Fraction) -> Fraction:
+    return sum((c * q0 ** (eq + n * eu) for (eq, eu), c in terms.items()), Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), st.integers(-5, 5), max_size=6),
+       st.integers(-8, 8))
+def test_eval_qu_poly_matches_a_fraction_sum(terms, n):
+    p = LaurentPoly(QU, terms)
+    for q0 in _POINTS:
+        assert eval_qu_poly(p, n, q0) == _fraction_value(terms, n, q0), (terms, n, q0)
+
+
+def test_eval_qu_poly_on_the_recurrences():
+    # every exponent sign: the certificate coefficients at negative, zero and positive n,
+    # and a (q, u) polynomial written over the term variables
+    for name in catalog.CERTIFICATE_NAMES:
+        for p in recurrence_from_certificate(catalog.certificate(name)):
+            for n in (-7, -1, 0, 4):
+                for q0 in _POINTS:
+                    assert eval_qu_poly(p, n, q0) == _fraction_value(p.terms, n, q0)
+    wide = LaurentPoly(TERM_VARS, {(-3, 2, 0, 0, 0): 4, (5, -1, 0, 0, 0): -1})
+    for q0 in _POINTS:
+        assert eval_qu_poly(wide, -2, q0) == 4 * q0 ** -7 - q0 ** 7
+    assert eval_qu_poly(LaurentPoly.zero(QU), 3, Fraction(2)) == 0
+
+
+@pytest.mark.parametrize("name", catalog.CERTIFICATE_NAMES)
+def test_shared_tables_give_the_values_of_fresh_ones(name):
+    # one SequenceTables for every n and point, visited out of order so that
+    # its lists are both grown and reused; 2/3 is not a recurrence point
+    term = catalog.certificate_term(name)
+    tables = SequenceTables()
+    for q0, ns in ((Fraction(7, 5), range(12, -2, -1)), (Fraction(2, 3), range(-1, 13)),
+                   (Fraction(2), (5, 12, 0, 7)), (Fraction(7, 5), range(13))):
+        for n in ns:
+            assert sequence_value(term, n, q0, tables) == sequence_value(term, n, q0), (n, q0)
+
+
+def test_first_recurrence_failure_names_the_first_failing_point():
+    term = catalog.certificate_term("g111")
+    plist = recurrence_from_certificate(catalog.certificate("g111"))
+    points = (Fraction(3), Fraction(2))
+    assert first_recurrence_failure(term, plist, 6, points) is None
+    assert first_recurrence_failure(term, [plist[0] + plist[0], *plist[1:]], 6, points) == Fraction(3)
 
 
 def test_sequences_match_series_coefficients():

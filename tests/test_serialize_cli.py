@@ -9,6 +9,7 @@ import pytest
 
 from qpart import catalog, serialize
 from qpart.cli import main
+from qpart.colored import from_pairs
 from qpart.holonomic import HypTerm, QDiffOperator, verify_certificate
 
 GOLDEN = Path(__file__).resolve().parent.parent / "src" / "qpart" / "golden"
@@ -34,7 +35,7 @@ def test_hypterm_json_round_trip():
 
 
 def test_partition_json():
-    lam = serialize.partition_from_json([["+", 5], ["-", 3], ["+", 1]])
+    lam = from_pairs([("+", 5), ("-", 3), ("+", 1)])
     assert serialize.partition_to_json(lam) == [["+", 5], ["-", 3], ["+", 1]]
 
 
@@ -170,11 +171,16 @@ def test_emit_unknown_target_is_an_error():
     ["celine", "--name", "g111", "--order", "3", "--deg", "-1"],
     ["celine", "--name", "g111", "--order", "3", "--qdeg", "-1"],
     ["celine", "--name", "g111", "--order", "3", "--kbox", "-1"],
+    # the box flags do not apply to the printed support
+    ["celine", "--name", "g111", "--order", "3", "--support", "printed", "--deg", "3"],
+    ["celine", "--name", "g111", "--order", "3", "--support", "printed", "--qdeg", "3"],
+    ["celine", "--name", "g111", "--order", "3", "--support", "printed", "--kbox", "-1"],
 ], ids=["zero-profile", "series-qorder-0", "unknown-condition", "verify-all-nmax-negative",
         "certify-recurrence-check-negative", "celine-term-with-printed-support", "certify-no-term",
         "celine-no-term", "certify-term-without-cert", "certify-name-and-term", "celine-name-and-term",
         "cylindric-enumerate-without-stat-f", "emit-series-as-dot", "emit-dfa-as-csv",
-        "celine-empty-u-range", "celine-empty-q-range", "celine-negative-kbox"])
+        "celine-empty-u-range", "celine-empty-q-range", "celine-negative-kbox",
+        "celine-printed-with-deg", "celine-printed-with-qdeg", "celine-printed-with-kbox"])
 def test_bad_input_is_a_one_line_error(argv):
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""

@@ -9,11 +9,27 @@ from qpart.series import (
     PochhammerFactor,
     PochhammerSpec,
     QSeries,
-    infinite_pochhammer,
+    finite_pochhammer,
     inv_xq_pochhammer,
     pochhammer_expand,
-    xq_pochhammer,
 )
+
+
+def infinite_pochhammer(residue: int, modulus: int, order: int) -> QSeries:
+    """(q^residue; q^modulus)_infinity as a QSeries modulo q^order."""
+    return pochhammer_expand(PochhammerSpec.quotient([(residue, modulus)], []), order)
+
+
+def xq_pochhammer(order: int) -> BiSeries:
+    """(xq; q)_infinity modulo q^order in closed form: slice m is
+    (-1)^m q^(m(m+1)/2) / (q;q)_m."""
+    out: dict[int, QSeries] = {}
+    m = 0
+    while m * (m + 1) // 2 < order:
+        s = finite_pochhammer(1, m, order).invert().shift(m * (m + 1) // 2)
+        out[m] = s.scale(-1 if m % 2 else 1)
+        m += 1
+    return BiSeries(order, out)
 
 
 def test_invert_geometric():

@@ -7,11 +7,12 @@ import shutil
 import subprocess
 import sys
 import zipfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from qpart import catalog, verification
+from qpart import catalog, holonomic, verification
 from qpart.cli import main
 from qpart.colored import gen_fun
 from qpart.series import PochhammerSpec
@@ -25,6 +26,7 @@ from qpart.verification import (
     task_product_d1234,
     task_qdiff_colored,
     task_qdiff_cylindric,
+    task_recurrences,
     task_specialized_products,
     task_transfer_matrix,
     task_uncoupling,
@@ -98,12 +100,14 @@ def test_uncoupling_witnesses_are_pinned(run, monkeypatch):
     # the first failing check ends the task before the 5x5 system is derived
     assert "transfer" not in vars(run) and "f_d123" not in vars(run)
     monkeypatch.undo()
+    # a run uncouples each system once, so each perturbation gets a new run
+    run = VerificationRun(qorder=12)
     transfer = run.transfer
     rows = [list(row) for row in transfer.matrix]
     rows[1][1] = rows[1][1] + rows[1][1]
     run.transfer = dataclasses.replace(transfer, matrix=tuple(map(tuple, rows)))
     assert task_uncoupling(run).witness == {"kind": "uncouple-5x5", "component": 0}
-    run.transfer = transfer
+    run = VerificationRun(qorder=12)
     run.f_d1234 = run.f_d123
     assert task_uncoupling(run).witness == {"kind": "uncouple-5x5", "component": 1}
 
@@ -121,28 +125,25 @@ def test_operator_witnesses_follow_the_systems_they_are_derived_from(run, monkey
     monkeypatch.setattr(catalog, "coupled_g_system", doubled_corner)
     assert task_qdiff_cylindric(run).witness == {"kind": "operator-g300", "x_exp": 1, "q_exp": 3}
     monkeypatch.undo()
-    derive = catalog.derive_transfer_system
-
-    def doubled_entry(dfa):
-        transfer = derive(dfa)
-        rows = [list(row) for row in transfer.matrix]
-        rows[1][0] = rows[1][0] + rows[1][0]
-        return dataclasses.replace(transfer, matrix=tuple(map(tuple, rows)))
-
-    monkeypatch.setattr(catalog, "derive_transfer_system", doubled_entry)
+    # the automaton's operators come from the run's transfer system
+    transfer = run.transfer
+    rows = [list(row) for row in transfer.matrix]
+    rows[1][0] = rows[1][0] + rows[1][0]
+    run.transfer = dataclasses.replace(transfer, matrix=tuple(map(tuple, rows)))
     assert task_qdiff_colored(run).witness == {"kind": "operator-d123", "x_exp": 1, "q_exp": 3}
 
 
 @pytest.mark.parametrize("doubled, j", [(0, 1), (2, 2), (4, 1)])
 def test_combination_identity_witness_is_pinned(run, monkeypatch, doubled, j):
-    pprime = catalog.pprime_family
+    # the task reads p'_0 .. p'_4 off the run's uncoupled operator
+    pprime = verification.recurrence_from_operator
 
-    def perturbed():
-        ps = pprime()
+    def perturbed(op):
+        ps = pprime(op)
         ps[doubled] = ps[doubled] + ps[doubled]
         return ps
 
-    monkeypatch.setattr(catalog, "pprime_family", perturbed)
+    monkeypatch.setattr(verification, "recurrence_from_operator", perturbed)
     assert task_combination_identity(run).witness == {"kind": "combination-component", "j": j}
 
 
@@ -167,6 +168,29 @@ def test_a_crashing_task_is_reported_and_the_rest_still_run(monkeypatch, tmp_pat
     written = json.loads(report.read_text())
     assert [r["task"] for r in written] == [r.task for r in reports]
     assert written[index]["status"] == "error"
+
+
+def test_recurrences_build_each_profile_once_and_keep_no_state(monkeypatch):
+    def sizes():
+        return {name: len(value) for name, value in vars(holonomic).items()
+                if not name.startswith("__") and isinstance(value, (dict, list, set))}
+
+    built = Counter()
+    profile = holonomic._term_profile
+
+    def counted(term, n):
+        built[term, n] += 1
+        return profile(term, n)
+
+    monkeypatch.setattr(holonomic, "_term_profile", counted)
+    before = sizes()
+    first = task_recurrences(VerificationRun(qorder=10), nmax=8)
+    assert first.ok
+    # one profile per term and 0 <= n <= 8, shared by the three points
+    assert len(built) == 4 * 9 and set(built.values()) == {1}
+    second = task_recurrences(VerificationRun(qorder=10), nmax=8)
+    assert first.to_json() == second.to_json()
+    assert sizes() == before
 
 
 def test_cylindric_enumeration_is_not_vacuous_at_the_lowest_qorder():
