@@ -108,9 +108,11 @@ def cmd_system(args) -> int:
 
 def cmd_cylindric(args) -> int:
     profile = tuple(int(c) for c in args.profile.split(","))
+    if args.qorder < 1:
+        raise ValueError("qorder must be >= 1")
     if args.enumerate:
         if args.stat != "F":
-            raise ValueError("--enumerate lists F; give --stat F")
+            raise ValueError("--enumerate counts F; give --stat F")
         series = enumerate_cylindric(profile, args.qorder - 1)
     else:
         g = solve_cw_family(profile, args.qorder)[profile]
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qorder", type=int, default=30)
     p.add_argument("--stat", choices=("F", "G"), default="G")
     p.add_argument("--x", choices=("eval", "keep"), default="keep")
-    p.add_argument("--enumerate", action="store_true", help="brute-force F instead of the recursion")
+    p.add_argument("--enumerate", action="store_true", help="count F by layers instead of the recursion")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--json", dest="format", action="store_const", const="json",
                    help="shorthand for --format json")

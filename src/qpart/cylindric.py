@@ -4,15 +4,16 @@ A profile is a cyclic tuple of r nonnegative integers; a cylindric
 partition of that profile is an r-tuple of ordinary partitions whose rows
 dominate each other cyclically with offsets given by the profile.  Two
 generating functions are tracked per profile: F (weight x^max * q^size)
-and G = (xq; q)_inf * F.  G satisfies a coupled recursion over subsets of
-the profile's support, a linear q-difference system in x over the whole
-orbit of profiles, which ``holonomic.solve_shift_system`` solves at once,
-one x-slice at a time.
+and G = (xq; q)_inf * F.  F is counted by layers (layer t: how many parts
+>= t each row has), without the recursion.  G satisfies a coupled
+recursion over subsets of the profile's support, a linear q-difference
+system in x over the whole orbit of profiles, which
+``holonomic.solve_shift_system`` solves at once, one x-slice at a time.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .holonomic import XQ_VARS, solve_shift_system
 from .laurent import LaurentPoly
@@ -49,62 +50,52 @@ def is_cylindric(rows: Rows, profile: Profile) -> bool:
 
 
 def enumerate_cylindric(profile: Profile, max_size: int) -> BiSeries:
-    """Brute-force F_profile: sum of x^max * q^size over total size <= max_size.
+    """F_profile counted directly: sum of x^max * q^size over total size <= max_size.
 
-    Lists every cylindric partition of the profile, building the rows one
-    part at a time: part j of row i is at most the previous part, the size
-    budget left and ``rows[i-1][j - p[i]]``; part j of the last row is at
-    least ``rows[0][j + p[0]]``, which closes the cycle.  Returned with
-    qorder max_size + 1.
+    Let a_i(t) be the number of parts >= t of row i.  The rows satisfy the
+    profile's inequalities exactly when every layer a(t) lies in the cone
+    a_i <= a_{i-1} + p[i] (indices mod r), so a cylindric partition is a
+    chain a(1) >= ... >= a(m) of nonzero vectors of the cone, with max part
+    m and size sum_t |a(t)|.  The chains that start at a count
+    H_a = x q^|a| / (1 - x q^|a|) * (1 + sum_k P_{k+1}(a - e_k)), with the
+    axis-prefix sums P_0(a) = H_a, P_{k+1}(a) = P_k(a) + P_{k+1}(a - e_k)
+    (0 off N^r); F = 1 + sum_a H_a over the cone, visited by increasing |a|.
+    Returned with qorder max_size + 1.
+
+    Each series is one packed int, x^m q^n in slot n * (max_size + 1) + m.
+    A coefficient counts cylindric partitions of size n, at most the
+    r-tuples of partitions of total n, C(n+r-1, r-1) * 2^n <= 2^(2n+r-1),
+    so slots of 2 * max_size + r bits never carry.
     """
     p = check_profile(profile)
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
-    qorder = max_size + 1
-    last = len(p) - 1
-    counts = [[0] * qorder for _ in range(qorder)]  # [max part][size]
-    rows: list[list[int]] = [[] for _ in p]
-    # once row 0 is built: floor[j] = rows[0][j + p[0]] bounds part j of the
-    # last row below, and need[j] = sum(floor[j:]) is what those parts must
-    # at least add up to
-    floor = [0] * (max_size + 2)
-    need = [0] * (max_size + 3)
-
-    def extend(i: int, j: int, prev: int, used: int, mx: int) -> None:
-        row = rows[i]
-        lo, hi = 0, prev
-        budget = max_size - used
-        if i:
-            if j >= p[i]:
-                above = rows[i - 1]
-                k = j - p[i]
-                bound = above[k] if k < len(above) else 0
-                if bound < hi:
-                    hi = bound
-            if i == last:
-                lo = floor[j]
-                budget -= need[j + 1]
-            else:
-                budget -= need[0]
-        if budget < hi:
-            hi = budget
-        if not lo:  # row i may end after j parts
-            if i == last:
-                counts[mx][used] += 1
-            else:
-                if not i:
-                    tail = row[p[0]:]
-                    floor[:] = tail + [0] * (max_size + 2 - len(tail))
-                    for k in range(max_size + 1, -1, -1):
-                        need[k] = need[k + 1] + floor[k]
-                extend(i + 1, 0, max_size, used, mx)
-        for v in range(lo or 1, hi + 1):
-            row.append(v)
-            extend(i, j + 1, v, used + v, mx if mx > v else v)
-            row.pop()
-
-    extend(0, 0, max_size, 0, 0)
-    return BiSeries(qorder, {m: QSeries(qorder, row) for m, row in enumerate(counts) if any(row)})
+    r, n1 = len(p), max_size + 1
+    width = (2 * max_size + r + 7) // 8  # bytes per slot
+    row = 8 * width * n1  # bits per power of q
+    full = (1 << n1 * row) - 1
+    axes = [n1**k for k in range(r)]  # a is keyed by sum_k a_k * n1^k
+    total = 1
+    level = {0: [0] * r}  # P_1 .. P_r of the vectors of the last |a|
+    for s in range(1, n1):
+        keep = (1 << (max_size - s) * row) - 1  # later terms carry q^(s+1) or more
+        step = s * row + 8 * width  # times x q^s
+        nxt = {}
+        for bars in combinations(range(s + r - 1), r - 1):
+            a = [j - i - 1 for i, j in zip((-1,) + bars, bars + (s + r - 1,))]
+            key = sum(c * e for c, e in zip(a, axes))
+            # prefix[k]: the chains that start at some b < a with b_i = a_i for i > k
+            prefix = list(accumulate(level[key - axes[k]][k] if a[k] else 0 for k in range(r)))
+            in_cone = all(a[i] <= a[i - 1] + p[i] for i in range(r))
+            h = term = (1 + prefix[-1]) << step if in_cone else 0
+            while term := (term << step) & full:  # a repeated: the geometric series
+                h += term
+            total += h
+            nxt[key] = [(h + c) & keep for c in prefix]
+        level = nxt
+    data = total.to_bytes(n1 * n1 * width, "little")
+    slot = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    return BiSeries(n1, {m: QSeries(n1, slot[m::n1]) for m in range(n1)})
 
 
 # ----------------------------------------------------------------------

@@ -111,10 +111,11 @@ class VerificationRun:
             raise ValueError("qorder must be >= 10")
         self.qorder = qorder
         self.bigraded_order = min(qorder, 25)
-        # criterion: enumeration vs recursion mod q^20 (total size <= 19);
-        # the task solves its own recursion, so below q^20 it checks sizes < qorder
+        # criterion: layer count vs recursion mod q^20 (total size <= 19); the
+        # task solves its own recursion, so below q^20 it checks sizes < qorder
         self.cyl_order = min(qorder - 1, 19)
         self._uncoupled: dict[tuple[str, int], QDiffOperator] = {}
+        self._certificates: dict[str, catalog.CertificateSet] = {}
 
     @cached_property
     def d123_partitions(self):
@@ -157,6 +158,12 @@ class VerificationRun:
             matrix = catalog.coupled_g_system() if system == "2x2" else self.transfer.matrix
             self._uncoupled[key] = uncouple_system(matrix, component)
         return self._uncoupled[key]
+
+    def certificate(self, name: str) -> catalog.CertificateSet:
+        """The catalog's certificate set ``name``, built once per run."""
+        if name not in self._certificates:
+            self._certificates[name] = catalog.certificate(name)
+        return self._certificates[name]
 
 
 def _report(task: str, inputs: dict, witness: dict | None) -> RunReport:
@@ -331,7 +338,7 @@ def task_qdiff_cylindric(run: VerificationRun) -> RunReport:
 
 
 def task_cylindric_enumeration(run: VerificationRun) -> RunReport:
-    """Direct enumeration equals the recursion solution for all 10 profiles."""
+    """The layer count equals the recursion solution for all 10 profiles."""
     n = run.cyl_order
     fam = solve_cw_family((3, 0, 0), n + 1)
     witness = _first_witness(
@@ -360,7 +367,7 @@ def task_certificates(run: VerificationRun) -> RunReport:
     """All four certificate sets verify exactly after documented emendations."""
 
     def witness(name: str) -> dict | None:
-        res = verify_certificate(catalog.certificate_term(name), catalog.certificate(name))
+        res = verify_certificate(catalog.certificate_term(name), run.certificate(name))
         if res.ok:
             return None
         return {"kind": f"certificate-{name}", "residual_terms": res.residual_terms,
@@ -379,7 +386,7 @@ def task_recurrences(run: VerificationRun, nmax: int = 25) -> RunReport:
 
     def witnesses():
         for name in catalog.CERTIFICATE_NAMES:
-            plist = recurrence_from_certificate(catalog.certificate(name))
+            plist = recurrence_from_certificate(run.certificate(name))
             q0 = first_recurrence_failure(catalog.certificate_term(name), plist, nmax, RECURRENCE_POINTS)
             if q0 is not None:
                 yield {"kind": f"recurrence-{name}", "q0": str(q0)}
@@ -391,8 +398,7 @@ def task_recurrences(run: VerificationRun, nmax: int = 25) -> RunReport:
 def task_combination_identity(run: VerificationRun) -> RunReport:
     """The order-4 coefficient family is an explicit combination of the
     order-3 one and its shift, as exact rational functions."""
-    ps = [RationalFunction.from_poly(p) for p in
-          recurrence_from_certificate(catalog.certificate("g111"))]
+    ps = [RationalFunction.from_poly(p) for p in recurrence_from_certificate(run.certificate("g111"))]
     # catalog.pprime_family, read off the run's operator (the sign rule makes it the same)
     pps = [RationalFunction.from_poly(p) for p in recurrence_from_operator(run.uncoupled("2x2", 1))]
 

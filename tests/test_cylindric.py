@@ -119,6 +119,30 @@ def test_enumeration_matches_recursion_all_profiles():
         assert enumerate_cylindric(profile, n) == g_to_f(fam[profile])
 
 
+
+def test_layer_count_matches_recursion_at_size_30():
+    # far beyond the reach of a listing: 16-bit coefficients at level 3
+    n = 30
+    fam = solve_cw_family((3, 0, 0), n + 1)
+    for profile in profile_orbit((3, 0, 0)):
+        assert enumerate_cylindric(profile, n) == g_to_f(fam[profile]), profile
+
+
+def test_one_row_is_every_partition_at_size_60():
+    # one row with no constraint: F = 1/(xq; q)_inf, whose largest coefficient here needs 17 bits
+    assert enumerate_cylindric((0,), 60) == inv_xq_pochhammer(61)
+
+
+@pytest.mark.parametrize("r", (2, 3))
+def test_zero_profile_is_r_equal_rows(r):
+    # all r rows equal, so F = 1/(x q^r; q^r)_inf, taken here as the literal product
+    n = 31
+    expected = BiSeries.one(n)
+    for j in range(1, (n - 1) // r + 1):
+        geometric = {k: QSeries.monomial(n, r * j * k) for k in range((n - 1) // (r * j) + 1)}
+        expected = expected * BiSeries(n, geometric)
+    assert enumerate_cylindric((0,) * r, n - 1) == expected
+
 @pytest.mark.parametrize("profile, n", (
     ((2, 0), 14), ((1, 1), 14), ((5, 0), 12), ((4, 0, 0), 12), ((2, 2, 0), 12),
     ((1, 1, 1, 1), 10), ((2, 1, 1, 0), 10),

@@ -165,6 +165,7 @@ def test_emit_unknown_target_is_an_error():
     ["certify", "--name", "g111", "--term", "term.json", "--cert", "cert.json"],
     ["celine", "--name", "g111", "--term", "term.json", "--order", "3"],
     ["cylindric", "--profile", "1,1,1", "--qorder", "5", "--enumerate"],
+    ["cylindric", "--profile", "1,1,1", "--enumerate", "--stat", "F", "--qorder", "0"],
     ["emit", "--target", "d123-series", "--format", "dot"],
     ["emit", "--target", "dfa", "--format", "csv"],
     # an empty degree range or a negative shift box would decide a vacuous box
@@ -178,7 +179,8 @@ def test_emit_unknown_target_is_an_error():
 ], ids=["zero-profile", "series-qorder-0", "unknown-condition", "verify-all-nmax-negative",
         "certify-recurrence-check-negative", "celine-term-with-printed-support", "certify-no-term",
         "celine-no-term", "certify-term-without-cert", "certify-name-and-term", "celine-name-and-term",
-        "cylindric-enumerate-without-stat-f", "emit-series-as-dot", "emit-dfa-as-csv",
+        "cylindric-enumerate-without-stat-f", "cylindric-enumerate-qorder-0",
+        "emit-series-as-dot", "emit-dfa-as-csv",
         "celine-empty-u-range", "celine-empty-q-range", "celine-negative-kbox",
         "celine-printed-with-deg", "celine-printed-with-qdeg", "celine-printed-with-kbox"])
 def test_bad_input_is_a_one_line_error(argv):

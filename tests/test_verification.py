@@ -193,6 +193,21 @@ def test_recurrences_build_each_profile_once_and_keep_no_state(monkeypatch):
     assert sizes() == before
 
 
+def test_a_run_builds_each_certificate_set_once(monkeypatch):
+    built = Counter()
+    build = catalog.certificate
+
+    def counted(name, verbatim=False):
+        built[name] += 1
+        return build(name, verbatim=verbatim)
+
+    monkeypatch.setattr(catalog, "certificate", counted)
+    run = VerificationRun(qorder=10)
+    assert verification.task_certificates(run).ok
+    assert task_recurrences(run, nmax=3).ok
+    assert task_combination_identity(run).ok
+    assert built == Counter({name: 1 for name in catalog.CERTIFICATE_NAMES})
+
 def test_cylindric_enumeration_is_not_vacuous_at_the_lowest_qorder():
     r = task_cylindric_enumeration(VerificationRun(qorder=10))
     assert r.ok and r.inputs == {"max_size": 9, "profiles": 10}
