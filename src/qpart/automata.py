@@ -8,10 +8,10 @@ with magnitudes in (3k-3, 3k], so distinct blocks never interleave.
 
 A finite set J of forbidden two-letter factors characterizes the encoded
 partitions satisfying the difference conditions; the minimal complete DFA
-recognizing "contains a factor from J" is built by an Aho-Corasick
-construction followed by Hopcroft minimization, and its non-accepting part
-yields a coupled system of q-difference equations in x for the generating
-functions, solved by the shared solver ``holonomic.solve_shift_system``.
+recognizing "contains a factor from J" has the suffixes of the input that
+are proper prefixes of a word as its states, reduced by Moore refinement;
+its non-accepting part yields a coupled system of q-difference equations in
+x for the generating functions, solved by ``holonomic.solve_shift_system``.
 """
 
 from __future__ import annotations
@@ -149,110 +149,64 @@ class Dfa:
         return "\n".join(lines) + "\n"
 
 
-def _aho_corasick_dfa(words: tuple[str, ...], alphabet: str) -> Dfa:
+def _factor_dfa(words: tuple[str, ...], alphabet: str) -> Dfa:
     """Complete DFA for 'some word of ``words`` occurs as a factor'.
 
-    Builds the prefix trie with Aho-Corasick failure links; nodes whose
-    prefix ends in a complete word collapse into one absorbing accept
-    state, since a seen factor can never be unseen.
+    A state is the longest suffix of the input so far that is a proper
+    prefix of some word, found by a BFS from the empty suffix.  A letter
+    that completes a word goes to one absorbing accept state (state 0),
+    since a seen factor can never be unseen.
     """
     if not words:
         raise ValueError("word set must be nonempty")
-    children: list[dict[str, int]] = [{}]
-    terminal: list[bool] = [False]
     for w in words:
         if not w:
             raise ValueError("empty forbidden word")
-        node = 0
         for ch in w:
             if ch not in alphabet:
                 raise ValueError(f"letter {ch!r} not in alphabet")
-            if ch not in children[node]:
-                children.append({})
-                terminal.append(False)
-                children[node][ch] = len(children) - 1
-            node = children[node][ch]
-        terminal[node] = True
-
-    n = len(children)
-    fail = [0] * n
-    goto: list[dict[str, int]] = [dict() for _ in range(n)]
-    order: list[int] = [0]
-    for node in order:
-        for ch in alphabet:
-            if ch in children[node]:
-                child = children[node][ch]
-                fail[child] = goto[fail[node]][ch] if node else 0
-                if terminal[fail[child]]:
-                    terminal[child] = True
-                goto[node][ch] = child
-                order.append(child)
-            else:
-                goto[node][ch] = goto[fail[node]][ch] if node else 0
-
-    accept = n
-    delta_rows: list[list[int]] = []
-    for node in range(n):
+    word_set = set(words)
+    prefixes = {w[:i] for w in words for i in range(len(w))}
+    order = [""]
+    ids = {"": 1}
+    delta = [(0,) * len(alphabet)]
+    for s in order:
         row = []
         for ch in alphabet:
-            t = goto[node][ch]
-            row.append(accept if terminal[t] else t)
-        delta_rows.append(row)
-    delta_rows.append([accept] * len(alphabet))
-    start = accept if terminal[0] else 0
-    return Dfa(n + 1, alphabet, tuple(tuple(r) for r in delta_rows), start, frozenset({accept}))
-
-
-def hopcroft_minimize(dfa: Dfa) -> Dfa:
-    """Hopcroft's partition-refinement minimization of a complete DFA."""
-    dfa = canonical_relabel(dfa)  # drops the unreachable states
-    n, k = dfa.n_states, len(dfa.alphabet)
-    # predecessor lists per letter
-    preds: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(k)]
-    for s in range(n):
-        for i in range(k):
-            preds[i][dfa.delta[s][i]].append(s)
-
-    accepts = set(dfa.accepts)
-    others = set(range(n)) - accepts
-    partition: list[set[int]] = [s for s in (accepts, others) if s]
-    block_of = [0] * n
-    for b, blk in enumerate(partition):
-        for s in blk:
-            block_of[s] = b
-    worklist: list[tuple[int, int]] = [(b, i) for b in range(len(partition)) for i in range(k)]
-
-    while worklist:
-        b, i = worklist.pop()
-        splitter = partition[b]
-        pre: set[int] = set()
-        for t in splitter:
-            pre.update(preds[i][t])
-        touched: dict[int, set[int]] = {}
-        for s in pre:
-            touched.setdefault(block_of[s], set()).add(s)
-        for blk_id, inside in touched.items():
-            blk = partition[blk_id]
-            if len(inside) == len(blk):
+            t = s + ch
+            if any(t[i:] in word_set for i in range(len(t))):
+                row.append(0)
                 continue
-            rest = blk - inside
-            small, large = (inside, rest) if len(inside) <= len(rest) else (rest, inside)
-            partition[blk_id] = large
-            new_id = len(partition)
-            partition.append(small)
-            for s in small:
-                block_of[s] = new_id
-            for j in range(k):
-                worklist.append((new_id, j))
-    remap = block_of
-    n_blocks = len(partition)
-    delta = [[0] * k for _ in range(n_blocks)]
-    for blk_id, blk in enumerate(partition):
-        rep = next(iter(blk))
-        for i in range(k):
-            delta[blk_id][i] = remap[dfa.delta[rep][i]]
-    accepts_new = frozenset(remap[a] for a in dfa.accepts)
-    out = Dfa(n_blocks, dfa.alphabet, tuple(tuple(r) for r in delta), remap[dfa.start], accepts_new)
+            # the empty suffix is a proper prefix of every word, so one is found
+            suffix = next(t[i:] for i in range(len(t) + 1) if t[i:] in prefixes)
+            if suffix not in ids:
+                ids[suffix] = len(ids) + 1
+                order.append(suffix)
+            row.append(ids[suffix])
+        delta.append(tuple(row))
+    return Dfa(len(delta), alphabet, tuple(delta), 1, frozenset({0}))
+
+
+def minimize(dfa: Dfa) -> Dfa:
+    """The minimal complete DFA of the same language, by Moore refinement.
+
+    Each round keys a state by its block and the blocks of its successors;
+    the blocks are the Myhill-Nerode classes once a round adds none.  The
+    final relabel drops the blocks that the start cannot reach, so the
+    unreachable states need not be removed first.
+    """
+    block = [int(s in dfa.accepts) for s in range(dfa.n_states)]
+    count = len(set(block))
+    while True:
+        keys: dict[tuple[int, ...], int] = {}
+        block = [keys.setdefault((block[s], *(block[t] for t in row)), len(keys))
+                 for s, row in enumerate(dfa.delta)]
+        if len(keys) == count:
+            break
+        count = len(keys)
+    rep = {b: s for s, b in enumerate(block)}
+    delta = tuple(tuple(block[t] for t in dfa.delta[rep[b]]) for b in range(count))
+    out = Dfa(count, dfa.alphabet, delta, block[dfa.start], frozenset(block[a] for a in dfa.accepts))
     return canonical_relabel(out)
 
 
@@ -275,7 +229,7 @@ def canonical_relabel(dfa: Dfa) -> Dfa:
 
 def build_avoidance_dfa(words: tuple[str, ...] = FORBIDDEN_WORDS, alphabet: str = ALPHABET) -> Dfa:
     """Minimal complete DFA recognizing words containing a factor from ``words``."""
-    return hopcroft_minimize(_aho_corasick_dfa(words, alphabet))
+    return minimize(_factor_dfa(words, alphabet))
 
 
 # ----------------------------------------------------------------------
@@ -301,22 +255,20 @@ class TransferSystem:
         }
 
 
-def derive_transfer_system(dfa: Dfa, pi: dict[str, Partition] = PI, shift: int = 3) -> TransferSystem:
+def derive_transfer_system(dfa: Dfa) -> TransferSystem:
+    """The system over the non-accepting states of ``dfa``, each letter
+    weighted by its block image under ``PI``; blocks are 3 wide."""
     states = tuple(s for s in range(dfa.n_states) if s not in dfa.accepts)
     index = {s: i for i, s in enumerate(states)}
     rows = []
     for u in states:
         row = [LaurentPoly.zero(XQ_VARS) for _ in states]
-        for i, ch in enumerate(dfa.alphabet):
-            v = dfa.delta[u][i]
-            if v in dfa.accepts:
-                continue
-            img = pi[ch]
-            ell = len(img)
-            sz = sum(m for m, _ in img)
-            row[index[v]] = row[index[v]] + LaurentPoly.monomial(XQ_VARS, (ell, sz))
+        for ch, v in zip(dfa.alphabet, dfa.delta[u]):
+            if v not in dfa.accepts:
+                img = PI[ch]
+                row[index[v]] = row[index[v]] + LaurentPoly.monomial(XQ_VARS, (len(img), sum(m for m, _ in img)))
         rows.append(tuple(row))
-    return TransferSystem(states, tuple(rows), shift)
+    return TransferSystem(states, tuple(rows), 3)
 
 
 def solve_language_series(system: TransferSystem, qorder: int) -> dict[int, BiSeries]:

@@ -45,16 +45,16 @@ from .series import PochhammerSpec
 # ----------------------------------------------------------------------
 # infinite products
 
-PRODUCT_D123 = PochhammerSpec.quotient(
-    num=[(2, 6), (4, 6)],
-    den=[(1, 6), (1, 6), (3, 6), (3, 6), (5, 6), (5, 6)],
+PRODUCT_D123 = PochhammerSpec(
+    num=((2, 6), (4, 6)),
+    den=((1, 6), (1, 6), (3, 6), (3, 6), (5, 6), (5, 6)),
 )
 
-PRODUCT_D1234 = PochhammerSpec.quotient(num=[], den=[(2, 6), (3, 6), (3, 6), (4, 6)])
+PRODUCT_D1234 = PochhammerSpec(den=((2, 6), (3, 6), (3, 6), (4, 6)))
 
-PRODUCT_AUX = PochhammerSpec.quotient(num=[], den=[(1, 3), (2, 3)])
+PRODUCT_AUX = PochhammerSpec(den=((1, 3), (2, 3)))
 
-EULER_PRODUCT = PochhammerSpec.quotient(num=[(1, 1)], den=[])
+EULER_PRODUCT = PochhammerSpec(num=((1, 1),))
 
 
 # ----------------------------------------------------------------------
@@ -479,10 +479,7 @@ def certificate(name: str, verbatim: bool = False) -> CertificateSet:
     ``verbatim`` selects the unemended data.
     """
     builder, order, _ = _BUILDERS[name]
-    syms = Symbols()
-    fams = builder(syms, verbatim=verbatim)
-    finished = {k: [syms.finish(e) for e in v] for k, v in fams.items()}
-    return CertificateSet(order, finished)
+    return CertificateSet(order, builder(Symbols(), verbatim=verbatim))
 
 
 def certificate_term(name: str) -> HypTerm:

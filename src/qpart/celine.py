@@ -273,12 +273,7 @@ def _is_p0(slot: Slot) -> bool:
     return slot[0] == "p" and slot[1] == 0
 
 
-def celine_solve(
-    term: HypTerm,
-    order: int,
-    support: list[Slot] | None = None,
-    **bound_kwargs,
-) -> CertificateSet | None:
+def celine_solve(term: HypTerm, order: int, support: list[Slot]) -> CertificateSet | None:
     """Search for a certificate of the given order within the support.
 
     The p_0 slots are put last and the system is eliminated once, until
@@ -291,9 +286,8 @@ def celine_solve(
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    slots = support if support is not None else default_support(order, nsum=term.nsum, **bound_kwargs)
     # a repeated p_0 slot would be a free p_0 column whose vector cancels
-    slots = sorted((s for s in dict.fromkeys(slots) if s[1] <= order), key=_is_p0)
+    slots = sorted((s for s in dict.fromkeys(support) if s[1] <= order), key=_is_p0)
     first_p0 = next((i for i, slot in enumerate(slots) if _is_p0(slot)), None)
     if first_p0 is None:
         return None

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import catalog, serialize
 from .automata import FORBIDDEN_WORDS, build_avoidance_dfa, derive_transfer_system
 from .celine import celine_solve, default_support, support_of
-from .colored import enumerate_2colored, gen_fun, size
+from .colored import enumerate_2colored, gen_fun, size, to_pairs
 from .cylindric import enumerate_cylindric, g_to_f, solve_cw_family
 from .holonomic import (
     HypTerm,
@@ -57,7 +57,7 @@ def cmd_enumerate(args) -> int:
             counts[size(lam)] = counts.get(size(lam), 0) + 1
         _write(serialize.dumps({str(k): v for k, v in sorted(counts.items())}), args.out)
     else:
-        lines = [serialize.dumps(serialize.partition_to_json(lam)).rstrip("\n") for lam in partitions]
+        lines = [serialize.dumps(to_pairs(lam)).rstrip("\n") for lam in partitions]
         _write("\n".join(lines) + "\n", args.out)
     return 0
 

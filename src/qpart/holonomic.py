@@ -298,12 +298,6 @@ class Symbols:
         self.K1 = ShiftOp.shift((0, 1, 0, 0))
         self.K2 = ShiftOp.shift((0, 0, 1, 0))
         self.K3 = ShiftOp.shift((0, 0, 0, 1))
-        self.one = ShiftOp.coefficient(_ONE5)
-
-    def finish(self, value) -> ShiftOp:
-        if isinstance(value, int):
-            value = value * self.one
-        return value
 
 
 # ----------------------------------------------------------------------

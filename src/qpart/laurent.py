@@ -471,9 +471,10 @@ def _gcd_nonneg(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 class RationalFunction:
     """A quotient num/den of LaurentPoly over the same variable list.
 
-    ``normalize`` cancels gcd(num, den), clears the denominator's monomial
-    and integer content, and fixes the denominator's leading sign, giving
-    a canonical representative.
+    ``normalize`` cancels gcd(num, den), whose integer content is the gcd
+    of theirs, clears the denominator's monomial part and makes its leading
+    coefficient positive, giving a canonical representative.  The
+    denominator keeps its integer content: 1/2 stays 1/2.
     """
 
     __slots__ = ("num", "den")
@@ -508,19 +509,9 @@ class RationalFunction:
             neg = tuple(-x for x in dmin)
             self.den = self.den.shift_exponents(neg)
             self.num = self.num.shift_exponents(neg)
-        c = self.den.int_content()
         if self.den.leading()[1] < 0:
-            c = -c
-        if c != 1:
-            ng = _int_gcd(self.num.int_content(), abs(c)) * (1 if c > 0 else -1)
-            if abs(ng) != 1 and all(x % ng == 0 for x in self.num.terms.values()) and all(
-                x % ng == 0 for x in self.den.terms.values()
-            ):
-                self.num = LaurentPoly(self.num.vars, {e: x // ng for e, x in self.num.terms.items()})
-                self.den = LaurentPoly(self.den.vars, {e: x // ng for e, x in self.den.terms.items()})
-            elif c < 0:
-                self.num = -self.num
-                self.den = -self.den
+            self.num = -self.num
+            self.den = -self.den
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .colored import Partition, to_pairs
 from .laurent import LaurentPoly, RationalFunction
 from .series import BiSeries, QSeries
 
@@ -18,10 +17,6 @@ from .series import BiSeries, QSeries
 def dumps(obj: Any) -> str:
     """Canonical JSON: sorted keys, no whitespace surprises, newline end."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def partition_to_json(parts: Partition) -> list:
-    return to_pairs(parts)
 
 
 def biseries_csv(s: BiSeries) -> str:

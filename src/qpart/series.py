@@ -155,62 +155,41 @@ class QSeries:
 
 
 @dataclass(frozen=True)
-class PochhammerFactor:
-    """One factor (q^residue; q^modulus)_infinity^(+-multiplicity)."""
+class PochhammerSpec:
+    """A quotient of infinite Pochhammer symbols (q^r; q^m)_infinity.
 
-    residue: int
-    modulus: int
-    sign: str  # "numerator" | "denominator"
-    multiplicity: int = 1
+    ``num`` and ``den`` are multisets of (residue r, modulus m) pairs; a
+    pair repeated k times is a k-th power.
+    """
+
+    num: tuple[tuple[int, int], ...] = ()
+    den: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        if self.residue < 0:
-            raise ValueError("residue must be >= 0")
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be >= 1")
-        if self.sign not in ("numerator", "denominator"):
-            raise ValueError("sign must be 'numerator' or 'denominator'")
-        if self.sign == "denominator" and self.residue == 0:
+        for r, m in self.num + self.den:
+            if m < 1:
+                raise ValueError("modulus must be >= 1")
+            if r < 0:
+                raise ValueError("residue must be >= 0")
+        if any(r == 0 for r, _ in self.den):
             raise ValueError("denominator factor needs residue >= 1")
 
 
-@dataclass(frozen=True)
-class PochhammerSpec:
-    """A signed product of infinite Pochhammer symbols."""
-
-    factors: tuple[PochhammerFactor, ...]
-
-    @classmethod
-    def quotient(cls, num: Iterable[tuple[int, int]], den: Iterable[tuple[int, int]]) -> "PochhammerSpec":
-        """Build from lists of (residue, modulus) pairs, with repetitions."""
-        fs = [PochhammerFactor(r, m, "numerator") for r, m in num]
-        fs += [PochhammerFactor(r, m, "denominator") for r, m in den]
-        return cls(tuple(fs))
-
-
 def pochhammer_expand(spec: PochhammerSpec, order: int) -> QSeries:
-    """Expand the product described by ``spec`` modulo q^order."""
+    """Expand the product described by ``spec`` modulo q^order: the factors
+    1 - q^e of ``num`` multiply, those of ``den`` divide, one at a time."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    num = QSeries.one(order)
-    den = QSeries.one(order)
-    for f in spec.factors:
-        part = QSeries.one(order)
-        for _ in range(f.multiplicity):
-            e = f.residue
-            while e < order:
-                if e == 0:
-                    part = QSeries.zero(order)
-                    break
-                part = part.mul_binomial(e, -1)
-                e += f.modulus
-        if f.sign == "numerator":
-            num = num * part
-        else:
-            den = den * part
-    return num * den.invert()
+    s = QSeries.one(order)
+    for r, m in spec.num:
+        for e in range(r, order, m):
+            s = s.mul_binomial(e, -1)
+    c = s.coeffs
+    for r, m in spec.den:
+        for e in range(r, order, m):
+            for i in range(e, order):  # divide by 1 - q^e in place
+                c[i] += c[i - e]
+    return s
 
 
 def finite_pochhammer(base_exp: int, length: int, order: int) -> QSeries:

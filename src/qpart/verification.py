@@ -76,26 +76,16 @@ class RunReport:
         return out
 
 
-def _series_witness(kind: str, a: BiSeries, b: BiSeries, **extra) -> dict | None:
+def _witness(kind: str, a: QSeries | BiSeries, b: QSeries | BiSeries, **extra) -> dict | None:
+    """The first coefficient where two QSeries or two BiSeries differ, or None."""
     d = a.first_difference(b)
     if d is None:
         return None
-    m, i = d
-    return {
-        "kind": kind,
-        "x_exp": m,
-        "q_exp": i,
-        "lhs": str(a.coeff(m, i)),
-        "rhs": str(b.coeff(m, i)),
-        **extra,
-    }
-
-
-def _qseries_witness(kind: str, a: QSeries, b: QSeries, **extra) -> dict | None:
-    d = a.first_difference(b)
-    if d is None:
-        return None
-    return {"kind": kind, "q_exp": d, "lhs": str(a.coeffs[d]), "rhs": str(b.coeffs[d]), **extra}
+    if isinstance(d, int):
+        where, lhs, rhs = {"q_exp": d}, a.coeffs[d], b.coeffs[d]
+    else:
+        where, lhs, rhs = {"x_exp": d[0], "q_exp": d[1]}, a.coeff(*d), b.coeff(*d)
+    return {"kind": kind, **where, "lhs": str(lhs), "rhs": str(rhs), **extra}
 
 
 def _first_witness(witnesses: Iterable[dict | None]) -> dict | None:
@@ -104,12 +94,16 @@ def _first_witness(witnesses: Iterable[dict | None]) -> dict | None:
 
 
 class VerificationRun:
-    """Caches the expensive shared intermediates for one qorder setting."""
+    """One run's settings (``qorder``, ``nmax``) and the expensive shared
+    intermediates, each built once per run."""
 
-    def __init__(self, qorder: int = 30):
+    def __init__(self, qorder: int = 30, nmax: int = 25):
         if qorder < 10:
             raise ValueError("qorder must be >= 10")
+        if nmax < 0:
+            raise ValueError("nmax must be >= 0")
         self.qorder = qorder
+        self.nmax = nmax  # the recurrences are checked for 0 <= n <= nmax
         self.bigraded_order = min(qorder, 25)
         # criterion: layer count vs recursion mod q^20 (total size <= 19); the
         # task solves its own recursion, so below q^20 it checks sizes < qorder
@@ -174,7 +168,7 @@ def _product_report(
     task: str, run: VerificationRun, lhs: QSeries, spec, anchors: dict[int, int]
 ) -> RunReport:
     """lhs against the product; once they agree, the anchor coefficients too."""
-    witness = _qseries_witness("coefficient", lhs, pochhammer_expand(spec, run.qorder))
+    witness = _witness("coefficient", lhs, pochhammer_expand(spec, run.qorder))
     got = [lhs.coeffs[e] for e in anchors]
     expected = list(anchors.values())
     if witness is None and got != expected:
@@ -202,7 +196,7 @@ def _relations_report(task: str, run: VerificationRun, relations) -> RunReport:
 
     def witness(kind, target, terms) -> dict | None:
         rhs = shift_combination(((coeff, shift, fam[source]) for coeff, shift, source in terms), run.qorder)
-        return _series_witness(kind, fam[target], rhs)
+        return _witness(kind, fam[target], rhs)
 
     return _report(task, {"qorder": run.qorder}, _first_witness(witness(*r) for r in relations))
 
@@ -226,7 +220,7 @@ def task_ag_bigraded(run: VerificationRun) -> RunReport:
     """The quadruple sums equal the bigraded generating functions."""
     n = run.bigraded_order
     witness = _first_witness(
-        _series_witness(f"bigraded-{name}", evaluate_ag_sum(spec, n), series.truncate(n))
+        _witness(f"bigraded-{name}", evaluate_ag_sum(spec, n), series.truncate(n))
         for name, spec, series in (
             ("d123", catalog.AG_D123, run.f_d123),
             ("d1234", catalog.AG_D1234, run.f_d1234),
@@ -240,7 +234,7 @@ def task_ag_cylindric(run: VerificationRun) -> RunReport:
     n = run.bigraded_order
     fam = run.cw_family
     witness = _first_witness(
-        _series_witness(f"sum-{name}", evaluate_ag_sum(spec, n), fam[profile].truncate(n))
+        _witness(f"sum-{name}", evaluate_ag_sum(spec, n), fam[profile].truncate(n))
         for name, spec, profile in (
             ("g111", catalog.AG_G111, (1, 1, 1)),
             ("g300", catalog.AG_G300, (3, 0, 0)),
@@ -252,7 +246,7 @@ def task_ag_cylindric(run: VerificationRun) -> RunReport:
 def task_aux_identity(run: VerificationRun) -> RunReport:
     """The auxiliary quadruple sum equals 1/(q,q^2;q^3)_inf."""
     lhs = evaluate_ag_sum(catalog.AG_AUX, run.qorder).eval_x1()
-    witness = _qseries_witness("coefficient", lhs, pochhammer_expand(catalog.PRODUCT_AUX, run.qorder))
+    witness = _witness("coefficient", lhs, pochhammer_expand(catalog.PRODUCT_AUX, run.qorder))
     return _report("aux-identity", {"qorder": run.qorder}, witness)
 
 
@@ -297,7 +291,7 @@ def task_language_series(run: VerificationRun) -> RunReport:
     """Component 0 counts the D1-D3 class; component 1 the D1-D4 class."""
     n = run.bigraded_order
     witness = _first_witness(
-        _series_witness(kind, run.language[component], series.truncate(n))
+        _witness(kind, run.language[component], series.truncate(n))
         for kind, component, series in (
             ("state0-vs-d123", 0, run.f_d123),
             ("state1-vs-d1234", 1, run.f_d1234),
@@ -342,8 +336,8 @@ def task_cylindric_enumeration(run: VerificationRun) -> RunReport:
     n = run.cyl_order
     fam = solve_cw_family((3, 0, 0), n + 1)
     witness = _first_witness(
-        _series_witness(f"profile-{profile}", enumerate_cylindric(profile, n), g_to_f(fam[profile]),
-                        profile=list(profile))
+        _witness(f"profile-{profile}", enumerate_cylindric(profile, n), g_to_f(fam[profile]),
+                 profile=list(profile))
         for profile in profile_orbit((3, 0, 0))
     )
     return _report("cylindric-enumeration", {"max_size": n, "profiles": 10}, witness)
@@ -354,7 +348,7 @@ def task_specialized_products(run: VerificationRun) -> RunReport:
     fam = run.cw_family
     euler = pochhammer_expand(catalog.EULER_PRODUCT, run.qorder)
     witness = _first_witness(
-        _qseries_witness(name, g_to_f(fam[profile]).eval_x1() * euler, pochhammer_expand(spec, run.qorder))
+        _witness(name, g_to_f(fam[profile]).eval_x1() * euler, pochhammer_expand(spec, run.qorder))
         for name, profile, spec in (
             ("g111-vs-d123-product", (1, 1, 1), catalog.PRODUCT_D123),
             ("g300-vs-d1234-product", (3, 0, 0), catalog.PRODUCT_D1234),
@@ -377,12 +371,13 @@ def task_certificates(run: VerificationRun) -> RunReport:
                    _first_witness(witness(name) for name in catalog.CERTIFICATE_NAMES))
 
 
-def task_recurrences(run: VerificationRun, nmax: int = 25) -> RunReport:
+def task_recurrences(run: VerificationRun) -> RunReport:
     """The certificate recurrences annihilate the brute-force sums.
 
     Exact rational evaluation over the full support at three fixed points,
-    for every 0 <= n <= nmax.
+    for every 0 <= n <= run.nmax.
     """
+    nmax = run.nmax
 
     def witnesses():
         for name in catalog.CERTIFICATE_NAMES:
@@ -441,7 +436,7 @@ def task_chain(run: VerificationRun) -> RunReport:
         ],
     }
     witness = _first_witness(
-        _qseries_witness(f"chain-{cls}", items[0][1], series, routes=[items[0][0], name])
+        _witness(f"chain-{cls}", items[0][1], series, routes=[items[0][0], name])
         for cls, items in routes.items()
         for name, series in items[1:]
     )
@@ -494,14 +489,12 @@ def verify_all(qorder: int = 30, nmax_recurrence: int = 25) -> list[RunReport]:
     as its witness, under its function name less ``task_``; the remaining
     tasks still run.
     """
-    if nmax_recurrence < 0:
-        raise ValueError("nmax must be >= 0")
-    run = VerificationRun(qorder)
+    run = VerificationRun(qorder, nmax_recurrence)
     reports = []
     for task in TASKS:
         t0 = time.perf_counter()
         try:
-            report = task(run, nmax=nmax_recurrence) if task is task_recurrences else task(run)
+            report = task(run)
         except Exception as exc:
             name = task.__name__.removeprefix("task_").replace("_", "-")
             witness = {"kind": "exception", "type": type(exc).__name__, "message": str(exc)}

@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from qpart import catalog
-from qpart.automata import build_avoidance_dfa, hopcroft_minimize
+from qpart.automata import build_avoidance_dfa, minimize
 from qpart.holonomic import ShiftOp, TERM_VARS, verify_certificate
 from qpart.laurent import LaurentPoly
 from qpart.series import QSeries
@@ -42,7 +42,7 @@ from qpart.verification import (
 
 @pytest.fixture(scope="module")
 def run():
-    return VerificationRun(qorder=30)
+    return VerificationRun(qorder=30, nmax=25)
 
 
 def _criterion(number: int, label: str, ok: bool, detail: str = ""):
@@ -101,7 +101,7 @@ def test_criterion_08_profile_recursion(run):
 
 def test_criterion_09_certificates(run):
     r1 = task_certificates(run)
-    r2 = task_recurrences(run, nmax=25)
+    r2 = task_recurrences(run)
     r3 = task_combination_identity(run)
     r4 = task_ag_cylindric(run)  # the two sum sides against the profile series
     ok = r1.ok and r2.ok and r3.ok and r4.ok
@@ -127,7 +127,7 @@ def test_criterion_11_property_suites(run):
     inv_ok = (s * s.invert() == QSeries.one(14)) and (s.invert() * s == QSeries.one(14))
     # DFA re-minimization fixed point
     dfa = build_avoidance_dfa()
-    dfa_ok = hopcroft_minimize(dfa) == dfa
+    dfa_ok = minimize(dfa) == dfa
     # certificate soundness probe: a perturbed set must fail
     cert = catalog.certificate("g300")
     cert.families["p"][1] = cert.families["p"][1] + ShiftOp.coefficient(

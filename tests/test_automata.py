@@ -1,6 +1,7 @@
 """Block encoding, factor-avoidance DFA, and the coupled system."""
 
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from qpart.automata import (
     decode,
     derive_transfer_system,
     encode,
-    hopcroft_minimize,
+    minimize,
     solve_language_series,
 )
 from qpart.colored import COND_D123, COND_D1234, check_condition, enumerate_2colored, gen_fun, iter_all
@@ -40,6 +41,40 @@ def accepts(dfa: Dfa, word: str) -> bool:
     for ch in word:
         s = dfa.delta[s][dfa.alphabet.index(ch)]
     return s in dfa.accepts
+
+
+def separable(d1: Dfa, s1: int, d2: Dfa, s2: int) -> bool:
+    """True iff some word takes exactly one of d1 from s1 and d2 from s2 to
+    an accept state: a BFS over the state pairs reachable from (s1, s2)."""
+    pairs = [(s1, s2)]
+    seen = set(pairs)
+    for a, b in pairs:
+        if (a in d1.accepts) != (b in d2.accepts):
+            return True
+        for t in zip(d1.delta[a], d2.delta[b]):
+            if t not in seen:
+                seen.add(t)
+                pairs.append(t)
+    return False
+
+
+def reachable(dfa: Dfa) -> set[int]:
+    seen = {dfa.start}
+    todo = [dfa.start]
+    for s in todo:
+        for t in dfa.delta[s]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def assert_minimal(dfa: Dfa) -> None:
+    """Every state is reachable and no two states accept the same words."""
+    assert reachable(dfa) == set(range(dfa.n_states))
+    for s in range(dfa.n_states):
+        for t in range(s):
+            assert separable(dfa, s, dfa, t), (dfa, s, t)
 
 
 def letter_weight(letter: str) -> tuple[int, int]:
@@ -99,7 +134,7 @@ def test_minimal_dfa_matches_golden():
 
 def test_minimization_is_fixed_point():
     dfa = build_avoidance_dfa()
-    assert hopcroft_minimize(dfa) == dfa
+    assert minimize(dfa) == dfa
     assert canonical_relabel(dfa) == dfa
 
 
@@ -109,7 +144,7 @@ def test_minimization_drops_unreachable_states():
     sink = (dfa.n_states,) * len(dfa.alphabet)
     padded = Dfa(dfa.n_states + 1, dfa.alphabet, dfa.delta + (sink,), dfa.start,
                  dfa.accepts | {dfa.n_states})
-    assert hopcroft_minimize(padded) == dfa
+    assert minimize(padded) == dfa
 
 
 def test_small_word_sets():
@@ -149,6 +184,51 @@ def test_dfa_accepts_exactly_the_words_with_a_factor_from_its_set(case):
     dfa = build_avoidance_dfa(words)
     for word in tests:
         assert accepts(dfa, word) == word_contains_factor(word, words), (words, word)
+
+
+@st.composite
+def small_word_sets(draw):
+    alphabet = "".join(draw(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=3, unique=True)))
+    words = draw(st.lists(st.text(alphabet, min_size=1, max_size=4), min_size=1, max_size=5))
+    return tuple(words), alphabet
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_word_sets())
+@example((("bcd", "c"), "bcd"))
+@example((("ab", "abc", "b"), "abc"))
+def test_dfa_accepts_exactly_the_words_up_to_length_5_with_a_factor(case):
+    words, alphabet = case
+    dfa = build_avoidance_dfa(words, alphabet)
+    for n in range(6):
+        for letters in product(alphabet, repeat=n):
+            word = "".join(letters)
+            assert accepts(dfa, word) == word_contains_factor(word, words), (words, word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_word_sets())
+def test_dfa_states_are_pairwise_distinguishable(case):
+    assert_minimal(build_avoidance_dfa(*case))
+
+
+@st.composite
+def complete_dfas(draw):
+    alphabet = draw(st.sampled_from(("a", "ab", "abc")))
+    n = draw(st.integers(1, 7))
+    state = st.integers(0, n - 1)
+    delta = tuple(tuple(draw(state) for _ in alphabet) for _ in range(n))
+    accepts = frozenset(draw(st.sets(state)))
+    return Dfa(n, alphabet, delta, draw(state), accepts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(complete_dfas())
+def test_minimize_keeps_the_language_and_is_idempotent(dfa):
+    m = minimize(dfa)
+    assert not separable(dfa, dfa.start, m, m.start)
+    assert_minimal(m)
+    assert minimize(m) == m
 
 
 def test_transfer_matrix_matches_golden():

@@ -30,8 +30,13 @@ from qpart.holonomic import (
 SQUARE_TERM = HypTerm(nsum=0, quad2=((2,),), lin=(0,), const=0, pochs=(((1,), 0, 1),), names=("n",))
 
 
+def square_box(order: int):
+    """The u-degree 0..3, q-degree -2..3 box searched for SQUARE_TERM."""
+    return default_support(order, nsum=0, u_range=(0, 3), q_range=(-2, 3))
+
+
 def test_one_variable_contiguous_relation():
-    cert = celine_solve(SQUARE_TERM, 1, u_range=(0, 3), q_range=(-2, 3))
+    cert = celine_solve(SQUARE_TERM, 1, support=square_box(1))
     assert cert is not None
     plist = recurrence_from_certificate(cert)
     assert len(plist) == 2 and not plist[0].is_zero()
@@ -42,13 +47,13 @@ def test_one_variable_contiguous_relation():
 def test_the_first_free_p0_column_gives_the_certificate():
     # ten p_0 columns are free in this box; the first, in slot order, gives
     # (u - 1)/q + u^2/q^2 N with nothing else in the p family
-    cert = celine_solve(SQUARE_TERM, 1, u_range=(0, 3), q_range=(-2, 3))
+    cert = celine_solve(SQUARE_TERM, 1, support=square_box(1))
     plist = recurrence_from_certificate(cert)
     assert [p.to_json()["terms"] for p in plist] == [[[[-1, 0], "-1"], [[-1, 1], "1"]], [[[-2, 2], "1"]]]
 
 
 def test_order_zero_finds_nothing():
-    assert celine_solve(SQUARE_TERM, 0, u_range=(0, 3), q_range=(-2, 3)) is None
+    assert celine_solve(SQUARE_TERM, 0, support=square_box(0)) is None
 
 
 def test_single_summation_variable():
@@ -61,9 +66,9 @@ def test_single_summation_variable():
         pochs=(((0, 1), 0, 1), ((1, -1), 0, 1)),
         names=("n", "k"),
     )
-    cert = celine_solve(
-        term, 2, kbox=(1, 0, 0), u_range=(0, 2), q_range=(-2, 2), v_ranges=((0, 1), (0, 0), (0, 0))
-    )
+    support = default_support(2, nsum=1, kbox=(1, 0, 0), u_range=(0, 2), q_range=(-2, 2),
+                              v_ranges=((0, 1), (0, 0), (0, 0)))
+    cert = celine_solve(term, 2, support=support)
     assert cert is not None
     plist = recurrence_from_certificate(cert)
     assert recurrence_holds_at_point(term, plist, 14, Fraction(2))

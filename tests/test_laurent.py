@@ -1,6 +1,7 @@
 """Exact polynomial and rational-function arithmetic."""
 
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -179,6 +180,17 @@ def test_poly_gcd_divides_both_arguments(a, b, c):
     assert a.divexact(g) * g == a and b.divexact(g) * g == b
     if not c.is_zero():
         g.divexact(c)  # a common factor divides the gcd
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(vars=("x", "q")), polys(vars=("x", "q")), st.integers(-6, 6), st.integers(-6, 6))
+def test_normalized_quotient_has_coprime_contents_and_a_positive_leading_denominator(a, b, s, t):
+    # scaling both sides (6a/4b, say) gives them an integer content to cancel
+    assume(s and t and not b.is_zero())
+    r = RationalFunction(s * a, t * b)
+    assert r == RationalFunction(s * a, t * b, normalize=False)
+    assert gcd(r.num.int_content(), r.den.int_content()) == 1
+    assert r.den.leading()[1] > 0
 
 
 def test_divexact_rejects_a_non_divisor():

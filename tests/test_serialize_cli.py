@@ -9,7 +9,7 @@ import pytest
 
 from qpart import catalog, serialize
 from qpart.cli import main
-from qpart.colored import from_pairs
+from qpart.colored import from_pairs, to_pairs
 from qpart.holonomic import HypTerm, QDiffOperator, verify_certificate
 
 GOLDEN = Path(__file__).resolve().parent.parent / "src" / "qpart" / "golden"
@@ -36,7 +36,7 @@ def test_hypterm_json_round_trip():
 
 def test_partition_json():
     lam = from_pairs([("+", 5), ("-", 3), ("+", 1)])
-    assert serialize.partition_to_json(lam) == [["+", 5], ["-", 3], ["+", 1]]
+    assert to_pairs(lam) == [["+", 5], ["-", 3], ["+", 1]]
 
 
 def test_enumerate_counts():
@@ -191,12 +191,12 @@ def test_bad_input_is_a_one_line_error(argv):
 
 def test_fail_reports_carry_witnesses():
     from qpart.series import QSeries
-    from qpart.verification import RunReport, _series_witness
+    from qpart.verification import RunReport, _witness
     from qpart.series import BiSeries
 
     a = BiSeries(6, {0: QSeries(6, [1, 2, 3])})
     b = BiSeries(6, {0: QSeries(6, [1, 2, 4])})
-    w = _series_witness("probe", a, b)
+    w = _witness("probe", a, b)
     assert w == {"kind": "probe", "x_exp": 0, "q_exp": 2, "lhs": "3", "rhs": "4"}
     r = RunReport(task="t", status="fail", inputs={}, witness=w)
     assert not r.ok and r.to_json()["witness"]["q_exp"] == 2

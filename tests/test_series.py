@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from qpart.series import (
     BiSeries,
-    PochhammerFactor,
     PochhammerSpec,
     QSeries,
     finite_pochhammer,
@@ -17,7 +16,7 @@ from qpart.series import (
 
 def infinite_pochhammer(residue: int, modulus: int, order: int) -> QSeries:
     """(q^residue; q^modulus)_infinity as a QSeries modulo q^order."""
-    return pochhammer_expand(PochhammerSpec.quotient([(residue, modulus)], []), order)
+    return pochhammer_expand(PochhammerSpec(num=((residue, modulus),)), order)
 
 
 def xq_pochhammer(order: int) -> BiSeries:
@@ -65,30 +64,30 @@ def test_two_sided_inverse_mod_qn():
 
 
 def test_pochhammer_d1234_product():
-    spec = PochhammerSpec.quotient([], [(2, 6), (3, 6), (3, 6), (4, 6)])
+    spec = PochhammerSpec(den=((2, 6), (3, 6), (3, 6), (4, 6)))
     assert pochhammer_expand(spec, 8).coeffs == [1, 0, 1, 2, 2, 2, 5, 4]
 
 
 def test_pochhammer_d123_product():
-    spec = PochhammerSpec.quotient(
-        [(2, 6), (4, 6)], [(1, 6), (1, 6), (3, 6), (3, 6), (5, 6), (5, 6)]
+    spec = PochhammerSpec(
+        num=((2, 6), (4, 6)), den=((1, 6), (1, 6), (3, 6), (3, 6), (5, 6), (5, 6))
     )
     assert pochhammer_expand(spec, 4).coeffs == [1, 2, 2, 4]
 
 
 def test_pochhammer_empty_product():
-    assert pochhammer_expand(PochhammerSpec(()), 5) == QSeries.one(5)
+    assert pochhammer_expand(PochhammerSpec(), 5) == QSeries.one(5)
 
 
 def test_pochhammer_denominator_positive_coefficients():
     # purely-denominator products count multisets: all coefficients >= 0
-    spec = PochhammerSpec.quotient([], [(1, 2), (3, 4), (2, 3)])
+    spec = PochhammerSpec(den=((1, 2), (3, 4), (2, 3)))
     assert all(c >= 0 for c in pochhammer_expand(spec, 25).coeffs)
 
 
 def test_denominator_residue_zero_rejected():
     with pytest.raises(ValueError):
-        PochhammerFactor(0, 3, "denominator")
+        PochhammerSpec(den=((0, 3),))
 
 
 def test_xshift_monomial():

@@ -41,9 +41,9 @@ def run():
 
 def test_product_witnesses_are_pinned(run, monkeypatch):
     # drop the (q^4; q^6) numerator factor and one (q^2; q^3) denominator factor
-    monkeypatch.setattr(catalog, "PRODUCT_D123", PochhammerSpec.quotient(
-        num=[(2, 6)], den=[(1, 6), (1, 6), (3, 6), (3, 6), (5, 6), (5, 6)]))
-    monkeypatch.setattr(catalog, "PRODUCT_AUX", PochhammerSpec.quotient(num=[], den=[(1, 3)]))
+    monkeypatch.setattr(catalog, "PRODUCT_D123", PochhammerSpec(
+        num=((2, 6),), den=((1, 6), (1, 6), (3, 6), (3, 6), (5, 6), (5, 6))))
+    monkeypatch.setattr(catalog, "PRODUCT_AUX", PochhammerSpec(den=((1, 3),)))
     coefficient = {"q_exp": 4, "lhs": "5", "rhs": "6"}
     assert task_product_d123(run).witness == {"kind": "coefficient", **coefficient}
     assert task_aux_identity(run).witness == {"kind": "coefficient", "q_exp": 2, "lhs": "2", "rhs": "1"}
@@ -53,11 +53,11 @@ def test_product_witnesses_are_pinned(run, monkeypatch):
 
 
 def test_euler_and_d1234_witnesses_are_pinned(run, monkeypatch):
-    monkeypatch.setattr(catalog, "EULER_PRODUCT", PochhammerSpec.quotient(num=[(1, 2)], den=[]))
+    monkeypatch.setattr(catalog, "EULER_PRODUCT", PochhammerSpec(num=((1, 2),)))
     assert task_specialized_products(run).witness == {
         "kind": "g111-vs-d123-product", "q_exp": 2, "lhs": "3", "rhs": "2"}
     monkeypatch.undo()
-    monkeypatch.setattr(catalog, "PRODUCT_D1234", PochhammerSpec.quotient(num=[], den=[(2, 6), (3, 6), (4, 6)]))
+    monkeypatch.setattr(catalog, "PRODUCT_D1234", PochhammerSpec(den=((2, 6), (3, 6), (4, 6))))
     coefficient = {"q_exp": 3, "lhs": "2", "rhs": "1"}
     assert task_product_d1234(run).witness == {"kind": "coefficient", **coefficient}
     assert task_specialized_products(run).witness == {"kind": "g300-vs-d1234-product", **coefficient}
@@ -184,11 +184,11 @@ def test_recurrences_build_each_profile_once_and_keep_no_state(monkeypatch):
 
     monkeypatch.setattr(holonomic, "_term_profile", counted)
     before = sizes()
-    first = task_recurrences(VerificationRun(qorder=10), nmax=8)
+    first = task_recurrences(VerificationRun(qorder=10, nmax=8))
     assert first.ok
     # one profile per term and 0 <= n <= 8, shared by the three points
     assert len(built) == 4 * 9 and set(built.values()) == {1}
-    second = task_recurrences(VerificationRun(qorder=10), nmax=8)
+    second = task_recurrences(VerificationRun(qorder=10, nmax=8))
     assert first.to_json() == second.to_json()
     assert sizes() == before
 
@@ -202,9 +202,9 @@ def test_a_run_builds_each_certificate_set_once(monkeypatch):
         return build(name, verbatim=verbatim)
 
     monkeypatch.setattr(catalog, "certificate", counted)
-    run = VerificationRun(qorder=10)
+    run = VerificationRun(qorder=10, nmax=3)
     assert verification.task_certificates(run).ok
-    assert task_recurrences(run, nmax=3).ok
+    assert task_recurrences(run).ok
     assert task_combination_identity(run).ok
     assert built == Counter({name: 1 for name in catalog.CERTIFICATE_NAMES})
 
