@@ -155,8 +155,12 @@ def _factor_dfa(words: tuple[str, ...], alphabet: str) -> Dfa:
     A state is the longest suffix of the input so far that is a proper
     prefix of some word, found by a BFS from the empty suffix.  A letter
     that completes a word goes to one absorbing accept state (state 0),
-    since a seen factor can never be unseen.
+    since a seen factor can never be unseen.  The letters are taken in
+    sorted order, the order ``Dfa.from_json`` reads them back in.
     """
+    if len(set(alphabet)) != len(alphabet):
+        raise ValueError("repeated letter in alphabet")
+    alphabet = "".join(sorted(alphabet))
     if not words:
         raise ValueError("word set must be nonempty")
     for w in words:

@@ -35,6 +35,7 @@ from math import gcd
 from typing import Sequence
 
 from .holonomic import (
+    FAMILIES,
     CertificateSet,
     HypTerm,
     Shift,
@@ -45,7 +46,6 @@ from .holonomic import (
 )
 from .laurent import LaurentPoly
 
-FAMILIES = ("p", "q", "r", "s")
 #: a slot: (family, N-power j, K-shift sigma, monomial exponents)
 Slot = tuple[str, int, tuple[int, int, int], tuple[int, int, int, int, int]]
 

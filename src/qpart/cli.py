@@ -12,11 +12,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import catalog, serialize
 from .automata import FORBIDDEN_WORDS, build_avoidance_dfa, derive_transfer_system
 from .celine import celine_solve, default_support, support_of
-from .colored import enumerate_2colored, gen_fun, size, to_pairs
+from .colored import COND_D123, COND_D1234, enumerate_2colored, gen_fun, size, to_pairs
 from .cylindric import enumerate_cylindric, g_to_f, solve_cw_family
 from .holonomic import (
     HypTerm,
@@ -28,7 +29,7 @@ from .holonomic import (
 from .series import BiSeries
 from .verification import RECURRENCE_POINTS, verify_all
 
-CONDS = {"d123": ("D1", "D2", "D3"), "d1234": ("D1", "D2", "D3", "D4")}
+CONDS = {"d123": COND_D123, "d1234": COND_D1234}
 
 #: the box of a bounds search when its flags are not given
 BOX_DEFAULTS = {"--deg": 3, "--qdeg": 3, "--kbox": 1}
@@ -41,7 +42,7 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_conds(raw: str) -> tuple[str, ...]:
+def _parse_conds(raw: str) -> Iterable[str]:
     raw = raw.strip().lower()
     if raw in CONDS:
         return CONDS[raw]
@@ -62,7 +63,7 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _class_series(conds: tuple[str, ...], qorder: int) -> BiSeries:
+def _class_series(conds: Iterable[str], qorder: int) -> BiSeries:
     if qorder < 1:
         raise ValueError("--qorder must be >= 1")
     return gen_fun(enumerate_2colored(qorder - 1, conds), qorder)

@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import prod
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -81,7 +82,6 @@ class HypTerm:
     lin: tuple[int, ...]
     const: int
     pochs: tuple[tuple[tuple[int, ...], int, int], ...]  # (coeffs, const, base)
-    names: tuple[str, ...] = ("n", "k1", "k2", "k3")
 
     def __post_init__(self):
         dim = 1 + self.nsum
@@ -105,7 +105,6 @@ class HypTerm:
             "lin": list(self.lin),
             "const": self.const,
             "pochs": [[list(c), c0, m] for c, c0, m in self.pochs],
-            "names": list(self.names),
         }
 
     @classmethod
@@ -116,7 +115,6 @@ class HypTerm:
             lin=tuple(int(x) for x in data["lin"]),
             const=int(data["const"]),
             pochs=tuple((tuple(int(x) for x in c), int(c0), int(m)) for c, c0, m in data["pochs"]),
-            names=tuple(data["names"]),
         )
 
 
@@ -131,48 +129,46 @@ def _mono(exps: Iterable[int], coeff: int = 1) -> LaurentPoly:
 _ONE5 = LaurentPoly.one(TERM_VARS)
 
 
-def _binomial_factor(mult: int, coeffs: Sequence[int], const: int) -> LaurentPoly:
-    """1 - q^(mult * (coeffs . v + const)) as a LaurentPoly in TERM_VARS."""
-    exps = [mult * const] + [mult * c for c in coeffs]
-    while len(exps) < 5:
-        exps.append(0)
-    return _ONE5 - _mono(exps)
+def cleared_ratios(term: HypTerm, shifts: Iterable[Shift]) -> dict[Shift, LaurentPoly]:
+    """F(v - s)/F(v) for each shift s, as numerators over the least common
+    denominator of them all.
 
+    Only the first 1 + nsum entries of s act.  The quotient is the monomial
+    q^(Q(v-s) - Q(v)), Q(v-s) - Q(v) = -(quad2 s) . v + (s quad2 s)/2 - lin . s,
+    times, for each Pochhammer symbol (q^m;q^m)_L with L = c . v + c0 and
+    delta = c . s, the factors
 
-@dataclass(frozen=True)
-class FactoredRatio:
-    """F(v - shift)/F(v) in factored form: monomial * prod(num)/prod(den)."""
+        (q^m;q^m)_L / (q^m;q^m)_(L-delta) = prod_{t=0..delta-1} (1 - q^(m(L-t)))
 
-    mono: tuple[int, ...]  # exponents over TERM_VARS
-    num: tuple[LaurentPoly, ...]
-    den: tuple[LaurentPoly, ...]
-
-
-def term_ratio_factored(term: HypTerm, shift: Sequence[int]) -> FactoredRatio:
-    s = tuple(shift)
+    if delta > 0, or 1 / prod_{t=1..-delta} (1 - q^(m(L+t))) if delta < 0.
+    A factor 1 - q^(m(c . v + c0)) is keyed by the exponent vector of its
+    monomial over TERM_VARS.  A numerator is the monomial times its own
+    factors, by symbol and descending t, then the denominator factors it
+    lacks, in the order first seen.
+    """
     dim = 1 + term.nsum
-    if len(s) != dim:
-        raise ValueError(f"shift must have length {dim}")
-    # exponent difference Q(v-s) - Q(v) = -(quad2 s) . v + (s quad2 s)/2 - lin . s
-    w = [-_dot(row, s) for row in term.quad2]
-    ss = sum(s[i] * _dot(term.quad2[i], s) for i in range(dim))
-    cexp = ss // 2 - _dot(term.lin, s)
-    mono = [cexp] + w
-    while len(mono) < 5:
-        mono.append(0)
-
-    num: list[LaurentPoly] = []
-    den: list[LaurentPoly] = []
-    for coeffs, const, base in term.pochs:
-        delta = _dot(coeffs, s)
-        if delta > 0:
-            # (q^m;q^m)_L / (q^m;q^m)_(L-delta) = prod_{t=0..delta-1} (1 - q^(m(L-t)))
-            for t in range(delta):
-                num.append(_binomial_factor(base, coeffs, const - t))
-        elif delta < 0:
-            for t in range(1, -delta + 1):
-                den.append(_binomial_factor(base, coeffs, const + t))
-    return FactoredRatio(tuple(mono), tuple(num), tuple(den))
+    pad = (0,) * (len(TERM_VARS) - 1 - dim)
+    neg_lin = [-x for x in term.lin]
+    ratios: dict[Shift, tuple] = {}
+    common: Counter = Counter()
+    for s in shifts:
+        cut = s[:dim]
+        mono = (_form_value(term.quad2, neg_lin, cut), *(-_dot(row, cut) for row in term.quad2), *pad)
+        num: list[tuple[int, ...]] = []
+        den: Counter = Counter()
+        for coeffs, const, m in term.pochs:
+            delta, slope = _dot(coeffs, cut), (*(m * c for c in coeffs), *pad)
+            num += [(m * (const - t), *slope) for t in range(delta)]
+            den.update((m * (const + t), *slope) for t in range(1, 1 - delta))
+        ratios[s] = (mono, num, den)
+        common |= den
+    cleared = {}
+    for s, (mono, num, den) in ratios.items():
+        p = _mono(mono)
+        for e in chain(num, (common - den).elements()):
+            p = p * (_ONE5 - _mono(e))
+        cleared[s] = p
+    return cleared
 
 
 # ----------------------------------------------------------------------
@@ -196,6 +192,7 @@ class ShiftOp:
     Multiplication is the skew product: (P * S) * (P' * S') =
     (P * twist_S(P')) * (S + S').  Addition, integer scalars and small
     powers are supported so certificate formulas can be written verbatim.
+    The constructor drops zero coefficients; the operations leave that to it.
     """
 
     __slots__ = ("terms",)
@@ -212,16 +209,9 @@ class ShiftOp:
         return cls({s: _ONE5})
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = ShiftOp.coefficient(LaurentPoly.constant(TERM_VARS, other))
         out = dict(self.terms)
-        for s, p in other.terms.items():
-            v = out.get(s)
-            v = p if v is None else v + p
-            if v.is_zero():
-                out.pop(s, None)
-            else:
-                out[s] = v
+        for s, p in _as_op(other).terms.items():
+            out[s] = out[s] + p if s in out else p
         return ShiftOp(out)
 
     __radd__ = __add__
@@ -230,33 +220,23 @@ class ShiftOp:
         return ShiftOp({s: -p for s, p in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = ShiftOp.coefficient(LaurentPoly.constant(TERM_VARS, other))
-        return self + (-other)
+        return self + (-_as_op(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return ShiftOp({s: p * other for s, p in self.terms.items()})
+        other = _as_op(other)
         out: dict[Shift, LaurentPoly] = {}
         for s1, p1 in self.terms.items():
             for s2, p2 in other.terms.items():
                 s = (s1[0] + s2[0], s1[1] + s2[1], s1[2] + s2[2], s1[3] + s2[3])
                 p = p1 * _twist_poly(p2, s1)
-                v = out.get(s)
-                v = p if v is None else v + p
-                if v.is_zero():
-                    out.pop(s, None)
-                else:
-                    out[s] = v
+                out[s] = out[s] + p if s in out else p
         return ShiftOp(out)
 
     def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
+        return self * other if isinstance(other, int) else NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
@@ -286,6 +266,11 @@ class ShiftOp:
         return " + ".join(bits) or "0"
 
 
+def _as_op(x) -> ShiftOp:
+    """The one coercion of the shift algebra: an int is a constant operator."""
+    return ShiftOp.coefficient(LaurentPoly.constant(TERM_VARS, x)) if isinstance(x, int) else x
+
+
 class Symbols:
     """The symbols handed to certificate formulas: ShiftOp values whose
     products twist coefficients in written order."""
@@ -302,6 +287,10 @@ class Symbols:
 
 # ----------------------------------------------------------------------
 # certificate sets
+
+
+#: the certificate families; family i > 0 telescopes along K_i
+FAMILIES = ("p", "q", "r", "s")
 
 
 @dataclass
@@ -330,7 +319,7 @@ class CertificateSet:
             if fam == "p":
                 total = total + tilde
             else:
-                k = {"q": 1, "r": 2, "s": 3}[fam]
+                k = FAMILIES.index(fam)
                 kop = ShiftOp.shift(tuple(1 if i == k else 0 for i in range(4)))
                 total = total + tilde - kop * tilde
         return total
@@ -358,33 +347,6 @@ def verify_certificate(term: HypTerm, cert: CertificateSet) -> VerificationResul
         acc = acc + coeff * cleared[s]
     sample = acc.sorted_terms()[:5]
     return VerificationResult(acc.is_zero(), len(acc.terms), [[list(e), c] for e, c in sample])
-
-
-def cleared_ratios(term: HypTerm, shifts: Iterable[Shift]) -> dict[Shift, LaurentPoly]:
-    """F(v - s)/F(v) for each shift s, as numerators over the least common
-    factored denominator of them all."""
-    ratios = {s: term_ratio_factored(term, s[: 1 + term.nsum]) for s in shifts}
-    common: Counter = Counter()
-    dens: dict[Shift, Counter] = {}
-    factor_of: dict[frozenset, LaurentPoly] = {}
-    for s, r in ratios.items():
-        cnt: Counter = Counter()
-        for f in r.den:
-            key = frozenset(f.terms.items())
-            cnt[key] += 1
-            factor_of[key] = f
-        dens[s] = cnt
-        common |= cnt
-    cleared = {}
-    for s, r in ratios.items():
-        p = _mono(r.mono)
-        for f in r.num:
-            p = p * f
-        for key, mult in (common - dens[s]).items():
-            for _ in range(mult):
-                p = p * factor_of[key]
-        cleared[s] = p
-    return cleared
 
 
 def recurrence_from_certificate(cert: CertificateSet) -> list[LaurentPoly]:
@@ -910,10 +872,6 @@ def apply_qdiff(op: QDiffOperator, s: BiSeries) -> BiSeries:
 # uncoupling first-order systems
 
 
-def _shift_x_poly(p: LaurentPoly, qpow: int) -> LaurentPoly:
-    return p.twist("x", "q", qpow)
-
-
 def uncouple_system(matrix, component: int, step: int = 3) -> QDiffOperator:
     """Scalar annihilator of one component of F(x) = A(x) F(x q^step).
 
@@ -943,7 +901,7 @@ def uncouple_system(matrix, component: int, step: int = 3) -> QDiffOperator:
     e_i = [one if j == component else zero for j in range(m)]
 
     def mat_at(k: int):
-        return [[_shift_x_poly(e, step * k) for e in row] for row in poly_rows]
+        return [[e.twist("x", "q", step * k) for e in row] for row in poly_rows]
 
     def vec_times_mat(v, M):
         out = []
@@ -960,12 +918,12 @@ def uncouple_system(matrix, component: int, step: int = 3) -> QDiffOperator:
         Bs = mat_at(s - 1)
         W = [vec_times_mat(w, Bs) for w in W]
         W.append(e_i)
-        dep = _polynomial_nullvector([list(w) for w in W])
+        dep = _polynomial_nullvector(W)
         if dep is not None:
             # W[k] went through the scaled matrices at k, ..., s - 1
             for k in range(s):
                 for j in range(k, s):
-                    dep[k] = dep[k] * _shift_x_poly(scale, step * j)
+                    dep[k] = dep[k] * scale.twist("x", "q", step * j)
             return _normalize_operator(dep, step)
     raise AssertionError("no dependency found; elimination degenerated")
 
@@ -1004,18 +962,9 @@ def _polynomial_nullvector(vectors: list[list[LaurentPoly]]):
         for r in range(nrows):
             if r != sel and not used[r]:
                 f = aug[r][col]
-                if f.is_zero():
-                    if prev_piv is not None:
-                        aug[r] = [e * piv if e.is_zero() else (e * piv).divexact(prev_piv) for e in aug[r]]
-                    else:
-                        aug[r] = [e * piv for e in aug[r]]
-                    continue
-                new = []
-                for a, b in zip(aug[r], aug[sel]):
-                    val = a * piv - b * f
-                    if prev_piv is not None and not val.is_zero():
-                        val = val.divexact(prev_piv)
-                    new.append(val)
+                new = [a * piv - b * f for a, b in zip(aug[r], aug[sel])]
+                if prev_piv is not None:
+                    new = [v if v.is_zero() else v.divexact(prev_piv) for v in new]
                 aug[r] = new
         prev_piv = piv
     for r in range(nrows):

@@ -516,9 +516,14 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def _lift(self, other):
+        """An int or LaurentPoly as a quotient over 1; anything else as is."""
+        if isinstance(other, int):
+            other = LaurentPoly.constant(self.num.vars, other)
+        return RationalFunction.from_poly(other) if isinstance(other, LaurentPoly) else other
+
     def __add__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = RationalFunction(other if isinstance(other, LaurentPoly) else LaurentPoly.constant(self.num.vars, other), normalize=False)
+        other = self._lift(other)
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -527,36 +532,27 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den, normalize=False)
 
     def __sub__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            other = RationalFunction(other if isinstance(other, LaurentPoly) else LaurentPoly.constant(self.num.vars, other), normalize=False)
+        other = self._lift(other)
         return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return RationalFunction(self.num * other, self.den)
-        if isinstance(other, LaurentPoly):
+        if isinstance(other, (int, LaurentPoly)):
             return RationalFunction(self.num * other, self.den)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            other = RationalFunction(LaurentPoly.constant(self.num.vars, other), normalize=False)
-        elif isinstance(other, LaurentPoly):
-            other = RationalFunction(other, normalize=False)
+        other = self._lift(other)
         if other.num.is_zero():
             raise ZeroDenominator("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return (self.num - self.den * other).is_zero()
-        if isinstance(other, LaurentPoly):
-            return (self.num - self.den * other).is_zero()
+        other = self._lift(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero()

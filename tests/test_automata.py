@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qpart import serialize
 from qpart.automata import (
     ALPHABET,
     FORBIDDEN_WORDS,
@@ -296,3 +297,14 @@ def test_dfa_json_and_dot():
     assert Dfa.from_json(dfa.to_json()) == dfa
     dot = dfa.to_dot()
     assert dot.count("doublecircle") == 1 and "digraph" in dot
+
+
+def test_a_dfa_over_an_unsorted_alphabet_survives_a_json_round_trip():
+    dfa = build_avoidance_dfa(("ba",), "ba")
+    assert Dfa.from_json(json.loads(serialize.dumps(dfa.to_json()))) == dfa
+    assert dfa == build_avoidance_dfa(("ba",), "ab")
+
+
+def test_a_repeated_letter_in_the_alphabet_is_rejected():
+    with pytest.raises(ValueError, match="repeated letter"):
+        build_avoidance_dfa(("ab",), "aba")

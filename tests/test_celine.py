@@ -27,7 +27,7 @@ from qpart.holonomic import (
     verify_certificate,
 )
 
-SQUARE_TERM = HypTerm(nsum=0, quad2=((2,),), lin=(0,), const=0, pochs=(((1,), 0, 1),), names=("n",))
+SQUARE_TERM = HypTerm(nsum=0, quad2=((2,),), lin=(0,), const=0, pochs=(((1,), 0, 1),))
 
 
 def square_box(order: int):
@@ -64,7 +64,6 @@ def test_single_summation_variable():
         lin=(0, 0),
         const=0,
         pochs=(((0, 1), 0, 1), ((1, -1), 0, 1)),
-        names=("n", "k"),
     )
     support = default_support(2, nsum=1, kbox=(1, 0, 0), u_range=(0, 2), q_range=(-2, 2),
                               v_ranges=((0, 1), (0, 0), (0, 0)))

@@ -37,6 +37,7 @@ from qpart.holonomic import (
     uncouple_system,
     verify_certificate,
 )
+from qpart.holonomic import _polynomial_nullvector
 from qpart.laurent import LaurentPoly, RationalFunction
 from qpart.series import BiSeries, QSeries, finite_pochhammer
 
@@ -69,42 +70,67 @@ def test_term_ratio_zero_shift():
 
 def test_term_ratio_single_pochhammer():
     # F(n) = 1/(q;q)_n gives F(n-1)/F(n) = 1 - q^n
-    t = HypTerm(nsum=0, quad2=((0,),), lin=(0,), const=0, pochs=(((1,), 0, 1),), names=("n",))
+    t = HypTerm(nsum=0, quad2=((0,),), lin=(0,), const=0, pochs=(((1,), 0, 1),))
     r = _shift_ratio(t, (1, 0, 0, 0))
     u = LaurentPoly.variable(TERM_VARS, "u")
     assert r == RationalFunction.from_poly(1 - u)
+
+
+def _term_value(term: HypTerm, v, q0: Fraction) -> Fraction:
+    """F(v) at q = q0, factor by factor; 0 off the support."""
+    if not term.supported(v):
+        return Fraction(0)
+    val = q0 ** term.qexponent(v)
+    for L, (_, _, base) in zip(term.poch_lengths(v), term.pochs):
+        val /= poch_value(q0, base, L)
+    return val
+
+
+def _value_at(p: LaurentPoly, v, q0: Fraction) -> Fraction:
+    """p over TERM_VARS at q = q0, u = q0^n, v_i = q0^(k_i)."""
+    subs = [q0, *(q0**x for x in v)]
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        term = Fraction(c)
+        for x, k in zip(subs, e):
+            term *= x**k
+        total += term
+    return total
 
 
 def test_term_ratio_numeric_oracle():
     # F(v - s)/F(v) from the factored formula equals the direct quotient
     term = catalog.TERM_G300
     q0 = Fraction(3, 2)
-
-    def value(v):
-        if not term.supported(v):
-            return None
-        val = q0 ** term.qexponent(v)
-        for L, (_, _, base) in zip(term.poch_lengths(v), term.pochs):
-            val /= poch_value(q0, base, L)
-        return val
-
     for v in ((7, 1, 1, 1), (9, 2, 0, 2)):
         for s in ((1, 0, 0, 0), (0, 1, 0, 0), (2, 1, 1, 0), (3, 0, 1, 1)):
             vv = tuple(a - b for a, b in zip(v, s))
-            f1, f2 = value(v), value(vv)
-            if not f1 or f2 is None:
+            f1, f2 = _term_value(term, v, q0), _term_value(term, vv, q0)
+            if not f1 or not term.supported(vv):
                 continue
             r = _shift_ratio(term, s)
-            subs = [q0, q0 ** v[0], q0 ** v[1], q0 ** v[2], q0 ** v[3]]
+            assert f2 / f1 == _value_at(r.num, v, q0) / _value_at(r.den, v, q0)
 
-            def ev(p):
-                return sum(
-                    c * subs[0] ** e[0] * subs[1] ** e[1] * subs[2] ** e[2]
-                    * subs[3] ** e[3] * subs[4] ** e[4]
-                    for e, c in p.terms.items()
-                )
 
-            assert f2 / f1 == ev(r.num) / ev(r.den)
+@pytest.mark.parametrize("name", catalog.CERTIFICATE_NAMES)
+def test_cleared_ratios_are_the_term_quotients_on_every_telescoped_shift(name):
+    # one call clears every shift of the telescoped operator over one
+    # denominator, the cleared ratio of the zero shift; at q = 3/2 each
+    # numerator over it is F(v - s)/F(v), which is 0 where v - s leaves the support
+    term = catalog.certificate_term(name)
+    shifts = sorted(catalog.certificate(name).telescoped().terms)
+    cleared = cleared_ratios(term, [*shifts, (0, 0, 0, 0)])
+    q0 = Fraction(3, 2)
+    zeros = 0
+    for v in ((14, 2, 1, 1), (8, 3, 1, 1)):
+        f = _term_value(term, v, q0)
+        den = _value_at(cleared[(0, 0, 0, 0)], v, q0)
+        assert f and den
+        for s in shifts:
+            ratio = _term_value(term, tuple(a - b for a, b in zip(v, s)), q0) / f
+            assert _value_at(cleared[s], v, q0) / den == ratio, (v, s)
+            zeros += not ratio
+    assert 0 < zeros < len(shifts)
 
 
 @pytest.mark.parametrize("name", catalog.CERTIFICATE_NAMES)
@@ -189,11 +215,32 @@ def test_trivial_constant_certificate():
             "s": [ShiftOp(), ShiftOp()],
         },
     )
-    const = HypTerm(nsum=0, quad2=((0,),), lin=(0,), const=0, pochs=(), names=("n",))
+    const = HypTerm(nsum=0, quad2=((0,),), lin=(0,), const=0, pochs=())
     assert verify_certificate(const, cert).ok
     plist = recurrence_from_certificate(cert)
     # a support-free term is constant on all of Z, so start past the boundary
     assert recurrence_holds_at_point(const, plist, 8, Fraction(2), nmin=1)
+
+
+# coefficients over (q, u, v1) with few terms and unit coefficients, so
+# that sums and products cancel often
+_small_polys = st.dictionaries(
+    st.tuples(st.integers(-1, 1), st.integers(0, 1), st.integers(0, 1)), st.sampled_from((-1, 1)), max_size=2,
+).map(lambda d: LaurentPoly(TERM_VARS, {(*e, 0, 0): c for e, c in d.items()}))
+_small_ops = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.just(0), st.just(0)), _small_polys, max_size=3,
+).map(ShiftOp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_ops, _small_ops, _small_ops, st.integers(-2, 2))
+def test_shift_operators_store_no_zero_and_form_a_ring(a, b, c, k):
+    for op in (a + b, a - b, a * b, a + k, k - a, a * k, k * a, a - a, a * 0):
+        assert not any(p.is_zero() for p in op.terms.values())
+    assert (a - a).is_zero() and (a * 0).is_zero() and (a + k) - k == a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c and (a + b) * c == a * c + b * c
+    assert a * k == k * a == a * ShiftOp.coefficient(LaurentPoly.constant(TERM_VARS, k))
 
 
 @pytest.mark.parametrize("name", catalog.CERTIFICATE_NAMES)
@@ -290,7 +337,7 @@ def test_sequence_value_matches_direct_fraction_sum(name):
 
 _SHAPES = {
     # no summation: F(n) = q^(n^2) / (q; q)_n
-    "r0": HypTerm(nsum=0, quad2=((2,),), lin=(0,), const=0, pochs=(((1,), 0, 1),), names=("n",)),
+    "r0": HypTerm(nsum=0, quad2=((2,),), lin=(0,), const=0, pochs=(((1,), 0, 1),)),
     # the exponent n - k falls along the run of k, so at q = 0 only k = n is left
     "r1-falling-exponent": HypTerm(nsum=1, quad2=((0, 0), (0, 0)), lin=(1, -1), const=0,
                                    pochs=(((1, -1), 0, 1), ((0, 1), 0, 2))),
@@ -538,9 +585,9 @@ def test_malformed_lengths_are_rejected():
     with pytest.raises(ValueError):
         AGSumSpec(catalog.AG_D123.quad2, (0, 0, 0, 0), (1, 1, 2), (1, 1, 3, 3))
     with pytest.raises(ValueError):
-        HypTerm(nsum=0, quad2=((2,),), lin=(0,), const=0, pochs=(((1, 1), 0, 1),), names=("n",))
+        HypTerm(nsum=0, quad2=((2,),), lin=(0,), const=0, pochs=(((1, 1), 0, 1),))
     with pytest.raises(ValueError):
-        HypTerm(nsum=0, quad2=((1,),), lin=(0,), const=0, pochs=(), names=("n",))
+        HypTerm(nsum=0, quad2=((1,),), lin=(0,), const=0, pochs=())
 
 
 def test_catalog_sums_still_build():
@@ -751,6 +798,29 @@ def test_uncouple_5x5():
     for comp in (0, 1):
         op = uncouple_system(mat, comp)
         assert apply_qdiff(op, sols[comp]).is_zero()
+
+
+_xq_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=3,
+).map(lambda d: LaurentPoly(XQ, d))
+
+
+@st.composite
+def _dependent_rows(draw):
+    # more rows than columns, so a nonzero combination exists
+    ncols = draw(st.integers(1, 3))
+    nrows = draw(st.integers(ncols + 1, ncols + 2))
+    return [[draw(_xq_polys) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dependent_rows())
+def test_polynomial_nullvector_annihilates_the_rows(rows):
+    zero = LaurentPoly.zero(XQ)
+    dep = _polynomial_nullvector(rows)
+    assert dep is not None and any(not d.is_zero() for d in dep)
+    for j in range(len(rows[0])):
+        assert sum((d * row[j] for d, row in zip(dep, rows)), zero).is_zero()
 
 
 def test_combination_identity():

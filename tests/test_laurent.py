@@ -203,3 +203,19 @@ def test_divexact_rejects_a_non_divisor():
         with pytest.raises(ValueError, match="not exactly divisible"):
             a.divexact(b)
     assert (u**-1 - v**2).divexact(u**-1) == 1 - u * v**2
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(vars=("x", "q"), max_terms=3), polys(vars=("x", "q"), max_terms=3),
+       polys(vars=("x", "q"), max_terms=3), st.integers(-3, 3))
+def test_rational_functions_read_ints_and_polynomials_as_quotients_over_one(a, b, p, k):
+    assume(not b.is_zero())
+    r = RationalFunction(a, b)
+    for c in (k, p, LaurentPoly.constant(("x", "q"), k)):
+        lifted = RationalFunction.from_poly(LaurentPoly.constant(("x", "q"), c) if isinstance(c, int) else c)
+        assert r + c == r + lifted and r - c == r - lifted and r * c == r * lifted
+        assert (r == c) == (r == lifted) == (a - lifted.num * b).is_zero()
+        if not lifted.is_zero():
+            assert r / c == r / lifted
+    assert k + r == r + k and k - r == -(r - k) and k * r == r * k
+    assert r == RationalFunction(a * b, b * b) and r - r == 0 and (r + r) / 2 == r

@@ -34,6 +34,13 @@ def test_hypterm_json_round_trip():
     assert HypTerm.from_json(term.to_json()) == term
 
 
+def test_a_term_file_with_variable_names_still_loads():
+    # older term files carry a "names" list, which is ignored
+    data = {**catalog.TERM_G111.to_json(), "names": ["n", "k1", "k2", "k3"]}
+    assert "names" not in catalog.TERM_G111.to_json()
+    assert HypTerm.from_json(json.loads(json.dumps(data))) == catalog.TERM_G111
+
+
 def test_partition_json():
     lam = from_pairs([("+", 5), ("-", 3), ("+", 1)])
     assert to_pairs(lam) == [["+", 5], ["-", 3], ["+", 1]]
