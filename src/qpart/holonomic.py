@@ -33,7 +33,7 @@ from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .laurent import LaurentPoly, RationalFunction, poly_gcd
-from .series import BiSeries, QSeries, finite_pochhammer
+from .series import BiSeries, QSeries, divide_binomial
 
 TERM_VARS = ("q", "u", "v1", "v2", "v3")
 QU_VARS = ("q", "u")
@@ -698,44 +698,34 @@ class AGSumSpec:
 
 
 def evaluate_ag_sum(spec: AGSumSpec, qorder: int) -> BiSeries:
-    """Exact expansion of the sum over all lattice points with exponent < qorder."""
+    """Exact expansion of the sum over all lattice points with exponent < qorder.
+
+    The recursion fixes k_1, k_2, ... in turn and carries the coefficient
+    list of 1/prod_(j<i) (q^(m_j); q^(m_j))_(k_j), divided by 1 - q^(m_i k_i)
+    in place as k_i grows; each point adds q^Q(k) times it to its x-slice.
+    """
     if qorder < 1:
         raise ValueError("qorder must be >= 1")
     r = len(spec.bases)
-    inv_cache: dict[tuple[int, int], QSeries] = {}
+    rows: dict[int, list[int]] = {}
 
-    def inv_poch(base: int, length: int) -> QSeries:
-        key = (base, length)
-        if key not in inv_cache:
-            inv_cache[key] = finite_pochhammer(base, length, qorder).invert()
-        return inv_cache[key]
-
-    acc = BiSeries.zero(qorder)
-
-    def rec(prefix: list[int]) -> None:
-        nonlocal acc
-        if len(prefix) == r:
-            e = spec.qexponent(prefix)
-            if e >= qorder:
-                return
-            s = QSeries.monomial(qorder, e)
-            for base, k in zip(spec.bases, prefix):
-                s = s * inv_poch(base, k)
-            acc = acc + BiSeries(qorder, {_dot(spec.xcoeffs, prefix): s})
+    def rec(k: list[int], inv: list[int]) -> None:
+        i = len(k)
+        if i == r:
+            e = spec.qexponent(k)
+            row = rows.setdefault(_dot(spec.xcoeffs, k), [0] * qorder)
+            row[e:] = map(add, row[e:], inv)
             return
-        i = len(prefix)
-        k = 0
-        while True:
-            probe = prefix + [k] + [0] * (r - i - 1)
-            if spec.qexponent(probe) >= qorder:
-                break
-            prefix.append(k)
-            rec(prefix)
-            prefix.pop()
-            k += 1
+        inv = inv.copy()
+        k.append(0)
+        while spec.qexponent(k + [0] * (r - i - 1)) < qorder:
+            rec(k, inv)
+            k[i] += 1
+            divide_binomial(inv, spec.bases[i] * k[i])
+        k.pop()
 
-    rec([])
-    return acc
+    rec([], QSeries.one(qorder).coeffs)
+    return BiSeries(qorder, {m: QSeries(qorder, row) for m, row in rows.items()})
 
 
 # ----------------------------------------------------------------------

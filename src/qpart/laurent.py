@@ -133,6 +133,8 @@ class LaurentPoly:
     def __add__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.constant(self.vars, other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented  # let a RationalFunction or ShiftOp on the right act
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -155,9 +157,7 @@ class LaurentPoly:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.constant(self.vars, other)
-        return self + (-other)
+        return self + (-other) if isinstance(other, (int, LaurentPoly)) else NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
@@ -170,6 +170,8 @@ class LaurentPoly:
             out.vars = self.vars
             out.terms = {e: c * other for e, c in self.terms.items()}
             return out
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -210,7 +212,9 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             return self.is_constant() and self.constant_value() == other
-        return isinstance(other, LaurentPoly) and self.vars == other.vars and self.terms == other.terms
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))

@@ -2,7 +2,10 @@
 
 A QSeries of order N stores the coefficients of q^0 .. q^(N-1); a BiSeries
 stores finitely many x-slices, each a QSeries of the common q-order.
-Arithmetic results carry the minimum order of the operands.
+Arithmetic results carry the minimum order of the operands.  A Pochhammer
+factor 1 - q^e is applied to a coefficient list in place, never through an
+inverse series: ``divide_binomial`` is the one division loop, shared by
+``pochhammer_expand`` and the quadruple sums of ``holonomic``.
 """
 
 from __future__ import annotations
@@ -97,17 +100,6 @@ class QSeries:
             return self
         return QSeries(self.order, [0] * min(k, self.order) + self.coeffs[: max(self.order - k, 0)])
 
-    def mul_binomial(self, exp: int, coeff: int) -> "QSeries":
-        """Multiply by (1 + coeff*q^exp) in place-free fashion."""
-        out = list(self.coeffs)
-        if exp >= 0:
-            for i in range(self.order - exp):
-                if self.coeffs[i]:
-                    out[i + exp] += coeff * self.coeffs[i]
-        else:
-            raise ValueError("negative exponent")
-        return QSeries(self.order, out)
-
     def invert(self) -> "QSeries":
         """Multiplicative inverse; the constant term must be +-1."""
         if self.order == 0:
@@ -175,30 +167,26 @@ class PochhammerSpec:
             raise ValueError("denominator factor needs residue >= 1")
 
 
+def divide_binomial(coeffs: list[int], e: int) -> None:
+    """Divide the series with coefficient list ``coeffs`` by 1 - q^e (e >= 1) in place."""
+    for i in range(e, len(coeffs)):
+        coeffs[i] += coeffs[i - e]
+
+
 def pochhammer_expand(spec: PochhammerSpec, order: int) -> QSeries:
     """Expand the product described by ``spec`` modulo q^order: the factors
-    1 - q^e of ``num`` multiply, those of ``den`` divide, one at a time."""
+    1 - q^e of ``num`` multiply, those of ``den`` divide, one at a time in place."""
     if order < 1:
         raise ValueError("order must be >= 1")
     s = QSeries.one(order)
+    c = s.coeffs
     for r, m in spec.num:
         for e in range(r, order, m):
-            s = s.mul_binomial(e, -1)
-    c = s.coeffs
+            for i in range(order - 1, e - 1, -1):  # times 1 - q^e; descending reads old c[i - e]
+                c[i] -= c[i - e]
     for r, m in spec.den:
         for e in range(r, order, m):
-            for i in range(e, order):  # divide by 1 - q^e in place
-                c[i] += c[i - e]
-    return s
-
-
-def finite_pochhammer(base_exp: int, length: int, order: int) -> QSeries:
-    """(q^base_exp; q^base_exp)_length, i.e. prod_{j=1..length} (1 - q^(base_exp*j))."""
-    s = QSeries.one(order)
-    for j in range(1, length + 1):
-        e = base_exp * j
-        if e < order:
-            s = s.mul_binomial(e, -1)
+            divide_binomial(c, e)
     return s
 
 
@@ -323,11 +311,3 @@ class BiSeries:
     @classmethod
     def from_json(cls, data: dict) -> "BiSeries":
         return cls(int(data["qorder"]), {int(m): QSeries.from_json(s) for m, s in data["slices"].items()})
-
-
-def inv_xq_pochhammer(order: int) -> BiSeries:
-    """1/(xq; q)_infinity as a BiSeries modulo q^order: slice m is q^m/(q;q)_m."""
-    out: dict[int, QSeries] = {}
-    for m in range(order):
-        out[m] = finite_pochhammer(1, m, order).invert().shift(m)
-    return BiSeries(order, out)

@@ -3,6 +3,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpart.catalog import PRODUCT_D123, PRODUCT_D1234, EULER_PRODUCT
 from qpart.colored import COND_D123, COND_D1234, enumerate_2colored, gen_fun
@@ -14,15 +16,9 @@ from qpart.cylindric import (
     profile_orbit,
     solve_cw_family,
 )
-from qpart.series import BiSeries, QSeries, inv_xq_pochhammer, pochhammer_expand
+from qpart.series import BiSeries, QSeries, pochhammer_expand
 
-
-def f_to_g(f: BiSeries) -> BiSeries:
-    """The oracle for g_to_f: multiply by the literal product (xq; q)_inf = prod_j (1 - x q^j)."""
-    n = f.qorder
-    for j in range(1, n):
-        f = f * (BiSeries.one(n) - BiSeries.monomial(n, 1, j))
-    return f
+from oracles import f_to_g, inv_xq_pochhammer
 
 
 def test_is_cylindric_examples():
@@ -110,6 +106,21 @@ def test_g_to_f_round_trip_and_x0_slice():
     assert f_to_g(f) == g
     assert f.slice(0) == g.slice(0)
     assert g_to_f(BiSeries.one(10)) == inv_xq_pochhammer(10)
+
+
+@st.composite
+def _biseries(draw):
+    """A BiSeries of q-order 1..8 whose slices may sit at x-degree >= qorder."""
+    n = draw(st.integers(1, 8))
+    slices = draw(st.dictionaries(st.integers(0, 2 * n + 2), st.lists(st.integers(-3, 3), max_size=n), max_size=4))
+    return BiSeries(n, {m: QSeries(n, cs) for m, cs in slices.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_biseries())
+def test_g_to_f_inverts_the_literal_product(s):
+    assert f_to_g(g_to_f(s)) == s
+    assert g_to_f(f_to_g(s)) == s
 
 
 def test_enumeration_matches_recursion_all_profiles():

@@ -39,7 +39,9 @@ from qpart.holonomic import (
 )
 from qpart.holonomic import _polynomial_nullvector
 from qpart.laurent import LaurentPoly, RationalFunction
-from qpart.series import BiSeries, QSeries, finite_pochhammer
+from qpart.series import BiSeries, QSeries
+
+from oracles import finite_pochhammer
 
 QU = ("q", "u")
 XQ = ("x", "q")
@@ -564,6 +566,50 @@ def test_recurrence_from_operator_reads_the_x_coefficients():
 def test_evaluate_ag_sum_d123_low_order():
     s = evaluate_ag_sum(catalog.AG_D123, 4)
     assert s.eval_x1().coeffs == [1, 2, 2, 4]
+
+
+def ag_sum_per_point(spec: AGSumSpec, qorder: int) -> BiSeries:
+    """The oracle for evaluate_ag_sum: each lattice point's term
+    q^Q(k) x^(E.k) / prod (q^(m_i); q^(m_i))_(k_i) built from inverted
+    finite products and added as its own BiSeries."""
+    r = len(spec.bases)
+    acc = BiSeries.zero(qorder)
+
+    def rec(prefix: list[int]) -> None:
+        nonlocal acc
+        if len(prefix) == r:
+            s = QSeries.monomial(qorder, spec.qexponent(prefix))
+            for base, k in zip(spec.bases, prefix):
+                s = s * finite_pochhammer(base, k, qorder).invert()
+            acc = acc + BiSeries(qorder, {sum(c * v for c, v in zip(spec.xcoeffs, prefix)): s})
+            return
+        k = 0
+        while spec.qexponent(prefix + [k] + [0] * (r - len(prefix) - 1)) < qorder:
+            rec(prefix + [k])
+            k += 1
+
+    rec([])
+    return acc
+
+
+@st.composite
+def _monotone_specs(draw):
+    """An AGSumSpec in 1-3 variables: even positive diagonal, nonnegative entries, bases 1-3."""
+    r = draw(st.integers(1, 3))
+    quad2 = [[0] * r for _ in range(r)]
+    for i in range(r):
+        quad2[i][i] = draw(st.sampled_from((2, 4, 6)))
+        for j in range(i):
+            quad2[i][j] = quad2[j][i] = draw(st.integers(0, 3))
+    vec = st.lists(st.integers(0, 3), min_size=r, max_size=r).map(tuple)
+    bases = st.lists(st.integers(1, 3), min_size=r, max_size=r).map(tuple)
+    return AGSumSpec(tuple(map(tuple, quad2)), draw(vec), draw(vec), draw(bases))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monotone_specs(), st.integers(1, 20))
+def test_evaluate_ag_sum_matches_the_per_point_sum(spec, qorder):
+    assert evaluate_ag_sum(spec, qorder) == ag_sum_per_point(spec, qorder)
 
 
 def test_evaluate_ag_sum_requires_monotone_spec():

@@ -1,12 +1,14 @@
 """Exact polynomial and rational-function arithmetic."""
 
 import itertools
+import operator
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qpart.holonomic import TERM_VARS, ShiftOp
 from qpart.laurent import (
     LaurentPoly,
     RationalFunction,
@@ -203,6 +205,20 @@ def test_divexact_rejects_a_non_divisor():
         with pytest.raises(ValueError, match="not exactly divisible"):
             a.divexact(b)
     assert (u**-1 - v**2).divexact(u**-1) == 1 - u * v**2
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.eq], ids=["add", "sub", "mul", "eq"])
+def test_a_polynomial_defers_to_a_rational_function_on_its_right(op):
+    x, q = LaurentPoly.variable(("x", "q"), "x"), LaurentPoly.variable(("x", "q"), "q")
+    p = 1 + x * q
+    lifted = RationalFunction.from_poly(p)
+    for r in (RationalFunction(x - q, 1 + q), lifted):
+        assert op(p, r) == op(lifted, r)
+
+
+def test_a_polynomial_times_a_shift_operator_is_a_type_error():
+    with pytest.raises(TypeError):
+        LaurentPoly.one(TERM_VARS) * ShiftOp.shift((1, 0, 0, 0))
 
 
 @settings(max_examples=100, deadline=None)

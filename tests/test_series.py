@@ -4,14 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpart.series import (
-    BiSeries,
-    PochhammerSpec,
-    QSeries,
-    finite_pochhammer,
-    inv_xq_pochhammer,
-    pochhammer_expand,
-)
+from qpart.series import BiSeries, PochhammerSpec, QSeries, pochhammer_expand
+
+from oracles import finite_pochhammer, inv_xq_pochhammer
 
 
 def infinite_pochhammer(residue: int, modulus: int, order: int) -> QSeries:
@@ -83,6 +78,36 @@ def test_pochhammer_denominator_positive_coefficients():
     # purely-denominator products count multisets: all coefficients >= 0
     spec = PochhammerSpec(den=((1, 2), (3, 4), (2, 3)))
     assert all(c >= 0 for c in pochhammer_expand(spec, 25).coeffs)
+
+
+def literal_product(spec: PochhammerSpec, order: int) -> QSeries:
+    """``spec`` modulo q^order as one QSeries product per binomial 1 - q^e,
+    inverted for the denominator's."""
+    s = QSeries.one(order)
+    for pairs, divide in ((spec.num, False), (spec.den, True)):
+        for r, m in pairs:
+            for e in range(r, order, m):
+                b = QSeries.one(order) - QSeries.monomial(order, e)
+                s = s * (b.invert() if divide else b)
+    return s
+
+
+_PAIRS = st.tuples(st.integers(0, 3), st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PAIRS, min_size=1, max_size=3), st.lists(_PAIRS.filter(lambda p: p[0] > 0), min_size=1, max_size=3),
+       st.integers(1, 20))
+def test_pochhammer_expand_is_the_literal_product(num, den, order):
+    # the first pair of each side is repeated: a k-th power is k factors
+    spec = PochhammerSpec(num=tuple(num + num[:1]), den=tuple(den + den[:1]))
+    assert pochhammer_expand(spec, order) == literal_product(spec, order)
+
+
+def test_pochhammer_residue_zero_in_numerator_is_zero():
+    # (1; q^4)_inf has the factor 1 - q^0 = 0
+    spec = PochhammerSpec(num=((2, 3), (0, 4)), den=((1, 1), (1, 1)))
+    assert pochhammer_expand(spec, 10) == literal_product(spec, 10) == QSeries.zero(10)
 
 
 def test_denominator_residue_zero_rejected():
