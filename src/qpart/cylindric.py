@@ -14,11 +14,10 @@ system in x over the whole orbit of profiles, which
 from __future__ import annotations
 
 from itertools import accumulate, combinations
-from operator import add
 
 from .holonomic import XQ_VARS, solve_shift_system
 from .laurent import LaurentPoly
-from .series import BiSeries, QSeries
+from .series import BiSeries, QSeries, inv_xq_pochhammer
 
 Profile = tuple[int, ...]
 Rows = tuple[tuple[int, ...], ...]
@@ -167,18 +166,5 @@ def solve_cw_family(profile: Profile, qorder: int) -> dict[Profile, BiSeries]:
 
 
 def g_to_f(g: BiSeries) -> BiSeries:
-    """Divide by (xq; q)_inf, recovering F from G.
-
-    For j = 1 .. qorder - 1 the division by 1 - x q^j is done in place:
-    slice m gains q^j times the already divided slice m - 1, for increasing
-    m up to the top slice of G plus qorder - 1, the x-degree F can reach.
-    """
-    n = g.qorder
-    if not g.slices:
-        return g
-    lo = min(g.slices)
-    rows = [g.slice(m).coeffs.copy() for m in range(lo, max(g.slices) + n)]
-    for j in range(1, n):
-        for prev, row in zip(rows, rows[1:]):
-            row[j:] = map(add, row[j:], prev[:n - j])
-    return BiSeries(n, {lo + m: QSeries(n, row) for m, row in enumerate(rows)})
+    """Divide by (xq; q)_inf, recovering F from G."""
+    return g * inv_xq_pochhammer(g.qorder)

@@ -669,6 +669,8 @@ class AGSumSpec:
             raise ValueError("growth monotonicity requires nonnegative coefficients")
         if any(self.quad2[i][i] <= 0 for i in range(dim)):
             raise ValueError("diagonal must be positive for termination")
+        if any(b < 1 for b in self.bases):
+            raise ValueError("bases must be >= 1")
 
     def coefficient_term(self, eliminate: int) -> HypTerm:
         """The term whose sum over the other k's is the x^n coefficient.

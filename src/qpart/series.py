@@ -3,9 +3,10 @@
 A QSeries of order N stores the coefficients of q^0 .. q^(N-1); a BiSeries
 stores finitely many x-slices, each a QSeries of the common q-order.
 Arithmetic results carry the minimum order of the operands.  A Pochhammer
-factor 1 - q^e is applied to a coefficient list in place, never through an
-inverse series: ``divide_binomial`` is the one division loop, shared by
-``pochhammer_expand`` and the quadruple sums of ``holonomic``.
+factor 1 - q^e is applied to a coefficient list in place:
+``multiply_binomial`` and ``divide_binomial`` are the one loop each, shared
+by ``pochhammer_expand``, ``inv_xq_pochhammer`` and the quadruple sums of
+``holonomic``.
 """
 
 from __future__ import annotations
@@ -167,6 +168,12 @@ class PochhammerSpec:
             raise ValueError("denominator factor needs residue >= 1")
 
 
+def multiply_binomial(coeffs: list[int], e: int) -> None:
+    """Multiply the series with coefficient list ``coeffs`` by 1 - q^e (e >= 0) in place."""
+    for i in range(len(coeffs) - 1, e - 1, -1):  # descending: reads the old coeffs[i - e]
+        coeffs[i] -= coeffs[i - e]
+
+
 def divide_binomial(coeffs: list[int], e: int) -> None:
     """Divide the series with coefficient list ``coeffs`` by 1 - q^e (e >= 1) in place."""
     for i in range(e, len(coeffs)):
@@ -182,8 +189,7 @@ def pochhammer_expand(spec: PochhammerSpec, order: int) -> QSeries:
     c = s.coeffs
     for r, m in spec.num:
         for e in range(r, order, m):
-            for i in range(order - 1, e - 1, -1):  # times 1 - q^e; descending reads old c[i - e]
-                c[i] -= c[i - e]
+            multiply_binomial(c, e)
     for r, m in spec.den:
         for e in range(r, order, m):
             divide_binomial(c, e)
@@ -311,3 +317,14 @@ class BiSeries:
     @classmethod
     def from_json(cls, data: dict) -> "BiSeries":
         return cls(int(data["qorder"]), {int(m): QSeries.from_json(s) for m, s in data["slices"].items()})
+
+
+def inv_xq_pochhammer(order: int) -> BiSeries:
+    """1/(xq; q)_infinity as a BiSeries modulo q^order: slice m is q^m/(q;q)_m."""
+    poch = QSeries.one(order)  # (q;q)_m, one factor more per slice
+    out: dict[int, QSeries] = {}
+    for m in range(order):
+        if m:
+            multiply_binomial(poch.coeffs, m)
+        out[m] = poch.invert().shift(m)
+    return BiSeries(order, out)

@@ -1,8 +1,8 @@
 """Literal-product oracles shared by the series, cylindric and holonomic tests.
 
-The library applies Pochhammer factors in place; these build the same
-products factor by factor with ``QSeries``/``BiSeries`` multiplication
-and ``QSeries.invert``, so they share no loop with the code they check.
+The library applies Pochhammer factors to coefficient lists in place;
+these build the same products with one ``QSeries`` or ``BiSeries``
+product per factor.
 """
 
 from qpart.series import BiSeries, QSeries
@@ -14,11 +14,6 @@ def finite_pochhammer(base: int, length: int, order: int) -> QSeries:
     for j in range(1, length + 1):
         s = (QSeries.one(order) - QSeries.monomial(order, base * j)) * s
     return s
-
-
-def inv_xq_pochhammer(order: int) -> BiSeries:
-    """1/(xq; q)_inf modulo q^order in closed form: slice m is q^m/(q;q)_m."""
-    return BiSeries(order, {m: finite_pochhammer(1, m, order).invert().shift(m) for m in range(order)})
 
 
 def f_to_g(f: BiSeries) -> BiSeries:

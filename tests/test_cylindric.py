@@ -16,9 +16,9 @@ from qpart.cylindric import (
     profile_orbit,
     solve_cw_family,
 )
-from qpart.series import BiSeries, QSeries, pochhammer_expand
+from qpart.series import BiSeries, QSeries, inv_xq_pochhammer, pochhammer_expand
 
-from oracles import f_to_g, inv_xq_pochhammer
+from oracles import f_to_g
 
 
 def test_is_cylindric_examples():

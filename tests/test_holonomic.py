@@ -617,6 +617,13 @@ def test_evaluate_ag_sum_requires_monotone_spec():
         AGSumSpec(((2, -1), (-1, 2)), (0, 0), (1, 1), (1, 1))
 
 
+@pytest.mark.parametrize("bases", [(0, 1), (1, -1)])
+def test_ag_sum_spec_rejects_a_base_below_one(bases):
+    # a base of 0 would divide by 1 - q^0 = 0
+    with pytest.raises(ValueError, match="bases"):
+        AGSumSpec(((2, 1), (1, 2)), (0, 0), (1, 1), bases)
+
+
 @pytest.mark.parametrize("quad2, lin", [
     (catalog.AG_D123.quad2, (0, 0, 0)),  # k4's linear term would be dropped
     (((1, 2, 3, 3),) + catalog.AG_D123.quad2[1:], (0, 0, 0, 0)),  # odd diagonal: k1^2/2 floored

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpart.series import BiSeries, PochhammerSpec, QSeries, pochhammer_expand
+from qpart.series import BiSeries, PochhammerSpec, QSeries, inv_xq_pochhammer, pochhammer_expand
 
-from oracles import finite_pochhammer, inv_xq_pochhammer
+from oracles import finite_pochhammer
 
 
 def infinite_pochhammer(residue: int, modulus: int, order: int) -> QSeries:
