@@ -190,8 +190,8 @@ class ShiftOp:
     """An element of the shift algebra, normal-ordered: coeff * shift-monomial.
 
     Multiplication is the skew product: (P * S) * (P' * S') =
-    (P * twist_S(P')) * (S + S').  Addition, integer scalars and small
-    powers are supported so certificate formulas can be written verbatim.
+    (P * twist_S(P')) * (S + S').  Addition, small powers, and ints and TERM_VARS
+    polynomials on either side (p * op is not twisted) let certificate formulas be written verbatim.
     The constructor drops zero coefficients; the operations leave that to it.
     """
 
@@ -236,7 +236,7 @@ class ShiftOp:
         return ShiftOp(out)
 
     def __rmul__(self, other):
-        return self * other if isinstance(other, int) else NotImplemented
+        return _as_op(other) * self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -267,8 +267,12 @@ class ShiftOp:
 
 
 def _as_op(x) -> ShiftOp:
-    """The one coercion of the shift algebra: an int is a constant operator."""
-    return ShiftOp.coefficient(LaurentPoly.constant(TERM_VARS, x)) if isinstance(x, int) else x
+    """The one coercion of the shift algebra: ints and TERM_VARS polynomials are coefficients."""
+    if isinstance(x, ShiftOp):
+        return x
+    if isinstance(x, int) or isinstance(x, LaurentPoly) and x.vars == TERM_VARS:
+        return ShiftOp.coefficient(LaurentPoly.zero(TERM_VARS) + x)
+    raise TypeError(f"not a shift operator: {x!r}")
 
 
 class Symbols:
@@ -437,9 +441,41 @@ def term_support(term: HypTerm, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _sum_free_variable(term: HypTerm) -> tuple[HypTerm, tuple[tuple[int, int, int], int] | None]:
+    """``term`` summed over its first free variable k_j, with ((m, d, l), w); or ``term`` and None.
+
+    k_j is free when it has no cross term and is in just two symbols, both
+    of base m: (q^m; q^m)_(k_j) and one of length M - k_j, the w-th of the
+    reduced term.  By the q-binomial theorem, the sum over 0 <= k_j <= M is
+    H_M / (q^m; q^m)_M, H_M = sum_k q^(d k^2 + l k) [M k]_(q^m), for 2d =
+    quad2[j][j] and l = lin[j].  It must keep the box sum (M <= n on the box)
+    and q^(min(d + l, 0) M), which the reduced form takes, must be the least
+    power of H_M (d >= 0, and d = 0 or d + l >= 0).
+    """
+    drop = lambda row, j: row[:j] + row[j + 1 :]
+    for j in range(1, term.nsum + 1):
+        d, l = term.quad2[j][j] // 2, term.lin[j]
+        inside = sorted((-c[j], i) for i, (c, _, _) in enumerate(term.pochs) if c[j])
+        if len(inside) != 2 or any(drop(term.quad2[j], j)) or d < 0 or (d and d + l < 0):
+            continue
+        (_, own), (_, other) = inside
+        c, c0, m = term.pochs[other]  # M <= n on the box: at most 1 on n, 0 on the other k's and constant
+        if (term.pochs[own] != (tuple(int(i == j) for i in range(len(c))), 0, m) or c[j] != -1
+                or c[0] > 1 or any(x > 0 for x in drop(c, j)[1:]) or c0 > 0):
+            continue
+        low = min(d + l, 0)
+        reduced = HypTerm(term.nsum - 1, tuple(drop(row, j) for i, row in enumerate(term.quad2) if i != j),
+                          tuple(x + low * y for x, y in zip(drop(term.lin, j), drop(c, j))), term.const + low * c0,
+                          tuple((drop(cc, j), *p) for i, (cc, *p) in enumerate(term.pochs) if i != own))
+        return reduced, ((m, d, l), other - (own < other))
+    return term, None
+
+
 class _Profile(NamedTuple):
     """The part of ``sequence_value`` at one (term, n) that does not depend on q0."""
 
+    term: HypTerm  # the term profiled: the given one, or it summed over a free variable
+    free: tuple[tuple[int, int, int], int] | None  # see _sum_free_variable
     rows: list[tuple]  # see _term_profile
     tops: tuple[int, ...]  # the largest length of each Pochhammer symbol
     erange: tuple[int, int]  # least and largest e
@@ -449,6 +485,7 @@ class _Profile(NamedTuple):
 def _term_profile(term: HypTerm, n: int) -> _Profile | None:
     """The q0-free part of ``sequence_value`` at (term, n); None on an empty support.
 
+    A term with a free variable is profiled summed over it (``_sum_free_variable``).
     One row per support point, in ``term_support`` order: the q-exponent e,
     beta = -e + sum_i m_i L_i(L_i+1)/2, the Pochhammer lengths L_i, and,
     for a point stepped from a reference point, the reference's lengths and
@@ -459,6 +496,7 @@ def _term_profile(term: HypTerm, n: int) -> _Profile | None:
     row is evaluated in full.  The lengths step by their coefficients of k_r
     or k_(r-1), and de and dbeta by constants.
     """
+    term, free = _sum_free_variable(term)
     support = term_support(term, n)
     if not support:
         return None
@@ -498,15 +536,15 @@ def _term_profile(term: HypTerm, n: int) -> _Profile | None:
         prev = k
     es, betas = [row[0] for row in rows], [row[1] for row in rows]
     tops = tuple(map(max, zip(*(row[2] for row in rows))))
-    return _Profile(rows, tops, (min(es), max(es)), (min(betas), max(betas)))
+    return _Profile(term, free, rows, tops, (min(es), max(es)), (min(betas), max(betas)))
 
 
 class SequenceTables:
     """What ``sequence_value`` reuses between calls: the profile of each
     (term, n) and, per point q0 = a/b, the powers of a and b, the factors
-    b^(mt) - a^(mt) of each base m and their products over windows of
-    consecutive t.  The caller owns an instance and drops it when done;
-    nothing is kept at module level."""
+    b^(mt) - a^(mt) of each base m, their products over windows of
+    consecutive t, and the ``weights`` of each free variable.  The caller
+    owns an instance and drops it when done; nothing is kept at module level."""
 
     def __init__(self):
         self._profiles: dict[tuple[HypTerm, int], _Profile | None] = {}
@@ -536,6 +574,22 @@ class SequenceTables:
         f = self.factors(a, b, m, size + width)
         return self._grown(("span", a, b, m, width), size, lambda col: prod(f[len(col) + 1 : len(col) + width + 1]))
 
+    def weights(self, a: int, b: int, m: int, d: int, l: int, size: int) -> tuple[list[int], int]:
+        """W[M] for M < size and D, W[M] / b^D = H_M(q0) / q0^(low M) for the free variable (m, d, l),
+        low = min(d + l, 0).  Entry M of the table kept is (P, D_M), P / b^(D_M) the same: the sum over
+        k <= M of a^r b^(D_M - r - m k(M-k)) N_M / (N_k N_(M-k)), r = d k^2 + l k - low M >= 0."""
+        f = self.factors(a, b, m, size)  # N_L = f_1 ... f_L as in sequence_value
+        N = self._grown(("poch", a, b, m), size, lambda col: col[-1] * f[len(col)] if col else 1)
+        table = self._lists.setdefault(("weight", a, b, m, d, l), [])
+        for M in range(len(table), size):
+            r = [d * k * k + l * k - min(d + l, 0) * M for k in range(M + 1)]
+            s = [x + m * k * (M - k) for k, x in enumerate(r)]
+            D, ap, bp = max(s), self.powers(a, max(r) + 1), self.powers(b, max(s) + 1)
+            table.append((sum(ap[x] * bp[D - y] * N[M] // (N[k] * N[M - k]) for k, (x, y) in enumerate(zip(r, s))), D))
+        D = max(dm for _, dm in table[:size])
+        bp = self.powers(b, D + 1)
+        return [p * bp[D - dm] for p, dm in table[:size]], D
+
 
 def sequence_value(term: HypTerm, n: int, q0: Fraction, tables: SequenceTables | None = None) -> Fraction:
     """f_n at the exact rational point q = q0 (full support, no truncation).
@@ -550,10 +604,14 @@ def sequence_value(term: HypTerm, n: int, q0: Fraction, tables: SequenceTables |
     length steps by c contributes the product of |c| consecutive factors,
     above its new length if c < 0 and, dividing, above its old one if c > 0.
 
-    The profile of (term, n) (``_term_profile``) and the powers, factors
-    and spans of q0 come from ``tables``: pass one instance to the calls
-    that share a term or a point.  Without it every table is built for
-    this call alone.
+    A term with a free variable is summed over its reduction (``_sum_free_variable``):
+    the integer of a point whose symbol w has length M is multiplied by
+    ``SequenceTables.weights`` W[M], H_M cleared of one common power.
+
+    The profile of (term, n) (``_term_profile``) and the powers, factors,
+    spans and weights of q0 come from ``tables``: pass one instance to the
+    calls that share a term or a point.  Without it every table is built
+    for this call alone.
     """
     if n < 0:
         return Fraction(0)
@@ -561,9 +619,11 @@ def sequence_value(term: HypTerm, n: int, q0: Fraction, tables: SequenceTables |
     profile = tables.profile(term, n)
     if profile is None:
         return Fraction(0)
-    a, b = q0.numerator, q0.denominator
+    term, a, b = profile.term, q0.numerator, q0.denominator
     (emin, emax), (bmin, bmax) = profile.erange, profile.brange
     apow, bpow = tables.powers(a, emax - emin + 1), tables.powers(b, bmax - bmin + 1)
+    key, w = profile.free or (None, None)
+    weight, dmax = tables.weights(a, b, *key, profile.tops[w] + 1) if key else (None, 0)
     above: list[list[int]] = []  # above[i][L] = N_top / N_L for the i-th symbol
     # (span table, symbol) of the symbols whose length falls / rises along k_r and, if r > 1, k_(r-1)
     moves: dict[bool, tuple[list, list]] = {True: ([], []), False: ([], [])}
@@ -593,10 +653,10 @@ def sequence_value(term: HypTerm, n: int, q0: Fraction, tables: SequenceTables |
                 x *= col[L]
         if not along:
             xstart = x
-        total += x
-    # times a^emin b^bmin
-    num = total * a ** max(emin, 0) * b ** max(bmin, 0)
-    return Fraction(num, prod(col[0] for col in above) * a ** max(-emin, 0) * b ** max(-bmin, 0))
+        total += x * weight[lengths[w]] if weight else x
+    # times a^emin b^(bmin - dmax)
+    num = total * a ** max(emin, 0) * b ** max(bmin - dmax, 0)
+    return Fraction(num, prod(col[0] for col in above) * a ** max(-emin, 0) * b ** max(dmax - bmin, 0))
 
 
 def eval_qu_poly(p: LaurentPoly, n: int, q0: Fraction) -> Fraction:

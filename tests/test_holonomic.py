@@ -1,5 +1,6 @@
 """Certificates, recurrences, quadruple sums, operators, uncoupling."""
 
+import operator
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -37,7 +38,7 @@ from qpart.holonomic import (
     uncouple_system,
     verify_certificate,
 )
-from qpart.holonomic import _polynomial_nullvector
+from qpart.holonomic import _polynomial_nullvector, _term_profile
 from qpart.laurent import LaurentPoly, RationalFunction
 from qpart.series import BiSeries, QSeries
 
@@ -245,6 +246,35 @@ def test_shift_operators_store_no_zero_and_form_a_ring(a, b, c, k):
     assert a * k == k * a == a * ShiftOp.coefficient(LaurentPoly.constant(TERM_VARS, k))
 
 
+_N = ShiftOp.shift((1, 0, 0, 0))
+_U = LaurentPoly.variable(TERM_VARS, "u")
+_UQ = LaurentPoly.monomial(TERM_VARS, (-1, 1, 0, 0, 0))  # u/q
+
+
+@pytest.mark.parametrize("apply, expected", [
+    (lambda: _N + _U, {(1, 0, 0, 0): 1, (0, 0, 0, 0): _U}),
+    (lambda: _U + _N, {(1, 0, 0, 0): 1, (0, 0, 0, 0): _U}),
+    (lambda: _N - _U, {(1, 0, 0, 0): 1, (0, 0, 0, 0): -_U}),
+    (lambda: _U - _N, {(1, 0, 0, 0): -1, (0, 0, 0, 0): _U}),
+    # N * u = (u/q) * N is twisted; u * N is not
+    (lambda: _N * _U, {(1, 0, 0, 0): _UQ}),
+    (lambda: _U * _N, {(1, 0, 0, 0): _U}),
+], ids=["add-right", "add-left", "sub-right", "sub-left", "mul-right", "mul-left"])
+def test_a_polynomial_over_the_term_variables_is_a_coefficient_operator(apply, expected):
+    assert apply() == ShiftOp({s: LaurentPoly.constant(TERM_VARS, p) if isinstance(p, int) else p
+                               for s, p in expected.items()})
+
+
+@pytest.mark.parametrize("other", [LaurentPoly.variable(QU, "u"), Fraction(1, 2), 0.5],
+                         ids=["qu-poly", "fraction", "float"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["add", "sub", "mul"])
+def test_anything_else_next_to_a_shift_operator_is_a_type_error(op, other):
+    with pytest.raises(TypeError):
+        op(_N, other)
+    with pytest.raises(TypeError):
+        op(other, _N)
+
+
 @pytest.mark.parametrize("name", catalog.CERTIFICATE_NAMES)
 def test_recurrences_annihilate_at_points(name):
     term = catalog.certificate_term(name)
@@ -329,7 +359,7 @@ def _direct_value(term: HypTerm, n: int, q0: Fraction, pochs: dict) -> Fraction:
 @pytest.mark.parametrize("name", catalog.CERTIFICATE_NAMES)
 def test_sequence_value_matches_direct_fraction_sum(name):
     term = catalog.certificate_term(name)
-    for q0 in (Fraction(2), Fraction(3), Fraction(7, 5), Fraction(2, 3), Fraction(-3, 2)):
+    for q0 in (Fraction(2), Fraction(3), Fraction(7, 5), Fraction(2, 3), Fraction(-3, 2), Fraction(0)):
         pochs: dict[tuple[int, int], Fraction] = {}
         for n in range(13):
             assert sequence_value(term, n, q0) == _direct_value(term, n, q0, pochs), (n, q0)
@@ -347,6 +377,25 @@ _SHAPES = {
     "r2-moving-lower-bound": HypTerm(nsum=2, quad2=((0, 0, 0), (0, 2, 1), (0, 1, 2)), lin=(0, 1, 0), const=0,
                                      pochs=(((1, -1, -1), 0, 1), ((0, 1, 0), 0, 1), ((0, 0, 1), 0, 3),
                                             ((-1, 1, 2), 1, 2))),
+    # k is free: sum_k q^(k^2 + k) / ((q; q)_k (q; q)_(n-k)) is one weight over (q; q)_n
+    "r1-free": HypTerm(nsum=1, quad2=((0, 0), (0, 2)), lin=(0, 1), const=0, pochs=(((1, -1), 0, 1), ((0, 1), 0, 1))),
+    # the other length 2n - k could pass the box k <= n, so k is not summed out
+    "r1-past-the-box": HypTerm(nsum=1, quad2=((0, 0), (0, 0)), lin=(0, 0), const=0,
+                               pochs=(((2, -1), 0, 1), ((0, 1), 0, 1))),
+    # q^(2k^2 - 3k + 1) dips below its k = 0 power at k = 1, so k is not summed out (q = 0 would fail)
+    "r1-dipping-exponent": HypTerm(nsum=1, quad2=((0, 0), (0, 4)), lin=(0, -3), const=1,
+                                   pochs=(((1, -1), 0, 1), ((0, 1), 0, 1))),
+    # k2 is free: q^(k2^2 - k2) / ((q^3; q^3)_k2 (q^3; q^3)_(n-1-k1-k2)), summed once per M = n - 1 - k1
+    "r2-free-k2-base-3": HypTerm(nsum=2, quad2=((0, 1, 0), (1, 2, 0), (0, 0, 2)), lin=(0, 1, -1), const=0,
+                                 pochs=(((0, 1, 0), 0, 1), ((1, -1, -1), -1, 3), ((0, 0, 1), 0, 3))),
+    # k1 is free with exponent -2 k1: the reduced form takes q^(-2M), M = n - 1 - k2, constant and all;
+    # at q = 0 only k1 = M, k2 = 0 is left
+    "r2-free-k1-falling-exponent": HypTerm(nsum=2, quad2=((0, 0, 1), (0, 0, 0), (1, 0, 2)), lin=(2, -2, 0),
+                                           const=-2, pochs=(((0, 1, 0), 0, 2), ((1, -1, -1), -1, 2),
+                                                           ((0, 0, 1), 0, 1))),
+    # k1 and k2 each sit in symbols of bases 1 and 2, so neither is summed out
+    "r2-two-bases": HypTerm(nsum=2, quad2=((2, 0, 0), (0, 2, 0), (0, 0, 0)), lin=(0, -1, 1), const=0,
+                            pochs=(((0, 1, 0), 0, 1), ((1, -1, -1), 0, 2), ((0, 0, 1), 0, 1))),
 }
 
 
@@ -359,6 +408,17 @@ def test_sequence_value_matches_direct_fraction_sum_on_other_shapes(name):
         tables, pochs = SequenceTables(), {}
         for n in range(10):
             assert sequence_value(term, n, q0, tables) == _direct_value(term, n, q0, pochs), (n, q0)
+
+
+def test_a_free_variable_is_summed_out_before_the_profile():
+    reduced = {name for name, term in _SHAPES.items() if _term_profile(term, 6).term.nsum < term.nsum}
+    assert reduced == {"r1-free", "r2-free-k2-base-3", "r2-free-k1-falling-exponent"}
+    # k1 in each catalog term; the profile counts the points of the reduced support
+    for name in catalog.CERTIFICATE_NAMES:
+        term = catalog.certificate_term(name)
+        profile = _term_profile(term, 12)
+        assert profile.term.nsum == 2 and len(profile.rows) == len(term_support(profile.term, 12))
+        assert len(profile.rows) < len(term_support(term, 12))
 
 
 _POINTS = (Fraction(2), Fraction(3), Fraction(7, 5), Fraction(-3, 2), Fraction(1, 3))

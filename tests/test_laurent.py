@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qpart.holonomic import TERM_VARS, ShiftOp
 from qpart.laurent import (
     LaurentPoly,
     RationalFunction,
@@ -214,11 +213,6 @@ def test_a_polynomial_defers_to_a_rational_function_on_its_right(op):
     lifted = RationalFunction.from_poly(p)
     for r in (RationalFunction(x - q, 1 + q), lifted):
         assert op(p, r) == op(lifted, r)
-
-
-def test_a_polynomial_times_a_shift_operator_is_a_type_error():
-    with pytest.raises(TypeError):
-        LaurentPoly.one(TERM_VARS) * ShiftOp.shift((1, 0, 0, 0))
 
 
 @settings(max_examples=100, deadline=None)
