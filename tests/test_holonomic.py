@@ -246,23 +246,21 @@ def test_shift_operators_store_no_zero_and_form_a_ring(a, b, c, k):
     assert a * k == k * a == a * ShiftOp.coefficient(LaurentPoly.constant(TERM_VARS, k))
 
 
-_N = ShiftOp.shift((1, 0, 0, 0))
-_U = LaurentPoly.variable(TERM_VARS, "u")
-_UQ = LaurentPoly.monomial(TERM_VARS, (-1, 1, 0, 0, 0))  # u/q
+_N, _NO_SHIFT = ShiftOp.shift((1, 0, 0, 0)), (0, 0, 0, 0)
+_ONE, _U = LaurentPoly.one(TERM_VARS), LaurentPoly.variable(TERM_VARS, "u")
 
 
-@pytest.mark.parametrize("apply, expected", [
-    (lambda: _N + _U, {(1, 0, 0, 0): 1, (0, 0, 0, 0): _U}),
-    (lambda: _U + _N, {(1, 0, 0, 0): 1, (0, 0, 0, 0): _U}),
-    (lambda: _N - _U, {(1, 0, 0, 0): 1, (0, 0, 0, 0): -_U}),
-    (lambda: _U - _N, {(1, 0, 0, 0): -1, (0, 0, 0, 0): _U}),
+@pytest.mark.parametrize("op, left, right, expected", [
+    (operator.add, _N, _U, {(1, 0, 0, 0): _ONE, _NO_SHIFT: _U}),
+    (operator.add, _U, _N, {(1, 0, 0, 0): _ONE, _NO_SHIFT: _U}),
+    (operator.sub, _N, _U, {(1, 0, 0, 0): _ONE, _NO_SHIFT: -_U}),
+    (operator.sub, _U, _N, {(1, 0, 0, 0): -_ONE, _NO_SHIFT: _U}),
     # N * u = (u/q) * N is twisted; u * N is not
-    (lambda: _N * _U, {(1, 0, 0, 0): _UQ}),
-    (lambda: _U * _N, {(1, 0, 0, 0): _U}),
+    (operator.mul, _N, _U, {(1, 0, 0, 0): LaurentPoly.monomial(TERM_VARS, (-1, 1, 0, 0, 0))}),
+    (operator.mul, _U, _N, {(1, 0, 0, 0): _U}),
 ], ids=["add-right", "add-left", "sub-right", "sub-left", "mul-right", "mul-left"])
-def test_a_polynomial_over_the_term_variables_is_a_coefficient_operator(apply, expected):
-    assert apply() == ShiftOp({s: LaurentPoly.constant(TERM_VARS, p) if isinstance(p, int) else p
-                               for s, p in expected.items()})
+def test_a_polynomial_over_the_term_variables_is_a_coefficient_operator(op, left, right, expected):
+    assert op(left, right) == ShiftOp(expected)
 
 
 @pytest.mark.parametrize("other", [LaurentPoly.variable(QU, "u"), Fraction(1, 2), 0.5],
