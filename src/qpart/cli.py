@@ -42,6 +42,15 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _read_json(path: str, parse):
+    """``parse`` of the JSON in the file at ``path``; input it cannot parse is a ValueError naming the file."""
+    data = json.loads(Path(path).read_text())
+    try:
+        return parse(data)
+    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(f"{path}: malformed input ({type(exc).__name__}: {exc})") from exc
+
+
 def _parse_conds(raw: str) -> Iterable[str]:
     raw = raw.strip().lower()
     if raw in CONDS:
@@ -128,7 +137,7 @@ def _load_term(args) -> HypTerm:
         raise ValueError("give exactly one of --name and --term")
     if args.name is not None:
         return catalog.certificate_term(args.name)
-    return HypTerm.from_json(json.loads(Path(args.term).read_text()))
+    return _read_json(args.term, HypTerm.from_json)
 
 
 def cmd_certify(args) -> int:
@@ -140,7 +149,7 @@ def cmd_certify(args) -> int:
     if args.name is not None:
         cert = catalog.certificate(args.name, verbatim=args.verbatim)
     else:
-        cert = serialize.certificate_from_json(json.loads(Path(args.cert).read_text()))
+        cert = _read_json(args.cert, serialize.certificate_from_json)
     res = verify_certificate(term, cert)
     report = {"verified": res.ok, "residual_terms": res.residual_terms}
     if args.recurrence_check and res.ok:
@@ -182,7 +191,7 @@ def cmd_uncouple(args) -> int:
     elif args.system == "builtin-5x5":
         matrix, step = derive_transfer_system(build_avoidance_dfa()).matrix, 3
     else:
-        matrix, step = serialize.system_from_json(json.loads(Path(args.system).read_text()))
+        matrix, step = _read_json(args.system, serialize.system_from_json)
     op = uncouple_system(matrix, args.component, step)
     _write(serialize.dumps(op.to_json()), args.out)
     return 0
@@ -315,11 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; bad input (a ValueError) exits 2 with one line."""
+    """Run one subcommand; bad input (a ValueError, or an OSError on a file) exits 2 with one line."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"qpart: error: {exc}", file=sys.stderr)
         return 2
 

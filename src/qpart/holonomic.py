@@ -488,13 +488,11 @@ def _term_profile(term: HypTerm, n: int) -> _Profile | None:
     A term with a free variable is profiled summed over it (``_sum_free_variable``).
     One row per support point, in ``term_support`` order: the q-exponent e,
     beta = -e + sum_i m_i L_i(L_i+1)/2, the Pochhammer lengths L_i, and,
-    for a point stepped from a reference point, the reference's lengths and
-    de and dbeta from it, each split as (up, down) = (max(x, 0), max(-x, 0)),
-    and whether it steps along k_r.  The reference is the previous point if
-    this one follows it by k_r + 1; else it is the start of the previous
-    run of k_r if this one follows that by k_(r-1) + 1 (a jump); else the
-    row is evaluated in full.  The lengths step by their coefficients of k_r
-    or k_(r-1), and de and dbeta by constants.
+    for a point stepped from the previous one, the previous lengths and de
+    and dbeta from them, each split as (up, down) = (max(x, 0), max(-x, 0)).
+    A point is stepped if it follows the previous one by k_r + 1: the
+    lengths step by their coefficients of k_r, and de and dbeta by
+    constants.  Any other point is evaluated in full.
     """
     term, free = _sum_free_variable(term)
     support = term_support(term, n)
@@ -502,37 +500,24 @@ def _term_profile(term: HypTerm, n: int) -> _Profile | None:
         return None
     r, q2 = term.nsum, term.quad2
     bases = [m for _, _, m in term.pochs]
-    steps, jumps = (tuple(c[j] for c, _, _ in term.pochs) for j in (r, r - 1))
+    steps = tuple(c[r] for c, _, _ in term.pochs)
     curve = sum(m * c * c for m, c in zip(bases, steps)) - q2[r][r]  # the step of dbeta along k_r
-
-    def dbeta(lengths, col, de):
-        """beta at lengths + col less beta at lengths, when e moves by de."""
-        return sum(m * (c * L + c * (c + 1) // 2) for m, c, L in zip(bases, col, lengths)) - de
-
     rows: list[tuple] = []
-    prev = start = None  # start: the last run start's k, e, beta, lengths, de along k_r and k_(r-1)
+    prev = None
     for k in support:
         if prev is not None and k[:-1] == prev[:-1]:
             plengths, lengths = lengths, tuple(map(add, lengths, steps))
             e, beta = e + d, beta + g
-            rows.append((e, beta, lengths, plengths, max(d, 0), max(-d, 0), max(g, 0), max(-g, 0), True))
+            rows.append((e, beta, lengths, plengths, max(d, 0), max(-d, 0), max(g, 0), max(-g, 0)))
             d, g = d + q2[r][r], g + curve
         else:
-            if r > 1 and start and k[-1] == start[0][-1] and k[-2] == start[0][-2] + 1 and k[:-2] == start[0][:-2]:
-                _, se, sbeta, slengths, sd, sd2 = start
-                g2 = dbeta(slengths, jumps, sd2)
-                e, beta, lengths = se + sd2, sbeta + g2, tuple(map(add, slengths, jumps))
-                d, d2 = sd + q2[r][r - 1], sd2 + q2[r - 1][r - 1]
-                rows.append((e, beta, lengths, slengths, max(sd2, 0), max(-sd2, 0), max(g2, 0), max(-g2, 0), False))
-            else:
-                v = (n, *k)
-                e, lengths = term.qexponent(v), tuple(term.poch_lengths(v))
-                beta = sum(m * L * (L + 1) for m, L in zip(bases, lengths)) // 2 - e
-                # Q(v + e_j) - Q(v) = (quad2 v)_j + quad2_jj / 2 + lin_j
-                d, d2 = (_dot(q2[j], v) + q2[j][j] // 2 + term.lin[j] for j in (r, r - 1))
-                rows.append((e, beta, lengths, None, 0, 0, 0, 0, False))
-            g = dbeta(lengths, steps, d)
-            start = (k, e, beta, lengths, d, d2)
+            v = (n, *k)
+            e, lengths = term.qexponent(v), tuple(term.poch_lengths(v))
+            beta = sum(m * L * (L + 1) for m, L in zip(bases, lengths)) // 2 - e
+            # Q(v + e_r) - Q(v) = (quad2 v)_r + quad2_rr / 2 + lin_r, and beta at lengths + steps less beta
+            d = _dot(q2[r], v) + q2[r][r] // 2 + term.lin[r]
+            g = sum(m * (c * L + c * (c + 1) // 2) for m, c, L in zip(bases, steps, lengths)) - d
+            rows.append((e, beta, lengths, None, 0, 0, 0, 0))
         prev = k
     es, betas = [row[0] for row in rows], [row[1] for row in rows]
     tops = tuple(map(max, zip(*(row[2] for row in rows))))
@@ -599,10 +584,11 @@ def sequence_value(term: HypTerm, n: int, q0: Fraction, tables: SequenceTables |
     contributes a^e b^beta / prod_i N_(L_i), with beta = -e + sum_i
     m_i L_i(L_i+1)/2.  The sum is taken in integers over the common
     denominator prod_i N_(top_i), top_i the largest L_i, and one Fraction
-    is formed at the end.  The integer of a stepped point is its
-    reference's times a quotient of a few small factors: a symbol whose
-    length steps by c contributes the product of |c| consecutive factors,
-    above its new length if c < 0 and, dividing, above its old one if c > 0.
+    is formed at the end.  A point one step along k_r from the previous
+    one takes the previous integer times a quotient of a few small
+    factors: a symbol whose length steps by c contributes the product of
+    |c| consecutive factors, above its new length if c < 0 and, dividing,
+    above its old one if c > 0.  Every other point is evaluated in full.
 
     A term with a free variable is summed over its reduction (``_sum_free_variable``):
     the integer of a point whose symbol w has length M is multiplied by
@@ -625,34 +611,28 @@ def sequence_value(term: HypTerm, n: int, q0: Fraction, tables: SequenceTables |
     key, w = profile.free or (None, None)
     weight, dmax = tables.weights(a, b, *key, profile.tops[w] + 1) if key else (None, 0)
     above: list[list[int]] = []  # above[i][L] = N_top / N_L for the i-th symbol
-    # (span table, symbol) of the symbols whose length falls / rises along k_r and, if r > 1, k_(r-1)
-    moves: dict[bool, tuple[list, list]] = {True: ([], []), False: ([], [])}
+    falls, rises = [], []  # (span table, symbol) of the symbols whose length falls / rises along k_r
     for i, ((coeffs, _, m), top) in enumerate(zip(term.pochs, profile.tops)):
         f = tables.factors(a, b, m, top + 1)
         col = [1] * (top + 1)
         for t in range(top, 0, -1):
             col[t - 1] = col[t] * f[t]
         above.append(col)
-        for along, c in ((True, coeffs[term.nsum]), (False, coeffs[term.nsum - 1]))[: term.nsum]:
-            if c:
-                moves[along][c > 0].append((tables.span(a, b, m, abs(c), top - abs(c) + 1), i))
-    total = x = xstart = 0
-    for e, beta, lengths, rlengths, aup, adown, bup, bdown, along in profile.rows:
-        ref = x if along else xstart
-        if rlengths is not None and ref:  # a zero reference (q0 = 0) is evaluated in full
+        if term.nsum and (c := coeffs[term.nsum]):
+            (rises if c > 0 else falls).append((tables.span(a, b, m, abs(c), top - abs(c) + 1), i))
+    total = x = 0
+    for e, beta, lengths, plengths, aup, adown, bup, bdown in profile.rows:
+        if plengths is not None and x:  # a zero previous integer (q0 = 0) is evaluated in full
             num, den = apow[aup] * bpow[bup], apow[adown] * bpow[bdown]
-            ups, downs = moves[along]
-            for span, i in ups:
+            for span, i in falls:
                 num *= span[lengths[i]]
-            for span, i in downs:
-                den *= span[rlengths[i]]
-            x = ref * num // den
+            for span, i in rises:
+                den *= span[plengths[i]]
+            x = x * num // den
         else:
             x = apow[e - emin] * bpow[beta - bmin]
             for col, L in zip(above, lengths):
                 x *= col[L]
-        if not along:
-            xstart = x
         total += x * weight[lengths[w]] if weight else x
     # times a^emin b^(bmin - dmax)
     num = total * a ** max(emin, 0) * b ** max(bmin - dmax, 0)

@@ -115,14 +115,6 @@ class LaurentPoly:
         exps = list(self.terms)
         return tuple(min(e[i] for e in exps) for i in range(len(self.vars)))
 
-    def int_content(self) -> int:
-        g = 0
-        for c in self.terms.values():
-            g = _int_gcd(g, c)
-            if g == 1:
-                return 1
-        return g
-
     # ------------------------------------------------------------------
     # arithmetic
 

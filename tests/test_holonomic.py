@@ -394,6 +394,11 @@ _SHAPES = {
     # k1 and k2 each sit in symbols of bases 1 and 2, so neither is summed out
     "r2-two-bases": HypTerm(nsum=2, quad2=((2, 0, 0), (0, 2, 0), (0, 0, 0)), lin=(0, -1, 1), const=0,
                             pochs=(((0, 1, 0), 0, 1), ((1, -1, -1), 0, 2), ((0, 0, 1), 0, 1))),
+    # every k_i has a cross term, so none is summed out; k3 >= (n - k2)/2, so runs of k3 start above 0
+    "r3-cross-terms": HypTerm(nsum=3, quad2=((0, 0, 1, 0), (0, 2, 1, 1), (1, 1, 2, 1), (0, 1, 1, 2)),
+                              lin=(0, 0, 1, -1), const=0,
+                              pochs=(((1, -1, -1, -1), 0, 1), ((0, 1, 0, 0), 0, 1), ((0, 0, 1, 0), 0, 2),
+                                     ((0, 0, 0, 1), 0, 1), ((-1, 0, 1, 2), 0, 3))),
 }
 
 
@@ -411,12 +416,22 @@ def test_sequence_value_matches_direct_fraction_sum_on_other_shapes(name):
 def test_a_free_variable_is_summed_out_before_the_profile():
     reduced = {name for name, term in _SHAPES.items() if _term_profile(term, 6).term.nsum < term.nsum}
     assert reduced == {"r1-free", "r2-free-k2-base-3", "r2-free-k1-falling-exponent"}
+    assert _term_profile(_SHAPES["r3-cross-terms"], 6).term == _SHAPES["r3-cross-terms"]
     # k1 in each catalog term; the profile counts the points of the reduced support
     for name in catalog.CERTIFICATE_NAMES:
         term = catalog.certificate_term(name)
         profile = _term_profile(term, 12)
         assert profile.term.nsum == 2 and len(profile.rows) == len(term_support(profile.term, 12))
         assert len(profile.rows) < len(term_support(term, 12))
+
+
+@pytest.mark.parametrize("name", _SHAPES)
+def test_a_point_is_stepped_only_from_the_previous_point_along_k_r(name):
+    # a row without previous lengths is evaluated in full: exactly the first point of each run of k_r
+    profile = _term_profile(_SHAPES[name], 7)
+    support = term_support(profile.term, 7)
+    full = [i for i, row in enumerate(profile.rows) if row[3] is None]
+    assert full == [i for i, k in enumerate(support) if i == 0 or k[:-1] != support[i - 1][:-1]]
 
 
 _POINTS = (Fraction(2), Fraction(3), Fraction(7, 5), Fraction(-3, 2), Fraction(1, 3))
@@ -867,7 +882,7 @@ def test_uncoupled_operators_are_primitive():
     x, q, one = LaurentPoly.variable(XQ, "x"), LaurentPoly.variable(XQ, "q"), LaurentPoly.one(XQ)
     for component in (0, 1):
         op = uncouple_system([[4 * x, 2 * one], [2 * one, 6 * x * q]], component)
-        assert reduce(gcd, (c.int_content() for c, _ in op.terms)) == 1
+        assert reduce(gcd, (gcd(*c.terms.values()) for c, _ in op.terms)) == 1
 
 
 def test_uncouple_clears_denominators():

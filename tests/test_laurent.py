@@ -190,7 +190,7 @@ def test_normalized_quotient_has_coprime_contents_and_a_positive_leading_denomin
     assume(s and t and not b.is_zero())
     r = RationalFunction(s * a, t * b)
     assert r == RationalFunction(s * a, t * b, normalize=False)
-    assert gcd(r.num.int_content(), r.den.int_content()) == 1
+    assert gcd(*r.num.terms.values(), *r.den.terms.values()) == 1
     assert r.den.leading()[1] > 0
 
 

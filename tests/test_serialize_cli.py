@@ -183,17 +183,41 @@ def test_emit_unknown_target_is_an_error():
     ["celine", "--name", "g111", "--order", "3", "--support", "printed", "--deg", "3"],
     ["celine", "--name", "g111", "--order", "3", "--support", "printed", "--qdeg", "3"],
     ["celine", "--name", "g111", "--order", "3", "--support", "printed", "--kbox", "-1"],
+    # an input file that is not there, or an output directory that is not there
+    ["uncouple", "--system", "missing/system.json"],
+    ["certify", "--term", "missing/term.json", "--cert", "missing/cert.json"],
+    ["celine", "--term", "missing/term.json", "--order", "3"],
+    ["dfa", "--words", "missing/words.txt"],
+    ["dfa", "--emit-words", "--out", "missing/words.txt"],
 ], ids=["zero-profile", "series-qorder-0", "unknown-condition", "verify-all-nmax-negative",
         "certify-recurrence-check-negative", "celine-term-with-printed-support", "certify-no-term",
         "celine-no-term", "certify-term-without-cert", "certify-name-and-term", "celine-name-and-term",
         "cylindric-enumerate-without-stat-f", "cylindric-enumerate-qorder-0",
         "emit-series-as-dot", "emit-dfa-as-csv",
         "celine-empty-u-range", "celine-empty-q-range", "celine-negative-kbox",
-        "celine-printed-with-deg", "celine-printed-with-qdeg", "celine-printed-with-kbox"])
+        "celine-printed-with-deg", "celine-printed-with-qdeg", "celine-printed-with-kbox",
+        "uncouple-missing-system", "certify-missing-term", "celine-missing-term", "dfa-missing-words",
+        "out-into-missing-directory"])
 def test_bad_input_is_a_one_line_error(argv):
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""
     assert err.startswith("qpart: error: ") and err.count("\n") == 1
+
+
+def test_a_malformed_input_file_is_a_one_line_error_naming_it(tmp_path):
+    term, bad = tmp_path / "term.json", tmp_path / "bad.json"
+    term.write_text(json.dumps(catalog.certificate_term("g111").to_json()))
+    for text, argv in [
+        ("{}", ["uncouple", "--system", bad]),
+        ("[1, 2]", ["uncouple", "--system", bad]),
+        ("{}", ["certify", "--term", bad, "--cert", term]),
+        ("{}", ["celine", "--term", bad, "--order", "3"]),
+        ("{}", ["certify", "--term", term, "--cert", bad]),
+    ]:
+        bad.write_text(text)
+        code, out, err = run_cli([str(a) for a in argv])
+        assert code == 2 and out == "", (text, argv)
+        assert err.startswith(f"qpart: error: {bad}: ") and err.count("\n") == 1, (text, argv, err)
 
 
 def test_fail_reports_carry_witnesses():
