@@ -99,12 +99,6 @@ def _d3_win4(a: Part, b: Part, c: Part, d: Part) -> bool:
     )
 
 
-def _d3_violation_ending_at(parts: Sequence[Part], i: int) -> bool:
-    if i >= 2 and _d3_win3(parts[i - 2], parts[i - 1], parts[i]):
-        return True
-    return i >= 3 and _d3_win4(parts[i - 3], parts[i - 2], parts[i - 1], parts[i])
-
-
 _D4_BANNED = frozenset({(1, PLUS), (1, MINUS), (2, MINUS)})
 
 
@@ -129,15 +123,24 @@ def _violation_ending_at(parts: Sequence[Part], i: int, d1: bool, d2: bool, d3: 
     # D2: a gap of exactly 2 with sum not a multiple of 3 excludes colors (-, +)
     if d2 and gap == 2 and (a[0] + p[0]) % 3 and a[1] == MINUS and p[1] == PLUS:
         return True
-    return d3 and _d3_violation_ending_at(parts, i)
+    # D3: the length-3 windows need a middle magnitude 0 mod 3 and the
+    # length-4 window a last magnitude 1 mod 3; test those before comparing
+    if d3 and i >= 2 and a[0] % 3 == 0 and _d3_win3(parts[i - 2], a, p):
+        return True
+    return d3 and i >= 3 and p[0] % 3 == 1 and _d3_win4(parts[i - 3], parts[i - 2], a, p)
+
+
+COND_D123 = frozenset({"D1", "D2", "D3"})
+COND_D1234 = frozenset({"D1", "D2", "D3", "D4"})
 
 
 def _condition_flags(which: Iterable[str]) -> tuple[bool, bool, bool, bool]:
-    """Which of D1..D4 are selected; any other name is an error."""
+    """Which of D1..D4 are selected; any other name, or a bare string, is an error."""
+    if isinstance(which, str):
+        raise ValueError(f"conditions must be a collection such as {{'D1'}}, not the string {which!r}")
     wanted = frozenset(which)
-    unknown = wanted - {"D1", "D2", "D3", "D4"}
-    if unknown:
-        raise ValueError(f"unknown conditions: {sorted(unknown)}")
+    if not wanted <= COND_D1234:
+        raise ValueError(f"unknown conditions: {sorted(wanted - COND_D1234)}")
     return "D1" in wanted, "D2" in wanted, "D3" in wanted, "D4" in wanted
 
 
@@ -148,10 +151,6 @@ def check_condition(parts: Sequence[Part], which: Iterable[str]) -> bool:
         if _violation_ending_at(parts, i, d1, d2, d3, d4):
             return False
     return True
-
-
-COND_D123 = frozenset({"D1", "D2", "D3"})
-COND_D1234 = frozenset({"D1", "D2", "D3", "D4"})
 
 
 # ----------------------------------------------------------------------
@@ -266,18 +265,19 @@ def _walk(max_size: int, d1: bool, d2: bool, d3: bool, d4: bool) -> Iterator[Par
 
 
 def enumerate_2colored(max_size: int, cond: Iterable[str] = ()) -> list[Partition]:
-    """All 2-colored partitions of size <= max_size meeting the conditions.
+    """All 2-colored partitions of size <= max_size meeting the conditions,
+    by size, then length, then parts (largest first, '+' first at a tie).
 
-    The pruned depth-first walk, sorted by (size, length, part sequence,
-    colors) for a deterministic contract.
+    The walk tries parts in descending order, so of two partitions of one
+    length (never prefixes of one another) it yields first the one larger
+    where they first differ; grouping by (size, length) is the whole sort.
     """
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
-    results = list(_walk(max_size, *_condition_flags(cond)))
-    results.sort(
-        key=lambda t: (size(t), len(t), tuple((-m, -c) for m, c in map(part_key, t)))
-    )
-    return results
+    buckets: dict[tuple[int, int], list[Partition]] = {}
+    for lam in _walk(max_size, *_condition_flags(cond)):
+        buckets.setdefault((size(lam), len(lam)), []).append(lam)
+    return [lam for key in sorted(buckets) for lam in buckets[key]]
 
 
 def gen_fun(partitions: Iterable[Partition], qorder: int) -> BiSeries:

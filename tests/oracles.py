@@ -1,11 +1,19 @@
-"""Literal-product oracles shared by the series, cylindric and holonomic tests.
+"""Oracles shared by the tests.
 
 The library applies Pochhammer factors to coefficient lists in place;
-these build the same products with one ``QSeries`` or ``BiSeries``
-product per factor.
+``finite_pochhammer`` and ``f_to_g`` build the same products with one
+``QSeries`` or ``BiSeries`` product per factor. The library lists 2-colored
+partitions in walk order grouped by (size, length); ``listing_order_key``
+is the sort key that states the listing order directly.
 """
 
+from qpart.colored import part_key, size
 from qpart.series import BiSeries, QSeries
+
+
+def listing_order_key(lam):
+    """The order of enumerate_2colored: size, length, then the parts largest first."""
+    return (size(lam), len(lam), tuple((-m, -c) for m, c in map(part_key, lam)))
 
 
 def finite_pochhammer(base: int, length: int, order: int) -> QSeries:

@@ -1,10 +1,19 @@
 """2-colored partitions: conditions, patterns, enumeration."""
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from oracles import listing_order_key
 from qpart.colored import (
     COND_D123,
     COND_D1234,
+    _d3_win3,
+    _d3_win4,
     check_condition,
     enumerate_2colored,
     family_windows,
@@ -42,6 +51,21 @@ def violates_by_pattern_matching(parts) -> bool:
     return False
 
 
+def meets_conditions_by_literal_windows(parts, which) -> bool:
+    """The oracle for the D3 guards, for conditions that include D3: the
+    others by check_condition, then _d3_win3/_d3_win4 on every window."""
+    return (
+        check_condition(parts, set(which) - {"D3"})
+        and not any(_d3_win3(*parts[i : i + 3]) for i in range(len(parts) - 2))
+        and not any(_d3_win4(*parts[i : i + 4]) for i in range(len(parts) - 3))
+    )
+
+
+ALL_CONDITION_SUBSETS = [
+    frozenset(sub) for r in range(5) for sub in itertools.combinations(("D1", "D2", "D3", "D4"), r)
+]
+
+
 def test_condition_examples():
     assert check_condition(((2, P), (1, M)), {"D1", "D2", "D3"})
     assert not check_condition(((1, P), (1, P)), {"D1"})
@@ -52,6 +76,24 @@ def test_condition_examples():
 def test_condition_unknown_name():
     with pytest.raises(ValueError):
         check_condition(((2, P),), {"D9"})
+
+
+def test_a_bare_string_of_conditions_is_rejected():
+    # read character by character, "D1" would be the unknown names 'D' and '1'
+    for call in (lambda: check_condition(((2, P),), "D1"), lambda: enumerate_2colored(3, "D1")):
+        with pytest.raises(ValueError, match=r"collection such as \{'D1'\}"):
+            call()
+
+
+def test_d3_guards_match_the_literal_windows():
+    with_d3 = [sub for sub in ALL_CONDITION_SUBSETS if "D3" in sub]
+    assert len(with_d3) == 8
+    for lam in iter_all(14):
+        for sub in with_d3:
+            assert check_condition(lam, sub) == meets_conditions_by_literal_windows(lam, sub), (lam, sub)
+    # each of the three excluded windows occurs below size 15
+    for lam in (((3, P), (3, M), (1, M)), ((5, P), (3, P), (3, M)), ((5, M), (4, P), (2, P), (1, M))):
+        assert not check_condition(lam, {"D3"})
 
 
 def test_contains_pattern_examples():
@@ -108,11 +150,23 @@ def test_enumeration_weakly_decreasing_and_ordered():
     for lam in lams:
         keys = [part_key(p) for p in lam]
         assert keys == sorted(keys, reverse=True)
-    meta = [
-        (size(l), len(l), tuple((-m, -c) for m, c in map(part_key, l)))
-        for l in lams
-    ]
-    assert meta == sorted(meta)
+    assert lams == sorted(lams, key=listing_order_key)
+
+
+@pytest.mark.parametrize("cond", ALL_CONDITION_SUBSETS, ids=lambda c: "".join(sorted(c)) or "none")
+def test_listing_is_the_filtered_walk_in_the_sort_key_order(cond):
+    expected = sorted((lam for lam in iter_all(12) if check_condition(lam, cond)), key=listing_order_key)
+    assert enumerate_2colored(12, cond) == expected
+
+
+def test_iter_all_is_lazy():
+    # listing every partition of size <= 500 first would never finish; the
+    # child process is killed if it runs past the timeout
+    script = "import itertools; from qpart.colored import iter_all; print(list(itertools.islice(iter_all(500), 5)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == repr([(), ((500, P),), ((500, M),), ((499, P),), ((499, P), (1, P))]) + "\n"
 
 
 def test_gen_fun_d123_low_order():
