@@ -19,11 +19,14 @@ Each identity is typed in once; the other entries are derived from it:
 * ``pprime_family`` is the x^n-coefficient recurrence of
   ``qdiff_operator_g111`` (``recurrence_from_operator``).
 
-Two certificate coefficients carry a one-token emendation (selected by
-verification, recorded in the project notes): a stray x in one g111
-coefficient read as q, and one exponent token 3n+12 read as 3n+2 in each
-of the two order-six sets.  The verbatim readings are kept available for
-the soundness probes.
+Five certificate tokens carry an emendation (selected by verification,
+recorded in the project notes): in g111 a stray x in q2 read as q; in d123
+the exponent 3n+12 of one q2 token read as 3n+2 and the factor 3 restored
+to the closing term of r2; in d1234 the exponent 3n+12 of one q0 token read
+as 3n+2 and the -2q^8 of q3 read as -2q^7.  The verbatim readings of d123
+and d1234 are kept for the soundness probes; g300 has no emendation, so its
+verbatim set is the printed one; g111 has no verbatim set, since its
+printed x^(3n+8) is not a term of the certificate algebra.
 """
 
 from __future__ import annotations
@@ -185,6 +188,8 @@ TERM_D1234 = AG_D1234.coefficient_term(1)
 
 
 def _families_g111(s: Symbols, verbatim: bool = False):
+    if verbatim:
+        raise ValueError("g111 has no verbatim reading: its printed x^(3n+8) is no term of the certificate algebra")
     q, u = s.q, s.u
     vb, vc, vd = s.v1, s.v2, s.v3
     B, C, D = s.K1, s.K2, s.K3
@@ -212,7 +217,7 @@ def _families_g111(s: Symbols, verbatim: bool = False):
         + u**6 * q**4 - u**3 * q**9
     # the term 2q^(6n+7) + q^(3n+8) below carries the one-token emendation
     # x^(3n+8) -> q^(3n+8); the verbatim reading is not even a monomial in
-    # the certificate variables, so only the emended form is built.
+    # the certificate variables, so only the emended form is built
     q2 = ((4 * u**10 * q**4 + 2 * u**10 * q**3 + u**7 * q**7 + 2 * u**7 * q**5) * (B + vb)
           + 2 * u**10 * q**3 + u**7 * q**7 - u**4 * q**8 * vb - 2 * u**7 * q**7 * vb) * C * vc**2 * vd \
         + (-2 * u**9 * q**4 + u**6 * q**8 - 2 * u**6 * q**5) \
@@ -476,7 +481,8 @@ def certificate(name: str, verbatim: bool = False) -> CertificateSet:
     """Build one of the bundled certificate sets.
 
     The printed formulas are read as skew products in written order;
-    ``verbatim`` selects the unemended data.
+    ``verbatim`` selects the unemended data (a ValueError for g111, which has
+    no verbatim reading).
     """
     builder, order, _ = _BUILDERS[name]
     return CertificateSet(order, builder(Symbols(), verbatim=verbatim))

@@ -44,10 +44,10 @@ def _write(text: str, out: str | None) -> None:
 
 def _read_json(path: str, parse):
     """``parse`` of the JSON in the file at ``path``; input it cannot parse is a ValueError naming the file."""
-    data = json.loads(Path(path).read_text())
+    text = Path(path).read_text()
     try:
-        return parse(data)
-    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        return parse(json.loads(text))
+    except (ValueError, ZeroDivisionError, KeyError, TypeError, AttributeError, IndexError) as exc:
         raise ValueError(f"{path}: malformed input ({type(exc).__name__}: {exc})") from exc
 
 

@@ -32,7 +32,7 @@ from math import prod
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .laurent import LaurentPoly, RationalFunction, poly_gcd
+from .laurent import LaurentPoly, RationalFunction, poly_gcd_of
 from .series import BiSeries, QSeries, divide_binomial
 
 TERM_VARS = ("q", "u", "v1", "v2", "v3")
@@ -84,6 +84,8 @@ class HypTerm:
     pochs: tuple[tuple[tuple[int, ...], int, int], ...]  # (coeffs, const, base)
 
     def __post_init__(self):
+        if not 0 <= self.nsum <= 3:
+            raise ValueError(f"nsum must be 0..3, as the shift algebra has K1..K3 only; got {self.nsum}")
         dim = 1 + self.nsum
         _check_form(self.quad2, self.lin, dim)
         if any(len(c) != dim for c, _, _ in self.pochs):
@@ -240,12 +242,10 @@ class ShiftOp:
 
     def __pow__(self, n: int):
         if n < 0:
-            # only unit coefficient monomials are invertible
-            if len(self.terms) == 1:
-                (s, p), = self.terms.items()
-                if s == (0, 0, 0, 0) and p.is_monomial():
-                    return ShiftOp.coefficient(p ** n)
-            raise ValueError("negative powers only for unit coefficient monomials")
+            # a coefficient inverts as a polynomial (unit monomials only); no shift inverts
+            if self.terms.keys() != {(0, 0, 0, 0)}:
+                raise ValueError("negative powers only for unit coefficient monomials")
+            return ShiftOp.coefficient(self.terms[0, 0, 0, 0] ** n)
         out = ShiftOp.coefficient(_ONE5)
         for _ in range(n):
             out = out * self
@@ -1010,14 +1010,8 @@ def _polynomial_nullvector(vectors: list[list[LaurentPoly]]):
 def _normalize_operator(dep: list[LaurentPoly], step: int) -> QDiffOperator:
     """The dependency as an operator: its gcd (integer content included) and
     its least monomial divided out, signed by ``_last_leads_positive``."""
-    cleared = list(dep)
-    g = LaurentPoly.zero(XQ_VARS)
-    for p in cleared:
-        g = poly_gcd(g, p)
-        if g.is_one():
-            break
-    if not g.is_zero() and not g.is_one():
-        cleared = [p.divexact(g) for p in cleared]
+    g = poly_gcd_of(dep)
+    cleared = list(dep) if g.is_zero() or g.is_one() else [p.divexact(g) for p in dep]
     mins = [p.min_exponents() for p in cleared if not p.is_zero()]
     if mins:
         shift = tuple(-min(m[i] for m in mins) for i in range(len(XQ_VARS)))

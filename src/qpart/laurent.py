@@ -55,6 +55,14 @@ class LaurentPoly:
     # constructors
 
     @classmethod
+    def _raw(cls, vars: tuple[str, ...], terms: dict[tuple[int, ...], int]) -> "LaurentPoly":
+        """Trusted constructor: ``terms`` already keeps the invariants and is not copied."""
+        out = cls.__new__(cls)
+        out.vars = vars
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, vars: tuple[str, ...]) -> "LaurentPoly":
         return cls(vars, {})
 
@@ -135,18 +143,12 @@ class LaurentPoly:
                 terms[e] = s
             elif e in terms:
                 del terms[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.vars = self.vars
-        out.terms = terms
-        return out
+        return LaurentPoly._raw(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.vars = self.vars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other) if isinstance(other, (int, LaurentPoly)) else NotImplemented
@@ -158,10 +160,7 @@ class LaurentPoly:
         if isinstance(other, int):
             if not other:
                 return LaurentPoly.zero(self.vars)
-            out = LaurentPoly.__new__(LaurentPoly)
-            out.vars = self.vars
-            out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
+            return LaurentPoly._raw(self.vars, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
@@ -178,10 +177,7 @@ class LaurentPoly:
                     out_terms[e] = s
                 elif e in out_terms:
                     del out_terms[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.vars = self.vars
-        out.terms = out_terms
-        return out
+        return LaurentPoly._raw(self.vars, out_terms)
 
     __rmul__ = __mul__
 
@@ -216,10 +212,8 @@ class LaurentPoly:
 
     def shift_exponents(self, delta: tuple[int, ...]) -> "LaurentPoly":
         """Multiply by the monomial with exponent vector ``delta``."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.vars = self.vars
-        out.terms = {tuple(x + d for x, d in zip(e, delta)): c for e, c in self.terms.items()}
-        return out
+        terms = {tuple(x + d for x, d in zip(e, delta)): c for e, c in self.terms.items()}
+        return LaurentPoly._raw(self.vars, terms)
 
     def twist(self, src: str, dst: str, mult: int) -> "LaurentPoly":
         """Add ``mult * exponent(src)`` to the exponent of ``dst`` in each term.
@@ -241,10 +235,7 @@ class LaurentPoly:
                 terms[key] = s
             elif key in terms:
                 del terms[key]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.vars = self.vars
-        out.terms = terms
-        return out
+        return LaurentPoly._raw(self.vars, terms)
 
     def project(self, new_vars: tuple[str, ...]) -> "LaurentPoly":
         """Reinterpret over ``new_vars``; dropped variables must not occur."""
@@ -320,45 +311,31 @@ class LaurentPoly:
 # polynomial gcd (primitive PRS), used for rational-function normalization
 
 
-def _to_nonneg(p: LaurentPoly) -> tuple[LaurentPoly, tuple[int, ...]]:
-    """Strip the monomial content so all exponents become nonnegative."""
+def _strip_monomial(p: LaurentPoly) -> LaurentPoly:
+    """p divided by its least monomial, so that every exponent is nonnegative."""
     m = p.min_exponents()
-    if any(m):
-        return p.shift_exponents(tuple(-x for x in m)), m
-    return p, m
+    return p.shift_exponents(tuple(-x for x in m)) if any(m) else p
 
 
 def _split_main(p: LaurentPoly, i: int) -> dict[int, LaurentPoly]:
     """View p as univariate in variable i with LaurentPoly coefficients."""
     coeffs: dict[int, dict[tuple[int, ...], int]] = {}
     for e, c in p.terms.items():
-        d = e[i]
-        rest = e[:i] + (0,) + e[i + 1:]
-        coeffs.setdefault(d, {})[rest] = c
-    return {d: LaurentPoly(p.vars, t) for d, t in coeffs.items()}
+        coeffs.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    return {d: LaurentPoly._raw(p.vars, t) for d, t in coeffs.items()}
 
 
-def _join_main(coeffs: dict[int, LaurentPoly], i: int, vars: tuple[str, ...]) -> LaurentPoly:
-    terms: dict[tuple[int, ...], int] = {}
-    for d, p in coeffs.items():
-        for e, c in p.terms.items():
-            terms[e[:i] + (d,) + e[i + 1:]] = c
-    return LaurentPoly(vars, terms)
-
-
-def _poly_content(p: LaurentPoly, i: int) -> LaurentPoly:
-    """gcd of the univariate-in-var-i coefficients."""
-    g = LaurentPoly.zero(p.vars)
-    for c in _split_main(p, i).values():
-        g = poly_gcd(g, c)
-        if g.is_one():
-            break
-    return g
+def _primitive(coeffs: dict[int, LaurentPoly]) -> tuple[LaurentPoly, dict[int, LaurentPoly]]:
+    """The content of a univariate coefficient map, and the map divided by it."""
+    c = poly_gcd_of(list(coeffs.values()))
+    if c.is_one():
+        return c, coeffs
+    return c, {d: p.divexact(c) for d, p in coeffs.items()}
 
 
 def _pseudo_rem(a: dict[int, LaurentPoly], b: dict[int, LaurentPoly], vars, i) -> dict[int, LaurentPoly]:
     """Pseudo-remainder of a by b, both univariate-in-i coefficient maps."""
-    da, db = max(a), max(b)
+    db = max(b)
     lb = b[db]
     r = dict(a)
     while r and max(r) >= db:
@@ -396,14 +373,20 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     elif b.is_zero():
         g = a
     else:
-        a0, _ = _to_nonneg(a)
-        b0, _ = _to_nonneg(b)
-        g = _gcd_nonneg(a0, b0)
+        g = _gcd_nonneg(_strip_monomial(a), _strip_monomial(b))
     if g.is_zero():
         return g
-    g, _ = _to_nonneg(g)
-    if g.leading()[1] < 0:
-        g = -g
+    g = _strip_monomial(g)
+    return -g if g.leading()[1] < 0 else g
+
+
+def poly_gcd_of(polys: list[LaurentPoly]) -> LaurentPoly:
+    """``poly_gcd`` of a nonempty list, folded from zero; it stops at 1."""
+    g = LaurentPoly.zero(polys[0].vars)
+    for p in polys:
+        g = poly_gcd(g, p)
+        if g.is_one():
+            break
     return g
 
 
@@ -438,30 +421,25 @@ def _gcd_nonneg(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if not degs:
         return LaurentPoly.constant(vars, _int_gcd(a.constant_value(), b.constant_value()))
     main = -min(degs)[2]
-    ca, cb = _poly_content(a, main), _poly_content(b, main)
+    ca, ua = _primitive(_split_main(a, main))
+    cb, ub = _primitive(_split_main(b, main))
     cont = poly_gcd(ca, cb)
     # with one variable there is nothing to evaluate: the images are a and b
     if len(degs) > 1 and _coprime_in(a, b, main):
         return cont
-    ua = _split_main(a, main)
-    ub = _split_main(b, main)
-    ua = {d: c.divexact(ca) for d, c in ua.items()}
-    ub = {d: c.divexact(cb) for d, c in ub.items()}
     if max(ua) < max(ub):
         ua, ub = ub, ua
+    # each divisor is primitive (the first pair divided by their contents, each
+    # remainder by its own), so the last one is the primitive part of the gcd
     while True:
         r = _pseudo_rem(ua, ub, vars, main)
         if not r:
-            g = _join_main(ub, main, vars)
             break
         if max(r) == 0:
-            g = LaurentPoly.one(vars)
-            break
-        cr = _poly_content(_join_main(r, main, vars), main)
-        ua, ub = ub, {d: c.divexact(cr) for d, c in _split_main(_join_main(r, main, vars), main).items()}
-    gc = _poly_content(g, main)
-    g = _join_main({d: c.divexact(gc) for d, c in _split_main(g, main).items()}, main, vars)
-    return g * cont
+            return cont
+        ua, ub = ub, _primitive(r)[1]
+    g = {e[:main] + (d,) + e[main + 1:]: c for d, p in ub.items() for e, c in p.terms.items()}
+    return LaurentPoly._raw(vars, g) * cont
 
 
 class RationalFunction:

@@ -71,15 +71,20 @@ def certificate_to_json(cert) -> dict:
 
 def certificate_from_json(data: dict):
     """Inverse of certificate_to_json; only the skew product reading exists."""
-    from .holonomic import CertificateSet, ShiftOp
+    from .holonomic import FAMILIES, CertificateSet, ShiftOp
 
     mode = data.get("product_mode", "skew")
     if mode != "skew":
         raise ValueError(f"unsupported certificate product_mode {mode!r}; only 'skew' is implemented")
     fams = {}
     for name, ops in data["families"].items():
-        fams[name] = [
-            ShiftOp({tuple(s): LaurentPoly.from_json(p) for s, p in terms})
-            for terms in ops
-        ]
+        if name not in FAMILIES:
+            raise ValueError(f"unknown certificate family {name!r}; the families are {', '.join(FAMILIES)}")
+        fams[name] = [ShiftOp({_shift(s): LaurentPoly.from_json(p) for s, p in terms}) for terms in ops]
     return CertificateSet(int(data["order"]), fams)
+
+
+def _shift(s: list) -> tuple[int, int, int, int]:
+    if len(s) != 4:
+        raise ValueError(f"shift {s} must have 4 entries, the powers of N, K1, K2, K3")
+    return tuple(s)

@@ -14,6 +14,7 @@ from qpart.laurent import (
     VariableMismatch,
     ZeroDenominator,
     poly_gcd,
+    poly_gcd_of,
 )
 
 QV = ("q",)
@@ -181,6 +182,25 @@ def test_poly_gcd_divides_both_arguments(a, b, c):
     assert a.divexact(g) * g == a and b.divexact(g) * g == b
     if not c.is_zero():
         g.divexact(c)  # a common factor divides the gcd
+
+
+unit_monomials = st.builds(
+    lambda e, c: LaurentPoly.monomial(UVQ, e, c), st.tuples(*[st.integers(-3, 3)] * 3), st.sampled_from((1, -1))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(max_terms=3), polys(max_terms=3), polys(max_terms=3), unit_monomials, unit_monomials)
+def test_poly_gcd_is_a_normal_form(a, b, c, m1, m2):
+    # RationalFunction and operator bytes rest on this: unit monomial factors
+    # and the argument order do not change the gcd, which has least exponents
+    # 0 and a positive leading coefficient
+    a, b = a * c, b * c
+    g = poly_gcd(a * m1, b * m2)
+    assert g == poly_gcd(b, a)
+    if not g.is_zero():
+        assert g.min_exponents() == (0, 0, 0) and g.leading()[1] > 0
+    assert poly_gcd_of([a]) == poly_gcd(a, LaurentPoly.zero(UVQ))
 
 
 @settings(max_examples=200, deadline=None)

@@ -189,6 +189,8 @@ def test_emit_unknown_target_is_an_error():
     ["celine", "--term", "missing/term.json", "--order", "3"],
     ["dfa", "--words", "missing/words.txt"],
     ["dfa", "--emit-words", "--out", "missing/words.txt"],
+    # the printed g111 set has no verbatim reading to build
+    ["certify", "--name", "g111", "--verbatim"],
 ], ids=["zero-profile", "series-qorder-0", "unknown-condition", "verify-all-nmax-negative",
         "certify-recurrence-check-negative", "celine-term-with-printed-support", "certify-no-term",
         "celine-no-term", "certify-term-without-cert", "certify-name-and-term", "celine-name-and-term",
@@ -197,7 +199,7 @@ def test_emit_unknown_target_is_an_error():
         "celine-empty-u-range", "celine-empty-q-range", "celine-negative-kbox",
         "celine-printed-with-deg", "celine-printed-with-qdeg", "celine-printed-with-kbox",
         "uncouple-missing-system", "certify-missing-term", "celine-missing-term", "dfa-missing-words",
-        "out-into-missing-directory"])
+        "out-into-missing-directory", "certify-g111-verbatim"])
 def test_bad_input_is_a_one_line_error(argv):
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""
@@ -207,12 +209,24 @@ def test_bad_input_is_a_one_line_error(argv):
 def test_a_malformed_input_file_is_a_one_line_error_naming_it(tmp_path):
     term, bad = tmp_path / "term.json", tmp_path / "bad.json"
     term.write_text(json.dumps(catalog.certificate_term("g111").to_json()))
+    one, zero = {"vars": ["x", "q"], "terms": [[[0, 0], "1"]]}, {"vars": ["x", "q"], "terms": []}
+    short_shift = serialize.certificate_to_json(catalog.certificate("g111"))
+    short_shift["families"]["q"][1][0][0] = [0, 0, 0]
+    unknown_family = serialize.certificate_to_json(catalog.certificate("g111"))
+    unknown_family["families"]["t"] = unknown_family["families"].pop("s")
+    # the shift algebra has K1..K3 only, so at most three summation variables
+    four_sums = {"nsum": 4, "quad2": [[0] * 5] * 5, "lin": [0] * 5, "const": 0, "pochs": []}
     for text, argv in [
         ("{}", ["uncouple", "--system", bad]),
         ("[1, 2]", ["uncouple", "--system", bad]),
+        ("not json", ["uncouple", "--system", bad]),
+        (json.dumps({"matrix": [[{"num": one, "den": zero}]]}), ["uncouple", "--system", bad]),
         ("{}", ["certify", "--term", bad, "--cert", term]),
         ("{}", ["celine", "--term", bad, "--order", "3"]),
+        (json.dumps(four_sums), ["celine", "--term", bad, "--order", "1"]),
         ("{}", ["certify", "--term", term, "--cert", bad]),
+        (json.dumps(short_shift), ["certify", "--term", term, "--cert", bad]),
+        (json.dumps(unknown_family), ["certify", "--term", term, "--cert", bad]),
     ]:
         bad.write_text(text)
         code, out, err = run_cli([str(a) for a in argv])
