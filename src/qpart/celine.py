@@ -162,7 +162,7 @@ def _slot_column(slot: Slot, packed: dict[Shift, dict[int, int]], places: tuple[
     return col
 
 
-def _eliminate(columns: list[dict], decide_from: int | None = None) -> dict[int, dict[int, int]]:
+def _eliminate(columns: list[dict], decide_from: int) -> dict[int, dict[int, int]]:
     """Pivot rows of sum_i x_i * columns_i = 0, keyed by pivot column.
 
     Fraction-free elimination over Z: each row (one key of the columns,
@@ -174,21 +174,19 @@ def _eliminate(columns: list[dict], decide_from: int | None = None) -> dict[int,
     its pivot, so the pivots are the least columns of the row space of the
     rows seen so far, whatever the order of rows and hits.
 
-    With ``decide_from``, the elimination stops as soon as every column
-    from that index on is a pivot.  A larger row space only adds least
-    columns, so those columns stay pivots of the whole system, and their
-    pivot rows, which hold only columns from ``decide_from`` on, force them
-    to 0 in every kernel vector.  The rows returned then span only part of
-    the system; whether a column from ``decide_from`` on is free is still
-    decided exactly, and if one is, the elimination runs to the end.
+    The elimination stops as soon as every column from ``decide_from`` on
+    is a pivot.  A larger row space only adds least columns, so those
+    columns stay pivots of the whole system, and their pivot rows, which
+    hold only columns from ``decide_from`` on, force them to 0 in every
+    kernel vector.  The rows returned then span only part of the system;
+    whether a column from ``decide_from`` on is free is still decided
+    exactly, and if one is, the elimination runs to the end.
     """
     rows: defaultdict = defaultdict(dict)
     for i, col in enumerate(columns):
         for e, c in col.items():
             rows[e][i] = c
     pivots: dict[int, dict[int, int]] = {}
-    if decide_from is None:
-        decide_from = len(columns)
     undecided = len(columns) - decide_from
     for row in sorted(rows.values(), key=len):
         hits = [i for i in row if i in pivots]

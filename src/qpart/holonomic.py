@@ -799,20 +799,24 @@ class QDiffOperator:
         )
 
 
-def poly_times_biseries(p: LaurentPoly, s: BiSeries) -> BiSeries:
-    """p(x, q) * s for a polynomial p over (x, q), truncated at s.qorder."""
+def poly_times_biseries(p: LaurentPoly, s: BiSeries, shift: int) -> BiSeries:
+    """p(x, q) * s(x q^shift) mod q^s.qorder: a term c x^ex q^eq of p adds c q^(eq + shift*m)
+    times slice m of s to slice m + ex, the offset rule of ``solve_shift_system``."""
+    if shift < 0:
+        raise ValueError("negative x-shift")
     n = s.qorder
     rows: dict[int, list[int]] = {}
     for (ex, eq), c in p.terms.items():
         if ex < 0 or eq < 0:
             raise ValueError("operator coefficients must be polynomial")
-        if eq >= n:
-            continue
         for m, sl in s.slices.items():
+            off = eq + shift * m
+            if off >= n:
+                continue
             row = rows.get(m + ex)
             if row is None:
                 row = rows[m + ex] = [0] * n
-            row[eq:] = [r + c * a for r, a in zip(row[eq:], sl.coeffs)]
+            row[off:] = [r + c * a for r, a in zip(row[off:], sl.coeffs)]
     return BiSeries(n, {m: QSeries(n, row) for m, row in rows.items()})
 
 
@@ -820,7 +824,7 @@ def shift_combination(terms: Iterable[tuple[LaurentPoly, int, BiSeries]], qorder
     """sum of coeff(x, q) * series(x q^shift) over (coeff, shift, series) terms, mod q^qorder."""
     acc = BiSeries.zero(qorder)
     for coeff, shift, series in terms:
-        acc = acc + poly_times_biseries(coeff, series.apply_xshift(shift))
+        acc = acc + poly_times_biseries(coeff, series, shift)
     return acc
 
 

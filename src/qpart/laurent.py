@@ -36,19 +36,16 @@ class LaurentPoly:
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], int] | None = None):
+    def __init__(self, vars: tuple[str, ...], terms: Mapping[tuple[int, ...], int]):
         self.vars = tuple(vars)
         clean: dict[tuple[int, ...], int] = {}
-        if terms:
-            n = len(self.vars)
-            for e, c in terms.items():
-                if c:
-                    e = tuple(e)
-                    if len(e) != n:
-                        raise VariableMismatch(f"exponent vector {e} has wrong length for vars {self.vars}")
-                    clean[e] = clean.get(e, 0) + c
-                    if not clean[e]:
-                        del clean[e]
+        n = len(self.vars)
+        for e, c in terms.items():
+            if c:
+                e = tuple(e)
+                if len(e) != n:
+                    raise VariableMismatch(f"exponent vector {e} has wrong length for vars {self.vars}")
+                clean[e] = c
         self.terms = clean
 
     # ------------------------------------------------------------------
@@ -198,14 +195,9 @@ class LaurentPoly:
         return out
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.is_constant() and self.constant_value() == other
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
 
     # ------------------------------------------------------------------
     # structural operations
@@ -220,22 +212,16 @@ class LaurentPoly:
 
         This implements substitutions of the shape src -> src * dst^mult,
         e.g. q^n -> q^(n-1) is twist('u', 'q', -1) when u stands for q^n.
+        With ``src != dst`` the exponent map is one-to-one, so no terms merge.
         """
+        if src == dst:
+            raise ValueError(f"twist needs two different variables, got {src!r} twice")
         if not mult:
             return self
         i = self.vars.index(src)
         j = self.vars.index(dst)
-        terms: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            ee = list(e)
-            ee[j] += mult * e[i]
-            key = tuple(ee)
-            s = terms.get(key, 0) + c
-            if s:
-                terms[key] = s
-            elif key in terms:
-                del terms[key]
-        return LaurentPoly._raw(self.vars, terms)
+        return LaurentPoly._raw(self.vars, {e[:j] + (e[j] + mult * e[i],) + e[j + 1:]: c
+                                            for e, c in self.terms.items()})
 
     def project(self, new_vars: tuple[str, ...]) -> "LaurentPoly":
         """Reinterpret over ``new_vars``; dropped variables must not occur."""
@@ -304,7 +290,10 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPoly":
-        return cls(tuple(data["vars"]), {tuple(e): int(c) for e, c in data["terms"]})
+        terms = {tuple(e): int(c) for e, c in data["terms"]}
+        if len(terms) != len(data["terms"]):
+            raise ValueError("an exponent vector is listed twice in the polynomial's terms")
+        return cls(tuple(data["vars"]), terms)
 
 
 # ----------------------------------------------------------------------
@@ -453,9 +442,7 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None, normalize: bool = True):
-        if den is None:
-            den = LaurentPoly.one(num.vars)
+    def __init__(self, num: LaurentPoly, den: LaurentPoly, normalize: bool = True):
         if num.vars != den.vars:
             raise VariableMismatch(f"{num.vars} vs {den.vars}")
         if den.is_zero():
@@ -530,10 +517,6 @@ class RationalFunction:
         if not isinstance(other, RationalFunction):
             return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero()
-
-    def __hash__(self):
-        r = RationalFunction(self.num, self.den)
-        return hash((r.num, r.den))
 
     def __repr__(self):
         if self.den.is_one():

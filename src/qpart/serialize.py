@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from .holonomic import FAMILIES, TERM_VARS, CertificateSet, ShiftOp
 from .laurent import LaurentPoly, RationalFunction
 from .series import BiSeries, QSeries
 
@@ -69,10 +70,8 @@ def certificate_to_json(cert) -> dict:
     return {"order": cert.order, "families": fams, "product_mode": "skew"}
 
 
-def certificate_from_json(data: dict):
+def certificate_from_json(data: dict) -> CertificateSet:
     """Inverse of certificate_to_json; only the skew product reading exists."""
-    from .holonomic import FAMILIES, CertificateSet, ShiftOp
-
     mode = data.get("product_mode", "skew")
     if mode != "skew":
         raise ValueError(f"unsupported certificate product_mode {mode!r}; only 'skew' is implemented")
@@ -81,6 +80,10 @@ def certificate_from_json(data: dict):
         if name not in FAMILIES:
             raise ValueError(f"unknown certificate family {name!r}; the families are {', '.join(FAMILIES)}")
         fams[name] = [ShiftOp({_shift(s): LaurentPoly.from_json(p) for s, p in terms}) for terms in ops]
+        if any(tuple(p["vars"]) != TERM_VARS for terms in ops for _, p in terms):
+            raise ValueError(f"certificate coefficients must be over ({', '.join(TERM_VARS)})")
+        if any(len({tuple(s) for s, _ in terms}) != len(terms) for terms in ops):
+            raise ValueError(f"a shift is listed twice in an operator of family {name!r}")
     return CertificateSet(int(data["order"]), fams)
 
 

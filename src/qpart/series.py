@@ -60,12 +60,7 @@ class QSeries:
         return not any(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.coeffs[1:] == [0] * (self.order - 1) and (self.order == 0 or self.coeffs[0] == other)
         return isinstance(other, QSeries) and self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, tuple(self.coeffs)))
 
     def __add__(self, other: "QSeries") -> "QSeries":
         n = min(self.order, other.order)
@@ -77,9 +72,6 @@ class QSeries:
 
     def __neg__(self) -> "QSeries":
         return QSeries(self.order, [-a for a in self.coeffs])
-
-    def scale(self, c: int) -> "QSeries":
-        return QSeries(self.order, [c * a for a in self.coeffs])
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         n = min(self.order, other.order)
@@ -248,9 +240,6 @@ class BiSeries:
             and self.slices == other.slices
         )
 
-    def __hash__(self):
-        return hash((self.qorder, frozenset((m, hash(s)) for m, s in self.slices.items())))
-
     def __add__(self, other: "BiSeries") -> "BiSeries":
         n = min(self.qorder, other.qorder)
         out: dict[int, QSeries] = {m: s.truncate(n) for m, s in self.slices.items()}
@@ -273,14 +262,6 @@ class BiSeries:
                 m = m1 + m2
                 out[m] = out[m] + p if m in out else p
         return BiSeries(n, out)
-
-    def apply_xshift(self, k: int) -> "BiSeries":
-        """Substitute x -> x*q^k: slice m is multiplied by q^(k*m)."""
-        if k < 0:
-            raise ValueError("negative x-shift")
-        if k == 0:
-            return self
-        return BiSeries(self.qorder, {m: s.shift(k * m) for m, s in self.slices.items()})
 
     def eval_x1(self) -> QSeries:
         """Specialize x = 1."""

@@ -4,8 +4,8 @@ Each task checks one exact identity family (a theorem's product side, an
 operator annihilation, a recursion display, a certificate, ...) at a
 configurable truncation order and returns a RunReport; failures always
 carry a witness locating the first mismatching coefficient.  Heavy
-intermediates (enumerations, the profile family, language series, the
-uncoupled operators) are cached per run.
+intermediates (the enumerated series, the profile family, language
+series, the uncoupled operators) are cached per run.
 """
 
 from __future__ import annotations
@@ -105,27 +105,19 @@ class VerificationRun:
         self.qorder = qorder
         self.nmax = nmax  # the recurrences are checked for 0 <= n <= nmax
         self.bigraded_order = min(qorder, 25)
-        # criterion: layer count vs recursion mod q^20 (total size <= 19); the
-        # task solves its own recursion, so below q^20 it checks sizes < qorder
+        # criterion: layer count vs recursion mod q^20 (total size <= 19);
+        # below q^20 it checks sizes < qorder
         self.cyl_order = min(qorder - 1, 19)
         self._uncoupled: dict[tuple[str, int], QDiffOperator] = {}
         self._certificates: dict[str, catalog.CertificateSet] = {}
 
     @cached_property
-    def d123_partitions(self):
-        return enumerate_2colored(self.qorder - 1, COND_D123)
-
-    @cached_property
-    def d1234_partitions(self):
-        return enumerate_2colored(self.qorder - 1, COND_D1234)
-
-    @cached_property
     def f_d123(self) -> BiSeries:
-        return gen_fun(self.d123_partitions, self.qorder)
+        return gen_fun(enumerate_2colored(self.qorder - 1, COND_D123), self.qorder)
 
     @cached_property
     def f_d1234(self) -> BiSeries:
-        return gen_fun(self.d1234_partitions, self.qorder)
+        return gen_fun(enumerate_2colored(self.qorder - 1, COND_D1234), self.qorder)
 
     @cached_property
     def cw_family(self) -> dict:
@@ -334,9 +326,9 @@ def task_qdiff_cylindric(run: VerificationRun) -> RunReport:
 def task_cylindric_enumeration(run: VerificationRun) -> RunReport:
     """The layer count equals the recursion solution for all 10 profiles."""
     n = run.cyl_order
-    fam = solve_cw_family((3, 0, 0), n + 1)
+    fam = run.cw_family
     witness = _first_witness(
-        _witness(f"profile-{profile}", enumerate_cylindric(profile, n), g_to_f(fam[profile]),
+        _witness(f"profile-{profile}", enumerate_cylindric(profile, n), g_to_f(fam[profile].truncate(n + 1)),
                  profile=list(profile))
         for profile in profile_orbit((3, 0, 0))
     )

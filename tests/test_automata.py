@@ -288,7 +288,7 @@ def test_language_series_nonnegative_and_consistent():
         for j, v in enumerate(system.states):
             entry = system.matrix[i][j]
             if not entry.is_zero():
-                rhs = rhs + poly_times_biseries(entry, sols[v].apply_xshift(system.shift))
+                rhs = rhs + poly_times_biseries(entry, sols[v], system.shift)
         assert rhs == sols[u]
 
 

@@ -290,7 +290,7 @@ def sparse_systems(draw):
 @settings(max_examples=300, deadline=None)
 @given(sparse_systems(), st.randoms(use_true_random=False))
 def test_integer_nullspace_matches_fraction_oracle(columns, rnd):
-    pivots = _eliminate(columns)
+    pivots = _eliminate(columns, len(columns))
     free = [i for i in range(len(columns)) if i not in pivots]
     basis = [_kernel_vector(pivots, f) for f in free]
     oracle = [_clear_rationals(sol) for sol in _fraction_nullspace(columns)]
@@ -307,7 +307,7 @@ def test_integer_nullspace_matches_fraction_oracle(columns, rnd):
         items = list(col.items())
         rnd.shuffle(items)
         shuffled.append(dict(items))
-    reordered = _eliminate(shuffled)
+    reordered = _eliminate(shuffled, len(shuffled))
     assert sorted(reordered) == sorted(pivots)
     assert [_kernel_vector(reordered, f) for f in free] == basis
 
@@ -317,7 +317,7 @@ def test_integer_nullspace_matches_fraction_oracle(columns, rnd):
 def test_a_trailing_block_has_a_free_column_iff_the_kernel_reaches_it(columns, data):
     # the decision in celine_solve, with the p_0 columns as the block
     block = range(data.draw(st.integers(0, len(columns) - 1)), len(columns))
-    pivots = _eliminate(columns)
+    pivots = _eliminate(columns, len(columns))
     oracle = _fraction_nullspace(columns)
     assert any(i not in pivots for i in block) == any(sol.get(i) for sol in oracle for i in block)
     # stopping once every column of the block is a pivot decides the same;

@@ -838,18 +838,21 @@ def poly_and_series(draw):
     terms = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, qorder + 3)),
                                  st.integers(-4, 4), max_size=6))
     slices = draw(st.dictionaries(st.integers(0, 4), st.lists(st.integers(-5, 5), max_size=qorder), max_size=4))
-    return LaurentPoly(XQ, terms), BiSeries(qorder, {m: QSeries(qorder, c) for m, c in slices.items()})
+    shift = draw(st.integers(0, 4))
+    return LaurentPoly(XQ, terms), BiSeries(qorder, {m: QSeries(qorder, c) for m, c in slices.items()}), shift
 
 
 @settings(max_examples=300, deadline=None)
 @given(poly_and_series())
 def test_poly_times_biseries_is_the_biseries_product(case):
     # q-exponents at or above qorder are drawn too; they contribute nothing
-    p, s = case
+    p, s, shift = case
     as_series = BiSeries.zero(s.qorder)
     for (ex, eq), c in p.terms.items():
         as_series = as_series + BiSeries.monomial(s.qorder, ex, eq, c)
-    assert poly_times_biseries(p, s) == as_series * s
+    # s(x q^shift): slice m times q^(shift*m)
+    shifted = BiSeries(s.qorder, {m: sl.shift(shift * m) for m, sl in s.slices.items()})
+    assert poly_times_biseries(p, s, shift) == as_series * shifted
 
 
 def test_apply_qdiff_identity():

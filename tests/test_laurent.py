@@ -75,6 +75,14 @@ def test_twist_substitutes_shifted_power():
     assert p.twist("u", "q", -1) == u ** 3 * q ** -1
 
 
+def test_twist_of_a_variable_into_itself_is_rejected():
+    # u -> u * u^mult could merge terms; no caller needs it
+    u = LaurentPoly.variable(UV, "u")
+    for mult in (0, 1):
+        with pytest.raises(ValueError, match="two different variables"):
+            (u + 1).twist("u", "u", mult)
+
+
 def test_ratfun_cancellation():
     q = LaurentPoly.variable(QV, "q")
     r = RationalFunction(q ** 2 - 1, q - 1)

@@ -10,7 +10,7 @@ import pytest
 from qpart import catalog, serialize
 from qpart.cli import main
 from qpart.colored import from_pairs, to_pairs
-from qpart.holonomic import HypTerm, QDiffOperator, verify_certificate
+from qpart.holonomic import TERM_VARS, HypTerm, QDiffOperator, verify_certificate
 
 GOLDEN = Path(__file__).resolve().parent.parent / "src" / "qpart" / "golden"
 
@@ -216,6 +216,17 @@ def test_a_malformed_input_file_is_a_one_line_error_naming_it(tmp_path):
     unknown_family["families"]["t"] = unknown_family["families"].pop("s")
     # the shift algebra has K1..K3 only, so at most three summation variables
     four_sums = {"nsum": 4, "quad2": [[0] * 5] * 5, "lin": [0] * 5, "const": 0, "pochs": []}
+    # a coefficient over (x, y, z, w, t), not (q, u, v1, v2, v3)
+    other_vars = serialize.certificate_to_json(catalog.certificate("g111"))
+    other_vars["families"]["q"][1][0][1]["vars"] = ["x", "y", "z", "w", "t"]
+    # an exponent vector or a shift listed twice: which coefficient was meant is unclear
+    twice = {"vars": ["x", "q"], "terms": [[[1, 0], "2"], [[1, 0], "3"]]}
+    repeated_cert = serialize.certificate_to_json(catalog.certificate("g111"))
+    first = repeated_cert["families"]["q"][1][0][1]["terms"]
+    first.append(first[0])
+    repeated_shift = serialize.certificate_to_json(catalog.certificate("g111"))
+    op = repeated_shift["families"]["q"][1]
+    op.append([op[0][0], {"vars": list(TERM_VARS), "terms": [[[0, 0, 0, 0, 0], "1"]]}])
     for text, argv in [
         ("{}", ["uncouple", "--system", bad]),
         ("[1, 2]", ["uncouple", "--system", bad]),
@@ -227,6 +238,11 @@ def test_a_malformed_input_file_is_a_one_line_error_naming_it(tmp_path):
         ("{}", ["certify", "--term", term, "--cert", bad]),
         (json.dumps(short_shift), ["certify", "--term", term, "--cert", bad]),
         (json.dumps(unknown_family), ["certify", "--term", term, "--cert", bad]),
+        (json.dumps(other_vars), ["certify", "--term", term, "--cert", bad]),
+        (json.dumps({"matrix": [[twice]]}), ["uncouple", "--system", bad]),
+        (json.dumps({"matrix": [[{"num": one, "den": twice}]]}), ["uncouple", "--system", bad]),
+        (json.dumps(repeated_cert), ["certify", "--term", term, "--cert", bad]),
+        (json.dumps(repeated_shift), ["certify", "--term", term, "--cert", bad]),
     ]:
         bad.write_text(text)
         code, out, err = run_cli([str(a) for a in argv])

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpart.holonomic import poly_times_biseries
+from qpart.laurent import LaurentPoly
 from qpart.series import BiSeries, PochhammerSpec, QSeries, inv_xq_pochhammer, pochhammer_expand
 
 from oracles import finite_pochhammer
@@ -21,7 +23,7 @@ def xq_pochhammer(order: int) -> BiSeries:
     m = 0
     while m * (m + 1) // 2 < order:
         s = finite_pochhammer(1, m, order).invert().shift(m * (m + 1) // 2)
-        out[m] = s.scale(-1 if m % 2 else 1)
+        out[m] = -s if m % 2 else s
         m += 1
     return BiSeries(order, out)
 
@@ -115,16 +117,23 @@ def test_denominator_residue_zero_rejected():
         PochhammerSpec(den=((0, 3),))
 
 
+def xshift(s: BiSeries, k: int) -> BiSeries:
+    """s(x q^k), through the one x-shift of the library."""
+    return poly_times_biseries(LaurentPoly.one(("x", "q")), s, k)
+
+
 def test_xshift_monomial():
     s = BiSeries(8, {1: QSeries.monomial(8, 1)})
-    shifted = s.apply_xshift(3)
+    shifted = xshift(s, 3)
     assert shifted.coeff(1, 4) == 1 and shifted.coeff(1, 1) == 0
 
 
 def test_xshift_identity_and_composition():
     s = BiSeries(10, {0: QSeries.one(10), 2: QSeries(10, [0, 0, 3, 1]), 3: QSeries(10, [0, 0, 0, 5])})
-    assert s.apply_xshift(0) == s
-    assert s.apply_xshift(2).apply_xshift(3) == s.apply_xshift(5)
+    assert xshift(s, 0) == s
+    assert xshift(xshift(s, 2), 3) == xshift(s, 5)
+    with pytest.raises(ValueError, match="negative x-shift"):
+        xshift(s, -1)
 
 
 def test_biseries_inverse_law():

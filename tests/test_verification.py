@@ -14,7 +14,7 @@ import pytest
 
 from qpart import catalog, holonomic, verification
 from qpart.cli import main
-from qpart.colored import gen_fun
+from qpart.laurent import LaurentPoly
 from qpart.series import PochhammerSpec
 from qpart.verification import (
     VerificationRun,
@@ -22,6 +22,8 @@ from qpart.verification import (
     task_chain,
     task_combination_identity,
     task_cylindric_enumeration,
+    task_dfa_table,
+    task_pattern_equivalence,
     task_product_d123,
     task_product_d1234,
     task_qdiff_colored,
@@ -67,7 +69,7 @@ def test_euler_and_d1234_witnesses_are_pinned(run, monkeypatch):
 
 def test_anchor_witnesses_are_pinned(run, monkeypatch):
     # swap the two classes on both sides: the products agree, the anchors do not
-    run.f_d123, run.f_d1234 = gen_fun(run.d1234_partitions, 12), gen_fun(run.d123_partitions, 12)
+    run.f_d123, run.f_d1234 = run.f_d1234, run.f_d123
     d123, d1234 = catalog.PRODUCT_D123, catalog.PRODUCT_D1234
     monkeypatch.setattr(catalog, "PRODUCT_D123", d1234)
     monkeypatch.setattr(catalog, "PRODUCT_D1234", d123)
@@ -145,6 +147,52 @@ def test_combination_identity_witness_is_pinned(run, monkeypatch, doubled, j):
 
     monkeypatch.setattr(verification, "recurrence_from_operator", perturbed)
     assert task_combination_identity(run).witness == {"kind": "combination-component", "j": j}
+
+
+def test_pattern_equivalence_witness_is_the_first_disagreeing_partition(run, monkeypatch):
+    violates = verification.violates_forbidden_patterns
+    flipped = ((2, "+"), (1, "+"))
+    monkeypatch.setattr(verification, "violates_forbidden_patterns",
+                        lambda lam: violates(lam) != (lam == flipped))
+    r = task_pattern_equivalence(run)
+    # the listing (in no fixed order) stops at the flipped partition
+    checked = next(i for i, lam in enumerate(verification.iter_all(18), 1) if lam == flipped)
+    assert r.status == "fail" and r.inputs == {"max_size": 18, "checked": checked}
+    assert r.witness == {"kind": "partition", "partition": verification.to_pairs(flipped)}
+
+
+def test_dfa_table_witness_is_pinned(run, monkeypatch, tmp_path):
+    golden = json.loads((verification.GOLDEN_DIR / "dfa_canonical.json").read_text())
+    golden["delta"]["1"]["a"] = 2
+    (tmp_path / "dfa_canonical.json").write_text(json.dumps(golden))
+    monkeypatch.setattr(verification, "GOLDEN_DIR", tmp_path)
+    r = task_dfa_table(run)
+    # the built automaton is still the 6-state one; only the table differs
+    assert r.status == "fail" and r.witness == {"kind": "dfa", "states": 6, "accepts": [5]}
+
+
+def test_certificates_witness_is_pinned(run):
+    # criterion 11's soundness probe: one extra monomial in g300's p_1
+    cert = catalog.certificate("g300")
+    cert.families["p"][1] = cert.families["p"][1] + holonomic.ShiftOp.coefficient(
+        LaurentPoly.monomial(holonomic.TERM_VARS, (3, 3, 0, 0, 0)))
+    run._certificates["g300"] = cert
+    w = verification.task_certificates(run).witness
+    assert w["kind"] == "certificate-g300" and w["residual_terms"] == 8
+    assert w["residual_sample"][:2] == [[[5, 4, -3, -4, -5], -1], [[3, 3, -2, -3, -3], 1]]
+
+
+def test_recurrences_witness_is_pinned(monkeypatch):
+    derive = verification.recurrence_from_certificate
+
+    def doubled_p0(cert):
+        ps = derive(cert)
+        ps[0] = ps[0] + ps[0]
+        return ps
+
+    monkeypatch.setattr(verification, "recurrence_from_certificate", doubled_p0)
+    r = task_recurrences(VerificationRun(qorder=10, nmax=3))
+    assert r.status == "fail" and r.witness == {"kind": "recurrence-g111", "q0": "2"}
 
 
 def test_a_crashing_task_is_reported_and_the_rest_still_run(monkeypatch, tmp_path):
