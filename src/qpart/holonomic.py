@@ -380,7 +380,7 @@ def recurrence_from_operator(op: QDiffOperator) -> list[LaurentPoly]:
                 raise ValueError("operator coefficients must be polynomial in x")
             row, key = rows.setdefault(ex, {}), (eq - k * ex, k)
             row[key] = row.get(key, 0) + c
-    plist = [LaurentPoly(QU_VARS, rows.get(i)) for i in range(max(rows, default=-1) + 1)]
+    plist = [LaurentPoly(QU_VARS, rows.get(i, {})) for i in range(max(rows, default=-1) + 1)]
     return _last_leads_positive(plist)
 
 

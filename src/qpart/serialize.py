@@ -79,15 +79,18 @@ def certificate_from_json(data: dict) -> CertificateSet:
     for name, ops in data["families"].items():
         if name not in FAMILIES:
             raise ValueError(f"unknown certificate family {name!r}; the families are {', '.join(FAMILIES)}")
-        fams[name] = [ShiftOp({_shift(s): LaurentPoly.from_json(p) for s, p in terms}) for terms in ops]
-        if any(tuple(p["vars"]) != TERM_VARS for terms in ops for _, p in terms):
-            raise ValueError(f"certificate coefficients must be over ({', '.join(TERM_VARS)})")
-        if any(len({tuple(s) for s, _ in terms}) != len(terms) for terms in ops):
-            raise ValueError(f"a shift is listed twice in an operator of family {name!r}")
+        fams[name] = []
+        for terms in ops:
+            op = dict(_term(s, p) for s, p in terms)
+            if len(op) != len(terms):
+                raise ValueError(f"a shift is listed twice in an operator of family {name!r}")
+            fams[name].append(ShiftOp(op))
     return CertificateSet(int(data["order"]), fams)
 
 
-def _shift(s: list) -> tuple[int, int, int, int]:
+def _term(s: list, p: dict) -> tuple[tuple[int, int, int, int], LaurentPoly]:
     if len(s) != 4:
         raise ValueError(f"shift {s} must have 4 entries, the powers of N, K1, K2, K3")
-    return tuple(s)
+    if tuple(p["vars"]) != TERM_VARS:
+        raise ValueError(f"certificate coefficients must be over ({', '.join(TERM_VARS)})")
+    return tuple(s), LaurentPoly.from_json(p)

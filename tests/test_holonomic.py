@@ -632,6 +632,9 @@ def test_recurrence_from_operator_reads_the_x_coefficients():
     op = QDiffOperator(((LaurentPoly.one(XQ), 0), (-(1 + x), 1)), step=1)
     qq, u = LaurentPoly.variable(QU, "q"), LaurentPoly.variable(QU, "u")
     assert recurrence_from_operator(op) == [-(1 - u), u * qq**-1]
+    # a gap in the x-degrees gives a zero p_1
+    op = QDiffOperator(((LaurentPoly.one(XQ), 0), (-(1 + x**2), 1)), step=1)
+    assert recurrence_from_operator(op) == [-(1 - u), LaurentPoly.zero(QU), u * qq**-2]
     with pytest.raises(ValueError):
         recurrence_from_operator(QDiffOperator(((x**-1 * q, 0),), step=1))
 
