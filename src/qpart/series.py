@@ -2,11 +2,14 @@
 
 A QSeries of order N stores the coefficients of q^0 .. q^(N-1); a BiSeries
 stores finitely many x-slices, each a QSeries of the common q-order.
-Arithmetic results carry the minimum order of the operands.  A Pochhammer
-factor 1 - q^e is applied to a coefficient list in place:
-``multiply_binomial`` and ``divide_binomial`` are the one loop each, shared
-by ``pochhammer_expand``, ``inv_xq_pochhammer`` and the quadruple sums of
-``holonomic``.
+Arithmetic results carry the minimum order of the operands.  Both products
+are ``packed_product``: each operand is packed into one integer, a slot per
+coefficient, and the two integers are multiplied once; a slot is wide enough
+for the largest coefficient the product can have, with its sign, so none
+carries into the next.  A Pochhammer factor 1 - q^e is applied to a
+coefficient list in place: ``multiply_binomial`` and ``divide_binomial`` are
+the one loop each, shared by ``pochhammer_expand``, ``inv_xq_pochhammer``
+and the quadruple sums of ``holonomic``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,38 @@ from typing import Iterable
 
 class TruncationError(ValueError):
     """Raised when data does not fit under the requested truncation order."""
+
+
+def packed_product(a: dict[int, list[int]], b: dict[int, list[int]], n: int) -> dict[int, list[int]]:
+    """The product of two x-slice maps {m: q-coefficients} modulo q^n, as slices
+    0 .. max(a) + max(b), by one integer product (Kronecker substitution).
+
+    Coefficient (m, i < n) goes in slot m*(2n - 1) + i: a slice product has
+    degree at most 2n - 2, so it stays off the next x-slice.  A coefficient of
+    the untruncated product sums at most min(len(a), len(b)) * n terms, each at
+    most max|a| * max|b|; w-bit slots with 2^(w-1) above that bound hold it
+    with its sign, and adding 2^(w-1) to every slot makes each a digit >= 0.
+    """
+    if not a or not b or n == 0:
+        return {}
+    bound = min(len(a), len(b)) * n
+    for rows in (a, b):  # at least 1, so an all-zero operand still fits its slots
+        bound *= max(1, *(abs(c) for cs in rows.values() for c in cs[:n]))
+    width, stride, top = bound.bit_length() // 8 + 1, 2 * n - 1, max(a) + max(b) + 1  # 2^(8*width - 1) > bound
+
+    def pack(rows: dict[int, list[int]]) -> int:  # the positive part minus the negative part
+        parts = bytearray((max(rows) + 1) * stride * width), bytearray((max(rows) + 1) * stride * width)
+        for m, cs in rows.items():
+            for k, c in enumerate(cs[:n], m * stride):
+                if c:
+                    parts[c < 0][k * width:(k + 1) * width] = abs(c).to_bytes(width, "little")
+        return int.from_bytes(parts[0], "little") - int.from_bytes(parts[1], "little")
+
+    half = 1 << 8 * width - 1
+    biased = pack(a) * pack(b) + int.from_bytes((bytes(width - 1) + b"\x80") * (top * stride), "little")
+    data = biased.to_bytes(top * stride * width, "little")
+    return {m: [int.from_bytes(data[k:k + width], "little") - half
+                for k in range(m * stride * width, (m * stride + n) * width, width)] for m in range(top)}
 
 
 class QSeries:
@@ -75,15 +110,7 @@ class QSeries:
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         n = min(self.order, other.order)
-        out = [0] * n
-        a, b = self.coeffs, other.coeffs
-        for i in range(n):
-            ai = a[i]
-            if ai:
-                for j in range(n - i):
-                    if b[j]:
-                        out[i + j] += ai * b[j]
-        return QSeries(n, out)
+        return QSeries(n, packed_product({0: self.coeffs}, {0: other.coeffs}, n).get(0, ()))
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q^k (k >= 0), keeping the order."""
@@ -112,17 +139,10 @@ class QSeries:
         return QSeries(n, inv)
 
     def valuation(self) -> int | None:
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
+        return next((i for i, c in enumerate(self.coeffs) if c), None)
 
     def first_difference(self, other: "QSeries") -> int | None:
-        n = min(self.order, other.order)
-        for i in range(n):
-            if self.coeffs[i] != other.coeffs[i]:
-                return i
-        return None
+        return next((i for i, (c, d) in enumerate(zip(self.coeffs, other.coeffs)) if c != d), None)
 
     def __repr__(self):
         bits = [f"{c}*q^{i}" for i, c in enumerate(self.coeffs) if c]
@@ -255,33 +275,22 @@ class BiSeries:
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         n = min(self.qorder, other.qorder)
-        out: dict[int, QSeries] = {}
-        for m1, s1 in self.slices.items():
-            for m2, s2 in other.slices.items():
-                p = s1 * s2
-                m = m1 + m2
-                out[m] = out[m] + p if m in out else p
-        return BiSeries(n, out)
+        rows = packed_product({m: s.coeffs for m, s in self.slices.items()},
+                              {m: s.coeffs for m, s in other.slices.items()}, n)
+        return BiSeries(n, {m: QSeries(n, cs) for m, cs in rows.items()})
 
     def eval_x1(self) -> QSeries:
         """Specialize x = 1."""
-        acc = QSeries.zero(self.qorder)
-        for s in self.slices.values():
-            acc = acc + s
-        return acc
+        return sum(self.slices.values(), QSeries.zero(self.qorder))
 
     def truncate(self, qorder: int) -> "BiSeries":
         return BiSeries(qorder, {m: s.truncate(qorder) for m, s in self.slices.items()})
 
     def first_difference(self, other: "BiSeries") -> tuple[int, int] | None:
         """(x_exp, q_exp) of the first mismatching coefficient, or None."""
-        n = min(self.qorder, other.qorder)
-        for m in sorted(set(self.slices) | set(other.slices)):
-            a, b = self.slice(m), other.slice(m)
-            for i in range(n):
-                if a.coeffs[i] != b.coeffs[i]:
-                    return (m, i)
-        return None
+        ms = sorted(set(self.slices) | set(other.slices))
+        diffs = ((m, self.slice(m).first_difference(other.slice(m))) for m in ms)
+        return next(((m, i) for m, i in diffs if i is not None), None)
 
     def __repr__(self):
         bits = []

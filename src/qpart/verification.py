@@ -39,6 +39,7 @@ from .cylindric import enumerate_cylindric, g_to_f, profile_orbit, solve_cw_fami
 from .holonomic import (
     QDiffOperator,
     apply_qdiff,
+    eval_qu_poly,
     evaluate_ag_sum,
     first_recurrence_failure,
     recurrence_from_certificate,
@@ -367,7 +368,8 @@ def task_recurrences(run: VerificationRun) -> RunReport:
     """The certificate recurrences annihilate the brute-force sums.
 
     Exact rational evaluation over the full support at three fixed points,
-    for every 0 <= n <= run.nmax.
+    for every 0 <= n <= run.nmax.  A recurrence whose p_0(q0, q0^n) is zero
+    at every checked n determines no f_n, so that check fails as vacuous.
     """
     nmax = run.nmax
 
@@ -377,6 +379,8 @@ def task_recurrences(run: VerificationRun) -> RunReport:
             q0 = first_recurrence_failure(catalog.certificate_term(name), plist, nmax, RECURRENCE_POINTS)
             if q0 is not None:
                 yield {"kind": f"recurrence-{name}", "q0": str(q0)}
+            elif not any(eval_qu_poly(plist[0], n, q0) for n in range(nmax + 1) for q0 in RECURRENCE_POINTS):
+                yield {"kind": f"recurrence-{name}", "p0_zero_up_to_n": nmax}
 
     return _report("recurrences", {"nmax": nmax, "points": [str(p) for p in RECURRENCE_POINTS]},
                    _first_witness(witnesses()))

@@ -2,7 +2,9 @@
 
 The library applies Pochhammer factors to coefficient lists in place;
 ``finite_pochhammer`` and ``f_to_g`` build the same products with one
-``QSeries`` or ``BiSeries`` product per factor. The library lists 2-colored
+``QSeries`` or ``BiSeries`` product per factor. The library multiplies
+series by one packed integer product; ``schoolbook_product`` multiplies
+coefficient by coefficient. The library lists 2-colored
 partitions in walk order grouped by (size, length); ``listing_order_key``
 is the sort key that states the listing order directly.
 """
@@ -30,3 +32,17 @@ def f_to_g(f: BiSeries) -> BiSeries:
     for j in range(1, n):
         f = f * (BiSeries.one(n) - BiSeries.monomial(n, 1, j))
     return f
+
+
+def schoolbook_product(a: BiSeries, b: BiSeries) -> BiSeries:
+    """The oracle for BiSeries.__mul__ and QSeries.__mul__: every pair of
+    coefficients multiplied and added, truncated to the smaller q-order."""
+    n = min(a.qorder, b.qorder)
+    out: dict[int, list[int]] = {}
+    for m1, s1 in a.slices.items():
+        for m2, s2 in b.slices.items():
+            row = out.setdefault(m1 + m2, [0] * n)
+            for i, c1 in enumerate(s1.coeffs[:n]):
+                for j, c2 in enumerate(s2.coeffs[: n - i]):
+                    row[i + j] += c1 * c2
+    return BiSeries(n, {m: QSeries(n, row) for m, row in out.items()})

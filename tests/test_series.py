@@ -1,14 +1,15 @@
 """Truncated q-series, Pochhammer products, and (x, q)-series."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qpart.cylindric import g_to_f, solve_cw_family
 from qpart.holonomic import poly_times_biseries
 from qpart.laurent import LaurentPoly
 from qpart.series import BiSeries, PochhammerSpec, QSeries, inv_xq_pochhammer, pochhammer_expand
 
-from oracles import finite_pochhammer
+from oracles import finite_pochhammer, schoolbook_product
 
 
 def infinite_pochhammer(residue: int, modulus: int, order: int) -> QSeries:
@@ -189,3 +190,59 @@ def test_qseries_multiplication_is_commutative_and_associative(a, b, c):
 def test_inverse_of_a_product_is_the_product_of_inverses(s, t):
     assert (s * t).invert() == s.invert() * t.invert()
     assert s * s.invert() == QSeries.one(ORDER)
+
+
+# signed coefficients up to 2^80 make the slot width grow; x-supports have gaps
+COEFF = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+
+
+def biseries(qorder):
+    return st.dictionaries(st.integers(0, 9), st.lists(COEFF, min_size=qorder, max_size=qorder), max_size=4).map(
+        lambda rows: BiSeries(qorder, {m: QSeries(qorder, cs) for m, cs in rows.items()}))
+
+
+def biseries_pair():
+    """Two operands whose q-orders may differ: the product has the smaller."""
+    return st.tuples(st.integers(0, 9), st.integers(0, 9)).flatmap(lambda ns: st.tuples(*map(biseries, ns)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(biseries_pair())
+@example((BiSeries(0, {}), BiSeries(3, {0: QSeries(3, [1, 2, 3])})))
+@example((BiSeries(1, {0: QSeries(1, [2**80]), 3: QSeries(1, [-(2**80)])}), BiSeries(1, {2: QSeries(1, [-5])})))
+def test_packed_biseries_product_is_the_schoolbook_product(pair):
+    a, b = pair
+    assert a * b == schoolbook_product(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(biseries_pair())
+@example((BiSeries(1, {0: QSeries(1, [-7])}), BiSeries(0)))
+def test_packed_qseries_product_is_the_schoolbook_product(pair):
+    s, t = (b.slice(0) for b in pair)
+    assert s * t == schoolbook_product(BiSeries(s.order, {0: s}), BiSeries(t.order, {0: t})).slice(0)
+
+
+def unit_led(n):
+    """A QSeries modulo q^n with a nonzero constant term."""
+    return st.tuples(COEFF.filter(bool), st.lists(COEFF, min_size=n - 1, max_size=n - 1)).map(
+        lambda cs: QSeries(n, [cs[0], *cs[1]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6), st.integers(1, 4),
+       st.integers(1, 9).flatmap(lambda n: st.tuples(unit_led(n), unit_led(n))))
+def test_products_that_cancel_to_zero_slices_drop_them(m0, k0, d, pair):
+    s, t = pair
+    a = BiSeries(s.order, {m0: s, m0 + d: s})
+    b = BiSeries(s.order, {k0: t, k0 + d: -t})
+    # (x^m0 + x^(m0+d)) * (x^k0 - x^(k0+d)) * s * t: the middle slice cancels
+    p = a * b
+    assert m0 + k0 in p.slices and m0 + k0 + d not in p.slices
+    assert p == schoolbook_product(a, b)
+
+
+@pytest.mark.parametrize("profile", [(3, 0, 0), (1, 1, 1)])
+def test_g_to_f_is_the_schoolbook_product(profile):
+    g = solve_cw_family((3, 0, 0), 40)[profile]
+    assert g_to_f(g) == schoolbook_product(g, inv_xq_pochhammer(40))

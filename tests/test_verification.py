@@ -195,6 +195,16 @@ def test_recurrences_witness_is_pinned(monkeypatch):
     assert r.status == "fail" and r.witness == {"kind": "recurrence-g111", "q0": "2"}
 
 
+def test_recurrences_that_determine_no_value_do_not_pass():
+    # p_0(q, 1) = 0 for all four recurrences: at n = 0 alone each holds vacuously
+    for name in catalog.CERTIFICATE_NAMES:
+        p0 = holonomic.recurrence_from_certificate(catalog.certificate(name))[0]
+        assert all(holonomic.eval_qu_poly(p0, 0, q0) == 0 for q0 in verification.RECURRENCE_POINTS)
+    r = task_recurrences(VerificationRun(qorder=10, nmax=0))
+    assert r.status == "fail" and r.witness == {"kind": "recurrence-g111", "p0_zero_up_to_n": 0}
+    assert task_recurrences(VerificationRun(qorder=10, nmax=3)).ok
+
+
 def test_a_crashing_task_is_reported_and_the_rest_still_run(monkeypatch, tmp_path):
     def task_aux_identity(run):
         raise RuntimeError("probe")
