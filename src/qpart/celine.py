@@ -12,18 +12,20 @@ exact linear system with integer entries (one row per monomial of the
 cleared numerators, each monomial's exponent vector packed into one int
 by a mixed radix); any kernel vector with p_0 != 0 yields a certificate.
 
-The system is eliminated once, fraction-free over Z, with the p_0 slots
-as the last columns.  Each pivot row takes its least column as pivot;
-then the pivot columns are the least columns of the row space, whatever
-order the rows are eliminated in.  That makes the search a decision: if
-every p_0 column is a pivot, their pivot rows hold only p_0 columns and
-form a triangular system that forces p_0 = 0, and if some p_0 column is
-free, its kernel vector is 1 there.  The elimination stops as soon as
-every p_0 column is a pivot: more rows only add least columns to the row
-space, so the answer "none" is settled then.  The certificate returned
-is the kernel vector of the first free p_0 column, primitive and
-positive at its greatest slot in sorted slot order, checked by
-``verify_certificate``.
+The system is held once, and compactly: the columns are built one slot
+at a time and spread into rows as flat [column, entry, ...] lists, and a
+row becomes a dict only when the elimination reaches it.  It is
+eliminated once, fraction-free over Z, with the p_0 slots as the last
+columns.  Each pivot row takes its least column as pivot; then the pivot
+columns are the least columns of the row space, whatever order the rows
+are eliminated in.  That makes the search a decision: if every p_0 column
+is a pivot, their pivot rows hold only p_0 columns and form a triangular
+system that forces p_0 = 0, and if some p_0 column is free, its kernel
+vector is 1 there.  The elimination stops as soon as every p_0 column is
+a pivot: more rows only add least columns to the row space, so the
+answer "none" is settled then.  The certificate returned is the kernel
+vector of the first free p_0 column, primitive and positive at its
+greatest slot in sorted slot order, checked by ``verify_certificate``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from collections import defaultdict
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd
-from typing import Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
 from .holonomic import (
     FAMILIES,
@@ -142,7 +145,7 @@ def _packed_ratios(term: HypTerm, slots: list[Slot]) -> tuple[dict[Shift, dict[i
 
 
 def _pack(exps: tuple[int, ...], places: tuple[int, ...]) -> int:
-    return sum(e * p for e, p in zip(exps, places))
+    return sum(map(mul, exps, places))
 
 
 def _slot_column(slot: Slot, packed: dict[Shift, dict[int, int]], places: tuple[int, ...]) -> dict[int, int]:
@@ -162,8 +165,33 @@ def _slot_column(slot: Slot, packed: dict[Shift, dict[int, int]], places: tuple[
     return col
 
 
-def _eliminate(columns: list[dict], decide_from: int) -> dict[int, dict[int, int]]:
+def _compact_rows(columns: Iterable[dict[int, int]]) -> tuple[list[list[int]], int]:
+    """The rows of the columns, shortest first, and the number of columns.
+
+    The columns are consumed one at a time, so each can be freed once it is
+    spread into the rows.  A row is a flat list [i, c, i, c, ...] of its
+    column indices and entries in column order; rows of equal length keep
+    the order their keys were first seen in.
+    """
+    rows: defaultdict = defaultdict(list)
+    ncols = 0
+    for col in columns:
+        for e, c in col.items():
+            row = rows[e]
+            row.append(ncols)
+            row.append(c)
+        ncols += 1
+    return sorted(rows.values(), key=len), ncols
+
+
+def _eliminate(columns: Iterable[dict[int, int]], decide_from: int) -> dict[int, dict[int, int]]:
     """Pivot rows of sum_i x_i * columns_i = 0, keyed by pivot column.
+
+    The columns may be any iterable, consumed one at a time into compact
+    rows (``_compact_rows``).  A row becomes the dict that the reduction
+    mutates only when the elimination reaches it, and is dropped once it
+    is done, so a row that reduces to zero is freed at once and the rows
+    never reached are never expanded.
 
     Fraction-free elimination over Z: each row (one key of the columns,
     shortest rows first) is reduced in place against the pivot rows,
@@ -182,13 +210,13 @@ def _eliminate(columns: list[dict], decide_from: int) -> dict[int, dict[int, int
     whether a column from ``decide_from`` on is free is still decided
     exactly, and if one is, the elimination runs to the end.
     """
-    rows: defaultdict = defaultdict(dict)
-    for i, col in enumerate(columns):
-        for e, c in col.items():
-            rows[e][i] = c
+    queue, ncols = _compact_rows(columns)
+    queue.reverse()  # pop() then yields the rows shortest first, ties in order
     pivots: dict[int, dict[int, int]] = {}
-    undecided = len(columns) - decide_from
-    for row in sorted(rows.values(), key=len):
+    undecided = ncols - decide_from
+    while queue:
+        flat = iter(queue.pop())
+        row = dict(zip(flat, flat))
         hits = [i for i in row if i in pivots]
         heapify(hits)
         while hits:
@@ -290,7 +318,7 @@ def celine_solve(term: HypTerm, order: int, support: list[Slot]) -> CertificateS
     if first_p0 is None:
         return None
     packed, places = _packed_ratios(term, slots)
-    pivots = _eliminate([_slot_column(slot, packed, places) for slot in slots], first_p0)
+    pivots = _eliminate((_slot_column(slot, packed, places) for slot in slots), first_p0)
     free = next((i for i in range(first_p0, len(slots)) if i not in pivots), None)
     if free is None:
         return None

@@ -12,6 +12,7 @@ tie-breaking) is graded lexicographic over the fixed variable order.
 from __future__ import annotations
 
 from math import gcd as _int_gcd
+from operator import add
 from typing import Iterable, Mapping
 
 
@@ -164,11 +165,14 @@ class LaurentPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:  # a monomial maps the terms of b to distinct exponents
+            (ea, ca), = a.items()
+            return LaurentPoly._raw(self.vars, {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()})
         out_terms: dict[tuple[int, ...], int] = {}
         bi = list(b.items())
         for ea, ca in a.items():
             for eb, cb in bi:
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 s = out_terms.get(e, 0) + ca * cb
                 if s:
                     out_terms[e] = s

@@ -310,11 +310,18 @@ class BiSeries:
 
 
 def inv_xq_pochhammer(order: int) -> BiSeries:
-    """1/(xq; q)_infinity as a BiSeries modulo q^order: slice m is q^m/(q;q)_m."""
-    poch = QSeries.one(order)  # (q;q)_m, one factor more per slice
-    out: dict[int, QSeries] = {}
-    for m in range(order):
-        if m:
-            multiply_binomial(poch.coeffs, m)
-        out[m] = poch.invert().shift(m)
-    return BiSeries(order, out)
+    """1/(xq; q)_infinity as a BiSeries modulo q^order: slice m is q^m/(q;q)_m.
+
+    (q;q)_(order-1) is inverted once; going down the slices,
+    1/(q;q)_(m-1) = (1 - q^m)/(q;q)_m is one multiply_binomial in place.
+    """
+    poch = QSeries.one(order)
+    for m in range(1, order):
+        multiply_binomial(poch.coeffs, m)
+    inv = poch.invert()  # 1/(q;q)_(order-1)
+    slices = []
+    for m in range(order - 1, 0, -1):
+        slices.append(inv.shift(m))
+        multiply_binomial(inv.coeffs, m)  # now 1/(q;q)_(m-1)
+    slices.append(inv)
+    return BiSeries(order, dict(enumerate(reversed(slices))))

@@ -4,12 +4,16 @@ The library applies Pochhammer factors to coefficient lists in place;
 ``finite_pochhammer`` and ``f_to_g`` build the same products with one
 ``QSeries`` or ``BiSeries`` product per factor. The library multiplies
 series by one packed integer product; ``schoolbook_product`` multiplies
-coefficient by coefficient. The library lists 2-colored
+coefficient by coefficient, and ``schoolbook_laurent_product`` does the
+same for Laurent polynomials. The library inverts (q;q)_m once for all
+slices of 1/(xq;q)_inf; ``inv_xq_pochhammer_by_slices`` inverts each
+slice's (q;q)_m on its own. The library lists 2-colored
 partitions in walk order grouped by (size, length); ``listing_order_key``
 is the sort key that states the listing order directly.
 """
 
 from qpart.colored import part_key, size
+from qpart.laurent import LaurentPoly
 from qpart.series import BiSeries, QSeries
 
 
@@ -46,3 +50,20 @@ def schoolbook_product(a: BiSeries, b: BiSeries) -> BiSeries:
                 for j, c2 in enumerate(s2.coeffs[: n - i]):
                     row[i + j] += c1 * c2
     return BiSeries(n, {m: QSeries(n, row) for m, row in out.items()})
+
+
+def schoolbook_laurent_product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The oracle for LaurentPoly.__mul__: every pair of terms multiplied and
+    added at the sum of their exponents."""
+    out: dict[tuple[int, ...], int] = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return LaurentPoly(a.vars, out)
+
+
+def inv_xq_pochhammer_by_slices(order: int) -> BiSeries:
+    """The oracle for inv_xq_pochhammer: slice m is q^m times the inverse of
+    (q;q)_m, each inverted on its own."""
+    return BiSeries(order, {m: finite_pochhammer(1, m, order).invert().shift(m) for m in range(order)})

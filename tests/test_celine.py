@@ -1,6 +1,7 @@
 """Certificate search."""
 
 import hashlib
+import weakref
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from qpart import catalog, celine, serialize
 from qpart.celine import (
     FAMILIES,
+    _compact_rows,
     _eliminate,
     _kernel_vector,
     _packed_ratios,
@@ -327,3 +329,58 @@ def test_a_trailing_block_has_a_free_column_iff_the_kernel_reaches_it(columns, d
     assert any(i not in early for i in block) == any(i not in pivots for i in block)
     if any(i not in pivots for i in block):
         assert early == pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_compact_rows_keep_the_order_of_the_dict_rows(columns):
+    # shortest row first, rows of equal length in the order first seen
+    rows = {}
+    for i, col in enumerate(columns):
+        for e, c in col.items():
+            rows.setdefault(e, {})[i] = c
+    compact, ncols = _compact_rows(iter(columns))
+    assert ncols == len(columns)
+    assert [list(zip(flat[::2], flat[1::2])) for flat in compact] == [
+        list(row.items()) for row in sorted(rows.values(), key=len)
+    ]
+
+
+def test_rows_of_equal_length_are_reached_in_the_order_first_seen():
+    # rows a = x_0 + x_1 and b = x_0 + 2 x_1: the first reached is the pivot row of column 0
+    assert _eliminate([{"a": 1, "b": 1}, {"a": 1, "b": 2}], 2) == {0: {0: 1, 1: 1}, 1: {1: 1}}
+    assert _eliminate([{"b": 1, "a": 1}, {"b": 2, "a": 1}], 2) == {0: {0: 1, 1: 2}, 1: {1: 1}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_a_stream_of_columns_eliminates_as_the_list_does(columns):
+    for k in range(len(columns) + 1):
+        streamed = _eliminate(iter(columns), k)
+        listed = _eliminate(columns, k)
+        assert [(p, list(r.items())) for p, r in streamed.items()] == [
+            (p, list(r.items())) for p, r in listed.items()
+        ]
+
+
+class _Column(dict):
+    """A column that a weak reference can watch."""
+
+
+def test_each_column_is_freed_once_it_is_spread_into_rows():
+    slots = square_box(1)
+    packed, places = _packed_ratios(SQUARE_TERM, slots)
+    refs = []
+
+    def stream():
+        for k, slot in enumerate(slots):
+            # the consumer may still hold column k - 1, but none before it
+            assert all(ref() is None for ref in refs[: max(k - 1, 0)])
+            col = _Column(_slot_column(slot, packed, places))
+            refs.append(weakref.ref(col))
+            yield col
+            del col
+
+    pivots = _eliminate(stream(), len(slots))
+    assert len(refs) == len(slots) and pivots
+    assert all(ref() is None for ref in refs)

@@ -17,6 +17,8 @@ from qpart.laurent import (
     poly_gcd_of,
 )
 
+from oracles import schoolbook_laurent_product
+
 QV = ("q",)
 UV = ("u", "v")
 UVQ = ("u", "v", "q")
@@ -160,6 +162,22 @@ def test_ring_laws(a, b, c):
     assert a * b == b * a and (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a + zero == a and a * one == a and (a - a).is_zero() and a - b == a + (-b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(*[st.integers(-5, 5)] * len(UVQ)),
+    st.integers(-4, 4).filter(bool),
+    polys(max_terms=6),
+    polys(max_terms=3),
+)
+def test_products_match_the_schoolbook_oracle(mono_exp, mono_coeff, p, r):
+    # a one-term factor takes the monomial path, from either side
+    m = LaurentPoly(UVQ, {mono_exp: mono_coeff})
+    expected = schoolbook_laurent_product(m, p)
+    assert m * p == expected and p * m == expected
+    assert list((m * p).terms) == [tuple(x + y for x, y in zip(mono_exp, e)) for e in p.terms]
+    assert p * r == schoolbook_laurent_product(p, r)
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,7 +9,7 @@ from qpart.holonomic import poly_times_biseries
 from qpart.laurent import LaurentPoly
 from qpart.series import BiSeries, PochhammerSpec, QSeries, inv_xq_pochhammer, pochhammer_expand
 
-from oracles import finite_pochhammer, schoolbook_product
+from oracles import finite_pochhammer, inv_xq_pochhammer_by_slices, schoolbook_product
 
 
 def infinite_pochhammer(residue: int, modulus: int, order: int) -> QSeries:
@@ -142,6 +142,13 @@ def test_biseries_inverse_law():
     a = xq_pochhammer(n)
     assert a * inv_xq_pochhammer(n) == BiSeries.one(n)
     assert inv_xq_pochhammer(n) * a == BiSeries.one(n)
+
+
+def test_inv_xq_pochhammer_matches_the_slice_by_slice_inverse():
+    for n in range(41):
+        s = inv_xq_pochhammer(n)
+        assert s == inv_xq_pochhammer_by_slices(n)
+        assert list(s.slices) == list(range(n))
 
 
 def test_xq_pochhammer_matches_product_form():
