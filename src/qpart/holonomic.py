@@ -13,7 +13,8 @@ Certificates are elements of the shift algebra generated by N (n -> n-1)
 and K_i (k_i -> k_i - 1) over Laurent polynomials in (q, u, v):
 moving a shift past a coefficient twists the coefficient, e.g.
 N * u = (u/q) * N.  Certificate formulas are read as skew products in
-written order.
+written order.  Right division of recurrences (``recurrence_remainder``)
+runs the gcd's pseudo-remainder loop over the ring of backward shifts.
 
 Linear q-difference systems in x (the profile recursion, the automaton
 system) share one layer: ``shift_combination`` forms
@@ -32,7 +33,7 @@ from math import prod
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .laurent import LaurentPoly, RationalFunction, poly_gcd_of
+from .laurent import LaurentPoly, RationalFunction, poly_gcd_of, pseudo_rem
 from .series import BiSeries, QSeries, divide_binomial
 
 TERM_VARS = ("q", "u", "v1", "v2", "v3")
@@ -342,7 +343,8 @@ def verify_certificate(term: HypTerm, cert: CertificateSet) -> VerificationResul
     The operator is applied to F and divided by F: every shift monomial
     becomes a factored rational function, the sum is put over the least
     common factored denominator, and the numerator must vanish
-    identically.
+    identically.  A p family that is all zero proves only 0 = 0, so it
+    does not verify.
     """
     total = cert.telescoped()
     cleared = cleared_ratios(term, total.terms)
@@ -350,7 +352,8 @@ def verify_certificate(term: HypTerm, cert: CertificateSet) -> VerificationResul
     for s, coeff in total.terms.items():
         acc = acc + coeff * cleared[s]
     sample = acc.sorted_terms()[:5]
-    return VerificationResult(acc.is_zero(), len(acc.terms), [[list(e), c] for e, c in sample])
+    nonzero_p = any(not op.is_zero() for op in cert.families.get("p", ()))
+    return VerificationResult(acc.is_zero() and nonzero_p, len(acc.terms), [[list(e), c] for e, c in sample])
 
 
 def recurrence_from_certificate(cert: CertificateSet) -> list[LaurentPoly]:
@@ -389,6 +392,14 @@ def _last_leads_positive(polys: list[LaurentPoly]) -> list[LaurentPoly]:
     its last nonzero entry has a negative leading coefficient."""
     lead = next((p for p in reversed(polys) if not p.is_zero()), None)
     return [-p for p in polys] if lead is not None and lead.leading()[1] < 0 else polys
+
+
+def recurrence_remainder(a: list[LaurentPoly], b: list[LaurentPoly]) -> dict[int, LaurentPoly]:
+    """The right pseudo-remainder of recurrence a by recurrence b, keyed by the
+    power of B (B g_n = g_(n-1), so B * p(u) = p(u/q) * B).  It is empty exactly
+    when L a = Q b for a nonzero polynomial L and an operator Q."""
+    a, b = ({i: p for i, p in enumerate(plist) if not p.is_zero()} for plist in (a, b))
+    return pseudo_rem(a, b, lambda p, k: p.twist("u", "q", -k))
 
 
 # ----------------------------------------------------------------------

@@ -326,26 +326,22 @@ def _primitive(coeffs: dict[int, LaurentPoly]) -> tuple[LaurentPoly, dict[int, L
     return c, {d: p.divexact(c) for d, p in coeffs.items()}
 
 
-def _pseudo_rem(a: dict[int, LaurentPoly], b: dict[int, LaurentPoly], vars, i) -> dict[int, LaurentPoly]:
-    """Pseudo-remainder of a by b, both univariate-in-i coefficient maps."""
+def pseudo_rem(a: dict[int, LaurentPoly], b: dict[int, LaurentPoly], twist) -> dict[int, LaurentPoly]:
+    """Right pseudo-remainder of a by b, maps from a power of X to its coefficient,
+    where X^k * p = twist(p, k) * X^k (the identity for ordinary polynomials)."""
     db = max(b)
     lb = b[db]
+    zero = LaurentPoly.zero(lb.vars)
     r = dict(a)
     while r and max(r) >= db:
         dr = max(r)
-        lr = r[dr]
-        new: dict[int, LaurentPoly] = {}
-        for d, c in r.items():
-            if d != dr:
-                new[d] = c * lb
+        k = dr - db
+        lr, lead = r[dr], twist(lb, k)
+        # lead * r - lr * X^k * b: the X^dr terms cancel
+        new = {d: c * lead for d, c in r.items() if d != dr}
         for d, c in b.items():
             if d != db:
-                key = d + dr - db
-                val = new.get(key, LaurentPoly.zero(vars)) - c * lr
-                if val.is_zero():
-                    new.pop(key, None)
-                else:
-                    new[key] = val
+                new[d + k] = new.get(d + k, zero) - twist(c, k) * lr
         r = {d: c for d, c in new.items() if not c.is_zero()}
     return r
 
@@ -425,7 +421,7 @@ def _gcd_nonneg(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     # each divisor is primitive (the first pair divided by their contents, each
     # remainder by its own), so the last one is the primitive part of the gcd
     while True:
-        r = _pseudo_rem(ua, ub, vars, main)
+        r = pseudo_rem(ua, ub, lambda p, k: p)
         if not r:
             break
         if max(r) == 0:

@@ -85,6 +85,8 @@ def certificate_from_json(data: dict) -> CertificateSet:
             if len(op) != len(terms):
                 raise ValueError(f"a shift is listed twice in an operator of family {name!r}")
             fams[name].append(ShiftOp(op))
+    if "p" not in fams:
+        raise ValueError("the certificate has no 'p' family, so it states no recurrence")
     return CertificateSet(int(data["order"]), fams)
 
 

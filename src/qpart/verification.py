@@ -44,11 +44,11 @@ from .holonomic import (
     first_recurrence_failure,
     recurrence_from_certificate,
     recurrence_from_operator,
+    recurrence_remainder,
     shift_combination,
     uncouple_system,
     verify_certificate,
 )
-from .laurent import RationalFunction
 from .series import BiSeries, QSeries, pochhammer_expand
 
 GOLDEN_DIR = files("qpart") / "golden"
@@ -386,26 +386,20 @@ def task_recurrences(run: VerificationRun) -> RunReport:
                    _first_witness(witnesses()))
 
 
+_OPERATOR_OF = {"g111": ("2x2", 1), "g300": ("2x2", 0), "d123": ("5x5", 0), "d1234": ("5x5", 1)}
+
+
 def task_combination_identity(run: VerificationRun) -> RunReport:
-    """The order-4 coefficient family is an explicit combination of the
-    order-3 one and its shift, as exact rational functions."""
-    ps = [RationalFunction.from_poly(p) for p in recurrence_from_certificate(run.certificate("g111"))]
-    # catalog.pprime_family, read off the run's operator (the sign rule makes it the same)
-    pps = [RationalFunction.from_poly(p) for p in recurrence_from_operator(run.uncoupled("2x2", 1))]
+    """Each certificate recurrence right-divides the recurrence read off the
+    operator of its sum's system and component (``_OPERATOR_OF``)."""
 
-    def sig(r: RationalFunction) -> RationalFunction:
-        return RationalFunction(r.num.twist("u", "q", -1), r.den.twist("u", "q", -1), normalize=False)
+    def witness(name: str) -> dict | None:
+        rem = recurrence_remainder(recurrence_from_operator(run.uncoupled(*_OPERATOR_OF[name])),
+                                   recurrence_from_certificate(run.certificate(name)))
+        return {"kind": f"remainder-{name}", "j": min(rem)} if rem else None
 
-    alpha = pps[0] / ps[0]
-    beta = pps[4] / sig(ps[3])
-
-    def witness(j: int) -> dict | None:
-        lhs = alpha * ps[j] if j < 4 else alpha * 0
-        if j >= 1:
-            lhs = lhs + beta * sig(ps[j - 1])
-        return None if (lhs - pps[j]).is_zero() else {"kind": "combination-component", "j": j}
-
-    return _report("combination-identity", {}, _first_witness(witness(j) for j in range(5)))
+    return _report("combination-identity", {},
+                   _first_witness(witness(name) for name in catalog.CERTIFICATE_NAMES))
 
 
 def task_chain(run: VerificationRun) -> RunReport:

@@ -31,6 +31,7 @@ from qpart.holonomic import (
     recurrence_from_certificate,
     recurrence_from_operator,
     recurrence_holds_at_point,
+    recurrence_remainder,
     sequence_value,
     shift_combination,
     solve_shift_system,
@@ -223,6 +224,12 @@ def test_trivial_constant_certificate():
     plist = recurrence_from_certificate(cert)
     # a support-free term is constant on all of Z, so start past the boundary
     assert recurrence_holds_at_point(const, plist, 8, Fraction(2), nmin=1)
+
+
+def test_a_zero_certificate_does_not_verify():
+    # every family zero telescopes to the zero operator, which proves only 0 = 0
+    const = HypTerm(nsum=0, quad2=((0,),), lin=(0,), const=0, pochs=())
+    assert not verify_certificate(const, CertificateSet(1, {"p": [ShiftOp(), ShiftOp()]})).ok
 
 
 # coefficients over (q, u, v1) with few terms and unit coefficients, so
@@ -970,6 +977,38 @@ def test_combination_identity():
         if j >= 1:
             lhs = lhs + beta * sig(ps[j - 1])
         assert (lhs - pps[j]).is_zero()
+
+
+@pytest.fixture(scope="module")
+def recurrence_pairs():
+    """name -> (the recurrence of the sum's operator, the certificate's recurrence)."""
+    return {name: (recurrence_from_operator(getattr(catalog, f"qdiff_operator_{name}")()),
+                   recurrence_from_certificate(catalog.certificate(name)))
+            for name in catalog.CERTIFICATE_NAMES}
+
+
+@pytest.mark.parametrize("name", catalog.CERTIFICATE_NAMES)
+def test_each_certificate_recurrence_right_divides_its_operator_recurrence(recurrence_pairs, name):
+    a, b = recurrence_pairs[name]
+    assert (len(a), len(b)) == ((5, 4) if name.startswith("g") else (8, 7))
+    assert recurrence_remainder(a, b) == {}
+
+
+@pytest.mark.parametrize("name", catalog.CERTIFICATE_NAMES)
+def test_a_perturbed_divisor_leaves_a_remainder(recurrence_pairs, name):
+    a, b = recurrence_pairs[name]
+    for i, p in enumerate(b):
+        doubled = b[:i] + [p + p] + b[i + 1:]
+        assert recurrence_remainder(a, doubled), (name, i)
+
+
+def test_recurrence_remainder_twists_by_the_backward_shift():
+    # b = 1 - u B and B * u = (u/q) * B, so B * b = B - (u/q) B^2
+    one, u, q = LaurentPoly.one(QU), LaurentPoly.variable(QU, "u"), LaurentPoly.variable(QU, "q")
+    zero, b = LaurentPoly.zero(QU), [one, -u]
+    assert recurrence_remainder([zero, one, -u * q ** -1], b) == {}
+    # B - u B^2 is not a left multiple of b: B * u was not moved past B
+    assert recurrence_remainder([zero, one, -u], b) == {0: u * q ** -1 - u}
 
 
 def test_pprime_matches_cylindric_coefficient_recurrence():

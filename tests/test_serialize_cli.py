@@ -243,11 +243,24 @@ def test_a_malformed_input_file_is_a_one_line_error_naming_it(tmp_path):
         (json.dumps({"matrix": [[{"num": one, "den": twice}]]}), ["uncouple", "--system", bad]),
         (json.dumps(repeated_cert), ["certify", "--term", term, "--cert", bad]),
         (json.dumps(repeated_shift), ["certify", "--term", term, "--cert", bad]),
+        # no p family: the certificate states no recurrence
+        (json.dumps({"order": 0, "families": {}}), ["certify", "--term", term, "--cert", bad]),
+        (json.dumps({"order": 0, "families": {}}),
+         ["certify", "--term", term, "--cert", bad, "--recurrence-check", "5"]),
     ]:
         bad.write_text(text)
         code, out, err = run_cli([str(a) for a in argv])
         assert code == 2 and out == "", (text, argv)
         assert err.startswith(f"qpart: error: {bad}: ") and err.count("\n") == 1, (text, argv, err)
+
+
+def test_a_zero_certificate_fails_certify(tmp_path):
+    term, zero = tmp_path / "term.json", tmp_path / "zero.json"
+    term.write_text(json.dumps({"nsum": 0, "quad2": [[0]], "lin": [0], "const": 0, "pochs": []}))
+    zero.write_text(json.dumps({"order": 1, "families": {"p": [[], []]}}))
+    for extra in ([], ["--recurrence-check", "5"]):
+        code, out, err = run_cli(["certify", "--term", str(term), "--cert", str(zero), *extra])
+        assert (code, out, err) == (1, '{"residual_terms":0,"verified":false}\n', ""), extra
 
 
 def test_fail_reports_carry_witnesses():

@@ -135,9 +135,10 @@ def test_operator_witnesses_follow_the_systems_they_are_derived_from(run, monkey
     assert task_qdiff_colored(run).witness == {"kind": "operator-d123", "x_exp": 1, "q_exp": 3}
 
 
-@pytest.mark.parametrize("doubled, j", [(0, 1), (2, 2), (4, 1)])
+@pytest.mark.parametrize("doubled, j", [(0, 0), (2, 2), (4, 0)])
 def test_combination_identity_witness_is_pinned(run, monkeypatch, doubled, j):
-    # the task reads p'_0 .. p'_4 off the run's uncoupled operator
+    # the task reads each operator recurrence off the run's uncoupled operator;
+    # g111 comes first, and j is the least power of B left in its remainder
     pprime = verification.recurrence_from_operator
 
     def perturbed(op):
@@ -146,7 +147,7 @@ def test_combination_identity_witness_is_pinned(run, monkeypatch, doubled, j):
         return ps
 
     monkeypatch.setattr(verification, "recurrence_from_operator", perturbed)
-    assert task_combination_identity(run).witness == {"kind": "combination-component", "j": j}
+    assert task_combination_identity(run).witness == {"kind": "remainder-g111", "j": j}
 
 
 def test_pattern_equivalence_witness_is_the_first_disagreeing_partition(run, monkeypatch):
