@@ -55,13 +55,14 @@ Slot = tuple[str, int, tuple[int, int, int], tuple[int, int, int, int, int]]
 
 def default_support(
     order: int,
-    nsum: int = 3,
-    kbox: Sequence[int] = (1, 1, 1),
-    u_range: tuple[int, int] = (0, 2),
-    q_range: tuple[int, int] = (-2, 2),
+    nsum: int,
+    kbox: Sequence[int],
+    u_range: tuple[int, int],
+    q_range: tuple[int, int],
     v_ranges: Sequence[tuple[int, int]] = ((0, 0), (0, 0), (0, 0)),
 ) -> list[Slot]:
-    """Enumerate ansatz slots from degree bounds.
+    """Enumerate ansatz slots from degree bounds: the p-slots over
+    (j, e_u, e_q), then each C-family's slots over (j, sigma, e_u, e_q, v).
 
     An empty degree range or a negative shift bound would leave a box
     with no p-slots or no C-slots, whose "none found" says nothing.
@@ -70,23 +71,13 @@ def default_support(
         raise ValueError("the degree ranges must not be empty")
     if any(b < 0 for b in kbox):
         raise ValueError("the shift box must be >= 0")
-    out: list[Slot] = []
-    for j in range(order + 1):
-        for eu in range(u_range[0], u_range[1] + 1):
-            for eq in range(q_range[0], q_range[1] + 1):
-                out.append(("p", j, (0, 0, 0), (eq, eu, 0, 0, 0)))
+    js, us, qs = range(order + 1), range(u_range[0], u_range[1] + 1), range(q_range[0], q_range[1] + 1)
     sigmas = list(product(*(range(b + 1) for b in kbox)))
-    vboxes = [range(lo, hi + 1) for lo, hi in v_ranges]
+    vs = list(product(*(range(lo, hi + 1) for lo, hi in v_ranges)))
+    out: list[Slot] = [("p", j, (0, 0, 0), (eq, eu, 0, 0, 0)) for j, eu, eq in product(js, us, qs)]
     for i in range(nsum):
         fam = FAMILIES[1 + i]
-        for j in range(order + 1):
-            for sigma in sigmas:
-                for eu in range(u_range[0], u_range[1] + 1):
-                    for eq in range(q_range[0], q_range[1] + 1):
-                        for e1 in vboxes[0]:
-                            for e2 in vboxes[1]:
-                                for e3 in vboxes[2]:
-                                    out.append((fam, j, sigma, (eq, eu, e1, e2, e3)))
+        out += [(fam, j, sigma, (eq, eu, *v)) for j, sigma, eu, eq, v in product(js, sigmas, us, qs, vs)]
     return out
 
 

@@ -15,9 +15,10 @@ Two equivalent descriptions of the same partition classes are implemented:
 
 All conditions are local to windows of at most four consecutive parts, so
 both the membership tests and the pruned enumeration run in linear time.
-The pattern test decides pairs by a predicate and longer windows by lookup
-among the literal family instances; it is cross-checked in the test suite
-against literal pattern matching over all the family generators.
+The pattern test reads the families only through ``family_windows``: it
+looks up each window among the literal family instances, and is
+cross-checked in the test suite against literal pattern matching over all
+the family generators.
 """
 
 from __future__ import annotations
@@ -161,46 +162,24 @@ def check_condition(parts: Sequence[Part], which: Iterable[str]) -> bool:
 # indices.
 
 
-def _forbidden_pair(a: Part, b: Part) -> bool:
-    am, ac = a
-    bm, bc = b
-    if ac == bc:
-        # families (1): equal parts, or magnitudes differing by one
-        return am == bm or am == bm + 1
-    if am == bm:
-        # (3a)/(4a): (m+, m-) with m not divisible by 3
-        return ac == PLUS and bc == MINUS and bm % 3 != 0
-    if am == bm + 1:
-        # (2a)/(2b): either color split over (3k+1, 3k)
-        # (5a)/(5b): either color split over (3k+3, 3k+2)
-        return bm % 3 == 0 or bm % 3 == 2
-    if am == bm + 2:
-        # (3b): (3k+2-, 3k+); (4b): (3k+3-, 3k+1+)
-        return ac == MINUS and bc == PLUS and bm % 3 != 2
-    return False
-
-
 @lru_cache(maxsize=None)
-def _long_windows_ending_in(magnitude: int) -> frozenset[Partition]:
-    """The length-3 and length-4 family instances whose last part has this
-    magnitude; those at parameter k end in magnitude >= 3k + 1."""
-    return frozenset(
-        w
-        for k in range(magnitude // 3 + 1)
-        for w in family_windows(k)
-        if len(w) > 2 and w[-1][0] == magnitude
-    )
+def _windows_ending_in(magnitude: int) -> frozenset[Partition]:
+    """The family instances whose last part has this magnitude; those at
+    parameter k end in magnitude >= k."""
+    return frozenset(w for k in range(magnitude + 1) for w in family_windows(k) if w[-1][0] == magnitude)
 
 
 def violates_forbidden_patterns(parts: Sequence[Part]) -> bool:
-    """True iff some window of ``parts`` matches one of the seven families."""
-    n = len(parts)
-    for i in range(1, n):
-        if _forbidden_pair(parts[i - 1], parts[i]):
-            return True
-    for i in range(2, n):
-        wins = _long_windows_ending_in(parts[i][0])
-        if tuple(parts[i - 2 : i + 1]) in wins or (i >= 3 and tuple(parts[i - 3 : i + 1]) in wins):
+    """True iff some window of ``parts`` is an instance of the seven families:
+    at each index, the 2-, 3- and 4-part windows ending there are looked up
+    among the instances ending in its magnitude."""
+    for i in range(1, len(parts)):
+        wins = _windows_ending_in(parts[i][0])
+        if (
+            (parts[i - 1], parts[i]) in wins
+            or (i >= 2 and (parts[i - 2], parts[i - 1], parts[i]) in wins)
+            or (i >= 3 and (parts[i - 3], parts[i - 2], parts[i - 1], parts[i]) in wins)
+        ):
             return True
     return False
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .holonomic import FAMILIES, TERM_VARS, CertificateSet, ShiftOp
+from .holonomic import FAMILIES, TERM_VARS, XQ_VARS, CertificateSet, ShiftOp
 from .laurent import LaurentPoly, RationalFunction
 from .series import BiSeries, QSeries
 
@@ -45,9 +45,14 @@ def ratfun_from_json(data: dict) -> RationalFunction:
 
 
 def system_from_json(data: dict) -> tuple[list[list[RationalFunction]], int]:
-    """A first-order system {"step": s, "matrix": [[entry, ...], ...]}."""
-    step = int(data.get("step", 3))
+    """A first-order system {"step": s, "matrix": [[entry, ...], ...]}
+    with an integer step s >= 1 and every entry over (x, q)."""
+    step = data.get("step", 3)
+    if type(step) is not int or step < 1:
+        raise ValueError(f"the system's step must be an integer >= 1, not {step!r}")
     matrix = [[ratfun_from_json(e) for e in row] for row in data["matrix"]]
+    if any(e.num.vars != XQ_VARS for row in matrix for e in row):
+        raise ValueError(f"system entries must be over ({', '.join(XQ_VARS)})")
     return matrix, step
 
 

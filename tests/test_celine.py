@@ -34,7 +34,7 @@ SQUARE_TERM = HypTerm(nsum=0, quad2=((2,),), lin=(0,), const=0, pochs=(((1,), 0,
 
 def square_box(order: int):
     """The u-degree 0..3, q-degree -2..3 box searched for SQUARE_TERM."""
-    return default_support(order, nsum=0, u_range=(0, 3), q_range=(-2, 3))
+    return default_support(order, nsum=0, kbox=(0, 0, 0), u_range=(0, 3), q_range=(-2, 3))
 
 
 def test_one_variable_contiguous_relation():
@@ -110,7 +110,7 @@ def test_rederived_certificates_are_pinned(name):
 
 def test_repeated_slots_find_nothing_new():
     # a repeated p_0 slot would be a free column whose kernel vector has p_0 = 0
-    support = default_support(0, nsum=0, u_range=(0, 3), q_range=(-2, 3))
+    support = default_support(0, nsum=0, kbox=(0, 0, 0), u_range=(0, 3), q_range=(-2, 3))
     assert celine_solve(SQUARE_TERM, 0, support=support + support) is None
 
 
@@ -137,18 +137,21 @@ def test_box_with_the_printed_support_finds_a_certificate():
     assert hashlib.sha256(text.encode()).hexdigest() == REDERIVED_SHA256["g111"]
 
 
+# the CLI's default box at order 3, which is also the benchmark's g111 box
+DEFAULT_BOX = {"nsum": 3, "kbox": (1, 1, 1), "u_range": (0, 3), "q_range": (-3, 3)}
+
+
 def _default_box():
-    # the CLI's default box at order 3, which is also the benchmark's g111 box
-    return default_support(3, nsum=3, kbox=(1, 1, 1), u_range=(0, 3), q_range=(-3, 3))
+    return default_support(3, **DEFAULT_BOX)
 
 
 def test_a_vacuous_box_is_rejected():
     for bounds in ({"u_range": (0, -1)}, {"q_range": (1, 0)}, {"kbox": (1, -1, 1)},
                    {"v_ranges": ((0, 0), (1, 0), (0, 0))}):
         with pytest.raises(ValueError):
-            default_support(3, **bounds)
+            default_support(3, **{**DEFAULT_BOX, **bounds})
     # no summation variable: a box of p-slots only is not vacuous
-    assert len(default_support(1, nsum=0, u_range=(0, 0), q_range=(0, 0))) == 2
+    assert len(default_support(1, nsum=0, kbox=(0, 0, 0), u_range=(0, 0), q_range=(0, 0))) == 2
 
 
 def test_a_support_without_p0_slots_is_decided_before_any_ratio_is_cleared(monkeypatch):

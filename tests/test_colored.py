@@ -14,6 +14,7 @@ from qpart.colored import (
     COND_D1234,
     _d3_win3,
     _d3_win4,
+    _windows_ending_in,
     check_condition,
     enumerate_2colored,
     family_windows,
@@ -113,6 +114,26 @@ def test_forbidden_examples():
 def test_window_predicates_match_pattern_generators():
     for lam in iter_all(12):
         assert violates_forbidden_patterns(lam) == violates_by_pattern_matching(lam)
+
+
+def test_the_pattern_test_reaches_no_condition_code():
+    conditions = {"_violation_ending_at", "_d3_win3", "_d3_win4", "check_condition", "_condition_flags"}
+    partitions = list(iter_all(12))
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code.co_name)
+
+    _windows_ending_in.cache_clear()
+    sys.setprofile(profile)
+    try:
+        for lam in partitions:
+            violates_forbidden_patterns(lam)
+    finally:
+        sys.setprofile(None)
+    assert {"violates_forbidden_patterns", "_windows_ending_in", "family_windows"} <= called
+    assert not called & conditions
 
 
 def test_equivalence_small():

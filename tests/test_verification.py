@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qpart import catalog, holonomic, verification
+from qpart import catalog, colored, holonomic, verification
 from qpart.cli import main
 from qpart.laurent import LaurentPoly
 from qpart.series import PochhammerSpec
@@ -160,6 +160,29 @@ def test_pattern_equivalence_witness_is_the_first_disagreeing_partition(run, mon
     checked = next(i for i, lam in enumerate(verification.iter_all(18), 1) if lam == flipped)
     assert r.status == "fail" and r.inputs == {"max_size": 18, "checked": checked}
     assert r.witness == {"kind": "partition", "partition": verification.to_pairs(flipped)}
+
+
+@pytest.mark.parametrize("template", range(15))
+def test_pattern_equivalence_needs_every_family_template(run, monkeypatch, template):
+    # family_windows(k) lists all 15 templates for k >= 1, and for k = 0
+    # the last 8, which start at k = 0
+    windows = colored.family_windows
+
+    def without_template(k):
+        wins = windows(k)
+        return [w for i, w in enumerate(wins) if i + 15 - len(wins) != template]
+
+    monkeypatch.setattr(colored, "family_windows", without_template)
+    colored._windows_ending_in.cache_clear()
+    try:
+        r = task_pattern_equivalence(run)
+    finally:
+        colored._windows_ending_in.cache_clear()
+    assert r.status == "fail"
+    # D1-D3 reject the witness, and only an instance of the dropped template says so
+    lam = tuple((m, c) for c, m in r.witness["partition"])
+    dropped = {w for k in range(19) for w in windows(k) if w not in without_template(k)}
+    assert any(lam[i : i + len(w)] == w for w in dropped for i in range(len(lam)))
 
 
 def test_dfa_table_witness_is_pinned(run, monkeypatch, tmp_path):
