@@ -123,15 +123,6 @@ class Dfa:
             },
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Dfa":
-        states = sorted(int(s) for s in data["states"])
-        alphabet = "".join(sorted(next(iter(data["delta"].values())).keys()))
-        delta = tuple(
-            tuple(int(data["delta"][str(s)][ch]) for ch in alphabet) for s in states
-        )
-        return cls(len(states), alphabet, delta, int(data["start"]), frozenset(int(a) for a in data["accepts"]))
-
     def to_dot(self) -> str:
         lines = ["digraph dfa {", "  rankdir=LR;", '  init [shape=point, label=""];']
         for s in range(self.n_states):
@@ -156,7 +147,8 @@ def _factor_dfa(words: tuple[str, ...], alphabet: str) -> Dfa:
     prefix of some word, found by a BFS from the empty suffix.  A letter
     that completes a word goes to one absorbing accept state (state 0),
     since a seen factor can never be unseen.  The letters are taken in
-    sorted order, the order ``Dfa.from_json`` reads them back in.
+    sorted order, so that one language gives one DFA whatever the order
+    of ``alphabet``.
     """
     if len(set(alphabet)) != len(alphabet):
         raise ValueError("repeated letter in alphabet")

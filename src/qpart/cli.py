@@ -42,11 +42,12 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _read_json(path: str, parse):
-    """``parse`` of the JSON in the file at ``path``; input it cannot parse is a ValueError naming the file."""
+def _read_input(path: str, parse, load=json.loads):
+    """``parse`` of ``load`` of the text of the file at ``path`` (JSON by default);
+    input it cannot parse is a ValueError naming the file."""
     text = Path(path).read_text()
     try:
-        return parse(json.loads(text))
+        return parse(load(text))
     except (ValueError, ZeroDivisionError, KeyError, TypeError, AttributeError, IndexError) as exc:
         raise ValueError(f"{path}: malformed input ({type(exc).__name__}: {exc})") from exc
 
@@ -104,10 +105,8 @@ def cmd_dfa(args) -> int:
     if args.emit_words:
         _write("\n".join(FORBIDDEN_WORDS) + "\n", args.out)
         return 0
-    words = FORBIDDEN_WORDS
-    if args.words:
-        words = tuple(w.strip() for w in Path(args.words).read_text().splitlines() if w.strip())
-    _write(_dfa_text(build_avoidance_dfa(words), args.format), args.out)
+    dfa = _read_input(args.words, build_avoidance_dfa, serialize.words_from_text) if args.words else build_avoidance_dfa()
+    _write(_dfa_text(dfa, args.format), args.out)
     return 0
 
 
@@ -137,7 +136,7 @@ def _load_term(args) -> HypTerm:
         raise ValueError("give exactly one of --name and --term")
     if args.name is not None:
         return catalog.certificate_term(args.name)
-    return _read_json(args.term, HypTerm.from_json)
+    return _read_input(args.term, serialize.term_from_json)
 
 
 def cmd_certify(args) -> int:
@@ -149,7 +148,7 @@ def cmd_certify(args) -> int:
     if args.name is not None:
         cert = catalog.certificate(args.name, verbatim=args.verbatim)
     else:
-        cert = _read_json(args.cert, serialize.certificate_from_json)
+        cert = _read_input(args.cert, serialize.certificate_from_json)
     res = verify_certificate(term, cert)
     report = {"verified": res.ok, "residual_terms": res.residual_terms}
     if args.recurrence_check and res.ok:
@@ -191,7 +190,7 @@ def cmd_uncouple(args) -> int:
     elif args.system == "builtin-5x5":
         matrix, step = derive_transfer_system(build_avoidance_dfa()).matrix, 3
     else:
-        matrix, step = _read_json(args.system, serialize.system_from_json)
+        matrix, step = _read_input(args.system, serialize.system_from_json)
     op = uncouple_system(matrix, args.component, step)
     _write(serialize.dumps(op.to_json()), args.out)
     return 0

@@ -65,11 +65,6 @@ def size(parts: Sequence[Part]) -> int:
     return sum(p[0] for p in parts)
 
 
-def from_pairs(pairs: Iterable[tuple[str, int]]) -> Partition:
-    """Build from the JSON convention [["+", 4], ["-", 2], ...]."""
-    return validate(tuple((m, c) for c, m in pairs))
-
-
 def to_pairs(parts: Sequence[Part]) -> list[list]:
     return [[c, m] for m, c in parts]
 

@@ -91,6 +91,8 @@ class HypTerm:
         _check_form(self.quad2, self.lin, dim)
         if any(len(c) != dim for c, _, _ in self.pochs):
             raise ValueError(f"Pochhammer length forms must have {dim} coefficients")
+        if any(m < 1 for _, _, m in self.pochs):
+            raise ValueError("Pochhammer bases must be >= 1")
 
     def qexponent(self, v: Sequence[int]) -> int:
         return _form_value(self.quad2, self.lin, v) + self.const
@@ -109,16 +111,6 @@ class HypTerm:
             "const": self.const,
             "pochs": [[list(c), c0, m] for c, c0, m in self.pochs],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HypTerm":
-        return cls(
-            nsum=int(data["nsum"]),
-            quad2=tuple(tuple(int(x) for x in r) for r in data["quad2"]),
-            lin=tuple(int(x) for x in data["lin"]),
-            const=int(data["const"]),
-            pochs=tuple((tuple(int(x) for x in c), int(c0), int(m)) for c, c0, m in data["pochs"]),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -666,15 +658,15 @@ def eval_qu_poly(p: LaurentPoly, n: int, q0: Fraction) -> Fraction:
     return q0**lo * Fraction(sum(c * a ** (e - lo) * b ** (hi - e) for e, c in exps), b ** (hi - lo))
 
 
-def recurrence_holds_at_point(term: HypTerm, plist: Sequence[LaurentPoly], nmax: int, q0: Fraction, nmin: int = 0,
+def recurrence_holds_at_point(term: HypTerm, plist: Sequence[LaurentPoly], nmax: int, q0: Fraction,
                               tables: SequenceTables | None = None) -> bool:
-    """Exact check of sum_j p_j(q^n) f_(n-j) = 0 for nmin <= n <= nmax at q = q0,
+    """Exact check of sum_j p_j(q^n) f_(n-j) = 0 for 0 <= n <= nmax at q = q0,
     with f_n from ``sequence_value`` on ``tables`` (a fresh one if None)."""
-    if nmax < nmin:
-        raise ValueError(f"empty recurrence check: nmax {nmax} < nmin {nmin}")
+    if nmax < 0:
+        raise ValueError(f"empty recurrence check: nmax {nmax} < 0")
     tables = SequenceTables() if tables is None else tables
-    values = {m: sequence_value(term, m, q0, tables) for m in range(nmin - len(plist), nmax + 1)}
-    for n in range(nmin, nmax + 1):
+    values = {m: sequence_value(term, m, q0, tables) for m in range(-len(plist), nmax + 1)}
+    for n in range(nmax + 1):
         if sum(eval_qu_poly(p, n, q0) * values[n - j] for j, p in enumerate(plist)) != 0:
             return False
     return True
@@ -801,13 +793,6 @@ class QDiffOperator:
 
     def to_json(self) -> dict:
         return {"step": self.step, "terms": [[c.to_json(), s] for c, s in self.terms]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QDiffOperator":
-        return cls(
-            tuple((LaurentPoly.from_json(c), int(s)) for c, s in data["terms"]),
-            int(data.get("step", 3)),
-        )
 
 
 def poly_times_biseries(p: LaurentPoly, s: BiSeries, shift: int) -> BiSeries:

@@ -292,13 +292,6 @@ class LaurentPoly:
             "terms": [[list(e), str(c)] for e, c in self.sorted_terms()],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "LaurentPoly":
-        terms = {tuple(e): int(c) for e, c in data["terms"]}
-        if len(terms) != len(data["terms"]):
-            raise ValueError("an exponent vector is listed twice in the polynomial's terms")
-        return cls(tuple(data["vars"]), terms)
-
 
 # ----------------------------------------------------------------------
 # polynomial gcd (primitive PRS), used for rational-function normalization
@@ -525,7 +518,3 @@ class RationalFunction:
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RationalFunction":
-        return cls(LaurentPoly.from_json(data["num"]), LaurentPoly.from_json(data["den"]), normalize=False)

@@ -1,16 +1,18 @@
-"""Deterministic JSON and text encodings for the package's value types.
+"""Deterministic JSON and text encodings for the package's value types,
+and the readers of every input file the CLI takes.
 
 All coefficients are serialized as decimal strings (unbounded integers);
 object keys are emitted sorted so identical values produce byte-identical
-encodings.
+encodings.  Every integer an input file holds passes ``_int``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+import re
+from typing import Any, Iterable
 
-from .holonomic import FAMILIES, TERM_VARS, XQ_VARS, CertificateSet, ShiftOp
+from .holonomic import FAMILIES, TERM_VARS, XQ_VARS, CertificateSet, HypTerm, ShiftOp
 from .laurent import LaurentPoly, RationalFunction
 from .series import BiSeries, QSeries
 
@@ -38,18 +40,57 @@ def qseries_csv(s: QSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int(x: Any, what: str, coefficient: bool = False) -> int:
+    """An input file's integer: a JSON integer, or for a coefficient also a decimal string as ``to_json`` writes it."""
+    if type(x) is int:
+        return x
+    if coefficient and type(x) is str and re.fullmatch(r"-?[0-9]+", x):
+        return int(x)
+    raise ValueError(f"{what} must be {'a decimal string or ' if coefficient else ''}a JSON integer, not {x!r}")
+
+
+def _ints(xs: Iterable, what: str) -> tuple[int, ...]:
+    return tuple(_int(x, what) for x in xs)
+
+
+def words_from_text(text: str) -> tuple[str, ...]:
+    """A forbidden-word list: one word per line, blank lines skipped."""
+    return tuple(w.strip() for w in text.splitlines() if w.strip())
+
+
+def poly_from_json(data: dict) -> LaurentPoly:
+    """Inverse of ``LaurentPoly.to_json``."""
+    terms = {_ints(e, "an exponent"): _int(c, "a coefficient", coefficient=True) for e, c in data["terms"]}
+    if len(terms) != len(data["terms"]):
+        raise ValueError("an exponent vector is listed twice in the polynomial's terms")
+    return LaurentPoly(tuple(data["vars"]), terms)
+
+
 def ratfun_from_json(data: dict) -> RationalFunction:
+    """Inverse of ``RationalFunction.to_json``; a bare polynomial is read over 1."""
     if "den" in data:
-        return RationalFunction.from_json(data)
-    return RationalFunction.from_poly(LaurentPoly.from_json(data))
+        return RationalFunction(poly_from_json(data["num"]), poly_from_json(data["den"]), normalize=False)
+    return RationalFunction.from_poly(poly_from_json(data))
+
+
+def term_from_json(data: dict) -> HypTerm:
+    """Inverse of ``HypTerm.to_json``; other keys, such as the "names" list of older files, are ignored."""
+    return HypTerm(
+        nsum=_int(data["nsum"], "nsum"),
+        quad2=tuple(_ints(r, "a quad2 entry") for r in data["quad2"]),
+        lin=_ints(data["lin"], "a lin entry"),
+        const=_int(data["const"], "const"),
+        pochs=tuple((_ints(c, "a length form coefficient"), _int(c0, "a length form constant"), _int(m, "a base"))
+                    for c, c0, m in data["pochs"]),
+    )
 
 
 def system_from_json(data: dict) -> tuple[list[list[RationalFunction]], int]:
     """A first-order system {"step": s, "matrix": [[entry, ...], ...]}
     with an integer step s >= 1 and every entry over (x, q)."""
-    step = data.get("step", 3)
-    if type(step) is not int or step < 1:
-        raise ValueError(f"the system's step must be an integer >= 1, not {step!r}")
+    step = _int(data.get("step", 3), "the system's step")
+    if step < 1:
+        raise ValueError(f"the system's step must be >= 1, not {step}")
     matrix = [[ratfun_from_json(e) for e in row] for row in data["matrix"]]
     if any(e.num.vars != XQ_VARS for row in matrix for e in row):
         raise ValueError(f"system entries must be over ({', '.join(XQ_VARS)})")
@@ -92,12 +133,13 @@ def certificate_from_json(data: dict) -> CertificateSet:
             fams[name].append(ShiftOp(op))
     if "p" not in fams:
         raise ValueError("the certificate has no 'p' family, so it states no recurrence")
-    return CertificateSet(int(data["order"]), fams)
+    return CertificateSet(_int(data["order"], "the certificate's order"), fams)
 
 
 def _term(s: list, p: dict) -> tuple[tuple[int, int, int, int], LaurentPoly]:
-    if len(s) != 4:
+    shift, coeff = _ints(s, "a shift power"), poly_from_json(p)
+    if len(shift) != 4:
         raise ValueError(f"shift {s} must have 4 entries, the powers of N, K1, K2, K3")
-    if tuple(p["vars"]) != TERM_VARS:
+    if coeff.vars != TERM_VARS:
         raise ValueError(f"certificate coefficients must be over ({', '.join(TERM_VARS)})")
-    return tuple(s), LaurentPoly.from_json(p)
+    return shift, coeff

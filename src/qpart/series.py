@@ -151,10 +151,6 @@ class QSeries:
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "QSeries":
-        return cls(int(data["order"]), [int(c) for c in data["coeffs"]])
-
 
 # ----------------------------------------------------------------------
 
@@ -303,10 +299,6 @@ class BiSeries:
             "qorder": self.qorder,
             "slices": {str(m): s.to_json() for m, s in sorted(self.slices.items())},
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BiSeries":
-        return cls(int(data["qorder"]), {int(m): QSeries.from_json(s) for m, s in data["slices"].items()})
 
 
 def inv_xq_pochhammer(order: int) -> BiSeries:

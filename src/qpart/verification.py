@@ -55,6 +55,9 @@ GOLDEN_DIR = files("qpart") / "golden"
 
 RECURRENCE_POINTS = (Fraction(2), Fraction(3), Fraction(7, 5))
 
+#: pattern-equivalence checks every 2-colored partition of size <= this
+PATTERN_MAX_SIZE = 18
+
 
 @dataclass
 class RunReport:
@@ -243,24 +246,24 @@ def task_aux_identity(run: VerificationRun) -> RunReport:
     return _report("aux-identity", {"qorder": run.qorder}, witness)
 
 
-def task_pattern_equivalence(run: VerificationRun, max_size: int = 18) -> RunReport:
+def task_pattern_equivalence(run: VerificationRun) -> RunReport:
     """Difference conditions D1-D3 match the forbidden-pattern families."""
     witness = None
     count = 0
-    for lam in iter_all(max_size):
+    for lam in iter_all(PATTERN_MAX_SIZE):
         count += 1
         if check_condition(lam, COND_D123) != (not violates_forbidden_patterns(lam)):
             witness = {"kind": "partition", "partition": to_pairs(lam)}
             break
-    return _report("pattern-equivalence", {"max_size": max_size, "checked": count}, witness)
+    return _report("pattern-equivalence", {"max_size": PATTERN_MAX_SIZE, "checked": count}, witness)
 
 
 def task_dfa_table(run: VerificationRun) -> RunReport:
     """The minimal DFA has 6 states, one accept state, and the golden table."""
     dfa = run.dfa
-    golden = Dfa.from_json(json.loads((GOLDEN_DIR / "dfa_canonical.json").read_text()))
+    golden = json.loads((GOLDEN_DIR / "dfa_canonical.json").read_text())
     witness = None
-    if not (dfa.n_states == 6 and len(dfa.accepts) == 1 and dfa == golden):
+    if not (dfa.n_states == 6 and len(dfa.accepts) == 1 and dfa.to_json() == golden):
         witness = {"kind": "dfa", "states": dfa.n_states, "accepts": sorted(dfa.accepts)}
     return _report("dfa-table", {"words": 48}, witness)
 

@@ -72,7 +72,7 @@ def test_criterion_04_aux_identity(run):
 
 
 def test_criterion_05_pattern_equivalence(run):
-    r = task_pattern_equivalence(run, max_size=18)
+    r = task_pattern_equivalence(run)
     _criterion(5, f"conditions match forbidden patterns on all {r.inputs['checked']} partitions of size <= 18", r.ok)
 
 

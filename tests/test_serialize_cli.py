@@ -9,8 +9,8 @@ import pytest
 
 from qpart import catalog, serialize
 from qpart.cli import main
-from qpart.colored import from_pairs, to_pairs
-from qpart.holonomic import TERM_VARS, HypTerm, QDiffOperator, verify_certificate
+from qpart.colored import MINUS, PLUS, to_pairs
+from qpart.holonomic import TERM_VARS, verify_certificate
 
 GOLDEN = Path(__file__).resolve().parent.parent / "src" / "qpart" / "golden"
 
@@ -31,18 +31,18 @@ def test_certificate_json_round_trip():
 
 def test_hypterm_json_round_trip():
     term = catalog.TERM_D1234
-    assert HypTerm.from_json(term.to_json()) == term
+    assert serialize.term_from_json(term.to_json()) == term
 
 
 def test_a_term_file_with_variable_names_still_loads():
     # older term files carry a "names" list, which is ignored
     data = {**catalog.TERM_G111.to_json(), "names": ["n", "k1", "k2", "k3"]}
     assert "names" not in catalog.TERM_G111.to_json()
-    assert HypTerm.from_json(json.loads(json.dumps(data))) == catalog.TERM_G111
+    assert serialize.term_from_json(json.loads(json.dumps(data))) == catalog.TERM_G111
 
 
 def test_partition_json():
-    lam = from_pairs([("+", 5), ("-", 3), ("+", 1)])
+    lam = ((5, PLUS), (3, MINUS), (1, PLUS))
     assert to_pairs(lam) == [["+", 5], ["-", 3], ["+", 1]]
 
 
@@ -118,8 +118,8 @@ def test_uncouple_from_file(tmp_path):
     }))
     code, out, _ = run_cli(["uncouple", "--system", str(sysfile), "--component", "1"])
     assert code == 0
-    op = QDiffOperator.from_json(json.loads(out))
-    assert max(s for _, s in op.terms) >= 1
+    op = json.loads(out)
+    assert max(s for _, s in op["terms"]) >= 1
 
 
 def test_celine_cli_small():
@@ -227,6 +227,19 @@ def test_a_malformed_input_file_is_a_one_line_error_naming_it(tmp_path):
     repeated_shift = serialize.certificate_to_json(catalog.certificate("g111"))
     op = repeated_shift["families"]["q"][1]
     op.append([op[0][0], {"vars": list(TERM_VARS), "terms": [[[0, 0, 0, 0, 0], "1"]]}])
+
+    def p_cert(*coeffs, shift=(0, 0, 0, 0)):
+        # sum_j c_j N^j, the last term's shift replaced by ``shift``
+        ops = [[[[0, 0, 0, 0], {"vars": list(TERM_VARS), "terms": [[[0] * 5, c]]}]] for c in coeffs]
+        ops[-1][0][0] = list(shift)
+        return {"order": len(coeffs) - 1, "families": {"p": ops}}
+
+    # the constant term 1, proved by f_n = f_(n-1), and a certificate proving f_(n-1) = 0
+    const, diff, back = tmp_path / "const.json", tmp_path / "diff.json", tmp_path / "back.json"
+    const_term = {"nsum": 0, "quad2": [[0]], "lin": [0], "const": 0, "pochs": []}
+    const.write_text(json.dumps(const_term))
+    diff.write_text(json.dumps(p_cert("1", "-1")))
+    back.write_text(json.dumps(p_cert("0", "1")))
     for text, argv in [
         ("{}", ["uncouple", "--system", bad]),
         ("[1, 2]", ["uncouple", "--system", bad]),
@@ -252,6 +265,22 @@ def test_a_malformed_input_file_is_a_one_line_error_naming_it(tmp_path):
         (json.dumps({"order": 0, "families": {}}), ["certify", "--term", term, "--cert", bad]),
         (json.dumps({"order": 0, "families": {}}),
          ["certify", "--term", term, "--cert", bad, "--recurrence-check", "5"]),
+        # integers that are not JSON integers, each once read by truncation
+        (json.dumps({**p_cert("1", "-1"), "order": 1.7}), ["certify", "--term", const, "--cert", bad]),
+        (json.dumps({**p_cert("1", "-1"), "order": "1"}), ["certify", "--term", const, "--cert", bad]),
+        (json.dumps(p_cert(1.9, "-1")), ["certify", "--term", const, "--cert", bad]),
+        (json.dumps(p_cert("1", "-1", shift=(0.5, 0, 0, 0))), ["certify", "--term", const, "--cert", bad]),
+        (json.dumps({"matrix": [[{"vars": ["x", "q"], "terms": [[[1.5, 0], "1"]]}]]}), ["uncouple", "--system", bad]),
+        (json.dumps({**const_term, "quad2": [[0.9]]}), ["certify", "--term", bad, "--cert", diff]),
+        # a Pochhammer base below 1: (q^0; q^0)_n is 0, and (q^-1; q^-1)_n is not a polynomial in q
+        (json.dumps({**const_term, "pochs": [[[1], 0, 0]]}), ["certify", "--term", bad, "--cert", back]),
+        (json.dumps({**const_term, "pochs": [[[1], 0, 0]]}),
+         ["certify", "--term", bad, "--cert", back, "--recurrence-check", "3"]),
+        (json.dumps({**const_term, "pochs": [[[1], 0, -1]]}),
+         ["certify", "--term", bad, "--cert", back, "--recurrence-check", "3"]),
+        # a words file with a letter outside the alphabet, and one with no word
+        ("fb\nz\n", ["dfa", "--words", bad]),
+        ("", ["dfa", "--words", bad]),
     ]:
         bad.write_text(text)
         code, out, err = run_cli([str(a) for a in argv])
