@@ -12,20 +12,22 @@ exact linear system with integer entries (one row per monomial of the
 cleared numerators, each monomial's exponent vector packed into one int
 by a mixed radix); any kernel vector with p_0 != 0 yields a certificate.
 
-The system is held once, and compactly: the columns are built one slot
-at a time and spread into rows as flat [column, entry, ...] lists, and a
-row becomes a dict only when the elimination reaches it.  It is
-eliminated once, fraction-free over Z, with the p_0 slots as the last
-columns.  Each pivot row takes its least column as pivot; then the pivot
-columns are the least columns of the row space, whatever order the rows
-are eliminated in.  That makes the search a decision: if every p_0 column
-is a pivot, their pivot rows hold only p_0 columns and form a triangular
-system that forces p_0 = 0, and if some p_0 column is free, its kernel
-vector is 1 there.  The elimination stops as soon as every p_0 column is
-a pivot: more rows only add least columns to the row space, so the
-answer "none" is settled then.  The certificate returned is the kernel
-vector of the first free p_0 column, primitive and positive at its
-greatest slot in sorted slot order, checked by ``verify_certificate``.
+The system is held once, compactly.  The slots of one shape (family, j,
+sigma, v-exponents) share one column up to their packed (q, u) offsets,
+so one column is built per shape and spread at each slot's offset into
+rows held as flat [column, entry, ...] lists; a row becomes a dict only
+when the elimination reaches it.  It is eliminated once, fraction-free
+over Z, with the p_0 slots as the last columns.  Each pivot row takes
+its least column as pivot; then the pivot columns are the least columns
+of the row space, whatever order the rows are eliminated in.  That makes
+the search a decision: if every p_0 column is a pivot, their pivot rows
+hold only p_0 columns and form a triangular system that forces p_0 = 0,
+and if some p_0 column is free, its kernel vector is 1 there.  The
+elimination stops as soon as every p_0 column is a pivot: more rows only
+add least columns to the row space, so the answer "none" is settled
+then.  The certificate returned is the kernel vector of the first free
+p_0 column, primitive and positive at its greatest slot in sorted slot
+order, checked by ``verify_certificate``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .holonomic import (
     FAMILIES,
@@ -51,6 +53,8 @@ from .laurent import LaurentPoly
 
 #: a slot: (family, N-power j, K-shift sigma, monomial exponents)
 Slot = tuple[str, int, tuple[int, int, int], tuple[int, int, int, int, int]]
+#: each shape, as its slot at (q, u) = (0, 0), to its members (column, e_q, e_u)
+Shapes = dict[Slot, list[tuple[int, int, int]]]
 
 
 def default_support(
@@ -109,34 +113,33 @@ def _slot_parts(slot: Slot) -> list[tuple[Shift, tuple[int, ...]]]:
     return [(base, exps), (bumped, (exps[0] - exps[1 + k], *exps[1:]))]
 
 
-def _packed_ratios(term: HypTerm, slots: list[Slot]) -> tuple[dict[Shift, dict[int, int]], tuple[int, ...]]:
-    """The cleared ratios of the slots' shifts keyed by packed exponent,
+def _shapes(slots: list[Slot]) -> Shapes:
+    shapes: Shapes = defaultdict(list)
+    for i, (fam, j, sigma, (eq, eu, *v)) in enumerate(slots):
+        shapes[fam, j, sigma, (0, 0, *v)].append((i, eq, eu))
+    return shapes
+
+
+def _packed_ratios(term: HypTerm, shapes: Shapes) -> tuple[dict[Shift, dict[int, int]], tuple[int, ...]]:
+    """The cleared ratios of the shapes' shifts keyed by packed exponent,
     and the place values of the packing.
 
     A mixed radix packs each exponent vector e of the system into one int,
-    sum_k e_k * place_k.  Every exponent of a column is a cleared ratio's
-    exponent plus a part's monomial, so coordinate k lies in a window of
-    width (span of the ratios) + (span of the monomials), and radix k is
-    that width.  On such a box the packing is one-to-one, and it is
-    linear, so the packed column of a part is the packed ratio with every
-    key offset by the packed monomial.
+    sum_k e_k * place_k.  Every exponent of the system is a cleared ratio's
+    exponent plus a shape part's monomial plus a slot's (q, u) offset, so
+    radix k is 1 plus the sum of the three spans in coordinate k.  On that
+    box the packing is one-to-one, and it is linear, so the packed column
+    of a slot is its shape's with every key offset by the packed offset.
     """
-    parts = [part for slot in slots for part in _slot_parts(slot)]
+    parts = [part for shape in shapes for part in _slot_parts(shape)]
     cleared = cleared_ratios(term, sorted({sh for sh, _ in parts}))
-    ratio_exps = [e for poly in cleared.values() for e in poly.terms]
-    places = []
-    place = 1
-    for k in range(len(TERM_VARS)):
-        ratio_k = [e[k] for e in ratio_exps]
-        mono_k = [x[k] for _, x in parts]
-        places.append(place)
-        place *= max(ratio_k) - min(ratio_k) + max(mono_k) - min(mono_k) + 1
-    packed = {sh: {_pack(e, places): v for e, v in poly.terms.items()} for sh, poly in cleared.items()}
+    spans = ([e for poly in cleared.values() for e in poly.terms], [x for _, x in parts],
+             [(eq, eu, 0, 0, 0) for members in shapes.values() for _, eq, eu in members])
+    places = [1]
+    for k in range(len(TERM_VARS) - 1):
+        places.append(places[k] * (1 + sum(max(e[k] for e in es) - min(e[k] for e in es) for es in spans)))
+    packed = {sh: {sum(map(mul, e, places)): v for e, v in poly.terms.items()} for sh, poly in cleared.items()}
     return packed, tuple(places)
-
-
-def _pack(exps: tuple[int, ...], places: tuple[int, ...]) -> int:
-    return sum(map(mul, exps, places))
 
 
 def _slot_column(slot: Slot, packed: dict[Shift, dict[int, int]], places: tuple[int, ...]) -> dict[int, int]:
@@ -144,10 +147,10 @@ def _slot_column(slot: Slot, packed: dict[Shift, dict[int, int]], places: tuple[
     by packed exponent: each part's packed ratio with every key offset by
     the packed monomial, the bumped part of a C_i-slot subtracted."""
     (shift, mono), *bumped = _slot_parts(slot)
-    off = _pack(mono, places)
+    off = sum(map(mul, mono, places))
     col = {key + off: v for key, v in packed[shift].items()}
     for shift, mono in bumped:
-        off = _pack(mono, places)
+        off = sum(map(mul, mono, places))
         for key, v in packed[shift].items():
             key += off
             col[key] = col.get(key, 0) - v
@@ -156,41 +159,35 @@ def _slot_column(slot: Slot, packed: dict[Shift, dict[int, int]], places: tuple[
     return col
 
 
-def _compact_rows(columns: Iterable[dict[int, int]]) -> tuple[list[list[int]], int]:
-    """The rows of the columns, shortest first, and the number of columns.
-
-    The columns are consumed one at a time, so each can be freed once it is
-    spread into the rows.  A row is a flat list [i, c, i, c, ...] of its
-    column indices and entries in column order; rows of equal length keep
-    the order their keys were first seen in.
-    """
+def _compact_rows(shapes: Shapes, packed: dict[Shift, dict[int, int]], places: tuple[int, ...]) -> dict[int, list[int]]:
+    """The rows keyed by packed exponent, as flat lists [i, c, i, c, ...]:
+    each shape's column is built once, then offset for each member."""
     rows: defaultdict = defaultdict(list)
-    ncols = 0
-    for col in columns:
-        for e, c in col.items():
-            row = rows[e]
-            row.append(ncols)
-            row.append(c)
-        ncols += 1
-    return sorted(rows.values(), key=len), ncols
+    for shape, members in shapes.items():
+        col = _slot_column(shape, packed, places)
+        for i, eq, eu in members:
+            off = eq * places[0] + eu * places[1]
+            for e, c in col.items():
+                rows[e + off].extend((i, c))
+    return rows
 
 
-def _eliminate(columns: Iterable[dict[int, int]], decide_from: int) -> dict[int, dict[int, int]]:
-    """Pivot rows of sum_i x_i * columns_i = 0, keyed by pivot column.
+def _eliminate(rows: list[list[int]], ncols: int, decide_from: int) -> dict[int, dict[int, int]]:
+    """Pivot rows of the system with these rows, keyed by pivot column.
 
-    The columns may be any iterable, consumed one at a time into compact
-    rows (``_compact_rows``).  A row becomes the dict that the reduction
+    The rows are flat lists (``_compact_rows``) over ``ncols`` columns,
+    and the list is consumed.  A row becomes the dict that the reduction
     mutates only when the elimination reaches it, and is dropped once it
     is done, so a row that reduces to zero is freed at once and the rows
     never reached are never expanded.
 
-    Fraction-free elimination over Z: each row (one key of the columns,
-    shortest rows first) is reduced in place against the pivot rows,
-    taking the hits in increasing column order from a heap.  A reduced row
-    that is not zero becomes the pivot row of its least column, divided by
-    its content with the sign that makes that entry positive.  A pivot row
-    is zero on the pivot columns made before it and has no entry before
-    its pivot, so the pivots are the least columns of the row space of the
+    Fraction-free elimination over Z: each row (shortest first, ties in
+    list order) is reduced in place against the pivot rows, taking the
+    hits in increasing column order from a heap.  A reduced row that is
+    not zero becomes the pivot row of its least column, divided by its
+    content with the sign that makes that entry positive.  A pivot row is
+    zero on the pivot columns made before it and has no entry before its
+    pivot, so the pivots are the least columns of the row space of the
     rows seen so far, whatever the order of rows and hits.
 
     The elimination stops as soon as every column from ``decide_from`` on
@@ -201,12 +198,12 @@ def _eliminate(columns: Iterable[dict[int, int]], decide_from: int) -> dict[int,
     whether a column from ``decide_from`` on is free is still decided
     exactly, and if one is, the elimination runs to the end.
     """
-    queue, ncols = _compact_rows(columns)
-    queue.reverse()  # pop() then yields the rows shortest first, ties in order
+    rows.sort(key=len)
+    rows.reverse()  # pop() then yields the rows shortest first, ties in order
     pivots: dict[int, dict[int, int]] = {}
     undecided = ncols - decide_from
-    while queue:
-        flat = iter(queue.pop())
+    while rows:
+        flat = iter(rows.pop())
         row = dict(zip(flat, flat))
         hits = [i for i in row if i in pivots]
         heapify(hits)
@@ -308,8 +305,9 @@ def celine_solve(term: HypTerm, order: int, support: list[Slot]) -> CertificateS
     first_p0 = next((i for i, slot in enumerate(slots) if _is_p0(slot)), None)
     if first_p0 is None:
         return None
-    packed, places = _packed_ratios(term, slots)
-    pivots = _eliminate((_slot_column(slot, packed, places) for slot in slots), first_p0)
+    shapes = _shapes(slots)
+    packed, places = _packed_ratios(term, shapes)
+    pivots = _eliminate(list(_compact_rows(shapes, packed, places).values()), len(slots), first_p0)
     free = next((i for i in range(first_p0, len(slots)) if i not in pivots), None)
     if free is None:
         return None

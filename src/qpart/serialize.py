@@ -133,7 +133,9 @@ def certificate_from_json(data: dict) -> CertificateSet:
             fams[name].append(ShiftOp(op))
     if "p" not in fams:
         raise ValueError("the certificate has no 'p' family, so it states no recurrence")
-    return CertificateSet(_int(data["order"], "the certificate's order"), fams)
+    if (order := _int(data["order"], "the certificate's order")) != len(fams["p"]) - 1:
+        raise ValueError(f"the certificate's order {order} does not match its {len(fams['p'])} p entries")
+    return CertificateSet(order, fams)
 
 
 def _term(s: list, p: dict) -> tuple[tuple[int, int, int, int], LaurentPoly]:

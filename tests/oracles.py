@@ -9,9 +9,14 @@ same for Laurent polynomials. The library inverts (q;q)_m once for all
 slices of 1/(xq;q)_inf; ``inv_xq_pochhammer_by_slices`` inverts each
 slice's (q;q)_m on its own. The library lists 2-colored
 partitions in walk order grouped by (size, length); ``listing_order_key``
-is the sort key that states the listing order directly.
+is the sort key that states the listing order directly. The library
+builds the Celine system one column per slot shape; ``rows_by_slot``
+builds one column per slot and spreads each into the rows.
 """
 
+from collections import defaultdict
+
+from qpart.celine import _slot_column
 from qpart.colored import part_key, size
 from qpart.laurent import LaurentPoly
 from qpart.series import BiSeries, QSeries
@@ -67,3 +72,19 @@ def inv_xq_pochhammer_by_slices(order: int) -> BiSeries:
     """The oracle for inv_xq_pochhammer: slice m is q^m times the inverse of
     (q;q)_m, each inverted on its own."""
     return BiSeries(order, {m: finite_pochhammer(1, m, order).invert().shift(m) for m in range(order)})
+
+
+def spread_columns(columns) -> dict:
+    """The rows of dict columns, keyed as the columns are: each a flat list
+    [i, c, i, c, ...] in column order, spread one column at a time."""
+    rows = defaultdict(list)
+    for i, col in enumerate(columns):
+        for e, c in col.items():
+            rows[e] += (i, c)
+    return rows
+
+
+def rows_by_slot(slots, packed, places) -> dict:
+    """The oracle for celine._compact_rows: one _slot_column per slot,
+    spread into rows keyed by packed exponent."""
+    return spread_columns(_slot_column(slot, packed, places) for slot in slots)

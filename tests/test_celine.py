@@ -14,8 +14,10 @@ from qpart.celine import (
     FAMILIES,
     _compact_rows,
     _eliminate,
+    _is_p0,
     _kernel_vector,
     _packed_ratios,
+    _shapes,
     _slot_column,
     celine_solve,
     default_support,
@@ -28,6 +30,7 @@ from qpart.holonomic import (
     recurrence_holds_at_point,
     verify_certificate,
 )
+from oracles import rows_by_slot, spread_columns
 
 SQUARE_TERM = HypTerm(nsum=0, quad2=((2,),), lin=(0,), const=0, pochs=(((1,), 0, 1),))
 
@@ -203,25 +206,91 @@ def _unpack(key, lows, places):
     return tuple(out)
 
 
-@pytest.mark.parametrize("name,support", [
+# the default boxes, whose shapes have v = 0, and the printed supports,
+# whose C-slots carry v-exponents such as (0, 2, 1) and (1, 2, 2)
+systems = pytest.mark.parametrize("name,support", [
     ("g111", _default_box),
     ("g300", _default_box),
     *((name, lambda name=name: support_of(catalog.certificate(name))) for name in catalog.CERTIFICATE_NAMES),
 ], ids=["g111-box", "g300-box", *(f"{name}-printed" for name in catalog.CERTIFICATE_NAMES)])
+
+
+@systems
 def test_packed_columns_unpack_to_the_tuple_keyed_columns(name, support):
     term = catalog.certificate_term(name)
     slots = support()
     cleared = cleared_ratios(term, sorted({sh for slot in slots for sh in _slot_shifts(slot)}))
     reference = [_tuple_column(slot, cleared) for slot in slots]
     lows = tuple(min(key[k] for col in reference for key in col) for k in range(5))
-    packed, places = _packed_ratios(term, slots)
+    packed, places = _packed_ratios(term, _shapes(slots))
     for slot, ref in zip(slots, reference):
         col = _slot_column(slot, packed, places)
         assert list(col.values()) == list(ref.values())
         assert [_unpack(key, lows, places) for key in col] == list(ref)
 
 
-def _fraction_nullspace(columns):
+def _pairs(flat):
+    return sorted(zip(flat[::2], flat[1::2]))
+
+
+@systems
+def test_shape_built_rows_are_the_per_slot_rows(name, support):
+    # the rows, as {row key: {column: entry}}, of one column per shape
+    # offset for each member, and of one column per slot
+    term = catalog.certificate_term(name)
+    slots = support()
+    shapes = _shapes(slots)
+    packed, places = _packed_ratios(term, shapes)
+    rows = {e: _pairs(flat) for e, flat in _compact_rows(shapes, packed, places).items()}
+    assert rows == {e: _pairs(flat) for e, flat in rows_by_slot(slots, packed, places).items()}
+
+
+# shapes of the g111 default box (4 p, 96 C) and of the printed supports
+# of 125, 190, 399 and 637 slots
+SHAPES = {"g111-box": 100, "g111": 42, "g300": 42, "d123": 67, "d1234": 71}
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_one_column_is_built_per_shape(name, monkeypatch):
+    # no column of a single slot is built: each call is a shape's, at
+    # (q, u) exponents 0, and each shape is built once
+    built = []
+    build = celine._slot_column
+
+    def watched(slot, packed, places):
+        built.append(slot)
+        return build(slot, packed, places)
+
+    monkeypatch.setattr(celine, "_slot_column", watched)
+    if name == "g111-box":
+        term, order, support = catalog.certificate_term("g111"), 3, _default_box()
+    else:
+        cert = catalog.certificate(name)
+        term, order, support = catalog.certificate_term(name), cert.order, support_of(cert)
+    celine_solve(term, order, support=support)
+    assert len(built) == len(set(built)) == SHAPES[name]
+    assert all(exps[:2] == (0, 0) for *_, exps in built)
+
+
+@systems
+def test_shape_built_rows_eliminate_as_the_per_slot_rows_do(name, support):
+    # the same decision and, where a p_0 column is free, the same kernel vector
+    term = catalog.certificate_term(name)
+    slots = sorted(dict.fromkeys(support()), key=_is_p0)
+    first_p0 = next(i for i, slot in enumerate(slots) if _is_p0(slot))
+    shapes = _shapes(slots)
+    packed, places = _packed_ratios(term, shapes)
+    free = []
+    for rows in (_compact_rows(shapes, packed, places), rows_by_slot(slots, packed, places)):
+        pivots = _eliminate(list(rows.values()), len(slots), first_p0)
+        p0_free = [i for i in range(first_p0, len(slots)) if i not in pivots]
+        free.append((p0_free, p0_free and _kernel_vector(pivots, p0_free[0])))
+    assert free[0] == free[1]
+    # the boxes hold no certificate, the printed supports hold one
+    assert bool(free[0][0]) == (support is not _default_box)
+
+
+def _fraction_pivots(columns):
     """The elimination over Fraction that the integer one replaced, kept
     as an oracle: same rows, same row order, same least-column pivots."""
     rows = {}
@@ -243,6 +312,12 @@ def _fraction_nullspace(columns):
         row = {i: c for i, c in row.items() if c}
         if row:
             pivots[min(row)] = row
+    return pivots
+
+
+def _fraction_nullspace(columns):
+    """The kernel basis of the Fraction elimination, one vector per free column."""
+    pivots = _fraction_pivots(columns)
     free = [i for i in range(len(columns)) if i not in pivots]
     basis = []
     for f in free:
@@ -292,10 +367,15 @@ def sparse_systems(draw):
     return columns
 
 
+def _rows(columns):
+    """The compact rows of dict columns, as _eliminate takes them."""
+    return list(spread_columns(columns).values())
+
+
 @settings(max_examples=300, deadline=None)
 @given(sparse_systems(), st.randoms(use_true_random=False))
 def test_integer_nullspace_matches_fraction_oracle(columns, rnd):
-    pivots = _eliminate(columns, len(columns))
+    pivots = _eliminate(_rows(columns), len(columns), len(columns))
     free = [i for i in range(len(columns)) if i not in pivots]
     basis = [_kernel_vector(pivots, f) for f in free]
     oracle = [_clear_rationals(sol) for sol in _fraction_nullspace(columns)]
@@ -312,7 +392,7 @@ def test_integer_nullspace_matches_fraction_oracle(columns, rnd):
         items = list(col.items())
         rnd.shuffle(items)
         shuffled.append(dict(items))
-    reordered = _eliminate(shuffled, len(shuffled))
+    reordered = _eliminate(_rows(shuffled), len(shuffled), len(shuffled))
     assert sorted(reordered) == sorted(pivots)
     assert [_kernel_vector(reordered, f) for f in free] == basis
 
@@ -322,12 +402,12 @@ def test_integer_nullspace_matches_fraction_oracle(columns, rnd):
 def test_a_trailing_block_has_a_free_column_iff_the_kernel_reaches_it(columns, data):
     # the decision in celine_solve, with the p_0 columns as the block
     block = range(data.draw(st.integers(0, len(columns) - 1)), len(columns))
-    pivots = _eliminate(columns, len(columns))
+    pivots = _eliminate(_rows(columns), len(columns), len(columns))
     oracle = _fraction_nullspace(columns)
     assert any(i not in pivots for i in block) == any(sol.get(i) for sol in oracle for i in block)
     # stopping once every column of the block is a pivot decides the same;
     # if a block column is free the elimination runs to the end
-    early = _eliminate(columns, block.start)
+    early = _eliminate(_rows(columns), len(columns), block.start)
     assert set(early) <= set(pivots)
     assert any(i not in early for i in block) == any(i not in pivots for i in block)
     if any(i not in pivots for i in block):
@@ -337,53 +417,46 @@ def test_a_trailing_block_has_a_free_column_iff_the_kernel_reaches_it(columns, d
 @settings(max_examples=300, deadline=None)
 @given(sparse_systems())
 def test_compact_rows_keep_the_order_of_the_dict_rows(columns):
-    # shortest row first, rows of equal length in the order first seen
-    rows = {}
-    for i, col in enumerate(columns):
-        for e, c in col.items():
-            rows.setdefault(e, {})[i] = c
-    compact, ncols = _compact_rows(iter(columns))
-    assert ncols == len(columns)
-    assert [list(zip(flat[::2], flat[1::2])) for flat in compact] == [
-        list(row.items()) for row in sorted(rows.values(), key=len)
-    ]
+    # the compact rows are reduced in the oracle's order of the dict rows,
+    # shortest first and rows of equal length in the order first seen: the
+    # pivot rows are made in the same order, and each is the oracle's made
+    # primitive with a positive pivot, though a pivot row depends on that order
+    pivots = _eliminate(_rows(columns), len(columns), len(columns))
+    oracle = _fraction_pivots(columns)
+    assert list(pivots) == list(oracle)
+    for piv, row in pivots.items():
+        ints = _clear_rationals(oracle[piv])
+        sign = 1 if ints[piv] > 0 else -1
+        assert row == {i: sign * c for i, c in ints.items()}
 
 
 def test_rows_of_equal_length_are_reached_in_the_order_first_seen():
     # rows a = x_0 + x_1 and b = x_0 + 2 x_1: the first reached is the pivot row of column 0
-    assert _eliminate([{"a": 1, "b": 1}, {"a": 1, "b": 2}], 2) == {0: {0: 1, 1: 1}, 1: {1: 1}}
-    assert _eliminate([{"b": 1, "a": 1}, {"b": 2, "a": 1}], 2) == {0: {0: 1, 1: 2}, 1: {1: 1}}
-
-
-@settings(max_examples=300, deadline=None)
-@given(sparse_systems())
-def test_a_stream_of_columns_eliminates_as_the_list_does(columns):
-    for k in range(len(columns) + 1):
-        streamed = _eliminate(iter(columns), k)
-        listed = _eliminate(columns, k)
-        assert [(p, list(r.items())) for p, r in streamed.items()] == [
-            (p, list(r.items())) for p, r in listed.items()
-        ]
+    assert _eliminate([[0, 1, 1, 1], [0, 1, 1, 2]], 2, 2) == {0: {0: 1, 1: 1}, 1: {1: 1}}
+    assert _eliminate([[0, 1, 1, 2], [0, 1, 1, 1]], 2, 2) == {0: {0: 1, 1: 2}, 1: {1: 1}}
+    # a shorter row is reached first, wherever it stands in the list
+    pivots = _eliminate([[0, 1, 1, 1], [1, 3]], 2, 2)
+    assert list(pivots.items()) == [(1, {1: 1}), (0, {0: 1})]
 
 
 class _Column(dict):
     """A column that a weak reference can watch."""
 
 
-def test_each_column_is_freed_once_it_is_spread_into_rows():
-    slots = square_box(1)
-    packed, places = _packed_ratios(SQUARE_TERM, slots)
+def test_each_column_is_freed_once_it_is_spread_into_rows(monkeypatch):
+    # one column per shape: the builder may still hold column k - 1 while
+    # column k is built, but none before it
     refs = []
+    build = celine._slot_column
 
-    def stream():
-        for k, slot in enumerate(slots):
-            # the consumer may still hold column k - 1, but none before it
-            assert all(ref() is None for ref in refs[: max(k - 1, 0)])
-            col = _Column(_slot_column(slot, packed, places))
-            refs.append(weakref.ref(col))
-            yield col
-            del col
+    def watched(slot, packed, places):
+        assert all(ref() is None for ref in refs[:-1])
+        col = _Column(build(slot, packed, places))
+        refs.append(weakref.ref(col))
+        return col
 
-    pivots = _eliminate(stream(), len(slots))
-    assert len(refs) == len(slots) and pivots
+    monkeypatch.setattr(celine, "_slot_column", watched)
+    base = catalog.certificate("g111")
+    assert celine_solve(catalog.certificate_term("g111"), base.order, support=support_of(base)) is not None
+    assert len(refs) == 42
     assert all(ref() is None for ref in refs)

@@ -224,6 +224,7 @@ def test_a_malformed_input_file_is_a_one_line_error_naming_it(tmp_path):
     repeated_cert = serialize.certificate_to_json(catalog.certificate("g111"))
     first = repeated_cert["families"]["q"][1][0][1]["terms"]
     first.append(first[0])
+    g111 = serialize.certificate_to_json(catalog.certificate("g111"))
     repeated_shift = serialize.certificate_to_json(catalog.certificate("g111"))
     op = repeated_shift["families"]["q"][1]
     op.append([op[0][0], {"vars": list(TERM_VARS), "terms": [[[0, 0, 0, 0, 0], "1"]]}])
@@ -268,6 +269,9 @@ def test_a_malformed_input_file_is_a_one_line_error_naming_it(tmp_path):
         # integers that are not JSON integers, each once read by truncation
         (json.dumps({**p_cert("1", "-1"), "order": 1.7}), ["certify", "--term", const, "--cert", bad]),
         (json.dumps({**p_cert("1", "-1"), "order": "1"}), ["certify", "--term", const, "--cert", bad]),
+        # g111's order is 3, one less than its four p entries
+        (json.dumps({**g111, "order": 7}), ["certify", "--term", term, "--cert", bad, "--recurrence-check", "3"]),
+        (json.dumps({**g111, "order": -3}), ["certify", "--term", term, "--cert", bad, "--recurrence-check", "3"]),
         (json.dumps(p_cert(1.9, "-1")), ["certify", "--term", const, "--cert", bad]),
         (json.dumps(p_cert("1", "-1", shift=(0.5, 0, 0, 0))), ["certify", "--term", const, "--cert", bad]),
         (json.dumps({"matrix": [[{"vars": ["x", "q"], "terms": [[[1.5, 0], "1"]]}]]}), ["uncouple", "--system", bad]),
