@@ -470,10 +470,10 @@ def _families_d1234(s: Symbols, verbatim: bool = False):
 
 
 _BUILDERS = {
-    "g111": (_families_g111, 3, TERM_G111),
-    "g300": (_families_g300, 3, TERM_G300),
-    "d123": (_families_d123, 6, TERM_D123),
-    "d1234": (_families_d1234, 6, TERM_D1234),
+    "g111": (_families_g111, TERM_G111),
+    "g300": (_families_g300, TERM_G300),
+    "d123": (_families_d123, TERM_D123),
+    "d1234": (_families_d1234, TERM_D1234),
 }
 
 
@@ -484,12 +484,11 @@ def certificate(name: str, verbatim: bool = False) -> CertificateSet:
     ``verbatim`` selects the unemended data (a ValueError for g111, which has
     no verbatim reading).
     """
-    builder, order, _ = _BUILDERS[name]
-    return CertificateSet(order, builder(Symbols(), verbatim=verbatim))
+    return CertificateSet(_BUILDERS[name][0](Symbols(), verbatim=verbatim))
 
 
 def certificate_term(name: str) -> HypTerm:
-    return _BUILDERS[name][2]
+    return _BUILDERS[name][1]
 
 
 CERTIFICATE_NAMES = tuple(_BUILDERS)

@@ -280,7 +280,7 @@ def _assemble(order: int, slots: list[Slot], coeffs: dict[int, int]) -> Certific
         name, j, sigma, exps = slots[idx]
         mono = ShiftOp({(0, *sigma): LaurentPoly.monomial(TERM_VARS, exps, c)})
         fam[name][j] = fam[name][j] + mono
-    return CertificateSet(order, fam)
+    return CertificateSet(fam)
 
 
 def _is_p0(slot: Slot) -> bool:

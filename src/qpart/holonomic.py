@@ -300,11 +300,14 @@ class CertificateSet:
 
         p~ + (1 - K1) q~ + (1 - K2) r~ + (1 - K3) s~
 
-    with e~ = sum_j e_j N^j.
+    with e~ = sum_j e_j N^j.  Its order is the top power of N in p.
     """
 
-    order: int
     families: dict[str, list[ShiftOp]]
+
+    @property
+    def order(self) -> int:
+        return len(self.families["p"]) - 1
 
     def telescoped(self) -> ShiftOp:
         N = ShiftOp.shift((1, 0, 0, 0))
@@ -673,12 +676,19 @@ def recurrence_holds_at_point(term: HypTerm, plist: Sequence[LaurentPoly], nmax:
 
 
 def first_recurrence_failure(term: HypTerm, plist: Sequence[LaurentPoly], nmax: int,
-                             points: Iterable[Fraction]) -> Fraction | None:
-    """The first of ``points`` where ``recurrence_holds_at_point`` fails for
-    0 <= n <= nmax, or None.  One ``SequenceTables`` serves every point, so
-    each support profile is built once; it is dropped on return."""
+                             points: Sequence[Fraction]) -> dict | None:
+    """None, or why ``recurrence_holds_at_point`` does not prove the recurrence
+    for 0 <= n <= nmax: {"q0": the first of ``points`` where it fails}, or
+    {"p0_zero_up_to_n": nmax} when p_0(q0, q0^n) is zero at every checked n
+    and point, so no f_n is determined.  One ``SequenceTables`` serves every
+    point, so each support profile is built once; it is dropped on return."""
     tables = SequenceTables()
-    return next((q0 for q0 in points if not recurrence_holds_at_point(term, plist, nmax, q0, tables=tables)), None)
+    for q0 in points:
+        if not recurrence_holds_at_point(term, plist, nmax, q0, tables=tables):
+            return {"q0": str(q0)}
+    if not any(eval_qu_poly(plist[0], n, q0) for n in range(nmax + 1) for q0 in points):
+        return {"p0_zero_up_to_n": nmax}
+    return None
 
 
 # ----------------------------------------------------------------------

@@ -343,10 +343,8 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """gcd of two Laurent polynomials, up to sign; monomial parts stripped.
 
     Uses a primitive PRS over the coefficient ring, recursing on the
-    number of variables; the main variable is the one of least degree, and
-    the PRS is skipped where ``_coprime_in`` shows it would end in a
-    constant.  The result is content-normalized with positive leading
-    coefficient.
+    number of variables; the main variable is the one of least degree.
+    The result is content-normalized with positive leading coefficient.
     """
     if a.vars != b.vars:
         raise VariableMismatch(f"{a.vars} vs {b.vars}")
@@ -372,28 +370,6 @@ def poly_gcd_of(polys: list[LaurentPoly]) -> LaurentPoly:
     return g
 
 
-def _coprime_in(a: LaurentPoly, b: LaurentPoly, main: int) -> bool:
-    """True if a and b share no factor of positive degree in the main variable.
-
-    Shown at one point, every other variable set to one integer: a common
-    factor divides both leading coefficients, so where neither vanishes its
-    degree survives, and a constant gcd of the images rules it out.  False
-    means undecided.
-    """
-    var = a.vars[main]
-    for point in (2, 3, 5, 7):
-        images = []
-        for f in (a, b):
-            terms: dict[tuple[int, ...], int] = {}
-            for e, c in f.terms.items():
-                key = tuple(x if i == main else 0 for i, x in enumerate(e))
-                terms[key] = terms.get(key, 0) + c * point ** (sum(e) - e[main])
-            images.append(LaurentPoly(a.vars, terms))
-        if all(not g.is_zero() and g.degree(var) == f.degree(var) for f, g in zip((a, b), images)):
-            return _gcd_nonneg(*images).is_constant()
-    return False
-
-
 def _gcd_nonneg(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     vars = a.vars
     # main variable: the one of least degree, preferring one missing from
@@ -406,9 +382,6 @@ def _gcd_nonneg(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     ca, ua = _primitive(_split_main(a, main))
     cb, ub = _primitive(_split_main(b, main))
     cont = poly_gcd(ca, cb)
-    # with one variable there is nothing to evaluate: the images are a and b
-    if len(degs) > 1 and _coprime_in(a, b, main):
-        return cont
     if max(ua) < max(ub):
         ua, ub = ub, ua
     # each divisor is primitive (the first pair divided by their contents, each

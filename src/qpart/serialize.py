@@ -12,7 +12,7 @@ import json
 import re
 from typing import Any, Iterable
 
-from .holonomic import FAMILIES, TERM_VARS, XQ_VARS, CertificateSet, HypTerm, ShiftOp
+from .holonomic import FAMILIES, TERM_VARS, XQ_VARS, CertificateSet, HypTerm, ShiftOp, recurrence_from_certificate
 from .laurent import LaurentPoly, RationalFunction
 from .series import BiSeries, QSeries
 
@@ -133,9 +133,11 @@ def certificate_from_json(data: dict) -> CertificateSet:
             fams[name].append(ShiftOp(op))
     if "p" not in fams:
         raise ValueError("the certificate has no 'p' family, so it states no recurrence")
-    if (order := _int(data["order"], "the certificate's order")) != len(fams["p"]) - 1:
+    cert = CertificateSet(fams)
+    if (order := _int(data["order"], "the certificate's order")) != cert.order:
         raise ValueError(f"the certificate's order {order} does not match its {len(fams['p'])} p entries")
-    return CertificateSet(order, fams)
+    recurrence_from_certificate(cert)  # p must state a recurrence in n: shift-free and over (q, u)
+    return cert
 
 
 def _term(s: list, p: dict) -> tuple[tuple[int, int, int, int], LaurentPoly]:

@@ -39,7 +39,6 @@ from .cylindric import enumerate_cylindric, g_to_f, profile_orbit, solve_cw_fami
 from .holonomic import (
     QDiffOperator,
     apply_qdiff,
-    eval_qu_poly,
     evaluate_ag_sum,
     first_recurrence_failure,
     recurrence_from_certificate,
@@ -376,17 +375,13 @@ def task_recurrences(run: VerificationRun) -> RunReport:
     """
     nmax = run.nmax
 
-    def witnesses():
-        for name in catalog.CERTIFICATE_NAMES:
-            plist = recurrence_from_certificate(run.certificate(name))
-            q0 = first_recurrence_failure(catalog.certificate_term(name), plist, nmax, RECURRENCE_POINTS)
-            if q0 is not None:
-                yield {"kind": f"recurrence-{name}", "q0": str(q0)}
-            elif not any(eval_qu_poly(plist[0], n, q0) for n in range(nmax + 1) for q0 in RECURRENCE_POINTS):
-                yield {"kind": f"recurrence-{name}", "p0_zero_up_to_n": nmax}
+    def witness(name: str) -> dict | None:
+        plist = recurrence_from_certificate(run.certificate(name))
+        failure = first_recurrence_failure(catalog.certificate_term(name), plist, nmax, RECURRENCE_POINTS)
+        return failure and {"kind": f"recurrence-{name}", **failure}
 
     return _report("recurrences", {"nmax": nmax, "points": [str(p) for p in RECURRENCE_POINTS]},
-                   _first_witness(witnesses()))
+                   _first_witness(witness(name) for name in catalog.CERTIFICATE_NAMES))
 
 
 _OPERATOR_OF = {"g111": ("2x2", 1), "g300": ("2x2", 0), "d123": ("5x5", 0), "d1234": ("5x5", 1)}

@@ -2,6 +2,7 @@
 
 import hashlib
 import weakref
+from dataclasses import fields
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -24,6 +25,7 @@ from qpart.celine import (
     support_of,
 )
 from qpart.holonomic import (
+    CertificateSet,
     HypTerm,
     cleared_ratios,
     recurrence_from_certificate,
@@ -109,6 +111,16 @@ def test_rederived_certificates_are_pinned(name):
     cert = celine_solve(catalog.certificate_term(name), base.order, support=support_of(base))
     text = serialize.dumps(serialize.certificate_to_json(cert))
     assert hashlib.sha256(text.encode()).hexdigest() == REDERIVED_SHA256[name]
+
+
+def test_a_certificate_order_is_read_off_its_p_family():
+    # the order is the top power of N in p, not a second stored fact
+    assert [f.name for f in fields(CertificateSet)] == ["families"]
+    bundled = [catalog.certificate(name) for name in catalog.CERTIFICATE_NAMES]
+    assert [cert.order for cert in bundled] == [3, 3, 6, 6]
+    found = celine_solve(catalog.certificate_term("g111"), 3, support=support_of(bundled[0]))
+    for cert in (*bundled, found):
+        assert cert.order == len(cert.families["p"]) - 1 == CertificateSet(cert.families).order
 
 
 def test_repeated_slots_find_nothing_new():

@@ -19,6 +19,7 @@ from qpart.holonomic import (
     CertificateSet,
     HypTerm,
     QDiffOperator,
+    QU_VARS,
     SequenceTables,
     ShiftOp,
     TERM_VARS,
@@ -211,7 +212,6 @@ def test_trivial_constant_certificate():
     # constant term F(n) = 1: p0 = 1, p1 = -1 telescopes to f_n = f_(n-1)
     one = LaurentPoly.one(TERM_VARS)
     cert = CertificateSet(
-        1,
         {
             "p": [ShiftOp.coefficient(one), ShiftOp.coefficient(-one)],
             "q": [ShiftOp(), ShiftOp()],
@@ -226,7 +226,7 @@ def test_trivial_constant_certificate():
 def test_a_zero_certificate_does_not_verify():
     # every family zero telescopes to the zero operator, which proves only 0 = 0
     const = HypTerm(nsum=0, quad2=((0,),), lin=(0,), const=0, pochs=())
-    assert not verify_certificate(const, CertificateSet(1, {"p": [ShiftOp(), ShiftOp()]})).ok
+    assert not verify_certificate(const, CertificateSet({"p": [ShiftOp(), ShiftOp()]})).ok
 
 
 # coefficients over (q, u, v1) with few terms and unit coefficients, so
@@ -485,7 +485,19 @@ def test_first_recurrence_failure_names_the_first_failing_point():
     plist = recurrence_from_certificate(catalog.certificate("g111"))
     points = (Fraction(3), Fraction(2))
     assert first_recurrence_failure(term, plist, 6, points) is None
-    assert first_recurrence_failure(term, [plist[0] + plist[0], *plist[1:]], 6, points) == Fraction(3)
+    assert first_recurrence_failure(term, [plist[0] + plist[0], *plist[1:]], 6, points) == {"q0": "3"}
+
+
+def test_first_recurrence_failure_fails_a_recurrence_whose_p0_vanishes():
+    # f_n = 1/(q;q)_n: (1 - u) f_n = f_(n-1), and that recurrence shifted once,
+    # which holds at every n but leaves every f_n free
+    term = HypTerm(nsum=0, quad2=((0,),), lin=(0,), const=0, pochs=(((1,), 0, 1),))
+    q, u = (LaurentPoly.variable(QU_VARS, v) for v in QU_VARS)
+    one, zero = LaurentPoly.one(QU_VARS), LaurentPoly.zero(QU_VARS)
+    points = (Fraction(2), Fraction(3), Fraction(7, 5))
+    assert first_recurrence_failure(term, [1 - u, -one], 5, points) is None
+    assert first_recurrence_failure(term, [1 - u, -2 * one], 5, points) == {"q0": "2"}
+    assert first_recurrence_failure(term, [zero, 1 - u * q ** -1, -one], 5, points) == {"p0_zero_up_to_n": 5}
 
 
 def test_sequences_match_series_coefficients():

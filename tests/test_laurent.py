@@ -1,13 +1,17 @@
 """Exact polynomial and rational-function arithmetic."""
 
+import io
 import itertools
 import operator
+from contextlib import redirect_stdout
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qpart import laurent
+from qpart.cli import main
 from qpart.laurent import (
     LaurentPoly,
     RationalFunction,
@@ -18,6 +22,7 @@ from qpart.laurent import (
 )
 
 from qpart.serialize import poly_from_json, ratfun_from_json
+from qpart.verification import verify_all
 from oracles import schoolbook_laurent_product
 
 QV = ("q",)
@@ -276,3 +281,23 @@ def test_rational_functions_read_ints_and_polynomials_as_quotients_over_one(a, b
             assert r / c == r / lifted
     assert k + r == r + k and k - r == -(r - k) and k * r == r * k
     assert r == RationalFunction(a * b, b * b) and r - r == 0 and (r + r) / 2 == r
+
+
+def test_no_entry_point_calls_poly_gcd_with_more_than_two_live_variables(monkeypatch):
+    # the primitive PRS is the gcd's only route; it is sized for the (x, q) and
+    # (q, u) gcds that the entry points reach, not for three or four variables
+    live, inner = [], laurent.poly_gcd
+
+    def watched(a, b):
+        live.append({v for p in (a, b) for e in p.terms for v, x in zip(p.vars, e) if x})
+        return inner(a, b)
+
+    monkeypatch.setattr(laurent, "poly_gcd", watched)
+    verify_all(10, 6)
+    for argv in (["certify", "--name", "d1234", "--recurrence-check", "6"],
+                 ["celine", "--name", "g111", "--order", "3", "--support", "printed"],
+                 ["uncouple", "--system", "builtin-5x5", "--component", "0"],
+                 ["uncouple", "--system", "builtin-5x5", "--component", "1"]):
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    assert live and max(map(len, live)) <= 2

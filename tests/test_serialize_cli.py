@@ -235,6 +235,17 @@ def test_a_malformed_input_file_is_a_one_line_error_naming_it(tmp_path):
         ops[-1][0][0] = list(shift)
         return {"order": len(coeffs) - 1, "families": {"p": ops}}
 
+    def coeff(*terms):
+        return {"vars": list(TERM_VARS), "terms": [[list(e), c] for e, c in terms]}
+
+    # an order-0 p family over v1, and one that shifts k1: neither is a recurrence in n
+    v1_diff = coeff(([-1, 0, 1, 0, 0], "1"), ([0, 0, 1, 0, 0], "-1"))
+    p_over_v1 = {"order": 0, "families": {"p": [[[[0, 0, 0, 0], v1_diff]]],
+                                          "q": [[[[0, 0, 0, 0], coeff(([0, 0, 1, 0, 0], "1"))]]]}}
+    p_shifts = {"order": 0, "families": {"p": [[[[0, 1, 0, 0], coeff(([0] * 5, "1"))],
+                                                 [[0, 0, 0, 0], coeff(([0] * 5, "-1"))]]]}}
+    t0 = tmp_path / "t0.json"
+    t0.write_text(json.dumps({"nsum": 1, "quad2": [[0, 0], [0, 0]], "lin": [0, 0], "const": 0, "pochs": []}))
     # the constant term 1, proved by f_n = f_(n-1), and a certificate proving f_(n-1) = 0
     const, diff, back = tmp_path / "const.json", tmp_path / "diff.json", tmp_path / "back.json"
     const_term = {"nsum": 0, "quad2": [[0]], "lin": [0], "const": 0, "pochs": []}
@@ -266,6 +277,9 @@ def test_a_malformed_input_file_is_a_one_line_error_naming_it(tmp_path):
         (json.dumps({"order": 0, "families": {}}), ["certify", "--term", term, "--cert", bad]),
         (json.dumps({"order": 0, "families": {}}),
          ["certify", "--term", term, "--cert", bad, "--recurrence-check", "5"]),
+        (json.dumps(p_over_v1), ["certify", "--term", t0, "--cert", bad]),
+        (json.dumps(p_shifts), ["certify", "--term", t0, "--cert", bad]),
+        (json.dumps(p_shifts), ["certify", "--term", t0, "--cert", bad, "--recurrence-check", "3"]),
         # integers that are not JSON integers, each once read by truncation
         (json.dumps({**p_cert("1", "-1"), "order": 1.7}), ["certify", "--term", const, "--cert", bad]),
         (json.dumps({**p_cert("1", "-1"), "order": "1"}), ["certify", "--term", const, "--cert", bad]),
@@ -299,6 +313,20 @@ def test_a_zero_certificate_fails_certify(tmp_path):
     for extra in ([], ["--recurrence-check", "5"]):
         code, out, err = run_cli(["certify", "--term", str(term), "--cert", str(zero), *extra])
         assert (code, out, err) == (1, '{"residual_terms":0,"verified":false}\n', ""), extra
+
+
+def test_certify_fails_a_recurrence_whose_p0_vanishes(tmp_path):
+    # f_n = 1/(q;q)_n satisfies (1 - u) f_n = f_(n-1); shifted once, that
+    # recurrence verifies but its p_0 is zero, so it determines no f_n
+    term, cert = tmp_path / "tp.json", tmp_path / "cert.json"
+    term.write_text(json.dumps({"nsum": 0, "quad2": [[0]], "lin": [0], "const": 0, "pochs": [[[1], 0, 1]]}))
+    p = [[], [[[0, 0, 0, 0], {"vars": list(TERM_VARS), "terms": [[[0] * 5, "1"], [[-1, 1, 0, 0, 0], "-1"]]}]],
+         [[[0, 0, 0, 0], {"vars": list(TERM_VARS), "terms": [[[0] * 5, "-1"]]}]]]
+    cert.write_text(json.dumps({"order": 2, "families": {"p": p}}))
+    code, out, err = run_cli(["certify", "--term", str(term), "--cert", str(cert), "--recurrence-check", "5"])
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"verified": True, "residual_terms": 0, "recurrence_nmax": 5,
+                               "recurrence_points": ["2", "3", "7/5"], "recurrence_ok": False}
 
 
 def test_fail_reports_carry_witnesses():
