@@ -12,9 +12,8 @@ Each identity is typed in once; the other entries are derived from it:
   (``AGSumSpec.coefficient_term``);
 * ``coupled_g_system`` is the (3,0,0) and (1,1,1) rows of
   ``FIRST_ORDER_RELATIONS``;
-* the q-difference operators ``qdiff_operator_*`` are the systems
-  ``coupled_g_system`` (g300, g111) and the automaton's transfer system
-  (d123, d1234) uncoupled at components 0 and 1 (``uncouple_system``),
+* the q-difference operators ``qdiff_operator_*`` are the systems of
+  ``OPERATOR_OF`` uncoupled at its components (``uncouple_system``),
   negated: their last coefficient has a negative leading term;
 * ``pprime_family`` is the x^n-coefficient recurrence of
   ``qdiff_operator_g111`` (``recurrence_from_operator``).
@@ -85,8 +84,8 @@ AG_G111 = AGSumSpec(_QUAD2, (0, 0, 0, 0), (1, 1, 1, 2), _BASES)
 #: max-part-graded sum equal to G_(3,0,0)
 AG_G300 = AGSumSpec(_QUAD2, (1, 2, 3, 3), (1, 1, 1, 2), _BASES)
 
-#: auxiliary sum equal to 1/(q, q^2; q^3)_inf at x = 1
-AG_AUX = AGSumSpec(_QUAD2, (0, 1, 1, 2), (1, 1, 2, 2), _BASES)
+#: max-part-graded sum equal to G_(2,1,0), and to 1/(q, q^2; q^3)_inf at x = 1
+AG_AUX = AGSumSpec(_QUAD2, (0, 1, 1, 2), (1, 1, 2, 1), _BASES)
 
 
 # ----------------------------------------------------------------------
@@ -145,7 +144,14 @@ def coupled_g_system() -> list[list[LaurentPoly]]:
 # scalar q-difference operators: each system uncoupled at one component
 
 
-def _annihilator(matrix, component: int) -> QDiffOperator:
+#: each sum's system, the 2x2 ``coupled_g_system`` or the automaton's 5x5
+#: transfer system, and the component whose operator annihilates its series
+OPERATOR_OF = {"g111": ("2x2", 1), "g300": ("2x2", 0), "d123": ("5x5", 0), "d1234": ("5x5", 1)}
+
+
+def _annihilator(name: str) -> QDiffOperator:
+    system, component = OPERATOR_OF[name]
+    matrix = coupled_g_system() if system == "2x2" else derive_transfer_system(build_avoidance_dfa()).matrix
     op = uncouple_system(matrix, component)
     # uncoupling makes the last coefficient's leading term positive; these
     # operators keep the opposite sign they were first typed in with, whose
@@ -155,22 +161,22 @@ def _annihilator(matrix, component: int) -> QDiffOperator:
 
 def qdiff_operator_g300() -> QDiffOperator:
     """Order-2 operator annihilating G_(3,0,0)."""
-    return _annihilator(coupled_g_system(), 0)
+    return _annihilator("g300")
 
 
 def qdiff_operator_g111() -> QDiffOperator:
     """Order-2 operator annihilating G_(1,1,1)."""
-    return _annihilator(coupled_g_system(), 1)
+    return _annihilator("g111")
 
 
 def qdiff_operator_d123() -> QDiffOperator:
     """Order-3 operator annihilating the length-graded D1-D3 series."""
-    return _annihilator(derive_transfer_system(build_avoidance_dfa()).matrix, 0)
+    return _annihilator("d123")
 
 
 def qdiff_operator_d1234() -> QDiffOperator:
     """Order-3 operator annihilating the length-graded D1-D4 series."""
-    return _annihilator(derive_transfer_system(build_avoidance_dfa()).matrix, 1)
+    return _annihilator("d1234")
 
 
 # ----------------------------------------------------------------------

@@ -197,9 +197,7 @@ def cmd_uncouple(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    if args.qorder < 10:
-        raise ValueError("--qorder must be >= 10")
-    reports = verify_all(args.qorder, nmax_recurrence=args.nmax)
+    reports = verify_all(args.qorder, args.nmax)
     for r in reports:
         line = f"{r.status.upper():4} {r.task}"
         if args.timings:

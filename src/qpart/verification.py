@@ -2,10 +2,10 @@
 
 Each task checks one exact identity family (a theorem's product side, an
 operator annihilation, a recursion display, a certificate, ...) at a
-configurable truncation order and returns a RunReport; failures always
-carry a witness locating the first mismatching coefficient.  Heavy
-intermediates (the enumerated series, the profile family, language
-series, the uncoupled operators) are cached per run.
+configurable truncation order and returns its inputs and a witness: None
+when the check holds, else the first mismatch.  ``verify_all`` names, times
+and reports every task.  Heavy intermediates (the enumerated series, the
+profile family, language series, operators and certificates) are built once.
 """
 
 from __future__ import annotations
@@ -96,6 +96,17 @@ def _first_witness(witnesses: Iterable[dict | None]) -> dict | None:
     return next((w for w in witnesses if w is not None), None)
 
 
+class _Memo(dict):
+    """A dict that builds each missing entry from its key, once."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        self[key] = value = self.build(key)
+        return value
+
+
 class VerificationRun:
     """One run's settings (``qorder``, ``nmax``) and the expensive shared
     intermediates, each built once per run."""
@@ -111,8 +122,10 @@ class VerificationRun:
         # criterion: layer count vs recursion mod q^20 (total size <= 19);
         # below q^20 it checks sizes < qorder
         self.cyl_order = min(qorder - 1, 19)
-        self._uncoupled: dict[tuple[str, int], QDiffOperator] = {}
-        self._certificates: dict[str, catalog.CertificateSet] = {}
+        # by name: the catalog's certificate sets, and the operators of
+        # catalog.OPERATOR_OF uncoupled (the catalog's qdiff_operator_* negated)
+        self.certificates: dict[str, catalog.CertificateSet] = _Memo(lambda name: catalog.certificate(name))
+        self.operators: dict[str, QDiffOperator] = _Memo(self._uncouple)
 
     @cached_property
     def f_d123(self) -> BiSeries:
@@ -138,40 +151,22 @@ class VerificationRun:
     def language(self) -> dict[int, BiSeries]:
         return solve_language_series(self.transfer, self.bigraded_order)
 
-    def uncoupled(self, system: str, component: int) -> QDiffOperator:
-        """The 2x2 profile system (``"2x2"``) or the automaton's transfer
-        system (``"5x5"``) uncoupled at one component, once per run.  The
-        catalog's ``qdiff_operator_*`` are these operators negated."""
-        key = (system, component)
-        if key not in self._uncoupled:
-            matrix = catalog.coupled_g_system() if system == "2x2" else self.transfer.matrix
-            self._uncoupled[key] = uncouple_system(matrix, component)
-        return self._uncoupled[key]
-
-    def certificate(self, name: str) -> catalog.CertificateSet:
-        """The catalog's certificate set ``name``, built once per run."""
-        if name not in self._certificates:
-            self._certificates[name] = catalog.certificate(name)
-        return self._certificates[name]
+    def _uncouple(self, name: str) -> QDiffOperator:
+        system, component = catalog.OPERATOR_OF[name]
+        return uncouple_system(catalog.coupled_g_system() if system == "2x2" else self.transfer.matrix, component)
 
 
-def _report(task: str, inputs: dict, witness: dict | None) -> RunReport:
-    return RunReport(task, "pass" if witness is None else "fail", inputs, witness)
-
-
-def _product_report(
-    task: str, run: VerificationRun, lhs: QSeries, spec, anchors: dict[int, int]
-) -> RunReport:
+def _product_witness(run: VerificationRun, lhs: QSeries, spec, anchors: dict[int, int]) -> dict | None:
     """lhs against the product; once they agree, the anchor coefficients too."""
     witness = _witness("coefficient", lhs, pochhammer_expand(spec, run.qorder))
     got = [lhs.coeffs[e] for e in anchors]
     expected = list(anchors.values())
     if witness is None and got != expected:
         witness = {"kind": "anchor", "got": [str(c) for c in got], "expected": [str(c) for c in expected]}
-    return _report(task, {"qorder": run.qorder}, witness)
+    return witness
 
 
-def _qdiff_report(task: str, run: VerificationRun, checks) -> RunReport:
+def _qdiff_witness(checks) -> dict | None:
     """Each (name, operator, series) must give zero; the witness is the lowest term left."""
 
     def witness(name, op, series) -> dict | None:
@@ -181,10 +176,10 @@ def _qdiff_report(task: str, run: VerificationRun, checks) -> RunReport:
         m = min(res.slices)
         return {"kind": f"operator-{name}", "x_exp": m, "q_exp": res.slices[m].valuation()}
 
-    return _report(task, {"qorder": run.qorder}, _first_witness(witness(*c) for c in checks))
+    return _first_witness(witness(*c) for c in checks)
 
 
-def _relations_report(task: str, run: VerificationRun, relations) -> RunReport:
+def _relations_witness(run: VerificationRun, relations) -> dict | None:
     """Each (kind, target, terms) must hold over the profile family:
     target = sum of coeff * source(x q^shift) over its (coeff, shift, source) terms."""
     fam = run.cw_family
@@ -193,25 +188,25 @@ def _relations_report(task: str, run: VerificationRun, relations) -> RunReport:
         rhs = shift_combination(((coeff, shift, fam[source]) for coeff, shift, source in terms), run.qorder)
         return _witness(kind, fam[target], rhs)
 
-    return _report(task, {"qorder": run.qorder}, _first_witness(witness(*r) for r in relations))
+    return _first_witness(witness(*r) for r in relations)
 
 
 # ----------------------------------------------------------------------
 # the tasks, in criterion order
 
 
-def task_product_d123(run: VerificationRun) -> RunReport:
+def task_product_d123(run: VerificationRun) -> tuple[dict, dict | None]:
     """Enumeration at x=1 equals the D1-D3 class product; anchors 1,2,2,4."""
-    return _product_report("product-d123", run, run.f_d123.eval_x1(), catalog.PRODUCT_D123,
-                           {0: 1, 1: 2, 2: 2, 3: 4})
+    return {"qorder": run.qorder}, _product_witness(run, run.f_d123.eval_x1(), catalog.PRODUCT_D123,
+                                                    {0: 1, 1: 2, 2: 2, 3: 4})
 
 
-def task_product_d1234(run: VerificationRun) -> RunReport:
+def task_product_d1234(run: VerificationRun) -> tuple[dict, dict | None]:
     """Enumeration at x=1 equals the D1-D4 class product; anchors at q^6, q^7."""
-    return _product_report("product-d1234", run, run.f_d1234.eval_x1(), catalog.PRODUCT_D1234, {6: 5, 7: 4})
+    return {"qorder": run.qorder}, _product_witness(run, run.f_d1234.eval_x1(), catalog.PRODUCT_D1234, {6: 5, 7: 4})
 
 
-def task_ag_bigraded(run: VerificationRun) -> RunReport:
+def task_ag_bigraded(run: VerificationRun) -> tuple[dict, dict | None]:
     """The quadruple sums equal the bigraded generating functions."""
     n = run.bigraded_order
     witness = _first_witness(
@@ -221,10 +216,10 @@ def task_ag_bigraded(run: VerificationRun) -> RunReport:
             ("d1234", catalog.AG_D1234, run.f_d1234),
         )
     )
-    return _report("ag-bigraded", {"qorder": n}, witness)
+    return {"qorder": n}, witness
 
 
-def task_ag_cylindric(run: VerificationRun) -> RunReport:
+def task_ag_cylindric(run: VerificationRun) -> tuple[dict, dict | None]:
     """The max-part-graded quadruple sums equal the profile series."""
     n = run.bigraded_order
     fam = run.cw_family
@@ -233,19 +228,20 @@ def task_ag_cylindric(run: VerificationRun) -> RunReport:
         for name, spec, profile in (
             ("g111", catalog.AG_G111, (1, 1, 1)),
             ("g300", catalog.AG_G300, (3, 0, 0)),
+            ("aux", catalog.AG_AUX, (2, 1, 0)),
         )
     )
-    return _report("ag-cylindric", {"qorder": n}, witness)
+    return {"qorder": n}, witness
 
 
-def task_aux_identity(run: VerificationRun) -> RunReport:
+def task_aux_identity(run: VerificationRun) -> tuple[dict, dict | None]:
     """The auxiliary quadruple sum equals 1/(q,q^2;q^3)_inf."""
     lhs = evaluate_ag_sum(catalog.AG_AUX, run.qorder).eval_x1()
     witness = _witness("coefficient", lhs, pochhammer_expand(catalog.PRODUCT_AUX, run.qorder))
-    return _report("aux-identity", {"qorder": run.qorder}, witness)
+    return {"qorder": run.qorder}, witness
 
 
-def task_pattern_equivalence(run: VerificationRun) -> RunReport:
+def task_pattern_equivalence(run: VerificationRun) -> tuple[dict, dict | None]:
     """Difference conditions D1-D3 match the forbidden-pattern families."""
     witness = None
     count = 0
@@ -254,20 +250,20 @@ def task_pattern_equivalence(run: VerificationRun) -> RunReport:
         if check_condition(lam, COND_D123) != (not violates_forbidden_patterns(lam)):
             witness = {"kind": "partition", "partition": to_pairs(lam)}
             break
-    return _report("pattern-equivalence", {"max_size": PATTERN_MAX_SIZE, "checked": count}, witness)
+    return {"max_size": PATTERN_MAX_SIZE, "checked": count}, witness
 
 
-def task_dfa_table(run: VerificationRun) -> RunReport:
+def task_dfa_table(run: VerificationRun) -> tuple[dict, dict | None]:
     """The minimal DFA has 6 states, one accept state, and the golden table."""
     dfa = run.dfa
     golden = json.loads((GOLDEN_DIR / "dfa_canonical.json").read_text())
     witness = None
     if not (dfa.n_states == 6 and len(dfa.accepts) == 1 and dfa.to_json() == golden):
         witness = {"kind": "dfa", "states": dfa.n_states, "accepts": sorted(dfa.accepts)}
-    return _report("dfa-table", {"words": 48}, witness)
+    return {"words": 48}, witness
 
 
-def task_transfer_matrix(run: VerificationRun) -> RunReport:
+def task_transfer_matrix(run: VerificationRun) -> tuple[dict, dict | None]:
     """The derived coupled-system matrix equals the golden 5x5 matrix."""
     golden = json.loads((GOLDEN_DIR / "transfer_matrix.json").read_text())
     got = [[e.to_json() for e in row] for row in run.transfer.matrix]
@@ -279,10 +275,10 @@ def task_transfer_matrix(run: VerificationRun) -> RunReport:
             for j, (ge, e) in enumerate(zip(grow, row))
             if ge != e
         ) or {"kind": "matrix"}
-    return _report("transfer-matrix", {}, witness)
+    return {}, witness
 
 
-def task_language_series(run: VerificationRun) -> RunReport:
+def task_language_series(run: VerificationRun) -> tuple[dict, dict | None]:
     """Component 0 counts the D1-D3 class; component 1 the D1-D4 class."""
     n = run.bigraded_order
     witness = _first_witness(
@@ -292,41 +288,41 @@ def task_language_series(run: VerificationRun) -> RunReport:
             ("state1-vs-d1234", 1, run.f_d1234),
         )
     )
-    return _report("language-series", {"qorder": n}, witness)
+    return {"qorder": n}, witness
 
 
-def task_qdiff_colored(run: VerificationRun) -> RunReport:
+def task_qdiff_colored(run: VerificationRun) -> tuple[dict, dict | None]:
     """The two order-3 operators of the automaton annihilate the enumerated series."""
-    return _qdiff_report("qdiff-colored", run, (
-        ("d123", run.uncoupled("5x5", 0), run.f_d123),
-        ("d1234", run.uncoupled("5x5", 1), run.f_d1234),
+    return {"qorder": run.qorder}, _qdiff_witness((
+        ("d123", run.operators["d123"], run.f_d123),
+        ("d1234", run.operators["d1234"], run.f_d1234),
     ))
 
 
-def task_recursion_displays(run: VerificationRun) -> RunReport:
+def task_recursion_displays(run: VerificationRun) -> tuple[dict, dict | None]:
     """The four subset-recursion displays hold for the computed family."""
-    return _relations_report("recursion-displays", run, [
+    return {"qorder": run.qorder}, _relations_witness(run, [
         (f"recursion-{target}", target, terms) for target, terms in catalog.RECURSION_DISPLAYS
     ])
 
 
-def task_first_order_relations(run: VerificationRun) -> RunReport:
+def task_first_order_relations(run: VerificationRun) -> tuple[dict, dict | None]:
     """The four derived first-order relations hold (two of them are the 2x2 system)."""
-    return _relations_report("first-order-relations", run, [
+    return {"qorder": run.qorder}, _relations_witness(run, [
         (f"first-order-{target}", target, terms) for target, terms in catalog.FIRST_ORDER_RELATIONS
     ])
 
 
-def task_qdiff_cylindric(run: VerificationRun) -> RunReport:
+def task_qdiff_cylindric(run: VerificationRun) -> tuple[dict, dict | None]:
     """The two order-2 operators of the 2x2 system annihilate the profile series."""
     fam = run.cw_family
-    return _qdiff_report("qdiff-cylindric", run, (
-        ("g300", run.uncoupled("2x2", 0), fam[(3, 0, 0)]),
-        ("g111", run.uncoupled("2x2", 1), fam[(1, 1, 1)]),
+    return {"qorder": run.qorder}, _qdiff_witness((
+        ("g300", run.operators["g300"], fam[(3, 0, 0)]),
+        ("g111", run.operators["g111"], fam[(1, 1, 1)]),
     ))
 
 
-def task_cylindric_enumeration(run: VerificationRun) -> RunReport:
+def task_cylindric_enumeration(run: VerificationRun) -> tuple[dict, dict | None]:
     """The layer count equals the recursion solution for all 10 profiles."""
     n = run.cyl_order
     fam = run.cw_family
@@ -335,10 +331,10 @@ def task_cylindric_enumeration(run: VerificationRun) -> RunReport:
                  profile=list(profile))
         for profile in profile_orbit((3, 0, 0))
     )
-    return _report("cylindric-enumeration", {"max_size": n, "profiles": 10}, witness)
+    return {"max_size": n, "profiles": 10}, witness
 
 
-def task_specialized_products(run: VerificationRun) -> RunReport:
+def task_specialized_products(run: VerificationRun) -> tuple[dict, dict | None]:
     """F(1, q) * (q;q)_inf equals the two class product sides."""
     fam = run.cw_family
     euler = pochhammer_expand(catalog.EULER_PRODUCT, run.qorder)
@@ -349,24 +345,23 @@ def task_specialized_products(run: VerificationRun) -> RunReport:
             ("g300-vs-d1234-product", (3, 0, 0), catalog.PRODUCT_D1234),
         )
     )
-    return _report("specialized-products", {"qorder": run.qorder}, witness)
+    return {"qorder": run.qorder}, witness
 
 
-def task_certificates(run: VerificationRun) -> RunReport:
+def task_certificates(run: VerificationRun) -> tuple[dict, dict | None]:
     """All four certificate sets verify exactly after documented emendations."""
 
     def witness(name: str) -> dict | None:
-        res = verify_certificate(catalog.certificate_term(name), run.certificate(name))
+        res = verify_certificate(catalog.certificate_term(name), run.certificates[name])
         if res.ok:
             return None
         return {"kind": f"certificate-{name}", "residual_terms": res.residual_terms,
                 "residual_sample": res.residual_sample}
 
-    return _report("certificates", {"sets": list(catalog.CERTIFICATE_NAMES)},
-                   _first_witness(witness(name) for name in catalog.CERTIFICATE_NAMES))
+    return {"sets": list(catalog.CERTIFICATE_NAMES)}, _first_witness(map(witness, catalog.CERTIFICATE_NAMES))
 
 
-def task_recurrences(run: VerificationRun) -> RunReport:
+def task_recurrences(run: VerificationRun) -> tuple[dict, dict | None]:
     """The certificate recurrences annihilate the brute-force sums.
 
     Exact rational evaluation over the full support at three fixed points,
@@ -376,31 +371,27 @@ def task_recurrences(run: VerificationRun) -> RunReport:
     nmax = run.nmax
 
     def witness(name: str) -> dict | None:
-        plist = recurrence_from_certificate(run.certificate(name))
+        plist = recurrence_from_certificate(run.certificates[name])
         failure = first_recurrence_failure(catalog.certificate_term(name), plist, nmax, RECURRENCE_POINTS)
         return failure and {"kind": f"recurrence-{name}", **failure}
 
-    return _report("recurrences", {"nmax": nmax, "points": [str(p) for p in RECURRENCE_POINTS]},
-                   _first_witness(witness(name) for name in catalog.CERTIFICATE_NAMES))
+    return ({"nmax": nmax, "points": [str(p) for p in RECURRENCE_POINTS]},
+            _first_witness(map(witness, catalog.CERTIFICATE_NAMES)))
 
 
-_OPERATOR_OF = {"g111": ("2x2", 1), "g300": ("2x2", 0), "d123": ("5x5", 0), "d1234": ("5x5", 1)}
-
-
-def task_combination_identity(run: VerificationRun) -> RunReport:
+def task_combination_identity(run: VerificationRun) -> tuple[dict, dict | None]:
     """Each certificate recurrence right-divides the recurrence read off the
-    operator of its sum's system and component (``_OPERATOR_OF``)."""
+    operator of its sum's system and component (``catalog.OPERATOR_OF``)."""
 
     def witness(name: str) -> dict | None:
-        rem = recurrence_remainder(recurrence_from_operator(run.uncoupled(*_OPERATOR_OF[name])),
-                                   recurrence_from_certificate(run.certificate(name)))
+        rem = recurrence_remainder(recurrence_from_operator(run.operators[name]),
+                                   recurrence_from_certificate(run.certificates[name]))
         return {"kind": f"remainder-{name}", "j": min(rem)} if rem else None
 
-    return _report("combination-identity", {},
-                   _first_witness(witness(name) for name in catalog.CERTIFICATE_NAMES))
+    return {}, _first_witness(map(witness, catalog.CERTIFICATE_NAMES))
 
 
-def task_chain(run: VerificationRun) -> RunReport:
+def task_chain(run: VerificationRun) -> tuple[dict, dict | None]:
     """The closing chain: four independent routes to each of the two series.
 
     enumeration = quadruple sum = profile series at x=1 = infinite product,
@@ -428,22 +419,22 @@ def task_chain(run: VerificationRun) -> RunReport:
         for cls, items in routes.items()
         for name, series in items[1:]
     )
-    return _report("chain", {"qorder": n}, witness)
+    return {"qorder": n}, witness
 
 
-def task_uncoupling(run: VerificationRun) -> RunReport:
+def task_uncoupling(run: VerificationRun) -> tuple[dict, dict | None]:
     """Uncoupled scalar operators annihilate the independent series."""
     n = run.bigraded_order
-    # (witness, system, component, series): the series is built only when its check runs
+    # (witness, operator name, series): the series is built only when its check runs
     checks = (
-        ({"kind": "uncouple-2x2"}, "2x2", 0, lambda: run.cw_family[(3, 0, 0)]),
-        ({"kind": "uncouple-5x5", "component": 0}, "5x5", 0, lambda: run.f_d123.truncate(n)),
-        ({"kind": "uncouple-5x5", "component": 1}, "5x5", 1, lambda: run.f_d1234.truncate(n)),
+        ({"kind": "uncouple-2x2"}, "g300", lambda: run.cw_family[(3, 0, 0)]),
+        ({"kind": "uncouple-5x5", "component": 0}, "d123", lambda: run.f_d123.truncate(n)),
+        ({"kind": "uncouple-5x5", "component": 1}, "d1234", lambda: run.f_d1234.truncate(n)),
     )
-    return _report("uncoupling", {}, _first_witness(
-        None if apply_qdiff(run.uncoupled(system, comp), series()).is_zero() else witness
-        for witness, system, comp, series in checks
-    ))
+    return {}, _first_witness(
+        None if apply_qdiff(run.operators[name], series()).is_zero() else witness
+        for witness, name, series in checks
+    )
 
 
 TASKS = [
@@ -470,23 +461,27 @@ TASKS = [
 ]
 
 
-def verify_all(qorder: int = 30, nmax_recurrence: int = 25) -> list[RunReport]:
-    """Run the whole battery in fixed task order, timing each task.
+#: each task's report name: its function name less ``task_``, with dashes
+TASK_NAMES = [task.__name__.removeprefix("task_").replace("_", "-") for task in TASKS]
 
-    A task that raises is reported with status "error" and the exception
-    as its witness, under its function name less ``task_``; the remaining
-    tasks still run.
+
+def verify_all(qorder: int = 30, nmax: int = 25) -> list[RunReport]:
+    """Run the whole battery in fixed task order and report every task.
+
+    Each report is named from ``TASK_NAMES``, timed, and passes when the
+    task's witness is None.  A task that raises is reported with status
+    "error" and the exception as its witness; the remaining tasks still run.
+    Settings ``VerificationRun`` rejects raise ValueError before any task.
     """
-    run = VerificationRun(qorder, nmax_recurrence)
+    run = VerificationRun(qorder, nmax)
     reports = []
-    for task in TASKS:
+    for name, task in zip(TASK_NAMES, TASKS):
         t0 = time.perf_counter()
         try:
-            report = task(run)
+            inputs, witness = task(run)
+            status = "pass" if witness is None else "fail"
         except Exception as exc:
-            name = task.__name__.removeprefix("task_").replace("_", "-")
+            inputs, status = {}, "error"
             witness = {"kind": "exception", "type": type(exc).__name__, "message": str(exc)}
-            report = RunReport(name, "error", {}, witness)
-        report.wall_time = time.perf_counter() - t0
-        reports.append(report)
+        reports.append(RunReport(name, status, inputs, witness, time.perf_counter() - t0))
     return reports

@@ -52,66 +52,58 @@ def _criterion(number: int, label: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_01_d123_product(run):
-    r = task_product_d123(run)
-    _criterion(1, "D1-D3 class equals its product side mod q^30", r.ok, json.dumps(r.witness) if r.witness else "")
+    _, w = task_product_d123(run)
+    _criterion(1, "D1-D3 class equals its product side mod q^30", w is None, json.dumps(w) if w else "")
 
 
 def test_criterion_02_d1234_product(run):
-    r = task_product_d1234(run)
-    _criterion(2, "D1-D4 class equals its product side mod q^30", r.ok, json.dumps(r.witness) if r.witness else "")
+    _, w = task_product_d1234(run)
+    _criterion(2, "D1-D4 class equals its product side mod q^30", w is None, json.dumps(w) if w else "")
 
 
 def test_criterion_03_bigraded_sums(run):
-    r = task_ag_bigraded(run)
-    _criterion(3, "quadruple sums equal bigraded series mod q^25", r.ok, json.dumps(r.witness) if r.witness else "")
+    _, w = task_ag_bigraded(run)
+    _criterion(3, "quadruple sums equal bigraded series mod q^25", w is None, json.dumps(w) if w else "")
 
 
 def test_criterion_04_aux_identity(run):
-    r = task_aux_identity(run)
-    _criterion(4, "auxiliary quadruple sum equals 1/(q,q^2;q^3) mod q^30", r.ok)
+    _, w = task_aux_identity(run)
+    _criterion(4, "auxiliary quadruple sum equals 1/(q,q^2;q^3) mod q^30", w is None)
 
 
 def test_criterion_05_pattern_equivalence(run):
-    r = task_pattern_equivalence(run)
-    _criterion(5, f"conditions match forbidden patterns on all {r.inputs['checked']} partitions of size <= 18", r.ok)
+    inputs, w = task_pattern_equivalence(run)
+    _criterion(5, f"conditions match forbidden patterns on all {inputs['checked']} partitions of size <= 18", w is None)
 
 
 def test_criterion_06_automaton_pipeline(run):
-    r1 = task_dfa_table(run)
-    r2 = task_transfer_matrix(run)
-    r3 = task_language_series(run)
-    ok = r1.ok and r2.ok and r3.ok
+    ok = all([task(run)[1] is None for task in (task_dfa_table, task_transfer_matrix, task_language_series)])
     _criterion(6, "6-state table, 5x5 matrix, and component series mod q^25", ok)
 
 
 def test_criterion_07_colored_operators(run):
-    r = task_qdiff_colored(run)
-    _criterion(7, "both scalar operators annihilate the enumerated series mod q^30", r.ok)
+    _, w = task_qdiff_colored(run)
+    _criterion(7, "both scalar operators annihilate the enumerated series mod q^30", w is None)
 
 
 def test_criterion_08_profile_recursion(run):
-    r1 = task_recursion_displays(run)
-    r2 = task_first_order_relations(run)
-    r3 = task_qdiff_cylindric(run)
-    r4 = task_cylindric_enumeration(run)
-    r5 = task_specialized_products(run)
-    ok = all(r.ok for r in (r1, r2, r3, r4, r5))
+    tasks = (task_recursion_displays, task_first_order_relations, task_qdiff_cylindric,
+             task_cylindric_enumeration, task_specialized_products)
+    ok = all([task(run)[1] is None for task in tasks])
     _criterion(8, "recursion displays, derived relations, operators, enumeration mod q^20, products", ok)
 
 
 def test_criterion_09_certificates(run):
-    r1 = task_certificates(run)
-    r2 = task_recurrences(run)
-    r3 = task_combination_identity(run)
-    r4 = task_ag_cylindric(run)  # the two sum sides against the profile series
-    ok = r1.ok and r2.ok and r3.ok and r4.ok
+    # ag-cylindric: the sum sides against the profile series
+    tasks = (task_certificates, task_recurrences, task_combination_identity, task_ag_cylindric)
+    ok = all([task(run)[1] is None for task in tasks])
     _criterion(9, "certificates verify; recurrences annihilate f_n for n <= 25; combination identity", ok)
 
 
 def test_criterion_10_chain(run):
-    r = task_chain(run)
-    _criterion(10, "four independent routes agree mod q^30 for both classes", r.ok,
-               json.dumps(r.witness) if r.witness else "")
+    _, w = task_chain(run)
+    _criterion(10, "four independent routes agree mod q^30 for both classes", w is None,
+               json.dumps(w) if w else "")
 
 
 def test_criterion_11_property_suites(run):
@@ -158,5 +150,5 @@ def test_criterion_11_property_suites(run):
 def test_criterion_12_uncoupling_supplement(run):
     # not numbered in the criteria list, but the uncoupled annihilators are
     # part of the pipeline contract: keep them under the gate
-    r = task_uncoupling(run)
-    _criterion(12, "uncoupled scalar operators annihilate independent series", r.ok)
+    _, w = task_uncoupling(run)
+    _criterion(12, "uncoupled scalar operators annihilate independent series", w is None)

@@ -163,6 +163,7 @@ def test_emit_unknown_target_is_an_error():
     ["series", "--which", "d123", "--qorder", "0"],
     ["enumerate", "--max-size", "5", "--cond", "D9"],
     ["verify-all", "--qorder", "10", "--nmax", "-1"],
+    ["verify-all", "--qorder", "9"],
     ["certify", "--name", "g111", "--recurrence-check", "-3"],
     # the file arguments below are checked before any file is read
     ["celine", "--term", "term.json", "--order", "3", "--support", "printed"],
@@ -191,7 +192,7 @@ def test_emit_unknown_target_is_an_error():
     ["dfa", "--emit-words", "--out", "missing/words.txt"],
     # the printed g111 set has no verbatim reading to build
     ["certify", "--name", "g111", "--verbatim"],
-], ids=["zero-profile", "series-qorder-0", "unknown-condition", "verify-all-nmax-negative",
+], ids=["zero-profile", "series-qorder-0", "unknown-condition", "verify-all-nmax-negative", "verify-all-qorder-9",
         "certify-recurrence-check-negative", "celine-term-with-printed-support", "certify-no-term",
         "celine-no-term", "certify-term-without-cert", "certify-name-and-term", "celine-name-and-term",
         "cylindric-enumerate-without-stat-f", "cylindric-enumerate-qorder-0",
