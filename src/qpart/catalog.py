@@ -149,10 +149,21 @@ def coupled_g_system() -> list[list[LaurentPoly]]:
 OPERATOR_OF = {"g111": ("2x2", 1), "g300": ("2x2", 0), "d123": ("5x5", 0), "d1234": ("5x5", 1)}
 
 
+def _automaton_matrix():
+    return derive_transfer_system(build_avoidance_dfa()).matrix
+
+
+def system_matrix(system: str, transfer_matrix=_automaton_matrix):
+    """The matrix of a system named as in ``OPERATOR_OF``: "2x2" is
+    ``coupled_g_system()`` and "5x5" is ``transfer_matrix()``, by default the
+    automaton's; a caller that holds a transfer system passes its own, which
+    is read only for the 5x5 system."""
+    return {"2x2": coupled_g_system, "5x5": transfer_matrix}[system]()
+
+
 def _annihilator(name: str) -> QDiffOperator:
     system, component = OPERATOR_OF[name]
-    matrix = coupled_g_system() if system == "2x2" else derive_transfer_system(build_avoidance_dfa()).matrix
-    op = uncouple_system(matrix, component)
+    op = uncouple_system(system_matrix(system), component)
     # uncoupling makes the last coefficient's leading term positive; these
     # operators keep the opposite sign they were first typed in with, whose
     # bytes the highorder benchmark digests pin

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
@@ -63,9 +64,7 @@ def cmd_enumerate(args) -> int:
     conds = _parse_conds(args.cond)
     partitions = enumerate_2colored(args.max_size, conds)
     if args.count_only:
-        counts: dict[int, int] = {}
-        for lam in partitions:
-            counts[size(lam)] = counts.get(size(lam), 0) + 1
+        counts = Counter(map(size, partitions))
         _write(serialize.dumps({str(k): v for k, v in sorted(counts.items())}), args.out)
     else:
         lines = [serialize.dumps(to_pairs(lam)).rstrip("\n") for lam in partitions]
@@ -185,10 +184,8 @@ def cmd_celine(args) -> int:
 
 
 def cmd_uncouple(args) -> int:
-    if args.system == "builtin-2x2":
-        matrix, step = catalog.coupled_g_system(), 3
-    elif args.system == "builtin-5x5":
-        matrix, step = derive_transfer_system(build_avoidance_dfa()).matrix, 3
+    if args.system in ("builtin-2x2", "builtin-5x5"):
+        matrix, step = catalog.system_matrix(args.system.removeprefix("builtin-")), 3
     else:
         matrix, step = _read_input(args.system, serialize.system_from_json)
     op = uncouple_system(matrix, args.component, step)

@@ -15,6 +15,9 @@ Two equivalent descriptions of the same partition classes are implemented:
 
 All conditions are local to windows of at most four consecutive parts, so
 both the membership tests and the pruned enumeration run in linear time.
+A window can break D1-D3 only where its last part lies at most ``NEAR`` (2)
+below the part before it, and D4 only at a part of magnitude <= 2; the walk
+and ``check_condition`` test the windows ending at those parts and no others.
 The pattern test reads the families only through ``family_windows``: it
 looks up each window among the literal family instances, and is
 cross-checked in the test suite against literal pattern matching over all
@@ -24,6 +27,8 @@ the family generators.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .series import BiSeries, QSeries, TruncationError
@@ -62,7 +67,7 @@ def validate(parts: Sequence[Part]) -> Partition:
 
 
 def size(parts: Sequence[Part]) -> int:
-    return sum(p[0] for p in parts)
+    return sum(map(itemgetter(0), parts))
 
 
 def to_pairs(parts: Sequence[Part]) -> list[list]:
@@ -96,6 +101,15 @@ def _d3_win4(a: Part, b: Part, c: Part, d: Part) -> bool:
 
 
 _D4_BANNED = frozenset({(1, PLUS), (1, MINUS), (2, MINUS)})
+#: D4 bans parts of magnitude at most this
+_D4_TOP = max(m for m, _ in _D4_BANNED)
+
+#: A window ending at part i can break D1-D3 only if part i lies at most
+#: NEAR below part i-1: D1 needs a gap <= 1 and D2 a gap of exactly 2; the
+#: D3 3-windows end at a gap of 0 or 2 and the D3 4-window at a gap of 1.
+#: D4 bans only parts of magnitude <= _D4_TOP.  So a window ending at a gap
+#: above NEAR, at a part above _D4_TOP, never needs ``_violation_ending_at``.
+NEAR = 2
 
 
 def _violation_ending_at(parts: Sequence[Part], i: int, d1: bool, d2: bool, d3: bool, d4: bool) -> bool:
@@ -130,22 +144,46 @@ COND_D123 = frozenset({"D1", "D2", "D3"})
 COND_D1234 = frozenset({"D1", "D2", "D3", "D4"})
 
 
+#: the flags of every subset of D1..D4, keyed by its names
+_FLAGS = {
+    frozenset(name for name, on in zip(("D1", "D2", "D3", "D4"), flags) if on): flags
+    for flags in product((False, True), repeat=4)
+}
+#: for each choice of flags, the largest gap at which D1-D3 can fire and the
+#: largest magnitude at which D4 can (-1 and 0 when none of them is selected)
+_LIMITS = {flags: (NEAR if any(flags[:3]) else -1, _D4_TOP if flags[3] else 0) for flags in _FLAGS.values()}
+
+
 def _condition_flags(which: Iterable[str]) -> tuple[bool, bool, bool, bool]:
     """Which of D1..D4 are selected; any other name, or a bare string, is an error."""
+    try:
+        return _FLAGS[which]
+    except (KeyError, TypeError):  # not a frozenset of condition names
+        pass
     if isinstance(which, str):
         raise ValueError(f"conditions must be a collection such as {{'D1'}}, not the string {which!r}")
     wanted = frozenset(which)
     if not wanted <= COND_D1234:
         raise ValueError(f"unknown conditions: {sorted(wanted - COND_D1234)}")
-    return "D1" in wanted, "D2" in wanted, "D3" in wanted, "D4" in wanted
+    return _FLAGS[wanted]
 
 
 def check_condition(parts: Sequence[Part], which: Iterable[str]) -> bool:
-    """Check a subset of the conditions {"D1", "D2", "D3", "D4"}."""
-    d1, d2, d3, d4 = _condition_flags(which)
-    for i in range(len(parts)):
-        if _violation_ending_at(parts, i, d1, d2, d3, d4):
+    """Check a subset of the conditions {"D1", "D2", "D3", "D4"}.
+
+    Only the windows that can fail are tested: those ending at a part at
+    most ``NEAR`` below the one before it (a negative gap included), and,
+    under D4, those ending at a part of magnitude <= 2.
+    """
+    flags = _condition_flags(which)
+    near, low = _LIMITS[flags]
+    d1, d2, d3, d4 = flags
+    # the first part has no gap to test: start its predecessor out of reach
+    prev = parts[0][0] + near + 1 if parts else 0
+    for i, (mag, _) in enumerate(parts):
+        if (prev - mag <= near or mag <= low) and _violation_ending_at(parts, i, d1, d2, d3, d4):
             return False
+        prev = mag
     return True
 
 
@@ -214,28 +252,34 @@ def iter_all(max_size: int) -> Iterator[Partition]:
     """All 2-colored partitions of size <= max_size (unspecified order), lazily."""
     if max_size < 0:
         return iter(())
-    return _walk(max_size, False, False, False, False)
+    return (lam for _, lam in _walk(max_size, False, False, False, False))
 
 
-def _walk(max_size: int, d1: bool, d2: bool, d3: bool, d4: bool) -> Iterator[Partition]:
-    """Depth-first generation of the partitions of size <= max_size, parts
-    appended weakly decreasing in the part order, in preorder; a prefix
-    whose newest window violates a selected condition is pruned."""
+_BOTH = (PLUS, MINUS)
+#: the colors a part may take at the magnitude of the part before it, by that part's color
+_BELOW = {PLUS: _BOTH, MINUS: (MINUS,)}
+
+
+def _walk(max_size: int, d1: bool, d2: bool, d3: bool, d4: bool) -> Iterator[tuple[int, Partition]]:
+    """Depth-first generation of (size, partition) for the partitions of
+    size <= max_size, parts appended weakly decreasing in the part order, in
+    preorder; a prefix whose newest window violates a selected condition is
+    pruned.  Only a new part within ``NEAR`` of the previous one, or of
+    magnitude <= 2 under D4, can end a violation, so only those are tested."""
     prefix: list[Part] = []
-    pruning = d1 or d2 or d3 or d4
+    near, low = _LIMITS[d1, d2, d3, d4]
 
-    def descend(budget: int, bound: tuple[int, int]) -> Iterator[Partition]:
-        yield tuple(prefix)
-        for mag in range(min(budget, bound[0]), 0, -1):
-            for colorrank in (1, 0):
-                if (mag, colorrank) > bound:
-                    continue
-                prefix.append((mag, PLUS if colorrank else MINUS))
-                if not (pruning and _violation_ending_at(prefix, len(prefix) - 1, d1, d2, d3, d4)):
-                    yield from descend(budget - mag, (mag, colorrank))
+    def descend(budget: int, top: int, colors: tuple[str, ...]) -> Iterator[tuple[int, Partition]]:
+        yield max_size - budget, tuple(prefix)
+        for mag in range(min(budget, top), 0, -1):
+            tested = (prefix and top - mag <= near) or mag <= low
+            for color in colors if mag == top else _BOTH:
+                prefix.append((mag, color))
+                if not (tested and _violation_ending_at(prefix, len(prefix) - 1, d1, d2, d3, d4)):
+                    yield from descend(budget - mag, mag, _BELOW[color])
                 prefix.pop()
 
-    return descend(max_size, (max_size, 1))
+    return descend(max_size, max_size, _BOTH)
 
 
 def enumerate_2colored(max_size: int, cond: Iterable[str] = ()) -> list[Partition]:
@@ -249,8 +293,8 @@ def enumerate_2colored(max_size: int, cond: Iterable[str] = ()) -> list[Partitio
     if max_size < 0:
         raise ValueError("max_size must be >= 0")
     buckets: dict[tuple[int, int], list[Partition]] = {}
-    for lam in _walk(max_size, *_condition_flags(cond)):
-        buckets.setdefault((size(lam), len(lam)), []).append(lam)
+    for n, lam in _walk(max_size, *_condition_flags(cond)):
+        buckets.setdefault((n, len(lam)), []).append(lam)
     return [lam for key in sorted(buckets) for lam in buckets[key]]
 
 
@@ -261,6 +305,8 @@ def gen_fun(partitions: Iterable[Partition], qorder: int) -> BiSeries:
         n = size(lam)
         if n >= qorder:
             raise TruncationError(f"partition of size {n} does not fit below q^{qorder}")
-        row = slices.setdefault(len(lam), [0] * qorder)
+        row = slices.get(len(lam))
+        if row is None:
+            row = slices[len(lam)] = [0] * qorder
         row[n] += 1
     return BiSeries(qorder, {m: QSeries(qorder, row) for m, row in slices.items()})

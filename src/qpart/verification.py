@@ -153,7 +153,7 @@ class VerificationRun:
 
     def _uncouple(self, name: str) -> QDiffOperator:
         system, component = catalog.OPERATOR_OF[name]
-        return uncouple_system(catalog.coupled_g_system() if system == "2x2" else self.transfer.matrix, component)
+        return uncouple_system(catalog.system_matrix(system, lambda: self.transfer.matrix), component)
 
 
 def _product_witness(run: VerificationRun, lhs: QSeries, spec, anchors: dict[int, int]) -> dict | None:

@@ -9,7 +9,9 @@ same for Laurent polynomials. The library inverts (q;q)_m once for all
 slices of 1/(xq;q)_inf; ``inv_xq_pochhammer_by_slices`` inverts each
 slice's (q;q)_m on its own. The library lists 2-colored
 partitions in walk order grouped by (size, length); ``listing_order_key``
-is the sort key that states the listing order directly. The library
+is the sort key that states the listing order directly. The library tests
+a window for D1-D4 only where it can fail; ``meets_conditions_everywhere``
+tests the window ending at every index. The library
 builds the Celine system one column per slot shape; ``rows_by_slot``
 builds one column per slot and spreads each into the rows.
 """
@@ -17,7 +19,7 @@ builds one column per slot and spreads each into the rows.
 from collections import defaultdict
 
 from qpart.celine import _slot_column
-from qpart.colored import part_key, size
+from qpart.colored import _condition_flags, _violation_ending_at, part_key, size
 from qpart.laurent import LaurentPoly
 from qpart.series import BiSeries, QSeries
 
@@ -25,6 +27,13 @@ from qpart.series import BiSeries, QSeries
 def listing_order_key(lam):
     """The order of enumerate_2colored: size, length, then the parts largest first."""
     return (size(lam), len(lam), tuple((-m, -c) for m, c in map(part_key, lam)))
+
+
+def meets_conditions_everywhere(parts, which) -> bool:
+    """The oracle for check_condition and the pruned walk: no index, none
+    skipped, ends a window that violates a selected condition."""
+    flags = _condition_flags(which)
+    return not any(_violation_ending_at(parts, i, *flags) for i in range(len(parts)))
 
 
 def finite_pochhammer(base: int, length: int, order: int) -> QSeries:

@@ -8,12 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from oracles import listing_order_key
+from oracles import listing_order_key, meets_conditions_everywhere
 from qpart.colored import (
     COND_D123,
     COND_D1234,
+    NEAR,
+    _D4_BANNED,
     _d3_win3,
     _d3_win4,
+    _violation_ending_at,
     _windows_ending_in,
     check_condition,
     enumerate_2colored,
@@ -175,8 +178,33 @@ def test_enumeration_weakly_decreasing_and_ordered():
 
 @pytest.mark.parametrize("cond", ALL_CONDITION_SUBSETS, ids=lambda c: "".join(sorted(c)) or "none")
 def test_listing_is_the_filtered_walk_in_the_sort_key_order(cond):
-    expected = sorted((lam for lam in iter_all(12) if check_condition(lam, cond)), key=listing_order_key)
+    expected = sorted((lam for lam in iter_all(12) if meets_conditions_everywhere(lam, cond)), key=listing_order_key)
     assert enumerate_2colored(12, cond) == expected
+
+
+def test_check_condition_tests_every_window_that_can_fail():
+    # any sequence of up to four parts, increasing ones (negative gaps) too
+    parts = [(m, c) for m in range(1, 7) for c in (P, M)]
+    seqs = [seq for n in range(5) for seq in itertools.product(parts, repeat=n)]
+    for cond in (COND_D123, COND_D1234, {"D1"}, {"D2"}, {"D3"}, {"D4"}):
+        assert [check_condition(seq, cond) for seq in seqs] == [meets_conditions_everywhere(seq, cond) for seq in seqs]
+
+
+def test_only_near_windows_break_d1_to_d3_and_d4_bans_its_parts():
+    """The lemma behind NEAR, over every weakly decreasing window of 2-4
+    parts with magnitudes 1..12 (four residue periods mod 3)."""
+    parts = sorted(((m, c) for m in range(1, 13) for c in (P, M)), key=part_key, reverse=True)
+    fired_at_near = False
+    for n in (2, 3, 4):
+        for win in itertools.combinations_with_replacement(parts, n):
+            i = n - 1
+            gap = win[-2][0] - win[-1][0]
+            d123 = _violation_ending_at(win, i, True, True, True, False)
+            assert not (d123 and gap > NEAR), win
+            fired_at_near = fired_at_near or (d123 and gap == NEAR)
+            assert _violation_ending_at(win, i, False, False, False, True) == (win[-1] in _D4_BANNED), win
+    # the bound is tight: a window at a gap of exactly NEAR does fire
+    assert fired_at_near
 
 
 def test_iter_all_is_lazy():

@@ -1040,3 +1040,13 @@ def test_pprime_matches_cylindric_coefficient_recurrence():
                     if fc:
                         acc[e + i] = acc.get(e + i, 0) + c * fc
         assert not any(v and e < n - 11 for e, v in acc.items())
+
+
+def test_each_system_name_gives_its_matrix():
+    assert catalog.system_matrix("2x2") == catalog.coupled_g_system()
+    assert catalog.system_matrix("5x5") == derive_transfer_system(build_avoidance_dfa()).matrix
+    # a caller's own transfer matrix is used, and read only for the 5x5 system
+    assert catalog.system_matrix("5x5", lambda: "own") == "own"
+    assert catalog.system_matrix("2x2", lambda: 1 / 0) == catalog.coupled_g_system()
+    with pytest.raises(KeyError):
+        catalog.system_matrix("3x3")
