@@ -7,6 +7,8 @@ q-holonomic recurrences.  Formulas are written with u = q^n and v_i = q^(k_i).
 
 Each identity is typed in once; the other entries are derived from it:
 
+* ``identities`` ties each battery name to its sum, series and product,
+  read from the constants above at each call;
 * ``TERM_*`` (and ``certificate_term``), the terms the certificates
   telescope, are the x^n coefficients of the sums ``AG_*``
   (``AGSumSpec.coefficient_term``);
@@ -30,7 +32,11 @@ printed x^(3n+8) is not a term of the certificate algebra.
 
 from __future__ import annotations
 
+from functools import partial
+from typing import NamedTuple
+
 from .automata import build_avoidance_dfa, derive_transfer_system
+from .colored import COND_D123, COND_D1234
 from .holonomic import (
     XQ_VARS,
     AGSumSpec,
@@ -86,6 +92,35 @@ AG_G300 = AGSumSpec(_QUAD2, (1, 2, 3, 3), (1, 1, 1, 2), _BASES)
 
 #: max-part-graded sum equal to G_(2,1,0), and to 1/(q, q^2; q^3)_inf at x = 1
 AG_AUX = AGSumSpec(_QUAD2, (0, 1, 1, 2), (1, 1, 2, 1), _BASES)
+
+
+class Identity(NamedTuple):
+    """One battery name's ties: ``sum`` equals G of ``profile`` (of the (3,0,0)
+    orbit) or the series of the 2-colored class ``conds``; ``product`` is its
+    product side, and a class at x = 1 equals G of the profile ``profile_at_x1`` names."""
+
+    sum: AGSumSpec
+    profile: tuple[int, ...] | None = None
+    conds: frozenset[str] | None = None
+    product: PochhammerSpec | None = None
+    profile_at_x1: str | None = None
+
+
+def identities() -> dict[str, Identity]:
+    """Each battery name's ties, profiles first; built from the module constants
+    at each call, so a replaced constant reaches every task that reads it."""
+    return {
+        "g111": Identity(AG_G111, profile=(1, 1, 1)),
+        "g300": Identity(AG_G300, profile=(3, 0, 0)),
+        "aux": Identity(AG_AUX, profile=(2, 1, 0), product=PRODUCT_AUX),
+        "d123": Identity(AG_D123, conds=COND_D123, product=PRODUCT_D123, profile_at_x1="g111"),
+        "d1234": Identity(AG_D1234, conds=COND_D1234, product=PRODUCT_D1234, profile_at_x1="g300"),
+    }
+
+
+#: the names of the table's 2-colored classes and of its profiles, in table order
+CLASS_NAMES = tuple(name for name, entry in identities().items() if entry.conds is not None)
+PROFILE_NAMES = tuple(name for name, entry in identities().items() if entry.conds is None)
 
 
 # ----------------------------------------------------------------------
@@ -170,24 +205,12 @@ def _annihilator(name: str) -> QDiffOperator:
     return QDiffOperator(tuple((-c, s) for c, s in op.terms), op.step)
 
 
-def qdiff_operator_g300() -> QDiffOperator:
-    """Order-2 operator annihilating G_(3,0,0)."""
-    return _annihilator("g300")
-
-
-def qdiff_operator_g111() -> QDiffOperator:
-    """Order-2 operator annihilating G_(1,1,1)."""
-    return _annihilator("g111")
-
-
-def qdiff_operator_d123() -> QDiffOperator:
-    """Order-3 operator annihilating the length-graded D1-D3 series."""
-    return _annihilator("d123")
-
-
-def qdiff_operator_d1234() -> QDiffOperator:
-    """Order-3 operator annihilating the length-graded D1-D4 series."""
-    return _annihilator("d1234")
+#: ``qdiff_operator_<name>()`` annihilates the series of ``name``: order 2
+#: on the 2x2 system's profiles, order 3 on the 5x5 system's classes
+qdiff_operator_g300 = partial(_annihilator, "g300")
+qdiff_operator_g111 = partial(_annihilator, "g111")
+qdiff_operator_d123 = partial(_annihilator, "d123")
+qdiff_operator_d1234 = partial(_annihilator, "d1234")
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Iterable
 from . import catalog, serialize
 from .automata import FORBIDDEN_WORDS, build_avoidance_dfa, derive_transfer_system
 from .celine import celine_solve, default_support, support_of
-from .colored import COND_D123, COND_D1234, enumerate_2colored, gen_fun, size, to_pairs
+from .colored import enumerate_2colored, gen_fun, size, to_pairs
 from .cylindric import enumerate_cylindric, g_to_f, solve_cw_family
 from .holonomic import (
     HypTerm,
@@ -29,8 +29,6 @@ from .holonomic import (
 )
 from .series import BiSeries
 from .verification import RECURRENCE_POINTS, verify_all
-
-CONDS = {"d123": COND_D123, "d1234": COND_D1234}
 
 #: the box of a bounds search when its flags are not given
 BOX_DEFAULTS = {"--deg": 3, "--qdeg": 3, "--kbox": 1}
@@ -55,8 +53,8 @@ def _read_input(path: str, parse, load=json.loads):
 
 def _parse_conds(raw: str) -> Iterable[str]:
     raw = raw.strip().lower()
-    if raw in CONDS:
-        return CONDS[raw]
+    if (entry := catalog.identities().get(raw)) and entry.conds:
+        return entry.conds
     return tuple(p.strip().upper() for p in raw.split(",") if p.strip())
 
 
@@ -114,16 +112,22 @@ def cmd_system(args) -> int:
     return 0
 
 
+def _profile(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers such as 3,0,0, got {text!r}") from None
+
+
 def cmd_cylindric(args) -> int:
-    profile = tuple(int(c) for c in args.profile.split(","))
     if args.qorder < 1:
         raise ValueError("qorder must be >= 1")
     if args.enumerate:
         if args.stat != "F":
             raise ValueError("--enumerate counts F; give --stat F")
-        series = enumerate_cylindric(profile, args.qorder - 1)
+        series = enumerate_cylindric(args.profile, args.qorder - 1)
     else:
-        g = solve_cw_family(profile, args.qorder)[profile]
+        g = solve_cw_family(args.profile, args.qorder)[args.profile]
         series = g_to_f(g) if args.stat == "F" else g
     _write(_series_text(series, args.x, args.format), args.out)
     return 0
@@ -209,8 +213,7 @@ def cmd_verify_all(args) -> int:
 
 #: the formats each emit target can encode
 EMIT_FORMATS = {
-    "d123-series": ("json", "csv"),
-    "d1234-series": ("json", "csv"),
+    **{f"{name}-series": ("json", "csv") for name in catalog.CLASS_NAMES},
     "dfa": ("json", "dot"),
     "transfer-matrix": ("json",),
 }
@@ -227,20 +230,24 @@ def cmd_emit(args) -> int:
     elif target == "transfer-matrix":
         text = _system_text()
     else:
-        text = _series_text(_class_series(CONDS[target.split("-")[0]], args.qorder), "keep", fmt)
+        text = _series_text(_class_series(_parse_conds(target.removesuffix("-series")), args.qorder), "keep", fmt)
     _write(text, args.out)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error is the ValueError main reports on one line
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="qpart", description=__doc__)
+    ap = _Parser(prog="qpart", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="enumerate 2-colored partitions")
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--cond", default="", help="comma list of D1..D4, or d123/d1234")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("series", help="generating function of a partition class")
@@ -248,22 +255,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qorder", type=int, default=30)
     p.add_argument("--x", choices=("eval", "keep"), default="keep")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("dfa", help="the minimal factor-avoidance DFA")
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--words", help="plain-text forbidden-word list, one word per line")
     p.add_argument("--emit-words", action="store_true", help="print the bundled word list")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_dfa)
 
     p = sub.add_parser("system", help="the coupled q-difference system")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_system)
 
     p = sub.add_parser("cylindric", help="profile generating functions")
-    p.add_argument("--profile", required=True, help="comma separated, e.g. 3,0,0")
+    p.add_argument("--profile", type=_profile, required=True, help="comma separated, e.g. 3,0,0")
     p.add_argument("--qorder", type=int, default=30)
     p.add_argument("--stat", choices=("F", "G"), default="G")
     p.add_argument("--x", choices=("eval", "keep"), default="keep")
@@ -271,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--json", dest="format", action="store_const", const="json",
                    help="shorthand for --format json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_cylindric)
 
     p = sub.add_parser("certify", help="verify a certificate against a term")
@@ -280,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", choices=catalog.CERTIFICATE_NAMES, help="bundled set")
     p.add_argument("--verbatim", action="store_true", help="use the unemended bundled data")
     p.add_argument("--recurrence-check", type=int, default=0, metavar="NMAX")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("celine", help="search for a certificate")
@@ -291,13 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qdeg", type=int, help="q-degree bound (default 3)")
     p.add_argument("--kbox", type=int, help="shift box per summation variable (default 1)")
     p.add_argument("--support", choices=("bounds", "printed"), default="bounds")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_celine)
 
     p = sub.add_parser("uncouple", help="scalar annihilator of a system component")
     p.add_argument("--system", required=True, help="system JSON file, builtin-2x2, or builtin-5x5")
     p.add_argument("--component", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_uncouple)
 
     p = sub.add_parser("verify-all", help="run the full verification battery")
@@ -311,16 +311,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help=" | ".join(EMIT_FORMATS))
     p.add_argument("--qorder", type=int, default=10)
     p.add_argument("--format", choices=("json", "csv", "dot"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_emit)
 
+    for name, p in sub.choices.items():
+        if name != "verify-all":  # which writes its report to --report
+            p.add_argument("--out")
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; bad input (a ValueError, or an OSError on a file) exits 2 with one line."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"qpart: error: {exc}", file=sys.stderr)

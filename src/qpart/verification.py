@@ -26,8 +26,6 @@ from .automata import (
     solve_language_series,
 )
 from .colored import (
-    COND_D123,
-    COND_D1234,
     check_condition,
     enumerate_2colored,
     gen_fun,
@@ -126,14 +124,8 @@ class VerificationRun:
         # catalog.OPERATOR_OF uncoupled (the catalog's qdiff_operator_* negated)
         self.certificates: dict[str, catalog.CertificateSet] = _Memo(lambda name: catalog.certificate(name))
         self.operators: dict[str, QDiffOperator] = _Memo(self._uncouple)
-
-    @cached_property
-    def f_d123(self) -> BiSeries:
-        return gen_fun(enumerate_2colored(self.qorder - 1, COND_D123), self.qorder)
-
-    @cached_property
-    def f_d1234(self) -> BiSeries:
-        return gen_fun(enumerate_2colored(self.qorder - 1, COND_D1234), self.qorder)
+        # by name: a profile's G or a class's enumerated series (catalog.identities)
+        self.series: dict[str, BiSeries] = _Memo(self._series)
 
     @cached_property
     def cw_family(self) -> dict:
@@ -151,14 +143,21 @@ class VerificationRun:
     def language(self) -> dict[int, BiSeries]:
         return solve_language_series(self.transfer, self.bigraded_order)
 
+    def _series(self, name: str) -> BiSeries:
+        entry = catalog.identities()[name]
+        if entry.conds is None:
+            return self.cw_family[entry.profile]
+        return gen_fun(enumerate_2colored(self.qorder - 1, entry.conds), self.qorder)
+
     def _uncouple(self, name: str) -> QDiffOperator:
         system, component = catalog.OPERATOR_OF[name]
         return uncouple_system(catalog.system_matrix(system, lambda: self.transfer.matrix), component)
 
 
-def _product_witness(run: VerificationRun, lhs: QSeries, spec, anchors: dict[int, int]) -> dict | None:
-    """lhs against the product; once they agree, the anchor coefficients too."""
-    witness = _witness("coefficient", lhs, pochhammer_expand(spec, run.qorder))
+def _product_witness(run: VerificationRun, name: str, anchors: dict[int, int]) -> dict | None:
+    """The class at x = 1 against its product; once they agree, the anchor coefficients too."""
+    lhs = run.series[name].eval_x1()
+    witness = _witness("coefficient", lhs, pochhammer_expand(catalog.identities()[name].product, run.qorder))
     got = [lhs.coeffs[e] for e in anchors]
     expected = list(anchors.values())
     if witness is None and got != expected:
@@ -166,27 +165,36 @@ def _product_witness(run: VerificationRun, lhs: QSeries, spec, anchors: dict[int
     return witness
 
 
-def _qdiff_witness(checks) -> dict | None:
-    """Each (name, operator, series) must give zero; the witness is the lowest term left."""
+def _qdiff_witness(run: VerificationRun, names: Iterable[str]) -> dict | None:
+    """Each name's operator must annihilate its series; the witness is the lowest term left."""
 
-    def witness(name, op, series) -> dict | None:
-        res = apply_qdiff(op, series)
+    def witness(name: str) -> dict | None:
+        res = apply_qdiff(run.operators[name], run.series[name])
         if res.is_zero():
             return None
         m = min(res.slices)
         return {"kind": f"operator-{name}", "x_exp": m, "q_exp": res.slices[m].valuation()}
 
-    return _first_witness(witness(*c) for c in checks)
+    return _first_witness(map(witness, names))
 
 
-def _relations_witness(run: VerificationRun, relations) -> dict | None:
-    """Each (kind, target, terms) must hold over the profile family:
+def _sum_task(run: VerificationRun, kind: str, names: Iterable[str]) -> tuple[dict, dict | None]:
+    """Each name's quadruple sum equals its series mod q^bigraded_order."""
+    n = run.bigraded_order
+    return {"qorder": n}, _first_witness(
+        _witness(f"{kind}-{name}", evaluate_ag_sum(catalog.identities()[name].sum, n), run.series[name].truncate(n))
+        for name in names
+    )
+
+
+def _relations_witness(run: VerificationRun, kind: str, relations) -> dict | None:
+    """Each (target, terms) must hold over the profile family:
     target = sum of coeff * source(x q^shift) over its (coeff, shift, source) terms."""
     fam = run.cw_family
 
-    def witness(kind, target, terms) -> dict | None:
+    def witness(target, terms) -> dict | None:
         rhs = shift_combination(((coeff, shift, fam[source]) for coeff, shift, source in terms), run.qorder)
-        return _witness(kind, fam[target], rhs)
+        return _witness(f"{kind}-{target}", fam[target], rhs)
 
     return _first_witness(witness(*r) for r in relations)
 
@@ -197,57 +205,40 @@ def _relations_witness(run: VerificationRun, relations) -> dict | None:
 
 def task_product_d123(run: VerificationRun) -> tuple[dict, dict | None]:
     """Enumeration at x=1 equals the D1-D3 class product; anchors 1,2,2,4."""
-    return {"qorder": run.qorder}, _product_witness(run, run.f_d123.eval_x1(), catalog.PRODUCT_D123,
-                                                    {0: 1, 1: 2, 2: 2, 3: 4})
+    return {"qorder": run.qorder}, _product_witness(run, "d123", {0: 1, 1: 2, 2: 2, 3: 4})
 
 
 def task_product_d1234(run: VerificationRun) -> tuple[dict, dict | None]:
     """Enumeration at x=1 equals the D1-D4 class product; anchors at q^6, q^7."""
-    return {"qorder": run.qorder}, _product_witness(run, run.f_d1234.eval_x1(), catalog.PRODUCT_D1234, {6: 5, 7: 4})
+    return {"qorder": run.qorder}, _product_witness(run, "d1234", {6: 5, 7: 4})
 
 
 def task_ag_bigraded(run: VerificationRun) -> tuple[dict, dict | None]:
     """The quadruple sums equal the bigraded generating functions."""
-    n = run.bigraded_order
-    witness = _first_witness(
-        _witness(f"bigraded-{name}", evaluate_ag_sum(spec, n), series.truncate(n))
-        for name, spec, series in (
-            ("d123", catalog.AG_D123, run.f_d123),
-            ("d1234", catalog.AG_D1234, run.f_d1234),
-        )
-    )
-    return {"qorder": n}, witness
+    return _sum_task(run, "bigraded", catalog.CLASS_NAMES)
 
 
 def task_ag_cylindric(run: VerificationRun) -> tuple[dict, dict | None]:
     """The max-part-graded quadruple sums equal the profile series."""
-    n = run.bigraded_order
-    fam = run.cw_family
-    witness = _first_witness(
-        _witness(f"sum-{name}", evaluate_ag_sum(spec, n), fam[profile].truncate(n))
-        for name, spec, profile in (
-            ("g111", catalog.AG_G111, (1, 1, 1)),
-            ("g300", catalog.AG_G300, (3, 0, 0)),
-            ("aux", catalog.AG_AUX, (2, 1, 0)),
-        )
-    )
-    return {"qorder": n}, witness
+    return _sum_task(run, "sum", catalog.PROFILE_NAMES)
 
 
 def task_aux_identity(run: VerificationRun) -> tuple[dict, dict | None]:
     """The auxiliary quadruple sum equals 1/(q,q^2;q^3)_inf."""
-    lhs = evaluate_ag_sum(catalog.AG_AUX, run.qorder).eval_x1()
-    witness = _witness("coefficient", lhs, pochhammer_expand(catalog.PRODUCT_AUX, run.qorder))
+    aux = catalog.identities()["aux"]
+    lhs = evaluate_ag_sum(aux.sum, run.qorder).eval_x1()
+    witness = _witness("coefficient", lhs, pochhammer_expand(aux.product, run.qorder))
     return {"qorder": run.qorder}, witness
 
 
 def task_pattern_equivalence(run: VerificationRun) -> tuple[dict, dict | None]:
     """Difference conditions D1-D3 match the forbidden-pattern families."""
+    conds = catalog.identities()["d123"].conds
     witness = None
     count = 0
     for lam in iter_all(PATTERN_MAX_SIZE):
         count += 1
-        if check_condition(lam, COND_D123) != (not violates_forbidden_patterns(lam)):
+        if check_condition(lam, conds) != (not violates_forbidden_patterns(lam)):
             witness = {"kind": "partition", "partition": to_pairs(lam)}
             break
     return {"max_size": PATTERN_MAX_SIZE, "checked": count}, witness
@@ -279,47 +270,32 @@ def task_transfer_matrix(run: VerificationRun) -> tuple[dict, dict | None]:
 
 
 def task_language_series(run: VerificationRun) -> tuple[dict, dict | None]:
-    """Component 0 counts the D1-D3 class; component 1 the D1-D4 class."""
+    """Each class is counted by the language series of its OPERATOR_OF component."""
     n = run.bigraded_order
-    witness = _first_witness(
-        _witness(kind, run.language[component], series.truncate(n))
-        for kind, component, series in (
-            ("state0-vs-d123", 0, run.f_d123),
-            ("state1-vs-d1234", 1, run.f_d1234),
-        )
-    )
-    return {"qorder": n}, witness
+    components = {name: catalog.OPERATOR_OF[name][1] for name in catalog.CLASS_NAMES}
+    return {"qorder": n}, _first_witness(
+        _witness(f"state{c}-vs-{name}", run.language[c], run.series[name].truncate(n))
+        for name, c in components.items())
 
 
 def task_qdiff_colored(run: VerificationRun) -> tuple[dict, dict | None]:
     """The two order-3 operators of the automaton annihilate the enumerated series."""
-    return {"qorder": run.qorder}, _qdiff_witness((
-        ("d123", run.operators["d123"], run.f_d123),
-        ("d1234", run.operators["d1234"], run.f_d1234),
-    ))
+    return {"qorder": run.qorder}, _qdiff_witness(run, catalog.CLASS_NAMES)
 
 
 def task_recursion_displays(run: VerificationRun) -> tuple[dict, dict | None]:
     """The four subset-recursion displays hold for the computed family."""
-    return {"qorder": run.qorder}, _relations_witness(run, [
-        (f"recursion-{target}", target, terms) for target, terms in catalog.RECURSION_DISPLAYS
-    ])
+    return {"qorder": run.qorder}, _relations_witness(run, "recursion", catalog.RECURSION_DISPLAYS)
 
 
 def task_first_order_relations(run: VerificationRun) -> tuple[dict, dict | None]:
     """The four derived first-order relations hold (two of them are the 2x2 system)."""
-    return {"qorder": run.qorder}, _relations_witness(run, [
-        (f"first-order-{target}", target, terms) for target, terms in catalog.FIRST_ORDER_RELATIONS
-    ])
+    return {"qorder": run.qorder}, _relations_witness(run, "first-order", catalog.FIRST_ORDER_RELATIONS)
 
 
 def task_qdiff_cylindric(run: VerificationRun) -> tuple[dict, dict | None]:
     """The two order-2 operators of the 2x2 system annihilate the profile series."""
-    fam = run.cw_family
-    return {"qorder": run.qorder}, _qdiff_witness((
-        ("g300", run.operators["g300"], fam[(3, 0, 0)]),
-        ("g111", run.operators["g111"], fam[(1, 1, 1)]),
-    ))
+    return {"qorder": run.qorder}, _qdiff_witness(run, ("g300", "g111"))
 
 
 def task_cylindric_enumeration(run: VerificationRun) -> tuple[dict, dict | None]:
@@ -336,14 +312,13 @@ def task_cylindric_enumeration(run: VerificationRun) -> tuple[dict, dict | None]
 
 def task_specialized_products(run: VerificationRun) -> tuple[dict, dict | None]:
     """F(1, q) * (q;q)_inf equals the two class product sides."""
-    fam = run.cw_family
+    table = catalog.identities()
     euler = pochhammer_expand(catalog.EULER_PRODUCT, run.qorder)
     witness = _first_witness(
-        _witness(name, g_to_f(fam[profile]).eval_x1() * euler, pochhammer_expand(spec, run.qorder))
-        for name, profile, spec in (
-            ("g111-vs-d123-product", (1, 1, 1), catalog.PRODUCT_D123),
-            ("g300-vs-d1234-product", (3, 0, 0), catalog.PRODUCT_D1234),
-        )
+        _witness(f"{table[name].profile_at_x1}-vs-{name}-product",
+                 g_to_f(run.series[table[name].profile_at_x1]).eval_x1() * euler,
+                 pochhammer_expand(table[name].product, run.qorder))
+        for name in catalog.CLASS_NAMES
     )
     return {"qorder": run.qorder}, witness
 
@@ -395,46 +370,38 @@ def task_chain(run: VerificationRun) -> tuple[dict, dict | None]:
     """The closing chain: four independent routes to each of the two series.
 
     enumeration = quadruple sum = profile series at x=1 = infinite product,
-    with the D1-D3 class tied to profile (1,1,1) and the D1-D4 class to
-    (3,0,0).
+    each class tied to its ``profile_at_x1`` in ``catalog.identities``.
     """
     n = run.qorder
-    fam = run.cw_family
-    routes = {
-        "d123": [
-            ("enumeration", run.f_d123.eval_x1()),
-            ("sum-side", evaluate_ag_sum(catalog.AG_D123, n).eval_x1()),
-            ("profile-111", fam[(1, 1, 1)].eval_x1()),
-            ("product", pochhammer_expand(catalog.PRODUCT_D123, n)),
-        ],
-        "d1234": [
-            ("enumeration", run.f_d1234.eval_x1()),
-            ("sum-side", evaluate_ag_sum(catalog.AG_D1234, n).eval_x1()),
-            ("profile-300", fam[(3, 0, 0)].eval_x1()),
-            ("product", pochhammer_expand(catalog.PRODUCT_D1234, n)),
-        ],
-    }
-    witness = _first_witness(
-        _witness(f"chain-{cls}", items[0][1], series, routes=[items[0][0], name])
-        for cls, items in routes.items()
-        for name, series in items[1:]
-    )
-    return {"qorder": n}, witness
+    table = catalog.identities()
+
+    def witness(name: str) -> dict | None:
+        entry = table[name]
+        enumeration = run.series[name].eval_x1()
+        routes = (
+            ("sum-side", evaluate_ag_sum(entry.sum, n).eval_x1()),
+            ("profile-" + "".join(map(str, table[entry.profile_at_x1].profile)),
+             run.series[entry.profile_at_x1].eval_x1()),
+            ("product", pochhammer_expand(entry.product, n)),
+        )
+        return _first_witness(_witness(f"chain-{name}", enumeration, series, routes=["enumeration", route])
+                              for route, series in routes)
+
+    return {"qorder": n}, _first_witness(map(witness, catalog.CLASS_NAMES))
 
 
 def task_uncoupling(run: VerificationRun) -> tuple[dict, dict | None]:
     """Uncoupled scalar operators annihilate the independent series."""
-    n = run.bigraded_order
-    # (witness, operator name, series): the series is built only when its check runs
-    checks = (
-        ({"kind": "uncouple-2x2"}, "g300", lambda: run.cw_family[(3, 0, 0)]),
-        ({"kind": "uncouple-5x5", "component": 0}, "d123", lambda: run.f_d123.truncate(n)),
-        ({"kind": "uncouple-5x5", "component": 1}, "d1234", lambda: run.f_d1234.truncate(n)),
-    )
-    return {}, _first_witness(
-        None if apply_qdiff(run.operators[name], series()).is_zero() else witness
-        for witness, name, series in checks
-    )
+
+    def witness(name: str, order: int) -> dict | None:
+        if apply_qdiff(run.operators[name], run.series[name].truncate(order)).is_zero():
+            return None
+        system, component = catalog.OPERATOR_OF[name]
+        return {"kind": "uncouple-2x2"} if system == "2x2" else {"kind": "uncouple-5x5", "component": component}
+
+    # g300 at run.qorder, the classes at run.bigraded_order; a series is built only when its check runs
+    checks = [("g300", run.qorder)] + [(name, run.bigraded_order) for name in catalog.CLASS_NAMES]
+    return {}, _first_witness(witness(*check) for check in checks)
 
 
 TASKS = [

@@ -192,6 +192,13 @@ def test_emit_unknown_target_is_an_error():
     ["dfa", "--emit-words", "--out", "missing/words.txt"],
     # the printed g111 set has no verbatim reading to build
     ["certify", "--name", "g111", "--verbatim"],
+    # usage errors: a missing or malformed flag, an unknown or missing subcommand
+    ["enumerate"],
+    ["series", "--which", "d123", "--qorder", "x"],
+    ["series", "--which", "d123", "--format", "dot"],
+    ["nonsense"],
+    [],
+    ["cylindric", "--profile", "-1,4,0"],
 ], ids=["zero-profile", "series-qorder-0", "unknown-condition", "verify-all-nmax-negative", "verify-all-qorder-9",
         "certify-recurrence-check-negative", "celine-term-with-printed-support", "certify-no-term",
         "celine-no-term", "certify-term-without-cert", "certify-name-and-term", "celine-name-and-term",
@@ -200,11 +207,29 @@ def test_emit_unknown_target_is_an_error():
         "celine-empty-u-range", "celine-empty-q-range", "celine-negative-kbox",
         "celine-printed-with-deg", "celine-printed-with-qdeg", "celine-printed-with-kbox",
         "uncouple-missing-system", "certify-missing-term", "celine-missing-term", "dfa-missing-words",
-        "out-into-missing-directory", "certify-g111-verbatim"])
+        "out-into-missing-directory", "certify-g111-verbatim",
+        "enumerate-without-max-size", "series-qorder-not-an-integer", "series-as-dot", "unknown-subcommand",
+        "no-subcommand", "cylindric-profile-read-as-a-flag"])
 def test_bad_input_is_a_one_line_error(argv):
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""
     assert err.startswith("qpart: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("profile", ["a,b", ",,,"])
+def test_a_profile_that_is_not_integers_is_a_one_line_error_naming_the_flag(profile):
+    code, out, err = run_cli(["cylindric", "--profile", profile])
+    assert code == 2 and out == ""
+    assert err.startswith("qpart: error: ") and err.count("\n") == 1
+    assert "--profile" in err and "3,0,0" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["cylindric", "--help"]])
+def test_help_still_prints_usage_and_exits_0(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0 and out.getvalue().startswith("usage: qpart")
 
 
 def test_a_malformed_input_file_is_a_one_line_error_naming_it(tmp_path):

@@ -70,7 +70,7 @@ def test_euler_and_d1234_witnesses_are_pinned(run, monkeypatch):
 
 def test_anchor_witnesses_are_pinned(run, monkeypatch):
     # swap the two classes on both sides: the products agree, the anchors do not
-    run.f_d123, run.f_d1234 = run.f_d1234, run.f_d123
+    run.series["d123"], run.series["d1234"] = run.series["d1234"], run.series["d123"]
     d123, d1234 = catalog.PRODUCT_D123, catalog.PRODUCT_D1234
     monkeypatch.setattr(catalog, "PRODUCT_D123", d1234)
     monkeypatch.setattr(catalog, "PRODUCT_D1234", d123)
@@ -100,7 +100,7 @@ def test_uncoupling_witnesses_are_pinned(run, monkeypatch):
     monkeypatch.setattr(catalog, "coupled_g_system", doubled_corner)
     assert task_uncoupling(run)[1] == {"kind": "uncouple-2x2"}
     # the first failing check ends the task before the 5x5 system is derived
-    assert "transfer" not in vars(run) and "f_d123" not in vars(run)
+    assert "transfer" not in vars(run) and "d123" not in run.series
     monkeypatch.undo()
     # a run uncouples each system once, so each perturbation gets a new run
     run = VerificationRun(qorder=12)
@@ -110,7 +110,7 @@ def test_uncoupling_witnesses_are_pinned(run, monkeypatch):
     run.transfer = dataclasses.replace(transfer, matrix=tuple(map(tuple, rows)))
     assert task_uncoupling(run)[1] == {"kind": "uncouple-5x5", "component": 0}
     run = VerificationRun(qorder=12)
-    run.f_d1234 = run.f_d123
+    run.series["d1234"] = run.series["d123"]
     assert task_uncoupling(run)[1] == {"kind": "uncouple-5x5", "component": 1}
 
 
@@ -281,6 +281,32 @@ def test_ag_cylindric_pins_the_x_grading_of_the_auxiliary_sum(run, monkeypatch):
     monkeypatch.setattr(catalog, "AG_AUX", dataclasses.replace(catalog.AG_AUX, xcoeffs=(1, 1, 2, 2)))
     assert task_aux_identity(run)[1] is None
     assert task_ag_cylindric(run)[1]["kind"] == "sum-aux"
+
+
+def _bumped_lin(spec):
+    return dataclasses.replace(spec, lin=(spec.lin[0] + 1, *spec.lin[1:]))
+
+
+def _first_den_dropped(spec):
+    return dataclasses.replace(spec, den=spec.den[1:])
+
+
+@pytest.mark.parametrize("name, perturb, failing", [
+    ("AG_G111", _bumped_lin, {"ag-cylindric"}),
+    ("AG_G300", _bumped_lin, {"ag-cylindric"}),
+    ("AG_AUX", _bumped_lin, {"ag-cylindric", "aux-identity"}),
+    ("AG_D123", _bumped_lin, {"ag-bigraded", "chain"}),
+    ("AG_D1234", _bumped_lin, {"ag-bigraded", "chain"}),
+    ("PRODUCT_D123", _first_den_dropped, {"product-d123", "specialized-products", "chain"}),
+    ("PRODUCT_D1234", _first_den_dropped, {"product-d1234", "specialized-products", "chain"}),
+    ("PRODUCT_AUX", _first_den_dropped, {"aux-identity"}),
+])
+def test_every_datum_of_the_identity_table_reaches_the_tasks_that_read_it(monkeypatch, name, perturb, failing):
+    # catalog.identities reads the constants at each call, so a replaced one
+    # reaches every task that uses it, and fails exactly those tasks
+    monkeypatch.setattr(catalog, name, perturb(getattr(catalog, name)))
+    reports = verify_all(12, 2)
+    assert {r.task: r.status for r in reports if not r.ok} == dict.fromkeys(failing, "fail")
 
 
 def test_recurrences_build_each_profile_once_and_keep_no_state(monkeypatch):
