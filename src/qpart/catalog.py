@@ -7,16 +7,15 @@ q-holonomic recurrences.  Formulas are written with u = q^n and v_i = q^(k_i).
 
 Each identity is typed in once; the other entries are derived from it:
 
-* ``identities`` ties each battery name to its sum, series and product,
-  read from the constants above at each call;
-* ``TERM_*`` (and ``certificate_term``), the terms the certificates
-  telescope, are the x^n coefficients of the sums ``AG_*``
-  (``AGSumSpec.coefficient_term``);
+* ``identities``, the one table keyed by battery name, ties each name to
+  its sum, series, product, certificate and system, read at each call;
+* ``certificate_term``, the term a certificate telescopes, is the x^n
+  coefficient of the row's sum (``AGSumSpec.coefficient_term``);
 * ``coupled_g_system`` is the (3,0,0) and (1,1,1) rows of
   ``FIRST_ORDER_RELATIONS``;
-* the q-difference operators ``qdiff_operator_*`` are the systems of
-  ``OPERATOR_OF`` uncoupled at its components (``uncouple_system``),
-  negated: their last coefficient has a negative leading term;
+* the q-difference operators ``qdiff_operator_*`` are the rows' systems
+  uncoupled at their components (``annihilator``), negated: their last
+  coefficient has a negative leading term;
 * ``pprime_family`` is the x^n-coefficient recurrence of
   ``qdiff_operator_g111`` (``recurrence_from_operator``).
 
@@ -33,7 +32,7 @@ printed x^(3n+8) is not a term of the certificate algebra.
 from __future__ import annotations
 
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .automata import build_avoidance_dfa, derive_transfer_system
 from .colored import COND_D123, COND_D1234
@@ -97,30 +96,39 @@ AG_AUX = AGSumSpec(_QUAD2, (0, 1, 1, 2), (1, 1, 2, 1), _BASES)
 class Identity(NamedTuple):
     """One battery name's ties: ``sum`` equals G of ``profile`` (of the (3,0,0)
     orbit) or the series of the 2-colored class ``conds``; ``product`` is its
-    product side, and a class at x = 1 equals G of the profile ``profile_at_x1`` names."""
+    product side, and a class at x = 1 equals G of the profile ``profile_at_x1`` names.
+    ``families`` builds a certified sum's certificate set, whose term substitutes
+    out k_(``eliminate``+1); ``system`` (name, component) uncouples to its operator."""
 
     sum: AGSumSpec
     profile: tuple[int, ...] | None = None
     conds: frozenset[str] | None = None
     product: PochhammerSpec | None = None
     profile_at_x1: str | None = None
+    families: Callable | None = None
+    eliminate: int | None = None
+    system: tuple[str, int] | None = None
 
 
 def identities() -> dict[str, Identity]:
     """Each battery name's ties, profiles first; built from the module constants
-    at each call, so a replaced constant reaches every task that reads it."""
+    and builders at each call, so a replaced one reaches every task that reads it."""
     return {
-        "g111": Identity(AG_G111, profile=(1, 1, 1)),
-        "g300": Identity(AG_G300, profile=(3, 0, 0)),
+        "g111": Identity(AG_G111, profile=(1, 1, 1), families=_families_g111, eliminate=0, system=("2x2", 1)),
+        "g300": Identity(AG_G300, profile=(3, 0, 0), families=_families_g300, eliminate=1, system=("2x2", 0)),
         "aux": Identity(AG_AUX, profile=(2, 1, 0), product=PRODUCT_AUX),
-        "d123": Identity(AG_D123, conds=COND_D123, product=PRODUCT_D123, profile_at_x1="g111"),
-        "d1234": Identity(AG_D1234, conds=COND_D1234, product=PRODUCT_D1234, profile_at_x1="g300"),
+        "d123": Identity(AG_D123, conds=COND_D123, product=PRODUCT_D123, profile_at_x1="g111",
+                         families=_families_d123, eliminate=0, system=("5x5", 0)),
+        "d1234": Identity(AG_D1234, conds=COND_D1234, product=PRODUCT_D1234, profile_at_x1="g300",
+                          families=_families_d1234, eliminate=1, system=("5x5", 1)),
     }
 
 
-#: the names of the table's 2-colored classes and of its profiles, in table order
-CLASS_NAMES = tuple(name for name, entry in identities().items() if entry.conds is not None)
-PROFILE_NAMES = tuple(name for name, entry in identities().items() if entry.conds is None)
+def _row(name: str, field: str) -> Identity:
+    """The row of ``name``; a KeyError when there is none or its ``field`` is None."""
+    if getattr(row := identities()[name], field) is None:
+        raise KeyError(name)
+    return row
 
 
 # ----------------------------------------------------------------------
@@ -179,26 +187,23 @@ def coupled_g_system() -> list[list[LaurentPoly]]:
 # scalar q-difference operators: each system uncoupled at one component
 
 
-#: each sum's system, the 2x2 ``coupled_g_system`` or the automaton's 5x5
-#: transfer system, and the component whose operator annihilates its series
-OPERATOR_OF = {"g111": ("2x2", 1), "g300": ("2x2", 0), "d123": ("5x5", 0), "d1234": ("5x5", 1)}
-
-
 def _automaton_matrix():
     return derive_transfer_system(build_avoidance_dfa()).matrix
 
 
 def system_matrix(system: str, transfer_matrix=_automaton_matrix):
-    """The matrix of a system named as in ``OPERATOR_OF``: "2x2" is
+    """The matrix of a system named as in ``Identity.system``: "2x2" is
     ``coupled_g_system()`` and "5x5" is ``transfer_matrix()``, by default the
     automaton's; a caller that holds a transfer system passes its own, which
     is read only for the 5x5 system."""
     return {"2x2": coupled_g_system, "5x5": transfer_matrix}[system]()
 
 
-def _annihilator(name: str) -> QDiffOperator:
-    system, component = OPERATOR_OF[name]
-    op = uncouple_system(system_matrix(system), component)
+def annihilator(name: str, transfer_matrix=_automaton_matrix) -> QDiffOperator:
+    """The operator that annihilates the series of ``name``: its row's system
+    (see ``system_matrix``) uncoupled at its row's component."""
+    system, component = _row(name, "system").system
+    op = uncouple_system(system_matrix(system, transfer_matrix), component)
     # uncoupling makes the last coefficient's leading term positive; these
     # operators keep the opposite sign they were first typed in with, whose
     # bytes the highorder benchmark digests pin
@@ -207,20 +212,10 @@ def _annihilator(name: str) -> QDiffOperator:
 
 #: ``qdiff_operator_<name>()`` annihilates the series of ``name``: order 2
 #: on the 2x2 system's profiles, order 3 on the 5x5 system's classes
-qdiff_operator_g300 = partial(_annihilator, "g300")
-qdiff_operator_g111 = partial(_annihilator, "g111")
-qdiff_operator_d123 = partial(_annihilator, "d123")
-qdiff_operator_d1234 = partial(_annihilator, "d1234")
-
-
-# ----------------------------------------------------------------------
-# hypergeometric terms behind the four certificates: the x^n coefficients
-# of the sums, over (n, the three k's left) once one k is substituted out
-
-TERM_G111 = AG_G111.coefficient_term(0)
-TERM_G300 = AG_G300.coefficient_term(1)
-TERM_D123 = AG_D123.coefficient_term(0)
-TERM_D1234 = AG_D1234.coefficient_term(1)
+qdiff_operator_g300 = partial(annihilator, "g300")
+qdiff_operator_g111 = partial(annihilator, "g111")
+qdiff_operator_d123 = partial(annihilator, "d123")
+qdiff_operator_d1234 = partial(annihilator, "d1234")
 
 
 # ----------------------------------------------------------------------
@@ -509,14 +504,6 @@ def _families_d1234(s: Symbols, verbatim: bool = False):
     }
 
 
-_BUILDERS = {
-    "g111": (_families_g111, TERM_G111),
-    "g300": (_families_g300, TERM_G300),
-    "d123": (_families_d123, TERM_D123),
-    "d1234": (_families_d1234, TERM_D1234),
-}
-
-
 def certificate(name: str, verbatim: bool = False) -> CertificateSet:
     """Build one of the bundled certificate sets.
 
@@ -524,14 +511,20 @@ def certificate(name: str, verbatim: bool = False) -> CertificateSet:
     ``verbatim`` selects the unemended data (a ValueError for g111, which has
     no verbatim reading).
     """
-    return CertificateSet(_BUILDERS[name][0](Symbols(), verbatim=verbatim))
+    return CertificateSet(_row(name, "families").families(Symbols(), verbatim=verbatim))
 
 
 def certificate_term(name: str) -> HypTerm:
-    return _BUILDERS[name][1]
+    """The hypergeometric term the certificate of ``name`` telescopes: the x^n
+    coefficient of its sum, over (n, the three k's left) once one k is substituted out."""
+    row = _row(name, "eliminate")
+    return row.sum.coefficient_term(row.eliminate)
 
 
-CERTIFICATE_NAMES = tuple(_BUILDERS)
+#: the names of the table's 2-colored classes, profiles and certified sums, in table order
+CLASS_NAMES = tuple(name for name, entry in identities().items() if entry.conds is not None)
+PROFILE_NAMES = tuple(name for name, entry in identities().items() if entry.conds is None)
+CERTIFICATE_NAMES = tuple(name for name, entry in identities().items() if entry.families is not None)
 
 
 def pprime_family() -> list[LaurentPoly]:

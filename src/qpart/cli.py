@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -236,6 +237,11 @@ def cmd_emit(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads -1 as a value, not a flag; so too a comma list such as -1,4,0
+        self._negative_number_matcher = re.compile(r"^-\d[\d,-]*$")
+
     def error(self, message: str):  # a usage error is the ValueError main reports on one line
         raise ValueError(message)
 

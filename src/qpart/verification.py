@@ -43,7 +43,6 @@ from .holonomic import (
     recurrence_from_operator,
     recurrence_remainder,
     shift_combination,
-    uncouple_system,
     verify_certificate,
 )
 from .series import BiSeries, QSeries, pochhammer_expand
@@ -120,10 +119,11 @@ class VerificationRun:
         # criterion: layer count vs recursion mod q^20 (total size <= 19);
         # below q^20 it checks sizes < qorder
         self.cyl_order = min(qorder - 1, 19)
-        # by name: the catalog's certificate sets, and the operators of
-        # catalog.OPERATOR_OF uncoupled (the catalog's qdiff_operator_* negated)
+        # by name: the catalog's certificate sets and annihilators, the 5x5
+        # system's read off this run's transfer system
         self.certificates: dict[str, catalog.CertificateSet] = _Memo(lambda name: catalog.certificate(name))
-        self.operators: dict[str, QDiffOperator] = _Memo(self._uncouple)
+        self.operators: dict[str, QDiffOperator] = _Memo(
+            lambda name: catalog.annihilator(name, lambda: self.transfer.matrix))
         # by name: a profile's G or a class's enumerated series (catalog.identities)
         self.series: dict[str, BiSeries] = _Memo(self._series)
 
@@ -148,10 +148,6 @@ class VerificationRun:
         if entry.conds is None:
             return self.cw_family[entry.profile]
         return gen_fun(enumerate_2colored(self.qorder - 1, entry.conds), self.qorder)
-
-    def _uncouple(self, name: str) -> QDiffOperator:
-        system, component = catalog.OPERATOR_OF[name]
-        return uncouple_system(catalog.system_matrix(system, lambda: self.transfer.matrix), component)
 
 
 def _product_witness(run: VerificationRun, name: str, anchors: dict[int, int]) -> dict | None:
@@ -270,9 +266,10 @@ def task_transfer_matrix(run: VerificationRun) -> tuple[dict, dict | None]:
 
 
 def task_language_series(run: VerificationRun) -> tuple[dict, dict | None]:
-    """Each class is counted by the language series of its OPERATOR_OF component."""
+    """Each class is counted by the language series of its system's component."""
     n = run.bigraded_order
-    components = {name: catalog.OPERATOR_OF[name][1] for name in catalog.CLASS_NAMES}
+    table = catalog.identities()
+    components = {name: table[name].system[1] for name in catalog.CLASS_NAMES}
     return {"qorder": n}, _first_witness(
         _witness(f"state{c}-vs-{name}", run.language[c], run.series[name].truncate(n))
         for name, c in components.items())
@@ -356,7 +353,7 @@ def task_recurrences(run: VerificationRun) -> tuple[dict, dict | None]:
 
 def task_combination_identity(run: VerificationRun) -> tuple[dict, dict | None]:
     """Each certificate recurrence right-divides the recurrence read off the
-    operator of its sum's system and component (``catalog.OPERATOR_OF``)."""
+    operator of its sum's system and component (``catalog.identities``)."""
 
     def witness(name: str) -> dict | None:
         rem = recurrence_remainder(recurrence_from_operator(run.operators[name]),
@@ -396,7 +393,7 @@ def task_uncoupling(run: VerificationRun) -> tuple[dict, dict | None]:
     def witness(name: str, order: int) -> dict | None:
         if apply_qdiff(run.operators[name], run.series[name].truncate(order)).is_zero():
             return None
-        system, component = catalog.OPERATOR_OF[name]
+        system, component = catalog.identities()[name].system
         return {"kind": "uncouple-2x2"} if system == "2x2" else {"kind": "uncouple-5x5", "component": component}
 
     # g300 at run.qorder, the classes at run.bigraded_order; a series is built only when its check runs

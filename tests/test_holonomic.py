@@ -68,7 +68,7 @@ def _shift_ratio(term: HypTerm, shift) -> RationalFunction:
 
 
 def test_term_ratio_zero_shift():
-    term = catalog.TERM_G111
+    term = catalog.certificate_term("g111")
     r = _shift_ratio(term, (0, 0, 0, 0))
     assert r == RationalFunction.from_poly(LaurentPoly.one(TERM_VARS))
 
@@ -105,7 +105,7 @@ def _value_at(p: LaurentPoly, v, q0: Fraction) -> Fraction:
 
 def test_term_ratio_numeric_oracle():
     # F(v - s)/F(v) from the factored formula equals the direct quotient
-    term = catalog.TERM_G300
+    term = catalog.certificate_term("g300")
     q0 = Fraction(3, 2)
     for v in ((7, 1, 1, 1), (9, 2, 0, 2)):
         for s in ((1, 0, 0, 0), (0, 1, 0, 0), (2, 1, 1, 0), (3, 0, 1, 1)):

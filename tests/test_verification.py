@@ -292,11 +292,12 @@ def _first_den_dropped(spec):
 
 
 @pytest.mark.parametrize("name, perturb, failing", [
-    ("AG_G111", _bumped_lin, {"ag-cylindric"}),
-    ("AG_G300", _bumped_lin, {"ag-cylindric"}),
+    # a certified sum's certificate term is its x^n coefficient, so the certificates prove the replaced sum
+    ("AG_G111", _bumped_lin, {"ag-cylindric", "certificates", "recurrences"}),
+    ("AG_G300", _bumped_lin, {"ag-cylindric", "certificates", "recurrences"}),
     ("AG_AUX", _bumped_lin, {"ag-cylindric", "aux-identity"}),
-    ("AG_D123", _bumped_lin, {"ag-bigraded", "chain"}),
-    ("AG_D1234", _bumped_lin, {"ag-bigraded", "chain"}),
+    ("AG_D123", _bumped_lin, {"ag-bigraded", "certificates", "recurrences", "chain"}),
+    ("AG_D1234", _bumped_lin, {"ag-bigraded", "certificates", "recurrences", "chain"}),
     ("PRODUCT_D123", _first_den_dropped, {"product-d123", "specialized-products", "chain"}),
     ("PRODUCT_D1234", _first_den_dropped, {"product-d1234", "specialized-products", "chain"}),
     ("PRODUCT_AUX", _first_den_dropped, {"aux-identity"}),
@@ -307,6 +308,40 @@ def test_every_datum_of_the_identity_table_reaches_the_tasks_that_read_it(monkey
     monkeypatch.setattr(catalog, name, perturb(getattr(catalog, name)))
     reports = verify_all(12, 2)
     assert {r.task: r.status for r in reports if not r.ok} == dict.fromkeys(failing, "fail")
+
+
+@pytest.mark.parametrize("name, changes, failing", [
+    ("g111", {"system": ("2x2", 0)}, {"qdiff-cylindric", "combination-identity"}),
+    ("d123", {"system": ("5x5", 1)}, {"language-series", "qdiff-colored", "combination-identity", "uncoupling"}),
+    ("g300", {"families": catalog._families_g111}, {"certificates", "recurrences", "combination-identity"}),
+    # the x^n coefficient is the same whichever k is substituted out; only the certificate sees it
+    ("d1234", {"eliminate": 0}, {"certificates"}),
+    # a survivor: k_1 and k_2 have the same quad2 rows, lin, xcoeffs and bases in these two
+    # sums, so either choice gives the same term with its Pochhammer symbols in another order
+    ("g111", {"eliminate": 1}, set()),
+    ("d123", {"eliminate": 1}, set()),
+])
+def test_every_field_of_a_certified_row_reaches_the_tasks_that_read_it(monkeypatch, name, changes, failing):
+    table = catalog.identities
+    monkeypatch.setattr(catalog, "identities", lambda: {**table(), name: table()[name]._replace(**changes)})
+    reports = verify_all(12, 2)
+    assert {r.task: r.status for r in reports if not r.ok} == dict.fromkeys(failing, "fail")
+
+
+@pytest.mark.parametrize("name", ["g111", "d123"])
+def test_the_surviving_eliminate_swap_only_reorders_the_pochhammer_symbols(name):
+    spec = catalog.identities()[name].sum
+    first, second = spec.coefficient_term(0), spec.coefficient_term(1)
+    assert first != second and first.pochs == (second.pochs[1], second.pochs[0], *second.pochs[2:])
+    assert dataclasses.replace(first, pochs=second.pochs) == second
+
+
+@pytest.mark.parametrize("name", ["aux", "g222"])
+def test_a_name_without_a_certificate_is_a_key_error(name):
+    with pytest.raises(KeyError):
+        catalog.certificate(name)
+    with pytest.raises(KeyError):
+        catalog.certificate_term(name)
 
 
 def test_recurrences_build_each_profile_once_and_keep_no_state(monkeypatch):
