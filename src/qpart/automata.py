@@ -223,9 +223,9 @@ def canonical_relabel(dfa: Dfa) -> Dfa:
     return Dfa(len(order), dfa.alphabet, delta, 0, frozenset(remap[a] for a in dfa.accepts if a in remap))
 
 
-def build_avoidance_dfa(words: tuple[str, ...] = FORBIDDEN_WORDS, alphabet: str = ALPHABET) -> Dfa:
-    """Minimal complete DFA recognizing words containing a factor from ``words``."""
-    return minimize(_factor_dfa(words, alphabet))
+def build_avoidance_dfa(words: tuple[str, ...] | None = None, alphabet: str = ALPHABET) -> Dfa:
+    """Minimal complete DFA recognizing words with a factor from ``words``, by default ``FORBIDDEN_WORDS``."""
+    return minimize(_factor_dfa(FORBIDDEN_WORDS if words is None else words, alphabet))
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,8 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
-from . import catalog, serialize
-from .automata import FORBIDDEN_WORDS, build_avoidance_dfa, derive_transfer_system
+from . import automata, catalog, serialize
+from .automata import build_avoidance_dfa, derive_transfer_system
 from .celine import celine_solve, default_support, support_of
 from .colored import enumerate_2colored, gen_fun, size, to_pairs
 from .cylindric import enumerate_cylindric, g_to_f, solve_cw_family
@@ -101,7 +101,7 @@ def cmd_series(args) -> int:
 
 def cmd_dfa(args) -> int:
     if args.emit_words:
-        _write("\n".join(FORBIDDEN_WORDS) + "\n", args.out)
+        _write("\n".join(automata.FORBIDDEN_WORDS) + "\n", args.out)
         return 0
     dfa = _read_input(args.words, build_avoidance_dfa, serialize.words_from_text) if args.words else build_avoidance_dfa()
     _write(_dfa_text(dfa, args.format), args.out)

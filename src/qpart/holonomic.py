@@ -914,21 +914,33 @@ def apply_qdiff(op: QDiffOperator, s: BiSeries) -> BiSeries:
 # uncoupling first-order systems
 
 
+def _row_walk(rows, component: int, step: int):
+    """Iterated substitution in F(x) = A(x) F(x q^step), A polynomial: yields (s, W)
+    for s = 1, ..., m + 1, where row k <= s of W, e_component * A(x q^(step*k)) ...
+    A(x q^(step*(s-1))), expresses F_component(x q^(step*k)) against F(x q^(step*s))."""
+    m = len(rows)
+    if not (0 <= component < m):
+        raise ValueError("component out of range")
+    zero, one = LaurentPoly.zero(XQ_VARS), LaurentPoly.one(XQ_VARS)
+    e_i = [one if j == component else zero for j in range(m)]
+    W = [e_i]
+    for s in range(1, m + 2):
+        Bs = [[e.twist("x", "q", step * (s - 1)) for e in row] for row in rows]
+        W = [[sum((w[t] * Bs[t][j] for t in range(m) if not w[t].is_zero() and not Bs[t][j].is_zero()), zero)
+              for j in range(m)] for w in W]
+        W.append(e_i)
+        yield s, W
+
+
 def uncouple_system(matrix, component: int, step: int = 3) -> QDiffOperator:
     """Scalar annihilator of one component of F(x) = A(x) F(x q^step).
 
-    Expresses F_component(x q^(step*k)) as row vectors against
-    F(x q^(step*s)) using iterated substitution, and returns the first
-    linear dependency among those rows, cleared to polynomial
-    coefficients.  Any solution of the system is annihilated.
-    """
+    Walks ``_row_walk`` to the first linear dependency among its rows, cleared
+    to polynomial coefficients; it annihilates any solution of the system."""
     m = len(matrix)
-    if not (0 <= component < m):
-        raise ValueError("component out of range")
     # one polynomial scale clears every denominator; the rows of the scaled
     # system are the original rows times shifted copies of the scale
-    one = LaurentPoly.one(XQ_VARS)
-    scale = one
+    scale = one = LaurentPoly.one(XQ_VARS)
     entries = []
     for row in matrix:
         if len(row) != m:
@@ -939,27 +951,7 @@ def uncouple_system(matrix, component: int, step: int = 3) -> QDiffOperator:
                 scale = scale * den
     poly_rows = [[num * scale.divexact(den) for num, den in row] for row in entries]
 
-    zero = LaurentPoly.zero(XQ_VARS)
-    e_i = [one if j == component else zero for j in range(m)]
-
-    def mat_at(k: int):
-        return [[e.twist("x", "q", step * k) for e in row] for row in poly_rows]
-
-    def vec_times_mat(v, M):
-        out = []
-        for j in range(m):
-            acc = zero
-            for t in range(m):
-                if not v[t].is_zero() and not M[t][j].is_zero():
-                    acc = acc + v[t] * M[t][j]
-            out.append(acc)
-        return out
-
-    W = [e_i]  # W[k] tracks F_component(x q^(step*k)) against F(x q^(step*s))
-    for s in range(1, m + 2):
-        Bs = mat_at(s - 1)
-        W = [vec_times_mat(w, Bs) for w in W]
-        W.append(e_i)
+    for s, W in _row_walk(poly_rows, component, step):
         dep = _polynomial_nullvector(W)
         if dep is not None:
             # W[k] went through the scaled matrices at k, ..., s - 1
@@ -968,6 +960,21 @@ def uncouple_system(matrix, component: int, step: int = 3) -> QDiffOperator:
                     dep[k] = dep[k] * scale.twist("x", "q", step * j)
             return _normalize_operator(dep, step)
     raise AssertionError("no dependency found; elimination degenerated")
+
+
+def annihilation_depth(op: QDiffOperator, rows, component: int) -> int | None:
+    """The least depth s of ``_row_walk`` at which sum_k c_k(x, q) * W[k] = 0, else
+    None (also for the zero operator).  A depth proves that ``op`` kills that
+    component of every solution of F(x) = A(x) F(x q^op.step), A the polynomial
+    ``rows``, to all orders; it can exceed the order when a shifted A is singular."""
+    if all(c.is_zero() for c, _ in op.terms):
+        return None
+    zero = LaurentPoly.zero(XQ_VARS)
+    for s, W in _row_walk(rows, component, op.step):
+        if s >= max(k for _, k in op.terms) and all(
+                sum((c * W[k][j] for c, k in op.terms), zero).is_zero() for j in range(len(rows))):
+            return s
+    return None
 
 
 def _polynomial_nullvector(vectors: list[list[LaurentPoly]]):

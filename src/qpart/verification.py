@@ -18,7 +18,7 @@ from functools import cached_property
 from importlib.resources import files
 from typing import Iterable
 
-from . import catalog
+from . import automata, catalog
 from .automata import (
     Dfa,
     build_avoidance_dfa,
@@ -36,6 +36,7 @@ from .colored import (
 from .cylindric import enumerate_cylindric, g_to_f, profile_orbit, solve_cw_family
 from .holonomic import (
     QDiffOperator,
+    annihilation_depth,
     apply_qdiff,
     evaluate_ag_sum,
     first_recurrence_failure,
@@ -119,6 +120,7 @@ class VerificationRun:
         # criterion: layer count vs recursion mod q^20 (total size <= 19);
         # below q^20 it checks sizes < qorder
         self.cyl_order = min(qorder - 1, 19)
+        self.words = automata.FORBIDDEN_WORDS  # the DFA's factors, read when the run starts
         # by name: the catalog's certificate sets and annihilators, the 5x5
         # system's read off this run's transfer system
         self.certificates: dict[str, catalog.CertificateSet] = _Memo(lambda name: catalog.certificate(name))
@@ -133,7 +135,7 @@ class VerificationRun:
 
     @cached_property
     def dfa(self) -> Dfa:
-        return build_avoidance_dfa()
+        return build_avoidance_dfa(self.words)
 
     @cached_property
     def transfer(self):
@@ -247,7 +249,7 @@ def task_dfa_table(run: VerificationRun) -> tuple[dict, dict | None]:
     witness = None
     if not (dfa.n_states == 6 and len(dfa.accepts) == 1 and dfa.to_json() == golden):
         witness = {"kind": "dfa", "states": dfa.n_states, "accepts": sorted(dfa.accepts)}
-    return {"words": 48}, witness
+    return {"words": len(run.words)}, witness
 
 
 def task_transfer_matrix(run: VerificationRun) -> tuple[dict, dict | None]:
@@ -299,12 +301,13 @@ def task_cylindric_enumeration(run: VerificationRun) -> tuple[dict, dict | None]
     """The layer count equals the recursion solution for all 10 profiles."""
     n = run.cyl_order
     fam = run.cw_family
+    compared = profile_orbit((3, 0, 0))
     witness = _first_witness(
         _witness(f"profile-{profile}", enumerate_cylindric(profile, n), g_to_f(fam[profile].truncate(n + 1)),
                  profile=list(profile))
-        for profile in profile_orbit((3, 0, 0))
+        for profile in compared
     )
-    return {"max_size": n, "profiles": 10}, witness
+    return {"max_size": n, "profiles": len(compared)}, witness
 
 
 def task_specialized_products(run: VerificationRun) -> tuple[dict, dict | None]:
@@ -388,17 +391,16 @@ def task_chain(run: VerificationRun) -> tuple[dict, dict | None]:
 
 
 def task_uncoupling(run: VerificationRun) -> tuple[dict, dict | None]:
-    """Uncoupled scalar operators annihilate the independent series."""
+    """Each operator kills its component of every solution of its system exactly
+    (``annihilation_depth``), on this run's 2x2 and 5x5 matrices."""
 
-    def witness(name: str, order: int) -> dict | None:
-        if apply_qdiff(run.operators[name], run.series[name].truncate(order)).is_zero():
+    def witness(name: str, system: str, component: int) -> dict | None:
+        rows = catalog.system_matrix(system, lambda: run.transfer.matrix)
+        if annihilation_depth(run.operators[name], rows, component) is not None:
             return None
-        system, component = catalog.identities()[name].system
         return {"kind": "uncouple-2x2"} if system == "2x2" else {"kind": "uncouple-5x5", "component": component}
 
-    # g300 at run.qorder, the classes at run.bigraded_order; a series is built only when its check runs
-    checks = [("g300", run.qorder)] + [(name, run.bigraded_order) for name in catalog.CLASS_NAMES]
-    return {}, _first_witness(witness(*check) for check in checks)
+    return {}, _first_witness(witness(name, *row.system) for name, row in catalog.identities().items() if row.system)
 
 
 TASKS = [

@@ -151,4 +151,4 @@ def test_criterion_12_uncoupling_supplement(run):
     # not numbered in the criteria list, but the uncoupled annihilators are
     # part of the pipeline contract: keep them under the gate
     _, w = task_uncoupling(run)
-    _criterion(12, "uncoupled scalar operators annihilate independent series", w is None)
+    _criterion(12, "each uncoupled operator kills its system's component exactly (annihilation_depth)", w is None)

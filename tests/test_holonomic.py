@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpart import automata, catalog, cylindric, serialize
+from qpart import automata, catalog, cylindric, holonomic, serialize
 from qpart.automata import build_avoidance_dfa, derive_transfer_system, solve_language_series
 from qpart.colored import COND_D123, enumerate_2colored, gen_fun
 from qpart.cylindric import solve_cw_family
@@ -23,6 +23,7 @@ from qpart.holonomic import (
     SequenceTables,
     ShiftOp,
     TERM_VARS,
+    annihilation_depth,
     apply_qdiff,
     cleared_ratios,
     eval_qu_poly,
@@ -40,7 +41,7 @@ from qpart.holonomic import (
     uncouple_system,
     verify_certificate,
 )
-from qpart.holonomic import _polynomial_nullvector, _term_profile
+from qpart.holonomic import _polynomial_nullvector, _row_walk, _term_profile
 from qpart.laurent import LaurentPoly, RationalFunction
 from qpart.series import BiSeries, QSeries
 
@@ -936,6 +937,38 @@ def test_uncouple_2x2():
     assert not apply_qdiff(op, fam[(1, 1, 1)]).is_zero()
     op1 = uncouple_system(mat, 1)
     assert apply_qdiff(op1, fam[(1, 1, 1)]).is_zero()
+
+
+def test_annihilation_depths_are_pinned(monkeypatch):
+    walked = []
+
+    def counted(rows, component, step):
+        walked.append(component)
+        return _row_walk(rows, component, step)
+
+    monkeypatch.setattr(holonomic, "_row_walk", counted)
+    depths = {}
+    for name in ("g300", "g111", "d123", "d1234"):
+        system, component = catalog.identities()[name].system
+        rows = catalog.system_matrix(system)
+        op = catalog.annihilator(name)
+        depths[name] = annihilation_depth(op, rows, component)
+        # one changed coefficient: no depth proves the changed operator
+        terms = list(op.terms)
+        terms[-1] = (terms[-1][0] + terms[-1][0], terms[-1][1])
+        assert annihilation_depth(QDiffOperator(tuple(terms), op.step), rows, component) is None, name
+    assert depths == {"g300": 2, "g111": 2, "d123": 3, "d1234": 4}
+    # uncouple_system and annihilation_depth walk the same rows: per name one
+    # uncoupling, then the two depth checks, at the name's component
+    assert walked == [0] * 3 + [1] * 3 + [0] * 3 + [1] * 3
+    # d1234 has order 3, but its combination is nonzero at depth 3: A(x q^9) is singular
+    op = catalog.annihilator("d1234")
+    rows = [list(row) for row in catalog.system_matrix("5x5")]
+    W = next(W for s, W in _row_walk(rows, 1, 3) if s == 3)
+    zero = LaurentPoly.zero(XQ)
+    combined = [sum((c * W[k][j] for c, k in op.terms), zero) for j in range(5)]
+    assert any(not p.is_zero() for p in combined)
+    assert annihilation_depth(QDiffOperator((), 3), rows, 1) is None
 
 
 def test_uncouple_5x5():

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qpart import catalog, colored, holonomic, verification
+from qpart import automata, catalog, colored, holonomic, verification
 from qpart.cli import main
 from qpart.laurent import LaurentPoly
 from qpart.series import PochhammerSpec
@@ -89,34 +89,27 @@ def test_transfer_matrix_witness_is_the_first_mismatch(run, monkeypatch, tmp_pat
     assert task_transfer_matrix(run)[1] == {"kind": "matrix-entry", "row": 1, "col": 2}
 
 
-def test_uncoupling_witnesses_are_pinned(run, monkeypatch):
-    coupled = catalog.coupled_g_system
-
-    def doubled_corner():
-        mat = coupled()
-        mat[0][0] = mat[0][0] + mat[0][0]
-        return mat
-
-    monkeypatch.setattr(catalog, "coupled_g_system", doubled_corner)
-    assert task_uncoupling(run)[1] == {"kind": "uncouple-2x2"}
-    # the first failing check ends the task before the 5x5 system is derived
-    assert "transfer" not in vars(run) and "d123" not in run.series
-    monkeypatch.undo()
-    # a run uncouples each system once, so each perturbation gets a new run
-    run = VerificationRun(qorder=12)
-    transfer = run.transfer
-    rows = [list(row) for row in transfer.matrix]
-    rows[1][1] = rows[1][1] + rows[1][1]
-    run.transfer = dataclasses.replace(transfer, matrix=tuple(map(tuple, rows)))
-    assert task_uncoupling(run)[1] == {"kind": "uncouple-5x5", "component": 0}
-    run = VerificationRun(qorder=12)
-    run.series["d1234"] = run.series["d123"]
-    assert task_uncoupling(run)[1] == {"kind": "uncouple-5x5", "component": 1}
+def test_uncoupling_witnesses_are_pinned():
+    # one changed coefficient of any one operator fails the exact check, and
+    # the task reads no series
+    for name, witness in (
+        ("g300", {"kind": "uncouple-2x2"}),
+        ("g111", {"kind": "uncouple-2x2"}),
+        ("d123", {"kind": "uncouple-5x5", "component": 0}),
+        ("d1234", {"kind": "uncouple-5x5", "component": 1}),
+    ):
+        run = VerificationRun(qorder=12)
+        op = run.operators[name]
+        (coeff, shift), *rest = op.terms
+        run.operators[name] = dataclasses.replace(op, terms=((coeff + coeff, shift), *rest))
+        assert task_uncoupling(run) == ({}, witness), name
+        assert not run.series
 
 
 def test_operator_witnesses_follow_the_systems_they_are_derived_from(run, monkeypatch):
     # the operators are uncoupled from the catalog's systems, so perturbing
-    # a system, not an operator, is what the qdiff tasks must catch
+    # a system, not an operator, is what the qdiff tasks must catch;
+    # uncoupling checks each operator against that same system, and passes
     coupled = catalog.coupled_g_system
 
     def doubled_corner():
@@ -126,13 +119,16 @@ def test_operator_witnesses_follow_the_systems_they_are_derived_from(run, monkey
 
     monkeypatch.setattr(catalog, "coupled_g_system", doubled_corner)
     assert task_qdiff_cylindric(run)[1] == {"kind": "operator-g300", "x_exp": 1, "q_exp": 3}
+    assert task_uncoupling(run)[1] is None
     monkeypatch.undo()
     # the automaton's operators come from the run's transfer system
+    run = VerificationRun(qorder=12)
     transfer = run.transfer
     rows = [list(row) for row in transfer.matrix]
     rows[1][0] = rows[1][0] + rows[1][0]
     run.transfer = dataclasses.replace(transfer, matrix=tuple(map(tuple, rows)))
     assert task_qdiff_colored(run)[1] == {"kind": "operator-d123", "x_exp": 1, "q_exp": 3}
+    assert task_uncoupling(run)[1] is None
 
 
 @pytest.mark.parametrize("doubled, j", [(0, 0), (2, 2), (4, 0)])
@@ -192,6 +188,16 @@ def test_dfa_table_witness_is_pinned(run, monkeypatch, tmp_path):
     monkeypatch.setattr(verification, "GOLDEN_DIR", tmp_path)
     # the built automaton is still the 6-state one; only the table differs
     assert task_dfa_table(run)[1] == {"kind": "dfa", "states": 6, "accepts": [5]}
+
+
+def test_dfa_table_reads_the_word_list_at_each_run(monkeypatch):
+    words = automata.FORBIDDEN_WORDS
+    for dropped in words:
+        fewer = tuple(w for w in words if w != dropped)
+        monkeypatch.setattr(automata, "FORBIDDEN_WORDS", fewer)
+        assert automata.build_avoidance_dfa() == automata.build_avoidance_dfa(fewer)
+        inputs, witness = task_dfa_table(VerificationRun(qorder=10))
+        assert inputs == {"words": 47} and witness is not None, dropped
 
 
 def test_certificates_witness_is_pinned(run):
@@ -312,7 +318,8 @@ def test_every_datum_of_the_identity_table_reaches_the_tasks_that_read_it(monkey
 
 @pytest.mark.parametrize("name, changes, failing", [
     ("g111", {"system": ("2x2", 0)}, {"qdiff-cylindric", "combination-identity"}),
-    ("d123", {"system": ("5x5", 1)}, {"language-series", "qdiff-colored", "combination-identity", "uncoupling"}),
+    # uncoupling checks the operator against the replaced system itself, so it passes
+    ("d123", {"system": ("5x5", 1)}, {"language-series", "qdiff-colored", "combination-identity"}),
     ("g300", {"families": catalog._families_g111}, {"certificates", "recurrences", "combination-identity"}),
     # the x^n coefficient is the same whichever k is substituted out; only the certificate sees it
     ("d1234", {"eliminate": 0}, {"certificates"}),
@@ -384,6 +391,12 @@ def test_a_run_builds_each_certificate_set_once(monkeypatch):
 
 def test_cylindric_enumeration_is_not_vacuous_at_the_lowest_qorder():
     assert task_cylindric_enumeration(VerificationRun(qorder=10)) == ({"max_size": 9, "profiles": 10}, None)
+
+
+def test_cylindric_enumeration_reports_the_profiles_it_compared(monkeypatch):
+    orbit = verification.profile_orbit
+    monkeypatch.setattr(verification, "profile_orbit", lambda profile: orbit(profile)[:3])
+    assert task_cylindric_enumeration(VerificationRun(qorder=10)) == ({"max_size": 9, "profiles": 3}, None)
 
 
 def test_verify_all_passes_from_a_copied_package(tmp_path):
