@@ -13,11 +13,12 @@ Two equivalent descriptions of the same partition classes are implemented:
 * the local difference conditions D1-D4 on consecutive parts, and
 * a list of seven families of forbidden contiguous patterns.
 
-All conditions are local to windows of at most four consecutive parts, so
-both the membership tests and the pruned enumeration run in linear time.
-A window can break D1-D3 only where its last part lies at most ``NEAR`` (2)
-below the part before it, and D4 only at a part of magnitude <= 2; the walk
-and ``check_condition`` test the windows ending at those parts and no others.
+All conditions are local to windows of at most four consecutive parts.
+``check_condition`` tests only the windows ending at a part at most ``NEAR``
+(2) below the one before it, or, under D4, of magnitude <= 2.  The listing
+walks a successor table that each walk fills lazily from ``_violation_ending_at``
+(so ``iter_all(500)`` starts at once); D3, the only condition over 3-4 parts,
+is tested on the prefix during the walk, and only at a gap <= NEAR.
 The pattern test reads the families only through ``family_windows``: it
 looks up each window among the literal family instances, and is
 cross-checked in the test suite against literal pattern matching over all
@@ -107,8 +108,8 @@ _D4_TOP = max(m for m, _ in _D4_BANNED)
 #: A window ending at part i can break D1-D3 only if part i lies at most
 #: NEAR below part i-1: D1 needs a gap <= 1 and D2 a gap of exactly 2; the
 #: D3 3-windows end at a gap of 0 or 2 and the D3 4-window at a gap of 1.
-#: D4 bans only parts of magnitude <= _D4_TOP.  So a window ending at a gap
-#: above NEAR, at a part above _D4_TOP, never needs ``_violation_ending_at``.
+#: D4 bans only parts of magnitude <= _D4_TOP.  ``check_condition`` skips the
+#: other windows, and the walk's successor table flags a D3 test only at a gap <= NEAR.
 NEAR = 2
 
 
@@ -255,31 +256,45 @@ def iter_all(max_size: int) -> Iterator[Partition]:
     return (lam for _, lam in _walk(max_size, False, False, False, False))
 
 
-_BOTH = (PLUS, MINUS)
-#: the colors a part may take at the magnitude of the part before it, by that part's color
-_BELOW = {PLUS: _BOTH, MINUS: (MINUS,)}
-
-
 def _walk(max_size: int, d1: bool, d2: bool, d3: bool, d4: bool) -> Iterator[tuple[int, Partition]]:
-    """Depth-first generation of (size, partition) for the partitions of
-    size <= max_size, parts appended weakly decreasing in the part order, in
-    preorder; a prefix whose newest window violates a selected condition is
-    pruned.  Only a new part within ``NEAR`` of the previous one, or of
-    magnitude <= 2 under D4, can end a violation, so only those are tested."""
+    """Depth-first generation of (size, partition) for the partitions of size <= max_size
+    meeting the conditions, in preorder.  Each (previous part, budget capped at its magnitude)
+    reached gets its successors once: the parts, in walk order, whose one- or two-part window
+    ``_violation_ending_at`` passes with D3 off, each flagged if D3 must still be tested."""
+    table: dict[tuple[Part | None, int], list[tuple[Part, bool]]] = {}
+
+    def successors(prev: Part | None, budget: int) -> list[tuple[Part, bool]]:
+        head, top = ((prev,), prev[0]) if prev else ((), max_size)
+        found = []
+        for p in product(range(min(budget, top), 0, -1), (PLUS, MINUS)):
+            if (head and part_key(p) > part_key(prev)) or _violation_ending_at(head + (p,), len(head), d1, d2, False, d4):
+                continue
+            found.append((p, d3 and bool(head) and top - p[0] <= NEAR))
+        return table.setdefault((prev, budget), found)
+
     prefix: list[Part] = []
-    near, low = _LIMITS[d1, d2, d3, d4]
-
-    def descend(budget: int, top: int, colors: tuple[str, ...]) -> Iterator[tuple[int, Partition]]:
-        yield max_size - budget, tuple(prefix)
-        for mag in range(min(budget, top), 0, -1):
-            tested = (prefix and top - mag <= near) or mag <= low
-            for color in colors if mag == top else _BOTH:
-                prefix.append((mag, color))
-                if not (tested and _violation_ending_at(prefix, len(prefix) - 1, d1, d2, d3, d4)):
-                    yield from descend(budget - mag, mag, _BELOW[color])
-                prefix.pop()
-
-    return descend(max_size, max_size, _BOTH)
+    n = 0
+    stack = [iter(successors(None, max_size))]
+    yield 0, ()
+    while stack:
+        for p, d3_open in stack[-1]:
+            prefix.append(p)
+            if not (d3_open and _violation_ending_at(prefix, len(prefix) - 1, False, False, True, False)):
+                n += p[0]
+                yield n, tuple(prefix)
+                budget = max_size - n
+                key = (p, budget if budget < p[0] else p[0])
+                succ = table.get(key)
+                if succ is None:
+                    succ = successors(*key)
+                if succ:
+                    stack.append(iter(succ))
+                    break
+                n -= p[0]
+            prefix.pop()
+        else:
+            stack.pop()
+            n -= prefix.pop()[0] if prefix else 0
 
 
 def enumerate_2colored(max_size: int, cond: Iterable[str] = ()) -> list[Partition]:

@@ -182,6 +182,36 @@ def test_listing_is_the_filtered_walk_in_the_sort_key_order(cond):
     assert enumerate_2colored(12, cond) == expected
 
 
+def test_the_successor_table_reads_the_predicate_at_each_walk(monkeypatch):
+    # (6+, 4+) passes D1-D3 and occurs in the listing; the predicate below
+    # also bans it under D2, so every walk must take its pair verdicts from
+    # the predicate as it is when the walk runs, and restate or keep none
+    import qpart.colored as colored
+
+    banned = ((6, P), (4, P))
+    listing = enumerate_2colored(14, COND_D123)
+    held = [lam for lam in listing if any(lam[i : i + 2] == banned for i in range(len(lam) - 1))]
+    assert held
+
+    def also_banning(parts, i, d1, d2, d3, d4):
+        return (d2 and i >= 1 and tuple(parts[i - 1 : i + 1]) == banned) or _violation_ending_at(parts, i, d1, d2, d3, d4)
+
+    monkeypatch.setattr(colored, "_violation_ending_at", also_banning)
+    assert enumerate_2colored(14, COND_D123) == [lam for lam in listing if lam not in held]
+    monkeypatch.undo()
+    assert enumerate_2colored(14, COND_D123) == listing
+
+
+@pytest.mark.parametrize("cond", [COND_D123, COND_D1234], ids=["D123", "D1234"])
+def test_d3_pruning_past_the_first_residue_period(cond):
+    """At size 36 the D3 windows reach magnitudes in several residue periods
+    (the 4-window sums to 4m+8, the 3-windows to 3m+-2): the walk that prunes
+    D3 lists exactly the check_condition filter of the walk without it."""
+    listing = enumerate_2colored(36, cond)
+    assert listing == [lam for lam in enumerate_2colored(36, cond - {"D3"}) if check_condition(lam, cond)]
+    assert listing == sorted(listing, key=listing_order_key)
+
+
 def test_check_condition_tests_every_window_that_can_fail():
     # any sequence of up to four parts, increasing ones (negative gaps) too
     parts = [(m, c) for m in range(1, 7) for c in (P, M)]
