@@ -270,9 +270,8 @@ def derive_transfer_system(dfa: Dfa) -> TransferSystem:
 def solve_language_series(system: TransferSystem, qorder: int) -> dict[int, BiSeries]:
     """Solve the coupled system for all components mod q^qorder.
 
-    The x-shift by q^shift makes slice m of F_v(x q^shift) lag slice m of
-    F_v by q^(shift*m), so each nonconstant slice of the shared solver's
-    sweep has one fixed point.
+    Every term shifts x by the block width, q^3 for a derived system, which
+    meets the shared solver's requirement of x-shifts >= 1.
     """
     equations = {
         u: [(entry, system.shift, v) for entry, v in zip(row, system.states) if not entry.is_zero()]

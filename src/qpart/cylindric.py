@@ -146,9 +146,9 @@ def profile_orbit(profile: Profile) -> list[Profile]:
 def solve_cw_family(profile: Profile, qorder: int) -> dict[Profile, BiSeries]:
     """Solve the G-recursion for every profile in the orbit at once.
 
-    Each child term is sign * (xq; q)_deg * G_child(x q^|J|); every shift
-    is at least 1, so each x-slice of the shared solver's sweep has one
-    fixed point, and the constant slice of every G is 1.
+    Each child term is sign * (xq; q)_deg * G_child(x q^|J|) with J
+    nonempty, so every x-shift |J| is at least 1, as the shared solver
+    requires; the constant slice of every G is 1.
     """
     one = LaurentPoly.one(XQ_VARS)
 

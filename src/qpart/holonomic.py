@@ -19,8 +19,8 @@ runs the gcd's pseudo-remainder loop over the ring of backward shifts.
 Linear q-difference systems in x (the profile recursion, the automaton
 system) share one layer: ``shift_combination`` forms
 sum coeff(x, q) * F(x q^shift), and ``solve_shift_system`` solves
-F_u = sum coeff * F_v(x q^shift) one x-slice at a time, in increasing
-x-degree, each slice by its own q-adic fixed-point iteration.
+F_u = sum coeff * F_v(x q^shift), every shift >= 1, one x-slice at a time,
+in increasing x-degree, each slice by its own q-adic fixed-point iteration.
 """
 
 from __future__ import annotations
@@ -805,35 +805,6 @@ class QDiffOperator:
         return {"step": self.step, "terms": [[c.to_json(), s] for c, s in self.terms]}
 
 
-def poly_times_biseries(p: LaurentPoly, s: BiSeries, shift: int) -> BiSeries:
-    """p(x, q) * s(x q^shift) mod q^s.qorder: a term c x^ex q^eq of p adds c q^(eq + shift*m)
-    times slice m of s to slice m + ex, the offset rule of ``solve_shift_system``."""
-    if shift < 0:
-        raise ValueError("negative x-shift")
-    n = s.qorder
-    rows: dict[int, list[int]] = {}
-    for (ex, eq), c in p.terms.items():
-        if ex < 0 or eq < 0:
-            raise ValueError("operator coefficients must be polynomial")
-        for m, sl in s.slices.items():
-            off = eq + shift * m
-            if off >= n:
-                continue
-            row = rows.get(m + ex)
-            if row is None:
-                row = rows[m + ex] = [0] * n
-            row[off:] = [r + c * a for r, a in zip(row[off:], sl.coeffs)]
-    return BiSeries(n, {m: QSeries(n, row) for m, row in rows.items()})
-
-
-def shift_combination(terms: Iterable[tuple[LaurentPoly, int, BiSeries]], qorder: int) -> BiSeries:
-    """sum of coeff(x, q) * series(x q^shift) over (coeff, shift, series) terms, mod q^qorder."""
-    acc = BiSeries.zero(qorder)
-    for coeff, shift, series in terms:
-        acc = acc + poly_times_biseries(coeff, series, shift)
-    return acc
-
-
 def _shifted_sum(row: list[int], terms: Iterable[tuple[list[int], int, int]]) -> list[int]:
     """row + sum of c * q^off * src over the (src, off, c) terms, cut to len(row)."""
     row = row[:]
@@ -842,9 +813,31 @@ def _shifted_sum(row: list[int], terms: Iterable[tuple[list[int], int, int]]) ->
     return row
 
 
+def poly_times_biseries(p: LaurentPoly, s: BiSeries, shift: int) -> BiSeries:
+    """p(x, q) * s(x q^shift) mod q^s.qorder: a term c x^ex q^eq of p adds c q^(eq + shift*m)
+    times slice m of s to slice m + ex, the offset rule of ``solve_shift_system``."""
+    if shift < 0:
+        raise ValueError("negative x-shift")
+    n = s.qorder
+    terms: dict[int, list] = {}
+    for (ex, eq), c in p.terms.items():
+        if ex < 0 or eq < 0:
+            raise ValueError("operator coefficients must be polynomial")
+        for m, sl in s.slices.items():
+            if (off := eq + shift * m) < n:
+                terms.setdefault(m + ex, []).append((sl.coeffs, off, c))
+    return BiSeries(n, {m: QSeries(n, _shifted_sum([0] * n, t)) for m, t in terms.items()})
+
+
+def shift_combination(terms: Iterable[tuple[LaurentPoly, int, BiSeries]], qorder: int) -> BiSeries:
+    """sum of coeff(x, q) * series(x q^shift) over (coeff, shift, series) terms, mod q^qorder."""
+    return sum((poly_times_biseries(coeff, series, shift) for coeff, shift, series in terms), BiSeries.zero(qorder))
+
+
 def solve_shift_system(equations: dict, qorder: int) -> dict:
     """Solve F_u(x) = sum of coeff(x, q) * F_v(x q^shift) over the
     (coeff, shift, v) terms of equations[u], for every u, mod q^qorder.
+    Every shift must be >= 1; a smaller one raises ValueError.
 
     The x-slices are filled in increasing order m = 0, 1, 2, ...: a term
     c x^ex q^eq F_v(x q^shift) adds c q^(eq + shift*(m - ex)) times slice
@@ -852,17 +845,13 @@ def solve_shift_system(equations: dict, qorder: int) -> dict:
     already final and are added once; then slice m is iterated on its own
     with the same-slice terms (ex = 0), slice 0 from 1 and every higher
     slice from 0, within qorder + 2 passes.  For m >= 1 a same-slice term
-    lags by at least one q-power unless it is the x^0 q^0 term of a shift-0
-    coefficient.  Without such terms each higher slice has exactly one
-    fixed point, and the result is the limit of the q-adic iteration of
-    the whole system from F = 1 whenever that iteration settles.  With one,
-    a higher slice can have many (F0 = F0 + x F1(x) leaves slice 1 of F0
-    free), so a slice m >= 1 that settles with such a term raises
-    ValueError instead of returning one of them.  The sweep
-    stops once m exceeds the largest x-degree D among the coefficients and
-    the last D slices of every unknown are zero.  A nonzero slice above
-    (qorder + 1) * D, which qorder + 2 passes of the whole-system iteration
-    cannot reach, fails like a slice that does not settle.
+    lags by at least shift*m >= 1 q-powers, so each higher slice has exactly
+    one fixed point, and the result is the limit of the q-adic iteration of
+    the whole system from F = 1 whenever that iteration settles.  What
+    every term adds to slice m is divisible by q^(m - D), D the largest
+    x-degree among the coefficients, so no slice at or above qorder + D is
+    nonzero; the sweep stops once m exceeds D and the last D slices of
+    every unknown are zero.
     """
     if qorder < 1:
         raise ValueError("qorder must be >= 1")
@@ -871,8 +860,8 @@ def solve_shift_system(equations: dict, qorder: int) -> dict:
         for coeff, shift, v in terms:
             if v not in equations:
                 raise KeyError(v)
-            if shift < 0:
-                raise ValueError("negative x-shift")
+            if shift < 1:
+                raise ValueError(f"a term F_{v}(x q^{shift}) of F_{u} has an x-shift below 1")
             for (ex, eq), c in coeff.terms.items():
                 if ex < 0 or eq < 0:
                     raise ValueError("operator coefficients must be polynomial")
@@ -894,10 +883,6 @@ def solve_shift_system(equations: dict, qorder: int) -> dict:
                 break
             cur = nxt
         else:
-            raise AssertionError("shift system iteration failed to converge")
-        if m and any(not off for terms in same.values() for _, off, _ in terms):
-            raise ValueError("a shift-0 coefficient with an x^0 q^0 term leaves an x-slice not unique")
-        if m > (qorder + 1) * top and any(map(any, cur.values())):
             raise AssertionError("shift system iteration failed to converge")
         for u, row in cur.items():
             sol[u].append(row)

@@ -86,11 +86,14 @@ def term_from_json(data: dict) -> HypTerm:
 
 
 def system_from_json(data: dict) -> tuple[list[list[RationalFunction]], int]:
-    """A first-order system {"step": s, "matrix": [[entry, ...], ...]}
-    with an integer step s >= 1 and every entry over (x, q)."""
-    step = _int(data.get("step", 3), "the system's step")
+    """A first-order system {"step": s, "matrix": [[entry, ...], ...]}, "shift" standing for "step"
+    as ``qpart system`` writes it, with an integer s >= 1 (3 if absent) and every entry over (x, q)."""
+    given = {key: _int(data[key], f"the system's {key}") for key in ("step", "shift") if key in data}
+    if len(set(given.values())) > 1:
+        raise ValueError(f"the system's step {given['step']} and shift {given['shift']} differ")
+    key, step = next(iter(given.items()), ("step", 3))
     if step < 1:
-        raise ValueError(f"the system's step must be >= 1, not {step}")
+        raise ValueError(f"the system's {key} must be >= 1, not {step}")
     matrix = [[ratfun_from_json(e) for e in row] for row in data["matrix"]]
     if any(e.num.vars != XQ_VARS for row in matrix for e in row):
         raise ValueError(f"system entries must be over ({', '.join(XQ_VARS)})")

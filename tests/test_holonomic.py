@@ -7,7 +7,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpart import automata, catalog, cylindric, holonomic, serialize
@@ -43,7 +43,7 @@ from qpart.holonomic import (
 )
 from qpart.holonomic import _polynomial_nullvector, _row_walk, _term_profile
 from qpart.laurent import LaurentPoly, RationalFunction
-from qpart.series import BiSeries, QSeries
+from qpart.series import BiSeries, QSeries, divide_binomial, inv_xq_pochhammer
 
 from oracles import finite_pochhammer
 
@@ -742,21 +742,21 @@ def test_catalog_sums_still_build():
 
 
 def test_a_non_contracting_shift_system_does_not_converge():
-    # F = (1 + x) F(x): with shift 0 the x-degree grows every pass
-    growing = LaurentPoly(XQ, {(0, 0): 1, (1, 0): 1})
+    # F(x) = 2 F(xq): slice 0 runs 1, 2, 4, ...
+    two = LaurentPoly.constant(XQ, 2)
     with pytest.raises(AssertionError):
-        solve_shift_system({0: [(growing, 0, 0)]}, 6)
+        solve_shift_system({0: [(two, 1, 0)]}, 6)
     with pytest.raises(ValueError):
-        solve_shift_system({0: [(growing, 1, 0)]}, 0)
+        solve_shift_system({0: [(two, 1, 0)]}, 0)
 
 
-def _solve_by_whole_series_iteration(equations: dict, qorder: int) -> dict:
+def _solve_by_whole_series_iteration(equations: dict, qorder: int, passes: int | None = None) -> dict:
     """The reference solver: q-adic fixed-point iteration of all slices at
-    once from F = 1, within qorder + 2 passes."""
+    once from F = 1, within ``passes`` passes (qorder + 2 by default)."""
     if qorder < 1:
         raise ValueError("qorder must be >= 1")
     cur = {u: BiSeries.one(qorder) for u in equations}
-    for _ in range(qorder + 2):
+    for _ in range(passes or qorder + 2):
         nxt = {
             u: shift_combination(((coeff, shift, cur[v]) for coeff, shift, v in terms), qorder)
             for u, terms in equations.items()
@@ -767,20 +767,20 @@ def _solve_by_whole_series_iteration(equations: dict, qorder: int) -> dict:
     raise AssertionError("shift system iteration failed to converge")
 
 
-def _outcome(solver, equations, qorder):
+def _outcome(solver, *args):
     try:
-        return solver(equations, qorder)
+        return solver(*args)
     except (AssertionError, ValueError) as exc:
         return type(exc)
 
 
 @st.composite
 def shift_systems(draw):
-    """Systems F_u = sum coeff * F_v(x q^shift) with shifts 1-3 and shift-0
-    terms whose coefficient is divisible by x.  In half of them the only
-    x^0 q^0 coefficients are those of anchor terms F_u(x q^shift) of an
-    unknown whose other coefficients are divisible by x: slice 0 then
-    settles at 1 or 0, and many solutions have nonzero higher slices."""
+    """Systems F_u = sum coeff * F_v(x q^shift) with shifts 1-3.  In half
+    of them the only x^0 q^0 coefficients are those of anchor terms
+    F_u(x q^shift) of an unknown whose other coefficients are divisible by
+    x: slice 0 then settles at 1 or 0, and many solutions have nonzero
+    higher slices."""
     size = draw(st.integers(1, 3))
     anchored = draw(st.booleans())
     unknowns = st.integers(0, size - 1)
@@ -796,29 +796,32 @@ def shift_systems(draw):
         anchor = anchored and draw(st.booleans())
         terms = [(coeff(int(anchor)), draw(st.integers(1, 3)), draw(unknowns))
                  for _ in range(draw(st.integers(0, 3)))]
-        terms += [(coeff(1), 0, draw(unknowns)) for _ in range(draw(st.integers(0, 2)))]
         if anchor:
             terms.append((LaurentPoly.one(XQ), draw(st.integers(1, 3)), u))
         equations[u] = terms
     return equations, draw(st.integers(1, 12))
 
 
+# F0 = F1(xq), F1 = q^2 F0(xq), F2 = x F0(xq) + x F2(xq) mod q^4: slice 0 of
+# the iterates is final from F_4 on, slice 2 of F2 only from F_6 on, which
+# the reference's qorder + 2 = 6 passes cannot confirm
+LATE_SETTLING = ({0: [(LaurentPoly.one(XQ), 1, 1)], 1: [(LaurentPoly(XQ, {(0, 2): 1}), 1, 0)],
+                  2: [(LaurentPoly(XQ, {(1, 0): 1}), 1, 0), (LaurentPoly(XQ, {(1, 0): 1}), 1, 2)]}, 4)
+
+
 @settings(max_examples=400, deadline=None)
 @given(shift_systems())
+@example(LATE_SETTLING)
 def test_slice_sweep_matches_whole_series_iteration(case):
     equations, qorder = case
     new = _outcome(solve_shift_system, equations, qorder)
     old = _outcome(_solve_by_whole_series_iteration, equations, qorder)
     if old is AssertionError and isinstance(new, dict):
-        # a shift-0 term can keep the whole-series iterates from settling
-        # (F = x F(x) runs 1, x, x^2, ...) where every slice has one fixed
-        # point (here 0): the sweep's answer must then solve the system
-        assert new == {
-            u: shift_combination(((coeff, shift, new[v]) for coeff, shift, v in terms), qorder)
-            for u, terms in equations.items()
-        }
-    else:
-        assert new == old
+        # the sweep's slice 0 settled by pass qorder + 1, and from then on
+        # each pass raises the q-order of every higher slice's change by at
+        # least one: the whole-series iterates settle by pass 2 * qorder + 1
+        old = _outcome(_solve_by_whole_series_iteration, equations, qorder, 2 * qorder + 2)
+    assert new == old
 
 
 @pytest.mark.parametrize("qorder", (1, 2, 7, 20))
@@ -832,24 +835,31 @@ def test_slice_sweep_matches_whole_series_iteration_on_the_bundled_systems(qorde
 
 
 def test_shift_system_edge_cases():
-    one = LaurentPoly.one(XQ)
-    # F = F(x) is solved by the start value
-    assert solve_shift_system({0: [(one, 0, 0)]}, 5) == {0: BiSeries.one(5)}
     with pytest.raises(ValueError):
         solve_shift_system({0: [(LaurentPoly(XQ, {(0, -1): 1}), 1, 0)]}, 5)
     with pytest.raises(ValueError):
         solve_shift_system({0: [(LaurentPoly(XQ, {(-1, 0): 1}), 1, 0)]}, 5)
 
 
-def test_a_higher_slice_without_a_unique_solution_is_rejected():
-    # F0 = F0(x) + x F1(x), F1 = q F1(xq): slice 1 of F0 is free (the
-    # whole-series iteration settles at 1/(1 - q) there, the sweep at 0)
-    x = LaurentPoly(XQ, {(1, 0): 1})
+def test_an_x_shift_below_one_is_rejected_before_any_slice(monkeypatch):
+    one, x = LaurentPoly.one(XQ), LaurentPoly(XQ, {(1, 0): 1})
     q = LaurentPoly(XQ, {(0, 1): 1})
-    system = {0: [(LaurentPoly.one(XQ), 0, 0), (x, 0, 1)], 1: [(q, 1, 1)]}
-    with pytest.raises(ValueError, match="unique"):
-        solve_shift_system(system, 6)
-    assert _solve_by_whole_series_iteration(system, 6)[0].slices[1] == QSeries(6, [1] * 6)
+    rows = []
+    monkeypatch.setattr(holonomic, "_shifted_sum", lambda row, terms: rows.append(row))
+    systems = (
+        # F = F(x): every start value is a fixed point
+        {0: [(one, 0, 0)]},
+        # F0 = F0(x) + x F1(x), F1 = q F1(xq): slice 1 of F0 is free
+        {0: [(one, 0, 0), (x, 0, 1)], 1: [(q, 1, 1)]},
+        # F = (1 + x) F(x): the x-degree grows every pass
+        {0: [(one + x, 0, 0)]},
+        # the first term is fine, the last shifts x by q^-1
+        {0: [(q, 1, 1)], 1: [(x, 2, 0), (q, -1, 1)]},
+    )
+    for system in systems:
+        with pytest.raises(ValueError, match="x-shift below 1"):
+            solve_shift_system(system, 6)
+    assert rows == []
 
 
 @st.composite
@@ -908,24 +918,36 @@ def test_uncoupled_operators_are_primitive():
         assert reduce(gcd, (gcd(*c.terms.values()) for c, _ in op.terms)) == 1
 
 
+def _inv_x_pochhammer_q2(a: int, qorder: int) -> BiSeries:
+    """1/(x q^a; q^2)_oo mod q^qorder: slice m is q^(am)/(q^2;q^2)_m."""
+    slices, inv = {}, QSeries.one(qorder)
+    for m in range(qorder):
+        slices[m] = QSeries(qorder, inv.coeffs).shift(a * m)
+        divide_binomial(inv.coeffs, 2 * (m + 1))
+    return BiSeries(qorder, slices)
+
+
 def test_uncouple_clears_denominators():
-    zero, one = LaurentPoly.zero(("x", "q")), LaurentPoly.one(("x", "q"))
-    xq = LaurentPoly.variable(("x", "q"), "x") * LaurentPoly.variable(("x", "q"), "q")
+    n = 20
+    zero, one = LaurentPoly.zero(XQ), LaurentPoly.one(XQ)
+    xq = LaurentPoly.variable(XQ, "x") * LaurentPoly.variable(XQ, "q")
+    xq_pochhammer = reduce(operator.mul, (BiSeries.one(n) - BiSeries.monomial(n, 1, j) for j in range(1, n)))
     cases = (
-        # F(x) = F(xq) / (1 - xq); an operator of the cleared system
-        # F(x) = F(xq) does not annihilate F = 1/(xq;q)_oo
-        ([[RationalFunction(one, one - xq)]], {0: [(xq, 0, 0), (one, 1, 0)]}),
-        # F(x) = (1 - xq) F(xq) with the denominator -1, as a system file can carry it
-        ([[RationalFunction(xq - one, -one, normalize=False)]], {0: [(one - xq, 1, 0)]}),
-        # F0(x) = F1(xq) / (1 - xq), F1(x) = F0(xq): the dependency needs two steps
+        # F(x) = F(xq) / (1 - xq), solved by 1/(xq;q)_oo; an operator of the
+        # cleared system F(x) = F(xq) does not annihilate it
+        ([[RationalFunction(one, one - xq)]], [inv_xq_pochhammer(n)]),
+        # F(x) = (1 - xq) F(xq) with the denominator -1, as a system file can
+        # carry it, solved by (xq;q)_oo
+        ([[RationalFunction(xq - one, -one, normalize=False)]], [xq_pochhammer]),
+        # F0(x) = F1(xq) / (1 - xq), F1(x) = F0(xq), solved by 1/(xq;q^2)_oo
+        # and 1/(xq^2;q^2)_oo: the dependency needs two steps
         ([[zero, RationalFunction(one, one - xq)], [one, zero]],
-         {0: [(xq, 0, 0), (one, 1, 1)], 1: [(one, 1, 0)]}),
+         [_inv_x_pochhammer_q2(1, n), _inv_x_pochhammer_q2(2, n)]),
     )
-    for matrix, equations in cases:
-        sols = solve_shift_system(equations, 20)
-        for component in sols:
+    for matrix, sols in cases:
+        for component, sol in enumerate(sols):
             op = uncouple_system(matrix, component, step=1)
-            assert apply_qdiff(op, sols[component]).is_zero()
+            assert apply_qdiff(op, sol).is_zero()
 
 
 def test_uncouple_2x2():

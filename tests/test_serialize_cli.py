@@ -112,15 +112,35 @@ def test_uncouple_builtin_deterministic():
 
 def test_uncouple_from_file(tmp_path):
     sysfile = tmp_path / "system.json"
-    mat = catalog.coupled_g_system()
     sysfile.write_text(json.dumps({
         "step": 3,
-        "matrix": [[e.to_json() for e in row] for row in mat],
+        "matrix": [[e.to_json() for e in row] for row in catalog.coupled_g_system()],
     }))
-    code, out, _ = run_cli(["uncouple", "--system", str(sysfile), "--component", "1"])
-    assert code == 0
-    op = json.loads(out)
-    assert max(s for _, s in op["terms"]) >= 1
+    for component in ("0", "1"):
+        builtin = run_cli(["uncouple", "--system", "builtin-2x2", "--component", component])
+        assert builtin[0] == 0
+        assert run_cli(["uncouple", "--system", str(sysfile), "--component", component]) == builtin
+    # what ``qpart system`` writes, read back: its block width is the "shift" key
+    code, text, _ = run_cli(["system"])
+    assert code == 0 and '"shift":3' in text
+    sysfile.write_text(text)
+    builtin = run_cli(["uncouple", "--system", "builtin-5x5", "--component", "1"])
+    assert builtin[0] == 0
+    assert run_cli(["uncouple", "--system", str(sysfile), "--component", "1"]) == builtin
+
+
+def test_a_system_file_gives_its_step_as_step_or_shift(tmp_path):
+    # F(x) = F(xq) / (1 - xq): with shift 1, not the default step 3
+    one = {"vars": ["x", "q"], "terms": [[[0, 0], "1"]]}
+    matrix = [[{"num": one, "den": {"vars": ["x", "q"], "terms": [[[0, 0], "1"], [[1, 1], "-1"]]}}]]
+    sysfile = tmp_path / "system.json"
+    outputs = []
+    for keys in ({"shift": 1}, {"step": 1}, {"step": 1, "shift": 1}):
+        sysfile.write_text(json.dumps({**keys, "matrix": matrix}))
+        code, out, err = run_cli(["uncouple", "--system", str(sysfile), "--component", "0"])
+        assert (code, err) == (0, "") and json.loads(out)["step"] == 1, keys
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_celine_cli_small():
@@ -301,6 +321,11 @@ def test_a_malformed_input_file_is_a_one_line_error_naming_it(tmp_path):
         (json.dumps({"step": 0, "matrix": [[one]]}), ["uncouple", "--system", bad]),
         (json.dumps({"step": -3, "matrix": [[one]]}), ["uncouple", "--system", bad]),
         (json.dumps({"step": 2.5, "matrix": [[one]]}), ["uncouple", "--system", bad]),
+        # "shift", as ``qpart system`` writes it, passes the same checks, and may not contradict "step"
+        (json.dumps({"shift": 0, "matrix": [[one]]}), ["uncouple", "--system", bad]),
+        (json.dumps({"shift": 2.5, "matrix": [[one]]}), ["uncouple", "--system", bad]),
+        (json.dumps({"shift": True, "matrix": [[one]]}), ["uncouple", "--system", bad]),
+        (json.dumps({"step": 3, "shift": 1, "matrix": [[one]]}), ["uncouple", "--system", bad]),
         (json.dumps(repeated_cert), ["certify", "--term", term, "--cert", bad]),
         (json.dumps(repeated_shift), ["certify", "--term", term, "--cert", bad]),
         # no p family: the certificate states no recurrence
