@@ -20,7 +20,8 @@ Linear q-difference systems in x (the profile recursion, the automaton
 system) share one layer: ``shift_combination`` forms
 sum coeff(x, q) * F(x q^shift), and ``solve_shift_system`` solves
 F_u = sum coeff * F_v(x q^shift), every shift >= 1, one x-slice at a time,
-in increasing x-degree, each slice by its own q-adic fixed-point iteration.
+in increasing x-degree, by block forward substitution above lag 0 and at
+lag 0 (slice 0) by at most (qorder + 1) * len(equations) + 1 q-adic passes.
 """
 
 from __future__ import annotations
@@ -841,17 +842,18 @@ def solve_shift_system(equations: dict, qorder: int) -> dict:
 
     The x-slices are filled in increasing order m = 0, 1, 2, ...: a term
     c x^ex q^eq F_v(x q^shift) adds c q^(eq + shift*(m - ex)) times slice
-    m - ex of F_v to slice m.  The terms with ex >= 1 read slices that are
-    already final and are added once; then slice m is iterated on its own
-    with the same-slice terms (ex = 0), slice 0 from 1 and every higher
-    slice from 0, within qorder + 2 passes.  For m >= 1 a same-slice term
-    lags by at least shift*m >= 1 q-powers, so each higher slice has exactly
-    one fixed point, and the result is the limit of the q-adic iteration of
-    the whole system from F = 1 whenever that iteration settles.  What
-    every term adds to slice m is divisible by q^(m - D), D the largest
-    x-degree among the coefficients, so no slice at or above qorder + D is
-    nonzero; the sweep stops once m exceeds D and the last D slices of
-    every unknown are zero.
+    m - ex of F_v to slice m.  The terms with ex >= 1 read final slices and
+    are added once.  The same-slice terms (ex = 0) lag by their least offset,
+    lag >= shift*m >= 1 for m >= 1, so slice m has one fixed point, which block
+    forward substitution above lag 0 finds exactly: each block of lag
+    coefficients reads only final ones below it.  At lag 0 slice 0 is iterated
+    from 1 within (qorder + 1) * len(equations) + 1 passes: q^i settles within
+    the index (<= the number of unknowns) of a nilpotent x^0 q^0 part once the
+    powers below it have.  The result is the q-adic limit of the whole system
+    from F = 1 whenever that iteration settles.  What every term adds to slice
+    m is divisible by q^(m - D), D the largest x-degree among the
+    coefficients, so no slice at or above qorder + D is nonzero; the sweep
+    stops once m exceeds D and the last D slices of every unknown are zero.
     """
     if qorder < 1:
         raise ValueError("qorder must be >= 1")
@@ -870,20 +872,28 @@ def solve_shift_system(equations: dict, qorder: int) -> dict:
     sol: dict = {u: [] for u in equations}
     m = 0
     while m <= top or any(any(row) for rows in sol.values() for row in rows[m - top:]):
-        lower, same = {}, {}
+        cur, same = {}, {}
         for u, terms in flat.items():
             here = [(v, ex, off, c) for v, shift, ex, eq, c in terms
                     if ex <= m and (off := eq + shift * (m - ex)) < qorder]
-            lower[u] = _shifted_sum([0] * qorder, [(sol[v][m - ex], off, c) for v, ex, off, c in here if ex])
+            cur[u] = _shifted_sum([0] * qorder, [(sol[v][m - ex], off, c) for v, ex, off, c in here if ex])
             same[u] = [(v, off, c) for v, ex, off, c in here if not ex]
-        cur = {u: [int(m == 0 and not i) for i in range(qorder)] for u in equations}
-        for _ in range(qorder + 2):
-            nxt = {u: _shifted_sum(row, ((cur[v], off, c) for v, off, c in same[u])) for u, row in lower.items()}
-            if nxt == cur:
-                break
-            cur = nxt
+        lag = min((off for terms in same.values() for _, off, _ in terms), default=qorder)
+        if lag:
+            for b in range(lag, qorder, lag):  # block [b, e) reads only final coefficients below b
+                e = b + lag
+                for u, terms in same.items():
+                    cur[u][b:e] = _shifted_sum(cur[u][b:e], [(cur[v][max(b - off, 0):e - off], max(off - b, 0), c)
+                                                             for v, off, c in terms if off < e])
         else:
-            raise AssertionError("shift system iteration failed to converge")
+            lower, cur = cur, {u: [int(not i) for i in range(qorder)] for u in equations}
+            for _ in range((qorder + 1) * len(equations) + 1):
+                nxt = {u: _shifted_sum(row, ((cur[v], off, c) for v, off, c in same[u])) for u, row in lower.items()}
+                if nxt == cur:
+                    break
+                cur = nxt
+            else:
+                raise AssertionError("shift system iteration failed to converge")
         for u, row in cur.items():
             sol[u].append(row)
         m += 1

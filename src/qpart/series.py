@@ -28,15 +28,15 @@ def packed_product(a: dict[int, list[int]], b: dict[int, list[int]], n: int) -> 
 
     Coefficient (m, i < n) goes in slot m*(2n - 1) + i: a slice product has
     degree at most 2n - 2, so it stays off the next x-slice.  A coefficient of
-    the untruncated product sums at most min(len(a), len(b)) * n terms, each at
-    most max|a| * max|b|; w-bit slots with 2^(w-1) above that bound hold it
-    with its sign, and adding 2^(w-1) to every slot makes each a digit >= 0.
+    the untruncated product adds distinct a-coefficients, each times one of b,
+    so it is at most min(|a|_1 |b|_inf, |a|_inf |b|_1).  Slots of w bits with
+    2^(w-1) > bound hold it signed; adding 2^(w-1) makes each slot a digit >= 0.
     """
     if not a or not b or n == 0:
         return {}
-    bound = min(len(a), len(b)) * n
-    for rows in (a, b):  # at least 1, so an all-zero operand still fits its slots
-        bound *= max(1, *(abs(c) for cs in rows.values() for c in cs[:n]))
+    (a1, a_max), (b1, b_max) = ((sum(cs) or 1, max(cs, default=0) or 1)  # >= 1: an all-zero operand fits
+                                for cs in ([abs(c) for cs in rows.values() for c in cs[:n]] for rows in (a, b)))
+    bound = min(a1 * b_max, a_max * b1)
     width, stride, top = bound.bit_length() // 8 + 1, 2 * n - 1, max(a) + max(b) + 1  # 2^(8*width - 1) > bound
 
     def pack(rows: dict[int, list[int]]) -> int:  # the positive part minus the negative part

@@ -750,6 +750,16 @@ def test_a_non_contracting_shift_system_does_not_converge():
         solve_shift_system({0: [(two, 1, 0)]}, 0)
 
 
+# F0 = F1(xq), F1 = q F0(xq): the x^0 q^0 part of slice 0 is nilpotent of
+# index 2, so the unique solution 0 takes about 2 * qorder passes from F = 1
+NILPOTENT_SLICE_0 = {0: [(LaurentPoly.one(XQ), 1, 1)], 1: [(LaurentPoly(XQ, {(0, 1): 1}), 1, 0)]}
+
+
+@pytest.mark.parametrize("qorder", (1, 2, 5, 30, 100))
+def test_a_nilpotent_slice_0_solves_to_zero(qorder):
+    assert solve_shift_system(NILPOTENT_SLICE_0, qorder) == {u: BiSeries.zero(qorder) for u in (0, 1)}
+
+
 def _solve_by_whole_series_iteration(equations: dict, qorder: int, passes: int | None = None) -> dict:
     """The reference solver: q-adic fixed-point iteration of all slices at
     once from F = 1, within ``passes`` passes (qorder + 2 by default)."""
@@ -812,19 +822,50 @@ LATE_SETTLING = ({0: [(LaurentPoly.one(XQ), 1, 1)], 1: [(LaurentPoly(XQ, {(0, 2)
 @settings(max_examples=400, deadline=None)
 @given(shift_systems())
 @example(LATE_SETTLING)
+@example((NILPOTENT_SLICE_0, 7))
+# F0 = F1(xq), F1 = F2(x q^2), F2 = q F0(xq): index 3, so 0 takes about
+# 3 * qorder passes, more than 2 * qorder + 2
+@example(({0: [(LaurentPoly.one(XQ), 1, 1)], 1: [(LaurentPoly.one(XQ), 2, 2)],
+           2: [(LaurentPoly(XQ, {(0, 1): 1}), 1, 0)]}, 7))
 def test_slice_sweep_matches_whole_series_iteration(case):
     equations, qorder = case
     new = _outcome(solve_shift_system, equations, qorder)
     old = _outcome(_solve_by_whole_series_iteration, equations, qorder)
     if old is AssertionError and isinstance(new, dict):
-        # the sweep's slice 0 settled by pass qorder + 1, and from then on
-        # each pass raises the q-order of every higher slice's change by at
-        # least one: the whole-series iterates settle by pass 2 * qorder + 1
-        old = _outcome(_solve_by_whole_series_iteration, equations, qorder, 2 * qorder + 2)
+        # the sweep's slice 0 settled within (qorder + 1) * len(equations) + 1
+        # passes, the whole-series slice 0 with it, and from then on each
+        # pass raises the q-order of every higher slice's change by at least
+        # one: the whole-series iterates settle qorder + 1 passes later
+        old = _outcome(_solve_by_whole_series_iteration, equations, qorder,
+                       (qorder + 1) * (len(equations) + 1) + 1)
     assert new == old
 
 
-@pytest.mark.parametrize("qorder", (1, 2, 7, 20))
+def _xq(*terms):
+    return LaurentPoly(XQ, {(ex, eq): 1 for ex, eq in terms})
+
+
+@pytest.mark.parametrize("equations, qorder", [
+    # F = (1 + x q) F(x q^3): slice 1 lags 3, and 3 does not divide 10
+    ({0: [(_xq((0, 0), (1, 1)), 3, 0)]}, 10),
+    # the same system with lag 3 >= qorder: one block
+    ({0: [(_xq((0, 0), (1, 1)), 3, 0)]}, 3),
+    # F = F(x q^5) + x F(x q^5) with lag 5 > qorder: one block
+    ({0: [(_xq((0, 0), (1, 0)), 5, 0)]}, 4),
+    # F0 = F0(x q^2) + x F1(x q^2), F1 = x q F0(x q^2): the self-coupled term
+    # of F0 lags exactly 2m on slice m
+    ({0: [(_xq((0, 0)), 2, 0), (_xq((1, 0)), 2, 1)], 1: [(_xq((1, 1)), 2, 0)]}, 17),
+    # F0 lags 3m, F1 lags m + 1 and F2 lags 2m + 2: the least sets each block
+    ({0: [(_xq((0, 0), (1, 1)), 3, 0), (_xq((1, 0)), 2, 2)], 1: [(_xq((0, 1), (1, 0)), 1, 1), (_xq((1, 2)), 3, 0)],
+      2: [(_xq((0, 2), (1, 0)), 2, 2), (_xq((1, 0)), 1, 1)]}, 23),
+    # F = q F(x q) + x F(x q^2): slice 0 lags 1, so it solves to 0 from 0
+    ({0: [(_xq((0, 1)), 1, 0), (_xq((1, 0)), 2, 0)]}, 12),
+])
+def test_block_sweep_matches_whole_series_iteration(equations, qorder):
+    assert solve_shift_system(equations, qorder) == _solve_by_whole_series_iteration(equations, qorder)
+
+
+@pytest.mark.parametrize("qorder", (1, 2, 7, 20, 40))
 def test_slice_sweep_matches_whole_series_iteration_on_the_bundled_systems(qorder, monkeypatch):
     fam = solve_cw_family((3, 0, 0), qorder)
     language = solve_language_series(derive_transfer_system(build_avoidance_dfa()), qorder)

@@ -231,6 +231,19 @@ def test_packed_qseries_product_is_the_schoolbook_product(pair):
     assert s * t == schoolbook_product(BiSeries(s.order, {0: s}), BiSeries(t.order, {0: t})).slice(0)
 
 
+@pytest.mark.parametrize("sign", (1, -1))
+def test_a_product_coefficient_at_the_slot_bound_keeps_its_sign(sign):
+    # |a|_1 |b|_inf = 128 < |a|_inf |b|_1 = 130, and the coefficient of x q
+    # is sign * 128: one slot byte, which holds -128 .. 127, is one too few
+    a = BiSeries(2, {0: QSeries(2, [sign * 63, 0]), 1: QSeries(2, [0, sign * 65])})
+    b = BiSeries(2, {0: QSeries(2, [1, 0]), 1: QSeries(2, [0, 1])})
+    assert (a * b).slice(1).coeffs[1] == sign * 128
+    assert a * b == schoolbook_product(a, b)
+    s, t = QSeries(2, [sign * 63, sign * 65]), QSeries(2, [1, 1])
+    assert (s * t).coeffs == [sign * 63, sign * 128]
+    assert s * t == schoolbook_product(BiSeries(2, {0: s}), BiSeries(2, {0: t})).slice(0)
+
+
 def unit_led(n):
     """A QSeries modulo q^n with a nonzero constant term."""
     return st.tuples(COEFF.filter(bool), st.lists(COEFF, min_size=n - 1, max_size=n - 1)).map(
