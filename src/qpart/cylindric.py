@@ -4,8 +4,10 @@ A profile is a cyclic tuple of r nonnegative integers; a cylindric
 partition of that profile is an r-tuple of ordinary partitions whose rows
 dominate each other cyclically with offsets given by the profile.  Two
 generating functions are tracked per profile: F (weight x^max * q^size)
-and G = (xq; q)_inf * F.  F is counted by layers (layer t: how many parts
->= t each row has), without the recursion.  G satisfies a coupled
+and G = (xq; q)_inf * F.  F is counted by layers, without the recursion:
+the chains of layers (how many parts >= t each row has) that start at a
+vector a of the profile's cone are counted from those that start below a,
+one packed series per cone vector.  G satisfies a coupled
 recursion over subsets of the profile's support, a linear q-difference
 system in x over the whole orbit of profiles, which
 ``holonomic.solve_shift_system`` solves at once, one x-slice at a time.
@@ -13,7 +15,8 @@ system in x over the whole orbit of profiles, which
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import combinations
+from operator import le
 
 from .holonomic import XQ_VARS, solve_shift_system
 from .laurent import LaurentPoly
@@ -57,15 +60,15 @@ def enumerate_cylindric(profile: Profile, max_size: int) -> BiSeries:
     a_i <= a_{i-1} + p[i] (indices mod r), so a cylindric partition is a
     chain a(1) >= ... >= a(m) of nonzero vectors of the cone, with max part
     m and size sum_t |a(t)|.  The chains that start at a count
-    H_a = x q^|a| / (1 - x q^|a|) * (1 + sum_k P_{k+1}(a - e_k)), with the
-    axis-prefix sums P_0(a) = H_a, P_{k+1}(a) = P_k(a) + P_{k+1}(a - e_k)
-    (0 off N^r); F = 1 + sum_a H_a over the cone, visited by increasing |a|.
+    H_a = x q^|a| / (1 - x q^|a|) * (1 + sum of H_b over the cone vectors
+    b < a, componentwise), visited by increasing |a|; F = 1 + sum_a H_a.
     Returned with qorder max_size + 1.
 
     Each series is one packed int, x^m q^n in slot n * (max_size + 1) + m.
-    A coefficient counts cylindric partitions of size n, at most the
-    r-tuples of partitions of total n, C(n+r-1, r-1) * 2^n <= 2^(2n+r-1),
-    so slots of 2 * max_size + r bits never carry.
+    A slot of H_a, or of a sum of H_b over distinct b, counts distinct
+    cylindric partitions of size n, at most the r-tuples of partitions of
+    total n, C(n+r-1, r-1) * 2^n <= 2^(2n+r-1), so slots of
+    2 * max_size + r bits never carry.
     """
     p = check_profile(profile)
     if max_size < 0:
@@ -74,25 +77,19 @@ def enumerate_cylindric(profile: Profile, max_size: int) -> BiSeries:
     width = (2 * max_size + r + 7) // 8  # bytes per slot
     row = 8 * width * n1  # bits per power of q
     full = (1 << n1 * row) - 1
-    axes = [n1**k for k in range(r)]  # a is keyed by sum_k a_k * n1^k
-    total = 1
-    level = {0: [0] * r}  # P_1 .. P_r of the vectors of the last |a|
-    for s in range(1, n1):
-        keep = (1 << (max_size - s) * row) - 1  # later terms carry q^(s+1) or more
-        step = s * row + 8 * width  # times x q^s
-        nxt = {}
-        for bars in combinations(range(s + r - 1), r - 1):
-            a = [j - i - 1 for i, j in zip((-1,) + bars, bars + (s + r - 1,))]
-            key = sum(c * e for c, e in zip(a, axes))
-            # prefix[k]: the chains that start at some b < a with b_i = a_i for i > k
-            prefix = list(accumulate(level[key - axes[k]][k] if a[k] else 0 for k in range(r)))
-            in_cone = all(a[i] <= a[i - 1] + p[i] for i in range(r))
-            h = term = (1 + prefix[-1]) << step if in_cone else 0
-            while term := (term << step) & full:  # a repeated: the geometric series
-                h += term
-            total += h
-            nxt[key] = [(h + c) & keep for c in prefix]
-        level = nxt
+    # the cone vectors of size <= max_size, a_i >= a_0 - (p[i+1] + ... + p[r-1] + p[0]) closing the cycle
+    cone = [(c,) for c in range(n1)]
+    for i in range(1, r):
+        close = sum(p[i + 1:]) + p[0]
+        cone = [a + (c,) for a in cone for c in range(max(0, a[0] - close), min(a[-1] + p[i], max_size - sum(a)) + 1)]
+    total, found = 1, []  # found: (b, H_b) for the cone vectors visited
+    for a in sorted(cone, key=sum)[1:]:
+        step = sum(a) * row + 8 * width  # times x q^|a|
+        h = term = ((1 + sum(g for b, g in found if all(map(le, b, a)))) << step) & full
+        while term := (term << step) & full:  # a repeated: the geometric series
+            h += term
+        found.append((a, h))
+        total += h
     data = total.to_bytes(n1 * n1 * width, "little")
     slot = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
     return BiSeries(n1, {m: QSeries(n1, slot[m::n1]) for m in range(n1)})

@@ -34,7 +34,7 @@ from math import prod
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .laurent import LaurentPoly, RationalFunction, poly_gcd_of, pseudo_rem
+from .laurent import LaurentPoly, poly_gcd_of, pseudo_rem
 from .series import BiSeries, QSeries, divide_binomial
 
 TERM_VARS = ("q", "u", "v1", "v2", "v3")
@@ -928,7 +928,8 @@ def _row_walk(rows, component: int, step: int):
 
 
 def uncouple_system(matrix, component: int, step: int = 3) -> QDiffOperator:
-    """Scalar annihilator of one component of F(x) = A(x) F(x q^step).
+    """Scalar annihilator of one component of F(x) = A(x) F(x q^step), each
+    entry of A a LaurentPoly or a (num, den) pair of them.
 
     Walks ``_row_walk`` to the first linear dependency among its rows, cleared
     to polynomial coefficients; it annihilates any solution of the system."""
@@ -940,7 +941,7 @@ def uncouple_system(matrix, component: int, step: int = 3) -> QDiffOperator:
     for row in matrix:
         if len(row) != m:
             raise ValueError("matrix must be square")
-        entries.append([(e.num, e.den) if isinstance(e, RationalFunction) else (e, one) for e in row])
+        entries.append([e if isinstance(e, tuple) else (e, one) for e in row])
         for _, den in entries[-1]:
             if not den.is_constant() or den.constant_value() not in (1, -1):
                 scale = scale * den

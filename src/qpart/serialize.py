@@ -13,7 +13,7 @@ import re
 from typing import Any, Iterable
 
 from .holonomic import FAMILIES, TERM_VARS, XQ_VARS, CertificateSet, HypTerm, ShiftOp, recurrence_from_certificate
-from .laurent import LaurentPoly, RationalFunction
+from .laurent import LaurentPoly
 from .series import BiSeries, QSeries
 
 
@@ -66,13 +66,6 @@ def poly_from_json(data: dict) -> LaurentPoly:
     return LaurentPoly(tuple(data["vars"]), terms)
 
 
-def ratfun_from_json(data: dict) -> RationalFunction:
-    """Inverse of ``RationalFunction.to_json``; a bare polynomial is read over 1."""
-    if "den" in data:
-        return RationalFunction(poly_from_json(data["num"]), poly_from_json(data["den"]), normalize=False)
-    return RationalFunction.from_poly(poly_from_json(data))
-
-
 def term_from_json(data: dict) -> HypTerm:
     """Inverse of ``HypTerm.to_json``; other keys, such as the "names" list of older files, are ignored."""
     return HypTerm(
@@ -85,18 +78,23 @@ def term_from_json(data: dict) -> HypTerm:
     )
 
 
-def system_from_json(data: dict) -> tuple[list[list[RationalFunction]], int]:
+def system_from_json(data: dict) -> tuple[list[list[tuple[LaurentPoly, LaurentPoly]]], int]:
     """A first-order system {"step": s, "matrix": [[entry, ...], ...]}, "shift" standing for "step"
-    as ``qpart system`` writes it, with an integer s >= 1 (3 if absent) and every entry over (x, q)."""
+    as ``qpart system`` writes it, with an integer s >= 1 (3 if absent).  Each entry is read as a
+    (num, den) pair over (x, q): a {"num", "den"} object with a nonzero den, or a polynomial over 1."""
     given = {key: _int(data[key], f"the system's {key}") for key in ("step", "shift") if key in data}
     if len(set(given.values())) > 1:
         raise ValueError(f"the system's step {given['step']} and shift {given['shift']} differ")
     key, step = next(iter(given.items()), ("step", 3))
     if step < 1:
         raise ValueError(f"the system's {key} must be >= 1, not {step}")
-    matrix = [[ratfun_from_json(e) for e in row] for row in data["matrix"]]
-    if any(e.num.vars != XQ_VARS for row in matrix for e in row):
+    one = LaurentPoly.one(XQ_VARS)
+    matrix = [[(poly_from_json(e["num"]), poly_from_json(e["den"])) if "den" in e else (poly_from_json(e), one)
+               for e in row] for row in data["matrix"]]
+    if any(p.vars != XQ_VARS for row in matrix for pair in row for p in pair):
         raise ValueError(f"system entries must be over ({', '.join(XQ_VARS)})")
+    if any(den.is_zero() for row in matrix for _, den in row):
+        raise ValueError("a system entry has a zero denominator")
     return matrix, step
 
 

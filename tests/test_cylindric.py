@@ -1,5 +1,6 @@
 """Cylindric partitions and the profile recursion."""
 
+import sys
 from itertools import product
 
 import pytest
@@ -137,6 +138,23 @@ def test_layer_count_matches_recursion_at_size_30():
     fam = solve_cw_family((3, 0, 0), n + 1)
     for profile in profile_orbit((3, 0, 0)):
         assert enumerate_cylindric(profile, n) == g_to_f(fam[profile]), profile
+
+
+def test_the_layer_count_reaches_only_cylindric_and_series():
+    # the layer count is a route of its own: it may not share the recursion's
+    # solver or any other layer of the package
+    modules = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            modules.add(frame.f_globals.get("__name__"))
+
+    sys.setprofile(profile)
+    try:
+        enumerate_cylindric((2, 1, 0), 8)
+    finally:
+        sys.setprofile(None)
+    assert {m for m in modules if m.startswith("qpart.")} == {"qpart.cylindric", "qpart.series"}
 
 
 def test_one_row_is_every_partition_at_size_60():

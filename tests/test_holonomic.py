@@ -943,7 +943,7 @@ def test_operators_annihilate_series():
 
 def test_uncouple_trivial_1x1():
     x = LaurentPoly.variable(("x", "q"), "x")
-    op = uncouple_system([[RationalFunction.from_poly(x)]], 0)
+    op = uncouple_system([[(x, LaurentPoly.one(XQ))]], 0)
     shifts = {s: c for c, s in op.terms}
     assert set(shifts) == {0, 1}
     # 0 = c0 F(x) + c1 F(xq^3) = (c0 a + c1) F(xq^3) forces c0*a + c1 = 0
@@ -976,13 +976,13 @@ def test_uncouple_clears_denominators():
     cases = (
         # F(x) = F(xq) / (1 - xq), solved by 1/(xq;q)_oo; an operator of the
         # cleared system F(x) = F(xq) does not annihilate it
-        ([[RationalFunction(one, one - xq)]], [inv_xq_pochhammer(n)]),
+        ([[(one, one - xq)]], [inv_xq_pochhammer(n)]),
         # F(x) = (1 - xq) F(xq) with the denominator -1, as a system file can
         # carry it, solved by (xq;q)_oo
-        ([[RationalFunction(xq - one, -one, normalize=False)]], [xq_pochhammer]),
+        ([[(xq - one, -one)]], [xq_pochhammer]),
         # F0(x) = F1(xq) / (1 - xq), F1(x) = F0(xq), solved by 1/(xq;q^2)_oo
         # and 1/(xq^2;q^2)_oo: the dependency needs two steps
-        ([[zero, RationalFunction(one, one - xq)], [one, zero]],
+        ([[zero, (one, one - xq)], [one, zero]],
          [_inv_x_pochhammer_q2(1, n), _inv_x_pochhammer_q2(2, n)]),
     )
     for matrix, sols in cases:

@@ -21,12 +21,13 @@ from qpart.laurent import (
     poly_gcd_of,
 )
 
-from qpart.serialize import poly_from_json, ratfun_from_json
+from qpart.serialize import poly_from_json, system_from_json
 from qpart.verification import verify_all
 from oracles import schoolbook_laurent_product
 
 QV = ("q",)
 UV = ("u", "v")
+XQ = ("x", "q")
 UVQ = ("u", "v", "q")
 
 
@@ -146,8 +147,10 @@ def test_poly_gcd_in_several_variables():
 def test_json_round_trip():
     p = LaurentPoly(UV, {(2, -1): 3, (0, 0): -7})
     assert poly_from_json(p.to_json()) == p
-    r = RationalFunction(p, LaurentPoly.one(UV))
-    assert ratfun_from_json(r.to_json()) == r
+    # a system entry is read as a (num, den) pair: a polynomial over 1, or a {"num", "den"} object
+    num, den = LaurentPoly(XQ, {(2, -1): 3, (0, 0): -7}), LaurentPoly(XQ, {(1, 1): -1, (0, 0): 1})
+    row = [num.to_json(), {"num": num.to_json(), "den": den.to_json()}]
+    assert system_from_json({"step": 1, "matrix": [row]}) == ([[(num, LaurentPoly.one(XQ)), (num, den)]], 1)
 
 
 # ----------------------------------------------------------------------

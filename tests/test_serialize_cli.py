@@ -318,6 +318,8 @@ def test_a_malformed_input_file_is_a_one_line_error_naming_it(tmp_path):
         (json.dumps({"matrix": [[{"num": one, "den": twice}]]}), ["uncouple", "--system", bad]),
         # a system over (x, y), not (x, q), and systems whose step is not a positive integer
         (json.dumps({"matrix": [[{"vars": ["x", "y"], "terms": [[[0, 0], "1"]]}]]}), ["uncouple", "--system", bad]),
+        (json.dumps({"matrix": [[{"num": one, "den": {"vars": ["x", "y"], "terms": [[[0, 0], "1"]]}}]]}),
+         ["uncouple", "--system", bad]),
         (json.dumps({"step": 0, "matrix": [[one]]}), ["uncouple", "--system", bad]),
         (json.dumps({"step": -3, "matrix": [[one]]}), ["uncouple", "--system", bad]),
         (json.dumps({"step": 2.5, "matrix": [[one]]}), ["uncouple", "--system", bad]),

@@ -285,6 +285,16 @@ def test_report_names_survive_tasks_wrapped_in_place():
     assert reports[4].status == "error"
 
 
+def test_the_benchmark_tracer_names_each_task_as_the_report_does():
+    # benchmarks/tracer.py states the report-name rule again: were the two to
+    # differ, the benchmark would record no span for the renamed tasks
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    namespace = {"__name__": "tracer"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)  # no byte code is written beside it
+    assert [span for _, _, span, _ in namespace["task_targets"]()] == [
+        "verification." + name for name in verification.TASK_NAMES]
+
+
 def test_ag_cylindric_pins_the_x_grading_of_the_auxiliary_sum(run, monkeypatch):
     # the old grading (1,1,2,2) has the same x = 1 value, so only ag-cylindric sees it
     monkeypatch.setattr(catalog, "AG_AUX", dataclasses.replace(catalog.AG_AUX, xcoeffs=(1, 1, 2, 2)))
