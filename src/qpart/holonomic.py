@@ -34,7 +34,7 @@ from math import prod
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .laurent import LaurentPoly, poly_gcd_of, pseudo_rem
+from .laurent import LaurentPoly, add_products, poly_gcd_of, pseudo_rem
 from .series import BiSeries, QSeries, divide_binomial
 
 TERM_VARS = ("q", "u", "v1", "v2", "v3")
@@ -118,10 +118,6 @@ class HypTerm:
 # shift quotients
 
 
-def _mono(exps: Iterable[int], coeff: int = 1) -> LaurentPoly:
-    return LaurentPoly.monomial(TERM_VARS, tuple(exps), coeff)
-
-
 _ONE5 = LaurentPoly.one(TERM_VARS)
 
 
@@ -140,7 +136,8 @@ def cleared_ratios(term: HypTerm, shifts: Iterable[Shift]) -> dict[Shift, Lauren
     A factor 1 - q^(m(c . v + c0)) is keyed by the exponent vector of its
     monomial over TERM_VARS.  A numerator is the monomial times its own
     factors, by symbol and descending t, then the denominator factors it
-    lacks, in the order first seen.
+    lacks, in the order first seen; each factor 1 - m is applied in place,
+    in one pass over the numerator's term dict.
     """
     dim = 1 + term.nsum
     pad = (0,) * (len(TERM_VARS) - 1 - dim)
@@ -160,10 +157,10 @@ def cleared_ratios(term: HypTerm, shifts: Iterable[Shift]) -> dict[Shift, Lauren
         common |= den
     cleared = {}
     for s, (mono, num, den) in ratios.items():
-        p = _mono(mono)
+        terms = {mono: 1}
         for e in chain(num, (common - den).elements()):
-            p = p * (_ONE5 - _mono(e))
-        cleared[s] = p
+            add_products(terms, [({e: -1}, terms)])  # times 1 - q^e, in place
+        cleared[s] = LaurentPoly._raw(TERM_VARS, terms)
     return cleared
 
 
@@ -339,14 +336,13 @@ def verify_certificate(term: HypTerm, cert: CertificateSet) -> VerificationResul
     The operator is applied to F and divided by F: every shift monomial
     becomes a factored rational function, the sum is put over the least
     common factored denominator, and the numerator must vanish
-    identically.  A p family that is all zero proves only 0 = 0, so it
-    does not verify.
+    identically.  The numerator, each coefficient times its shift's cleared
+    ratio, is accumulated in place in one term dict by ``add_products``.  A
+    p family that is all zero proves only 0 = 0, so it does not verify.
     """
     total = cert.telescoped()
     cleared = cleared_ratios(term, total.terms)
-    acc = LaurentPoly.zero(TERM_VARS)
-    for s, coeff in total.terms.items():
-        acc = acc + coeff * cleared[s]
+    acc = LaurentPoly._raw(TERM_VARS, add_products({}, ((c.terms, cleared[s].terms) for s, c in total.terms.items())))
     sample = acc.sorted_terms()[:5]
     nonzero_p = any(not op.is_zero() for op in cert.families.get("p", ()))
     return VerificationResult(acc.is_zero() and nonzero_p, len(acc.terms), [[list(e), c] for e, c in sample])
@@ -921,7 +917,7 @@ def _row_walk(rows, component: int, step: int):
     W = [e_i]
     for s in range(1, m + 2):
         Bs = [[e.twist("x", "q", step * (s - 1)) for e in row] for row in rows]
-        W = [[sum((w[t] * Bs[t][j] for t in range(m) if not w[t].is_zero() and not Bs[t][j].is_zero()), zero)
+        W = [[LaurentPoly._raw(XQ_VARS, add_products({}, ((w[t].terms, Bs[t][j].terms) for t in range(m))))
               for j in range(m)] for w in W]
         W.append(e_i)
         yield s, W
@@ -965,10 +961,9 @@ def annihilation_depth(op: QDiffOperator, rows, component: int) -> int | None:
     ``rows``, to all orders; it can exceed the order when a shifted A is singular."""
     if all(c.is_zero() for c, _ in op.terms):
         return None
-    zero = LaurentPoly.zero(XQ_VARS)
     for s, W in _row_walk(rows, component, op.step):
         if s >= max(k for _, k in op.terms) and all(
-                sum((c * W[k][j] for c, k in op.terms), zero).is_zero() for j in range(len(rows))):
+                not add_products({}, ((c.terms, W[k][j].terms) for c, k in op.terms)) for j in range(len(rows))):
             return s
     return None
 

@@ -11,6 +11,7 @@ tie-breaking) is graded lexicographic over the fixed variable order.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd
 from operator import add
 from typing import Iterable, Mapping
@@ -168,17 +169,7 @@ class LaurentPoly:
         if len(a) == 1:  # a monomial maps the terms of b to distinct exponents
             (ea, ca), = a.items()
             return LaurentPoly._raw(self.vars, {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()})
-        out_terms: dict[tuple[int, ...], int] = {}
-        bi = list(b.items())
-        for ea, ca in a.items():
-            for eb, cb in bi:
-                e = tuple(map(add, ea, eb))
-                s = out_terms.get(e, 0) + ca * cb
-                if s:
-                    out_terms[e] = s
-                elif e in out_terms:
-                    del out_terms[e]
-        return LaurentPoly._raw(self.vars, out_terms)
+        return LaurentPoly._raw(self.vars, add_products({}, [(a, b)]))
 
     __rmul__ = __mul__
 
@@ -244,18 +235,25 @@ class LaurentPoly:
         return LaurentPoly(new_vars, terms)
 
     def divexact(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact division; raises ValueError if not divisible."""
+        """Exact division; raises ValueError if not divisible.  The remainder is
+        one term dict updated in place; a heap of its keys, each pushed when it
+        enters and skipped if popped once cancelled, gives its grlex-leading key."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = self
+        rem = dict(self.terms)
+        heap = [(-sum(e), tuple(-x for x in e), e) for e in rem]
+        heapify(heap)
         quo_terms: dict[tuple[int, ...], int] = {}
         le, lc = other.leading()
         # every exponent of an exact quotient is at least this, componentwise;
         # the bound also keeps a division that is not exact from running forever
         floor = tuple(a - b for a, b in zip(self.min_exponents(), other.min_exponents()))
-        while not rem.is_zero():
-            re, rc = rem.leading()
+        while rem:
+            re = heappop(heap)[2]
+            if re not in rem:
+                continue
+            rc = rem[re]
             if rc % lc:
                 raise ValueError("not exactly divisible (coefficient)")
             qe = tuple(a - b for a, b in zip(re, le))
@@ -263,8 +261,17 @@ class LaurentPoly:
                 raise ValueError("not exactly divisible (exponent)")
             qc = rc // lc
             quo_terms[qe] = qc
-            rem = rem - other * LaurentPoly.monomial(self.vars, qe, qc)
-        return LaurentPoly(self.vars, quo_terms)
+            for e, c in other.terms.items():
+                e, c = tuple(map(add, qe, e)), qc * c
+                s = rem.get(e)
+                if s is None:
+                    rem[e] = -c
+                    heappush(heap, (-sum(e), tuple(-x for x in e), e))
+                elif s == c:
+                    del rem[e]
+                else:
+                    rem[e] = s - c
+        return LaurentPoly._raw(self.vars, quo_terms)
 
     # ------------------------------------------------------------------
     # display / io
@@ -291,6 +298,27 @@ class LaurentPoly:
             "vars": list(self.vars),
             "terms": [[list(e), str(c)] for e, c in self.sorted_terms()],
         }
+
+
+def add_products(terms: dict[tuple[int, ...], int], pairs: Iterable[tuple[dict, dict]]) -> dict[tuple[int, ...], int]:
+    """Add sum a * b over ``pairs`` of term dicts into the term dict ``terms``
+    in place, deleting a coefficient that cancels, and return ``terms``.  Of
+    each pair the longer factor (the second, if they are as long) is read in
+    full before any write, so ``terms`` may be that factor: p becomes
+    (1 - q^e) * p by add_products(p, [({e: -1}, p)])."""
+    for a, b in pairs:
+        if len(a) > len(b):
+            a, b = b, a
+        b = list(b.items())
+        for ea, ca in a.items():
+            for eb, cb in b:
+                e = tuple(map(add, ea, eb))
+                s = terms.get(e, 0) + ca * cb
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+    return terms
 
 
 # ----------------------------------------------------------------------

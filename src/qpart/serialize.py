@@ -80,17 +80,21 @@ def term_from_json(data: dict) -> HypTerm:
 
 def system_from_json(data: dict) -> tuple[list[list[tuple[LaurentPoly, LaurentPoly]]], int]:
     """A first-order system {"step": s, "matrix": [[entry, ...], ...]}, "shift" standing for "step"
-    as ``qpart system`` writes it, with an integer s >= 1 (3 if absent).  Each entry is read as a
-    (num, den) pair over (x, q): a {"num", "den"} object with a nonzero den, or a polynomial over 1."""
+    as ``qpart system`` writes it, with an integer s >= 1 (3 if absent) and a square matrix of at
+    least one row.  Each entry is read as a (num, den) pair over (x, q): a {"num", "den"} object
+    with a nonzero den, or a polynomial over 1."""
     given = {key: _int(data[key], f"the system's {key}") for key in ("step", "shift") if key in data}
     if len(set(given.values())) > 1:
         raise ValueError(f"the system's step {given['step']} and shift {given['shift']} differ")
     key, step = next(iter(given.items()), ("step", 3))
     if step < 1:
         raise ValueError(f"the system's {key} must be >= 1, not {step}")
+    rows = data["matrix"]
+    if type(rows) is not list or not rows or any(type(row) is not list or len(row) != len(rows) for row in rows):
+        raise ValueError("the system's matrix must be a non-empty list of rows, each a list as long as the matrix")
     one = LaurentPoly.one(XQ_VARS)
     matrix = [[(poly_from_json(e["num"]), poly_from_json(e["den"])) if "den" in e else (poly_from_json(e), one)
-               for e in row] for row in data["matrix"]]
+               for e in row] for row in rows]
     if any(p.vars != XQ_VARS for row in matrix for pair in row for p in pair):
         raise ValueError(f"system entries must be over ({', '.join(XQ_VARS)})")
     if any(den.is_zero() for row in matrix for _, den in row):

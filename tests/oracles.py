@@ -13,13 +13,20 @@ is the sort key that states the listing order directly. The library tests
 a window for D1-D4 only where it can fail; ``meets_conditions_everywhere``
 tests the window ending at every index. The library
 builds the Celine system one column per slot shape; ``rows_by_slot``
-builds one column per slot and spreads each into the rows.
+builds one column per slot and spreads each into the rows. The library
+divides on one remainder dict and finds its leading terms by a heap;
+``schoolbook_divexact`` subtracts a whole polynomial per quotient term and
+rescans the remainder. The library applies each factor 1 - q^e of a
+cleared ratio to one term dict in place; ``cleared_ratios_by_products``
+multiplies the factors with ``LaurentPoly.__mul__``.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
+from itertools import chain
 
 from qpart.celine import _slot_column
 from qpart.colored import _condition_flags, _violation_ending_at, part_key, size
+from qpart.holonomic import TERM_VARS, _dot, _form_value
 from qpart.laurent import LaurentPoly
 from qpart.series import BiSeries, QSeries
 
@@ -97,3 +104,53 @@ def rows_by_slot(slots, packed, places) -> dict:
     """The oracle for celine._compact_rows: one _slot_column per slot,
     spread into rows keyed by packed exponent."""
     return spread_columns(_slot_column(slot, packed, places) for slot in slots)
+
+
+def schoolbook_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The oracle for LaurentPoly.divexact: long division by grlex-leading
+    terms, each step subtracting b times the quotient term from the whole
+    remainder, with the same floor bound and the same two ValueErrors."""
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    rem = a
+    quo_terms: dict[tuple[int, ...], int] = {}
+    le, lc = b.leading()
+    floor = tuple(x - y for x, y in zip(a.min_exponents(), b.min_exponents()))
+    while not rem.is_zero():
+        re, rc = rem.leading()
+        if rc % lc:
+            raise ValueError("not exactly divisible (coefficient)")
+        qe = tuple(x - y for x, y in zip(re, le))
+        if any(e < f for e, f in zip(qe, floor)):
+            raise ValueError("not exactly divisible (exponent)")
+        qc = rc // lc
+        quo_terms[qe] = qc
+        rem = rem - b * LaurentPoly.monomial(a.vars, qe, qc)
+    return LaurentPoly(a.vars, quo_terms)
+
+
+def cleared_ratios_by_products(term, shifts) -> dict:
+    """The oracle for holonomic.cleared_ratios: the same monomial and factors
+    1 - q^e per shift, multiplied one ``LaurentPoly`` product at a time."""
+    dim = 1 + term.nsum
+    pad = (0,) * (len(TERM_VARS) - 1 - dim)
+    neg_lin = [-x for x in term.lin]
+    ratios, common = {}, Counter()
+    for s in shifts:
+        cut = s[:dim]
+        mono = (_form_value(term.quad2, neg_lin, cut), *(-_dot(row, cut) for row in term.quad2), *pad)
+        num, den = [], Counter()
+        for coeffs, const, m in term.pochs:
+            delta, slope = _dot(coeffs, cut), (*(m * c for c in coeffs), *pad)
+            num += [(m * (const - t), *slope) for t in range(delta)]
+            den.update((m * (const + t), *slope) for t in range(1, 1 - delta))
+        ratios[s] = (mono, num, den)
+        common |= den
+    one = LaurentPoly.one(TERM_VARS)
+    cleared = {}
+    for s, (mono, num, den) in ratios.items():
+        p = LaurentPoly.monomial(TERM_VARS, mono)
+        for e in chain(num, (common - den).elements()):
+            p = p * (one - LaurentPoly.monomial(TERM_VARS, e))
+        cleared[s] = p
+    return cleared

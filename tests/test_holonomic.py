@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qpart import automata, catalog, cylindric, holonomic, serialize
 from qpart.automata import build_avoidance_dfa, derive_transfer_system, solve_language_series
+from qpart.celine import _slot_parts, default_support
 from qpart.colored import COND_D123, enumerate_2colored, gen_fun
 from qpart.cylindric import solve_cw_family
 from qpart.holonomic import (
@@ -45,7 +46,7 @@ from qpart.holonomic import _polynomial_nullvector, _row_walk, _term_profile
 from qpart.laurent import LaurentPoly, RationalFunction
 from qpart.series import BiSeries, QSeries, divide_binomial, inv_xq_pochhammer
 
-from oracles import finite_pochhammer
+from oracles import cleared_ratios_by_products, finite_pochhammer
 
 QU = ("q", "u")
 XQ = ("x", "q")
@@ -118,6 +119,20 @@ def test_term_ratio_numeric_oracle():
             assert f2 / f1 == _value_at(r.num, v, q0) / _value_at(r.den, v, q0)
 
 
+def test_cleared_ratios_match_the_product_of_their_factors():
+    # every telescoped shift of the four certificate sets, and every shift of
+    # the CLI's default g111 Celine box (--deg 3 --qdeg 3 --kbox 1)
+    cases = [(catalog.certificate_term(name), sorted(catalog.certificate(name).telescoped().terms))
+             for name in catalog.CERTIFICATE_NAMES]
+    g111 = catalog.certificate_term("g111")
+    box = default_support(3, nsum=g111.nsum, kbox=(1, 1, 1), u_range=(0, 3), q_range=(-3, 3))
+    cases.append((g111, sorted({sh for slot in box for sh, _ in _slot_parts(slot)})))
+    assert len(cases) == 5 and all(len(shifts) > 1 for _, shifts in cases)
+    for term, shifts in cases:
+        cleared, expected = cleared_ratios(term, shifts), cleared_ratios_by_products(term, shifts)
+        assert list(cleared) == shifts and all(cleared[s].terms == expected[s].terms for s in shifts)
+
+
 @pytest.mark.parametrize("name", catalog.CERTIFICATE_NAMES)
 def test_cleared_ratios_are_the_term_quotients_on_every_telescoped_shift(name):
     # one call clears every shift of the telescoped operator over one
@@ -156,7 +171,11 @@ def test_perturbed_certificate_fails():
     u3q5 = LaurentPoly.monomial(TERM_VARS, (5, 3, 0, 0, 0))
     cert.families["p"][1] = cert.families["p"][1] + ShiftOp.coefficient(u3q5)
     res = verify_certificate(catalog.certificate_term("g111"), cert)
-    assert not res.ok and res.residual_terms > 0
+    # the exact residual, not only its sign: the order of accumulation and
+    # cancellation must not change what a failing verification reports
+    assert not res.ok and res.residual_terms == 8
+    assert res.residual_sample == [[[9, 4, -3, -4, -5], -1], [[7, 3, -2, -3, -3], 1], [[8, 3, -2, -3, -3], 1],
+                                   [[6, 2, -1, -2, -1], -1], [[9, 3, -2, -3, -3], 1]]
 
 
 def test_telescoped_identity_at_integer_points():

@@ -23,7 +23,7 @@ from qpart.laurent import (
 
 from qpart.serialize import poly_from_json, system_from_json
 from qpart.verification import verify_all
-from oracles import schoolbook_laurent_product
+from oracles import schoolbook_divexact, schoolbook_laurent_product
 
 QV = ("q",)
 UV = ("u", "v")
@@ -150,7 +150,7 @@ def test_json_round_trip():
     # a system entry is read as a (num, den) pair: a polynomial over 1, or a {"num", "den"} object
     num, den = LaurentPoly(XQ, {(2, -1): 3, (0, 0): -7}), LaurentPoly(XQ, {(1, 1): -1, (0, 0): 1})
     row = [num.to_json(), {"num": num.to_json(), "den": den.to_json()}]
-    assert system_from_json({"step": 1, "matrix": [row]}) == ([[(num, LaurentPoly.one(XQ)), (num, den)]], 1)
+    assert system_from_json({"step": 1, "matrix": [row, row]}) == ([[(num, LaurentPoly.one(XQ)), (num, den)]] * 2, 1)
 
 
 # ----------------------------------------------------------------------
@@ -247,6 +247,24 @@ def test_normalized_quotient_has_coprime_contents_and_a_positive_leading_denomin
     assert r == RationalFunction(s * a, t * b, normalize=False)
     assert gcd(*r.num.terms.values(), *r.den.terms.values()) == 1
     assert r.den.leading()[1] > 0
+
+
+def _division(divide, a, b):
+    """The quotient's terms in order, or the ValueError's message."""
+    try:
+        return list(divide(a, b).terms.items())
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys(max_terms=5), polys(max_terms=4), polys(max_terms=3))
+def test_divexact_matches_the_schoolbook_division(a, b, c):
+    # exact (a * b by b), not exact (c added, or a by b), and a product whose
+    # terms cancel within the remainder as the division goes
+    assume(not b.is_zero())
+    for num in (a * b, a * b + c, a, a * b * (b - c)):
+        assert _division(LaurentPoly.divexact, num, b) == _division(schoolbook_divexact, num, b), num
 
 
 def test_divexact_rejects_a_non_divisor():

@@ -307,6 +307,9 @@ def test_a_malformed_input_file_is_a_one_line_error_naming_it(tmp_path):
         ("[1, 2]", ["uncouple", "--system", bad]),
         ("not json", ["uncouple", "--system", bad]),
         (json.dumps({"matrix": [[{"num": one, "den": zero}]]}), ["uncouple", "--system", bad]),
+        # a row longer than the matrix, and a matrix with no row
+        (json.dumps({"matrix": [[one, one]]}), ["uncouple", "--system", bad]),
+        (json.dumps({"matrix": []}), ["uncouple", "--system", bad]),
         ("{}", ["certify", "--term", bad, "--cert", term]),
         ("{}", ["celine", "--term", bad, "--order", "3"]),
         (json.dumps(four_sums), ["celine", "--term", bad, "--order", "1"]),
