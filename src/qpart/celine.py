@@ -12,19 +12,20 @@ exact linear system with integer entries (one row per monomial of the
 cleared numerators, each monomial's exponent vector packed into one int
 by a mixed radix); any kernel vector with p_0 != 0 yields a certificate.
 
-The system is held once, compactly.  The slots of one shape (family, j,
-sigma, v-exponents) share one column up to their packed (q, u) offsets,
-so one column is built per shape and spread at each slot's offset into
-rows held as flat [column, entry, ...] lists; a row becomes a dict only
-when the elimination reaches it.  It is eliminated once, fraction-free
-over Z, with the p_0 slots as the last columns.  Each pivot row takes
-its least column as pivot; then the pivot columns are the least columns
-of the row space, whatever order the rows are eliminated in.  That makes
+The system is built lazily.  The slots of one shape (family, j, sigma,
+v-exponents) share one column up to their packed (q, u) offsets, which
+move no v-exponent, so one column is built per shape and split into
+v-bands; a band is spread into rows of flat [column, entry, ...] lists
+only when the elimination asks for it, lightest first, and a row becomes
+a dict only when the elimination reaches it.  It is eliminated once,
+fraction-free over Z, with the p_0 slots as the last columns.  Each pivot
+row takes its least column as pivot; then the pivot columns are the least
+columns of the row space, whatever order the rows come in.  That makes
 the search a decision: if every p_0 column is a pivot, their pivot rows
 hold only p_0 columns and form a triangular system that forces p_0 = 0,
 and if some p_0 column is free, its kernel vector is 1 there.  The
-elimination stops as soon as every p_0 column is a pivot: more rows only
-add least columns to the row space, so the answer "none" is settled
+elimination stops once every p_0 column is a pivot, often before most
+bands exist: more rows only add least columns, so "none" is settled
 then.  The certificate returned is the kernel vector of the first free
 p_0 column, primitive and positive at its greatest slot in sorted slot
 order, checked by ``verify_certificate``.
@@ -37,7 +38,7 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .holonomic import (
     FAMILIES,
@@ -125,11 +126,12 @@ def _packed_ratios(term: HypTerm, shapes: Shapes) -> tuple[dict[Shift, dict[int,
     and the place values of the packing.
 
     A mixed radix packs each exponent vector e of the system into one int,
-    sum_k e_k * place_k.  Every exponent of the system is a cleared ratio's
-    exponent plus a shape part's monomial plus a slot's (q, u) offset, so
-    radix k is 1 plus the sum of the three spans in coordinate k.  On that
-    box the packing is one-to-one, and it is linear, so the packed column
-    of a slot is its shape's with every key offset by the packed offset.
+    sum_k e_k * place_k less the least packed (q, u) part.  Every exponent
+    of the system is a cleared ratio's exponent plus a shape part's monomial
+    plus a slot's (q, u) offset, so radix k is 1 plus the sum of the three
+    spans in coordinate k.  On that box the packing is one-to-one, a key's
+    (q, u) part is in [0, place_2), so key // place_2 is its v-band, and a
+    slot's packed column is its shape's with every key offset by its offset.
     """
     parts = [part for shape in shapes for part in _slot_parts(shape)]
     cleared = cleared_ratios(term, sorted({sh for sh, _ in parts}))
@@ -138,7 +140,8 @@ def _packed_ratios(term: HypTerm, shapes: Shapes) -> tuple[dict[Shift, dict[int,
     places = [1]
     for k in range(len(TERM_VARS) - 1):
         places.append(places[k] * (1 + sum(max(e[k] for e in es) - min(e[k] for e in es) for es in spans)))
-    packed = {sh: {sum(map(mul, e, places)): v for e, v in poly.terms.items()} for sh, poly in cleared.items()}
+    origin = sum(min(e[k] for e in es) * places[k] for es in spans for k in (0, 1))
+    packed = {sh: {sum(map(mul, e, places)) - origin: v for e, v in poly.terms.items()} for sh, poly in cleared.items()}
     return packed, tuple(places)
 
 
@@ -159,36 +162,49 @@ def _slot_column(slot: Slot, packed: dict[Shift, dict[int, int]], places: tuple[
     return col
 
 
-def _compact_rows(shapes: Shapes, packed: dict[Shift, dict[int, int]], places: tuple[int, ...]) -> dict[int, list[int]]:
-    """The rows keyed by packed exponent, as flat lists [i, c, i, c, ...]:
-    each shape's column is built once, then offset for each member."""
-    rows: defaultdict = defaultdict(list)
+def _banded_rows(shapes: Shapes, packed: dict[Shift, dict[int, int]], places: tuple[int, ...]) -> Iterator[dict[int, list[int]]]:
+    """The rows of each v-band keyed by packed exponent, as flat lists
+    [i, c, i, c, ...]: each shape's column is built once and split by
+    v-band, key // places[2]; the bands are spread at each member's offset
+    one at a time, as asked for, by increasing count of entries (known
+    before any row exists), ties in the order first seen."""
+    weights: defaultdict = defaultdict(int)
+    cols: defaultdict = defaultdict(list)
     for shape, members in shapes.items():
-        col = _slot_column(shape, packed, places)
-        for i, eq, eu in members:
-            off = eq * places[0] + eu * places[1]
+        offsets = [(i, eq * places[0] + eu * places[1]) for i, eq, eu in members]
+        split: defaultdict = defaultdict(dict)
+        for key, c in _slot_column(shape, packed, places).items():
+            split[key // places[2]][key] = c
+        for band, col in split.items():
+            weights[band] += len(col) * len(offsets)
+            cols[band].append((col, offsets))
+    for band in sorted(weights, key=weights.__getitem__):
+        rows: defaultdict = defaultdict(list)
+        for col, offsets in cols.pop(band):
             for e, c in col.items():
-                rows[e + off].extend((i, c))
-    return rows
+                for i, off in offsets:
+                    rows[e + off].extend((i, c))
+        yield rows
 
 
-def _eliminate(rows: list[list[int]], ncols: int, decide_from: int) -> dict[int, dict[int, int]]:
+def _eliminate(bands: Iterable[Iterable[list[int]]], ncols: int, decide_from: int) -> dict[int, dict[int, int]]:
     """Pivot rows of the system with these rows, keyed by pivot column.
 
-    The rows are flat lists (``_compact_rows``) over ``ncols`` columns,
-    and the list is consumed.  A row becomes the dict that the reduction
-    mutates only when the elimination reaches it, and is dropped once it
-    is done, so a row that reduces to zero is freed at once and the rows
-    never reached are never expanded.
+    The rows are flat lists (``_banded_rows``) over ``ncols`` columns,
+    taken one band at a time, as the bands come.  A row becomes the dict
+    that the reduction mutates only when the elimination reaches it, and
+    is dropped once it is done, so the rows never reached are never
+    expanded, and the bands never reached are never asked for.
 
-    Fraction-free elimination over Z: each row (shortest first, ties in
-    list order) is reduced in place against the pivot rows, taking the
-    hits in increasing column order from a heap.  A reduced row that is
-    not zero becomes the pivot row of its least column, divided by its
-    content with the sign that makes that entry positive.  A pivot row is
-    zero on the pivot columns made before it and has no entry before its
-    pivot, so the pivots are the least columns of the row space of the
-    rows seen so far, whatever the order of rows and hits.
+    Fraction-free elimination over Z: each row (band by band, shortest
+    first in its band, ties in band order) is reduced in place against
+    the pivot rows, taking the hits in increasing column order from a
+    heap.  A reduced row that is not zero becomes the pivot row of its
+    least column, divided by its content with the sign that makes that
+    entry positive.  A pivot row is zero on the pivot columns made before
+    it and has no entry before its pivot, so the pivots are the least
+    columns of the row space of the rows seen so far, whatever the order
+    of bands, rows and hits.
 
     The elimination stops as soon as every column from ``decide_from`` on
     is a pivot.  A larger row space only adds least columns, so those
@@ -198,51 +214,52 @@ def _eliminate(rows: list[list[int]], ncols: int, decide_from: int) -> dict[int,
     whether a column from ``decide_from`` on is free is still decided
     exactly, and if one is, the elimination runs to the end.
     """
-    rows.sort(key=len)
-    rows.reverse()  # pop() then yields the rows shortest first, ties in order
     pivots: dict[int, dict[int, int]] = {}
     undecided = ncols - decide_from
-    while rows:
-        flat = iter(rows.pop())
-        row = dict(zip(flat, flat))
-        hits = [i for i in row if i in pivots]
-        heapify(hits)
-        while hits:
-            hit = heappop(hits)
-            a = row.get(hit)
-            if a is None:
-                continue
-            prow = pivots[hit]
-            b = prow[hit]
-            f = a
-            if b != 1:
-                g = gcd(a, b)
-                f = a // g
-                if b != g:
-                    s = b // g
-                    for i in row:
-                        row[i] *= s
-            for i, c in prow.items():
-                c = row.get(i, 0) - f * c
-                if not c:
-                    del row[i]
+    for band in bands:
+        rows = sorted(band, key=len)
+        rows.reverse()  # pop() then yields the rows shortest first, ties in order
+        while rows:
+            flat = iter(rows.pop())
+            row = dict(zip(flat, flat))
+            hits = [i for i in row if i in pivots]
+            heapify(hits)
+            while hits:
+                hit = heappop(hits)
+                a = row.get(hit)
+                if a is None:
                     continue
-                if i not in row and i in pivots:
-                    heappush(hits, i)
-                row[i] = c
-        if row:
-            piv = min(row)
-            g = gcd(*row.values())
-            if row[piv] < 0:
-                g = -g
-            if g != 1:
-                for i in row:
-                    row[i] //= g
-            pivots[piv] = row
-            if piv >= decide_from:
-                undecided -= 1
-                if not undecided:
-                    break
+                prow = pivots[hit]
+                b = prow[hit]
+                f = a
+                if b != 1:
+                    g = gcd(a, b)
+                    f = a // g
+                    if b != g:
+                        s = b // g
+                        for i in row:
+                            row[i] *= s
+                for i, c in prow.items():
+                    c = row.get(i, 0) - f * c
+                    if not c:
+                        del row[i]
+                        continue
+                    if i not in row and i in pivots:
+                        heappush(hits, i)
+                    row[i] = c
+            if row:
+                piv = min(row)
+                g = gcd(*row.values())
+                if row[piv] < 0:
+                    g = -g
+                if g != 1:
+                    for i in row:
+                        row[i] //= g
+                pivots[piv] = row
+                if piv >= decide_from:
+                    undecided -= 1
+                    if not undecided:
+                        return pivots
     return pivots
 
 
@@ -307,7 +324,7 @@ def celine_solve(term: HypTerm, order: int, support: list[Slot]) -> CertificateS
         return None
     shapes = _shapes(slots)
     packed, places = _packed_ratios(term, shapes)
-    pivots = _eliminate(list(_compact_rows(shapes, packed, places).values()), len(slots), first_p0)
+    pivots = _eliminate(map(dict.values, _banded_rows(shapes, packed, places)), len(slots), first_p0)
     free = next((i for i in range(first_p0, len(slots)) if i not in pivots), None)
     if free is None:
         return None

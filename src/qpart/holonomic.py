@@ -183,7 +183,7 @@ class ShiftOp:
     """An element of the shift algebra, normal-ordered: coeff * shift-monomial.
 
     Multiplication is the skew product: (P * S) * (P' * S') =
-    (P * twist_S(P')) * (S + S').  Addition, small powers, and ints and TERM_VARS
+    (P * twist_S(P')) * (S + S').  Addition, powers, and ints and TERM_VARS
     polynomials on either side (p * op is not twisted) let certificate formulas be written verbatim.
     The constructor drops zero coefficients; the operations leave that to it.
     """
@@ -232,15 +232,17 @@ class ShiftOp:
         return _as_op(other) * self
 
     def __pow__(self, n: int):
-        if n < 0:
-            # a coefficient inverts as a polynomial (unit monomials only); no shift inverts
-            if self.terms.keys() != {(0, 0, 0, 0)}:
-                raise ValueError("negative powers only for unit coefficient monomials")
+        if self.terms.keys() == {(0, 0, 0, 0)}:
+            # a coefficient powers as a polynomial (n < 0 for unit monomials only)
             return ShiftOp.coefficient(self.terms[0, 0, 0, 0] ** n)
-        out = ShiftOp.coefficient(_ONE5)
-        for _ in range(n):
-            out = out * self
-        return out
+        if n < 0:  # no shift inverts
+            raise ValueError("negative powers only for unit coefficient monomials")
+        if len(self.terms) == 1 and _ONE5 in self.terms.values():
+            return ShiftOp.shift(tuple(n * x for x in next(iter(self.terms))))
+        if not n:
+            return ShiftOp.coefficient(_ONE5)
+        half = self ** (n >> 1)
+        return half * half * self if n & 1 else half * half
 
     def is_zero(self) -> bool:
         return not self.terms

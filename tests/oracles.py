@@ -101,7 +101,7 @@ def spread_columns(columns) -> dict:
 
 
 def rows_by_slot(slots, packed, places) -> dict:
-    """The oracle for celine._compact_rows: one _slot_column per slot,
+    """The oracle for celine._banded_rows: one _slot_column per slot,
     spread into rows keyed by packed exponent."""
     return spread_columns(_slot_column(slot, packed, places) for slot in slots)
 

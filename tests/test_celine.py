@@ -5,6 +5,7 @@ import weakref
 from dataclasses import fields
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from qpart import catalog, celine, serialize
 from qpart.celine import (
     FAMILIES,
-    _compact_rows,
+    _banded_rows,
     _eliminate,
     _is_p0,
     _kernel_vector,
@@ -235,10 +236,14 @@ def test_packed_columns_unpack_to_the_tuple_keyed_columns(name, support):
     reference = [_tuple_column(slot, cleared) for slot in slots]
     lows = tuple(min(key[k] for col in reference for key in col) for k in range(5))
     packed, places = _packed_ratios(term, _shapes(slots))
+    # the packing is linear up to one origin, read off the first entry
+    origin = sum(map(mul, next(iter(reference[0])), places)) - next(iter(_slot_column(slots[0], packed, places)))
     for slot, ref in zip(slots, reference):
         col = _slot_column(slot, packed, places)
         assert list(col.values()) == list(ref.values())
-        assert [_unpack(key, lows, places) for key in col] == list(ref)
+        assert [_unpack(key + origin, lows, places) for key in col] == list(ref)
+        # key // places[2] is the packed v-band of the entry
+        assert [key // places[2] for key in col] == [sum(map(mul, e[2:], places[2:])) // places[2] for e in ref]
 
 
 def _pairs(flat):
@@ -248,13 +253,19 @@ def _pairs(flat):
 @systems
 def test_shape_built_rows_are_the_per_slot_rows(name, support):
     # the rows, as {row key: {column: entry}}, of one column per shape
-    # offset for each member, and of one column per slot
+    # split by v-band and offset for each member, and of one column per slot
     term = catalog.certificate_term(name)
     slots = support()
     shapes = _shapes(slots)
     packed, places = _packed_ratios(term, shapes)
-    rows = {e: _pairs(flat) for e, flat in _compact_rows(shapes, packed, places).items()}
+    bands = list(_banded_rows(shapes, packed, places))
+    rows = {e: _pairs(flat) for band in bands for e, flat in band.items()}
+    assert sum(map(len, bands)) == len(rows)
     assert rows == {e: _pairs(flat) for e, flat in rows_by_slot(slots, packed, places).items()}
+    # each row key lies in one band, and no band is lighter than the one before
+    assert [len({e // places[2] for e in band}) for band in bands] == [1] * len(bands)
+    weights = [sum(map(len, band.values())) for band in bands]
+    assert weights == sorted(weights)
 
 
 # shapes of the g111 default box (4 p, 96 C) and of the printed supports
@@ -293,13 +304,49 @@ def test_shape_built_rows_eliminate_as_the_per_slot_rows_do(name, support):
     shapes = _shapes(slots)
     packed, places = _packed_ratios(term, shapes)
     free = []
-    for rows in (_compact_rows(shapes, packed, places), rows_by_slot(slots, packed, places)):
-        pivots = _eliminate(list(rows.values()), len(slots), first_p0)
+    for bands in (map(dict.values, _banded_rows(shapes, packed, places)), [rows_by_slot(slots, packed, places).values()]):
+        pivots = _eliminate(bands, len(slots), first_p0)
         p0_free = [i for i in range(first_p0, len(slots)) if i not in pivots]
         free.append((p0_free, p0_free and _kernel_vector(pivots, p0_free[0])))
     assert free[0] == free[1]
     # the boxes hold no certificate, the printed supports hold one
     assert bool(free[0][0]) == (support is not _default_box)
+
+
+def _bands_built(monkeypatch, term, order, support):
+    """The (rows, entries) of each band that celine_solve asked for, and of
+    every band of its system."""
+    built, calls = [], []
+    banded = celine._banded_rows
+
+    def watched(*args):
+        calls.append(args)
+        for band in banded(*args):
+            built.append((len(band), sum(map(len, band.values())) // 2))
+            yield band
+
+    monkeypatch.setattr(celine, "_banded_rows", watched)
+    found = celine_solve(term, order, support=support)
+    (args,) = calls
+    return found, built, [(len(band), sum(map(len, band.values())) // 2) for band in banded(*args)]
+
+
+def test_the_default_box_is_decided_before_most_rows_exist(monkeypatch):
+    # its 28th p_0 pivot comes in the 141st of 237 bands, lightest first
+    found, built, every = _bands_built(monkeypatch, catalog.certificate_term("g111"), 3, _default_box())
+    assert found is None and built == every[:len(built)]
+    rows, entries = map(sum, zip(*built))
+    assert (len(built), rows, entries) == (141, 8_827, 49_448)
+    assert (len(every), *map(sum, zip(*every))) == (237, 23_665, 452_368)
+    # under half of the rows (37%) and a ninth of the entries are ever built
+    assert 2 * rows <= 23_665 and 9 * entries <= 452_368
+
+
+@pytest.mark.parametrize("name", catalog.CERTIFICATE_NAMES)
+def test_a_printed_support_builds_every_band(name, monkeypatch):
+    cert = catalog.certificate(name)
+    found, built, every = _bands_built(monkeypatch, catalog.certificate_term(name), cert.order, support_of(cert))
+    assert found is not None and built == every
 
 
 def _fraction_pivots(columns):
@@ -380,8 +427,8 @@ def sparse_systems(draw):
 
 
 def _rows(columns):
-    """The compact rows of dict columns, as _eliminate takes them."""
-    return list(spread_columns(columns).values())
+    """The compact rows of dict columns in one band, as _eliminate takes them."""
+    return [list(spread_columns(columns).values())]
 
 
 @settings(max_examples=300, deadline=None)
@@ -427,6 +474,24 @@ def test_a_trailing_block_has_a_free_column_iff_the_kernel_reaches_it(columns, d
 
 
 @settings(max_examples=300, deadline=None)
+@given(sparse_systems(), st.data())
+def test_elimination_over_bands_matches_elimination_over_one_list(columns, data):
+    # the rows cut into drawn bands, taken in a drawn order: the same pivot
+    # columns, kernel vectors and decision for a trailing block
+    ncols, (rows,) = len(columns), _rows(columns)
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+    order = data.draw(st.permutations(range(4)))
+    bands = [[row for row, label in zip(rows, labels) if label == b] for b in order]
+    whole, banded = _eliminate([rows], ncols, ncols), _eliminate(bands, ncols, ncols)
+    assert sorted(banded) == sorted(whole)
+    free = [i for i in range(ncols) if i not in whole]
+    assert [_kernel_vector(banded, f) for f in free] == [_kernel_vector(whole, f) for f in free]
+    block = range(data.draw(st.integers(0, ncols - 1)), ncols)
+    early = _eliminate(bands, ncols, block.start)
+    assert any(i not in early for i in block) == any(i not in whole for i in block)
+
+
+@settings(max_examples=300, deadline=None)
 @given(sparse_systems())
 def test_compact_rows_keep_the_order_of_the_dict_rows(columns):
     # the compact rows are reduced in the oracle's order of the dict rows,
@@ -444,11 +509,14 @@ def test_compact_rows_keep_the_order_of_the_dict_rows(columns):
 
 def test_rows_of_equal_length_are_reached_in_the_order_first_seen():
     # rows a = x_0 + x_1 and b = x_0 + 2 x_1: the first reached is the pivot row of column 0
-    assert _eliminate([[0, 1, 1, 1], [0, 1, 1, 2]], 2, 2) == {0: {0: 1, 1: 1}, 1: {1: 1}}
-    assert _eliminate([[0, 1, 1, 2], [0, 1, 1, 1]], 2, 2) == {0: {0: 1, 1: 2}, 1: {1: 1}}
-    # a shorter row is reached first, wherever it stands in the list
-    pivots = _eliminate([[0, 1, 1, 1], [1, 3]], 2, 2)
+    assert _eliminate([[[0, 1, 1, 1], [0, 1, 1, 2]]], 2, 2) == {0: {0: 1, 1: 1}, 1: {1: 1}}
+    assert _eliminate([[[0, 1, 1, 2], [0, 1, 1, 1]]], 2, 2) == {0: {0: 1, 1: 2}, 1: {1: 1}}
+    # a shorter row is reached first, wherever it stands in its band
+    pivots = _eliminate([[[0, 1, 1, 1], [1, 3]]], 2, 2)
     assert list(pivots.items()) == [(1, {1: 1}), (0, {0: 1})]
+    # but only within its band: the bands are taken in the order they come
+    pivots = _eliminate([[[0, 1, 1, 2]], [[0, 1, 1, 1], [1, 3]]], 2, 2)
+    assert list(pivots.items()) == [(0, {0: 1, 1: 2}), (1, {1: 1})]
 
 
 class _Column(dict):

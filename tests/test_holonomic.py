@@ -254,9 +254,8 @@ def test_a_zero_certificate_does_not_verify():
 _small_polys = st.dictionaries(
     st.tuples(st.integers(-1, 1), st.integers(0, 1), st.integers(0, 1)), st.sampled_from((-1, 1)), max_size=2,
 ).map(lambda d: LaurentPoly(TERM_VARS, {(*e, 0, 0): c for e, c in d.items()}))
-_small_ops = st.dictionaries(
-    st.tuples(st.integers(0, 1), st.integers(0, 1), st.just(0), st.just(0)), _small_polys, max_size=3,
-).map(ShiftOp)
+_small_shifts = st.tuples(st.integers(0, 1), st.integers(0, 1), st.just(0), st.just(0))
+_small_ops = st.dictionaries(_small_shifts, _small_polys, max_size=3).map(ShiftOp)
 
 
 @settings(max_examples=200, deadline=None)
@@ -272,6 +271,18 @@ def test_shift_operators_store_no_zero_and_form_a_ring(a, b, c, k):
 
 _N, _NO_SHIFT = ShiftOp.shift((1, 0, 0, 0)), (0, 0, 0, 0)
 _ONE, _U = LaurentPoly.one(TERM_VARS), LaurentPoly.variable(TERM_VARS, "u")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_small_shifts, _small_polys.filter(lambda p: not p.is_zero()), min_size=1, max_size=3).map(ShiftOp),
+       st.integers(0, 6))
+@example(ShiftOp.shift((1, 1, 0, 0)), 5)
+@example(ShiftOp.coefficient(_U - _ONE), 6)
+def test_a_power_is_the_repeated_product(op, n):
+    product = ShiftOp.coefficient(_ONE)
+    for _ in range(n):
+        product = product * op
+    assert op ** n == product
 
 
 @pytest.mark.parametrize("op, left, right, expected", [
