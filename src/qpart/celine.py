@@ -126,12 +126,13 @@ def _packed_ratios(term: HypTerm, shapes: Shapes) -> tuple[dict[Shift, dict[int,
     and the place values of the packing.
 
     A mixed radix packs each exponent vector e of the system into one int,
-    sum_k e_k * place_k less the least packed (q, u) part.  Every exponent
-    of the system is a cleared ratio's exponent plus a shape part's monomial
-    plus a slot's (q, u) offset, so radix k is 1 plus the sum of the three
-    spans in coordinate k.  On that box the packing is one-to-one, a key's
-    (q, u) part is in [0, place_2), so key // place_2 is its v-band, and a
-    slot's packed column is its shape's with every key offset by its offset.
+    sum_k e_k * place_k less the least (q, u) part of a shape's column.
+    Every exponent of the system is a cleared ratio's exponent plus a shape
+    part's monomial plus a slot's (q, u) offset, so radix k is 1 plus the
+    sum of the three spans in coordinate k.  On that box the packing is
+    one-to-one, and a slot's packed column is its shape's with every key
+    offset by its offset.  A key of a shape's column has its (q, u) part in
+    [0, place_2), so key // place_2 is its v-band, which no offset moves.
     """
     parts = [part for shape in shapes for part in _slot_parts(shape)]
     cleared = cleared_ratios(term, sorted({sh for sh, _ in parts}))
@@ -140,7 +141,7 @@ def _packed_ratios(term: HypTerm, shapes: Shapes) -> tuple[dict[Shift, dict[int,
     places = [1]
     for k in range(len(TERM_VARS) - 1):
         places.append(places[k] * (1 + sum(max(e[k] for e in es) - min(e[k] for e in es) for es in spans)))
-    origin = sum(min(e[k] for e in es) * places[k] for es in spans for k in (0, 1))
+    origin = sum(min(e[k] for e in es) * places[k] for es in spans[:2] for k in (0, 1))
     packed = {sh: {sum(map(mul, e, places)) - origin: v for e, v in poly.terms.items()} for sh, poly in cleared.items()}
     return packed, tuple(places)
 

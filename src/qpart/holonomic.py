@@ -237,8 +237,6 @@ class ShiftOp:
             return ShiftOp.coefficient(self.terms[0, 0, 0, 0] ** n)
         if n < 0:  # no shift inverts
             raise ValueError("negative powers only for unit coefficient monomials")
-        if len(self.terms) == 1 and _ONE5 in self.terms.values():
-            return ShiftOp.shift(tuple(n * x for x in next(iter(self.terms))))
         if not n:
             return ShiftOp.coefficient(_ONE5)
         half = self ** (n >> 1)
