@@ -1,8 +1,8 @@
 """Batch command-line front-end.
 
 Subcommands: enumerate | series | dfa | system | cylindric | certify |
-celine | uncouple | verify-all | emit.  All input and output goes through
-files or stdout; outputs are deterministic (sorted keys, decimal-string
+celine | uncouple | verify-all, one per output.  All input and output goes
+through files or stdout; outputs are deterministic (sorted keys, decimal-string
 coefficients) so identical flags produce byte-identical bytes.
 """
 
@@ -71,12 +71,6 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _class_series(conds: Iterable[str], qorder: int) -> BiSeries:
-    if qorder < 1:
-        raise ValueError("--qorder must be >= 1")
-    return gen_fun(enumerate_2colored(qorder - 1, conds), qorder)
-
-
 def _series_text(series: BiSeries, x: str, fmt: str) -> str:
     """The series (or its x = 1 value for ``x == "eval"``) as CSV or JSON."""
     if x == "eval":
@@ -85,31 +79,28 @@ def _series_text(series: BiSeries, x: str, fmt: str) -> str:
     return serialize.biseries_csv(series) if fmt == "csv" else serialize.dumps(series.to_json())
 
 
-def _dfa_text(dfa, fmt: str) -> str:
-    return dfa.to_dot() if fmt == "dot" else serialize.dumps(dfa.to_json())
-
-
-def _system_text() -> str:
-    return serialize.dumps(derive_transfer_system(build_avoidance_dfa()).to_json())
-
-
 def cmd_series(args) -> int:
-    series = _class_series(_parse_conds(args.which), args.qorder)
+    if args.qorder < 1:
+        raise ValueError("--qorder must be >= 1")
+    series = gen_fun(enumerate_2colored(args.qorder - 1, _parse_conds(args.which)), args.qorder)
     _write(_series_text(series, args.x, args.format), args.out)
     return 0
 
 
 def cmd_dfa(args) -> int:
     if args.emit_words:
+        flags = {"--words": args.words, "--format": args.format}
+        if given := [flag for flag, value in flags.items() if value is not None]:
+            raise ValueError(f"--emit-words prints the bundled words: drop {', '.join(given)}")
         _write("\n".join(automata.FORBIDDEN_WORDS) + "\n", args.out)
         return 0
     dfa = _read_input(args.words, build_avoidance_dfa, serialize.words_from_text) if args.words else build_avoidance_dfa()
-    _write(_dfa_text(dfa, args.format), args.out)
+    _write(dfa.to_dot() if args.format == "dot" else serialize.dumps(dfa.to_json()), args.out)
     return 0
 
 
 def cmd_system(args) -> int:
-    _write(_system_text(), args.out)
+    _write(serialize.dumps(derive_transfer_system(build_avoidance_dfa()).to_json()), args.out)
     return 0
 
 
@@ -212,30 +203,6 @@ def cmd_verify_all(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-#: the formats each emit target can encode
-EMIT_FORMATS = {
-    **{f"{name}-series": ("json", "csv") for name in catalog.CLASS_NAMES},
-    "dfa": ("json", "dot"),
-    "transfer-matrix": ("json",),
-}
-
-
-def cmd_emit(args) -> int:
-    target, fmt = args.target, args.format
-    if target not in EMIT_FORMATS:
-        raise ValueError(f"unknown target {target!r}")
-    if fmt not in EMIT_FORMATS[target]:
-        raise ValueError(f"{target} supports only {' or '.join(EMIT_FORMATS[target])}")
-    if target == "dfa":
-        text = _dfa_text(build_avoidance_dfa(), fmt)
-    elif target == "transfer-matrix":
-        text = _system_text()
-    else:
-        text = _series_text(_class_series(_parse_conds(target.removesuffix("-series")), args.qorder), "keep", fmt)
-    _write(text, args.out)
-    return 0
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -264,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("dfa", help="the minimal factor-avoidance DFA")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
+    p.add_argument("--format", choices=("json", "dot"), help="json (the default) or dot")
     p.add_argument("--words", help="plain-text forbidden-word list, one word per line")
     p.add_argument("--emit-words", action="store_true", help="print the bundled word list")
     p.set_defaults(func=cmd_dfa)
@@ -279,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", choices=("eval", "keep"), default="keep")
     p.add_argument("--enumerate", action="store_true", help="count F by layers instead of the recursion")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--json", dest="format", action="store_const", const="json",
-                   help="shorthand for --format json")
     p.set_defaults(func=cmd_cylindric)
 
     p = sub.add_parser("certify", help="verify a certificate against a term")
@@ -312,12 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true")
     p.add_argument("--report", help="write the JSON report to this file")
     p.set_defaults(func=cmd_verify_all)
-
-    p = sub.add_parser("emit", help="emit a series or table deterministically")
-    p.add_argument("--target", required=True, help=" | ".join(EMIT_FORMATS))
-    p.add_argument("--qorder", type=int, default=10)
-    p.add_argument("--format", choices=("json", "csv", "dot"), default="json")
-    p.set_defaults(func=cmd_emit)
 
     for name, p in sub.choices.items():
         if name != "verify-all":  # which writes its report to --report

@@ -59,7 +59,9 @@ def words_from_text(text: str) -> tuple[str, ...]:
 
 
 def poly_from_json(data: dict) -> LaurentPoly:
-    """Inverse of ``LaurentPoly.to_json``."""
+    """Inverse of ``LaurentPoly.to_json``; "vars" is a JSON list of strings."""
+    if type(data["vars"]) is not list or not all(type(v) is str for v in data["vars"]):
+        raise ValueError(f"a polynomial's vars must be a list of strings, not {data['vars']!r}")
     terms = {_ints(e, "an exponent"): _int(c, "a coefficient", coefficient=True) for e, c in data["terms"]}
     if len(terms) != len(data["terms"]):
         raise ValueError("an exponent vector is listed twice in the polynomial's terms")

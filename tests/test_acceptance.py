@@ -138,7 +138,7 @@ def test_criterion_11_property_suites(run):
     cli_ok = all(
         capture(argv) == capture(argv)
         for argv in (
-            ["emit", "--target", "d1234-series", "--qorder", "9", "--format", "csv"],
+            ["series", "--which", "d1234", "--qorder", "9", "--format", "csv"],
             ["dfa", "--format", "dot"],
         )
     )

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qpart import catalog, serialize
+from qpart import automata, catalog, serialize
 from qpart.cli import main
 from qpart.colored import MINUS, PLUS, to_pairs
 from qpart.holonomic import TERM_VARS, verify_certificate
@@ -66,14 +66,24 @@ def test_series_csv_header_contract():
     assert out.splitlines()[0] == "x_exp,q_exp,coeff"
 
 
-def test_emit_dfa_dot_has_six_nodes():
-    code, out, _ = run_cli(["emit", "--target", "dfa", "--format", "dot"])
+def test_dfa_dot_has_six_nodes():
+    code, out, _ = run_cli(["dfa", "--format", "dot"])
     assert code == 0
     assert out.count("shape=circle") == 5 and out.count("shape=doublecircle") == 1
 
 
-def test_emit_transfer_matrix_matches_golden():
-    code, out, _ = run_cli(["emit", "--target", "transfer-matrix", "--format", "json"])
+def test_dfa_emit_words_prints_the_bundled_words_that_build_the_same_dfa(tmp_path):
+    code, out, err = run_cli(["dfa", "--emit-words"])
+    assert (code, err) == (0, "") and len(automata.FORBIDDEN_WORDS) == 48
+    assert out == "\n".join(automata.FORBIDDEN_WORDS) + "\n"
+    words = tmp_path / "words.txt"
+    words.write_text(out)
+    for fmt in ([], ["--format", "dot"]):
+        assert run_cli(["dfa", "--words", str(words), *fmt]) == run_cli(["dfa", *fmt]), fmt
+
+
+def test_system_matches_golden():
+    code, out, _ = run_cli(["system"])
     assert code == 0
     golden = json.loads((GOLDEN / "transfer_matrix.json").read_text())
     got = json.loads(out)
@@ -162,7 +172,7 @@ def test_byte_identical_outputs():
         ["series", "--which", "d1234", "--qorder", "12"],
         ["dfa"],
         ["system"],
-        ["emit", "--target", "d123-series", "--qorder", "8", "--format", "csv"],
+        ["series", "--which", "d1234", "--qorder", "9", "--format", "csv"],
     ):
         _, a, _ = run_cli(argv)
         _, b, _ = run_cli(argv)
@@ -172,11 +182,6 @@ def test_byte_identical_outputs():
 def test_verify_all_rejects_low_qorder():
     code, _, _ = run_cli(["verify-all", "--qorder", "0"])
     assert code == 2
-
-
-def test_emit_unknown_target_is_an_error():
-    code, _, err = run_cli(["emit", "--target", "nonsense"])
-    assert code == 2 and "unknown target" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -195,8 +200,9 @@ def test_emit_unknown_target_is_an_error():
     ["celine", "--name", "g111", "--term", "term.json", "--order", "3"],
     ["cylindric", "--profile", "1,1,1", "--qorder", "5", "--enumerate"],
     ["cylindric", "--profile", "1,1,1", "--enumerate", "--stat", "F", "--qorder", "0"],
-    ["emit", "--target", "d123-series", "--format", "dot"],
-    ["emit", "--target", "dfa", "--format", "csv"],
+    # --emit-words prints the bundled list, so it reads no words file and has one format
+    ["dfa", "--emit-words", "--words", "words.txt"],
+    ["dfa", "--emit-words", "--format", "dot"],
     # an empty degree range or a negative shift box would decide a vacuous box
     ["celine", "--name", "g111", "--order", "3", "--deg", "-1"],
     ["celine", "--name", "g111", "--order", "3", "--qdeg", "-1"],
@@ -220,17 +226,20 @@ def test_emit_unknown_target_is_an_error():
     ["nonsense"],
     [],
     ["cylindric", "--profile", "-1,4,0"],
+    # each output has one command, and json is already cylindric's default --format
+    ["emit", "--target", "d123-series", "--format", "csv"],
+    ["cylindric", "--profile", "3,0,0", "--json"],
 ], ids=["zero-profile", "series-qorder-0", "unknown-condition", "verify-all-nmax-negative", "verify-all-qorder-9",
         "certify-recurrence-check-negative", "celine-term-with-printed-support", "certify-no-term",
         "celine-no-term", "certify-term-without-cert", "certify-name-and-term", "celine-name-and-term",
         "cylindric-enumerate-without-stat-f", "cylindric-enumerate-qorder-0",
-        "emit-series-as-dot", "emit-dfa-as-csv",
+        "dfa-emit-words-with-words", "dfa-emit-words-with-format",
         "celine-empty-u-range", "celine-empty-q-range", "celine-negative-kbox",
         "celine-printed-with-deg", "celine-printed-with-qdeg", "celine-printed-with-kbox",
         "uncouple-missing-system", "certify-missing-term", "celine-missing-term", "dfa-missing-words",
         "out-into-missing-directory", "certify-g111-verbatim",
         "enumerate-without-max-size", "series-qorder-not-an-integer", "series-as-dot", "unknown-subcommand",
-        "no-subcommand", "cylindric-profile-read-as-a-flag"])
+        "no-subcommand", "cylindric-profile-read-as-a-flag", "emit-is-no-subcommand", "cylindric-json-is-no-flag"])
 def test_bad_input_is_a_one_line_error(argv):
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""
@@ -319,6 +328,8 @@ def test_a_malformed_input_file_is_a_one_line_error_naming_it(tmp_path):
         (json.dumps(other_vars), ["certify", "--term", term, "--cert", bad]),
         (json.dumps({"matrix": [[twice]]}), ["uncouple", "--system", bad]),
         (json.dumps({"matrix": [[{"num": one, "den": twice}]]}), ["uncouple", "--system", bad]),
+        # vars as the string "xq", once read as its letters x and q
+        (json.dumps({"matrix": [[{"vars": "xq", "terms": [[[0, 0], "1"]]}]]}), ["uncouple", "--system", bad]),
         # a system over (x, y), not (x, q), and systems whose step is not a positive integer
         (json.dumps({"matrix": [[{"vars": ["x", "y"], "terms": [[[0, 0], "1"]]}]]}), ["uncouple", "--system", bad]),
         (json.dumps({"matrix": [[{"num": one, "den": {"vars": ["x", "y"], "terms": [[[0, 0], "1"]]}}]]}),
