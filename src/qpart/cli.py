@@ -35,8 +35,15 @@ from .verification import RECURRENCE_POINTS, verify_all
 BOX_DEFAULTS = {"--deg": 3, "--qdeg": 3, "--kbox": 1}
 
 
+def _path(text: str) -> str:
+    """A file flag's value; an empty one names no file (and never stdout)."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 def _write(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
@@ -94,7 +101,8 @@ def cmd_dfa(args) -> int:
             raise ValueError(f"--emit-words prints the bundled words: drop {', '.join(given)}")
         _write("\n".join(automata.FORBIDDEN_WORDS) + "\n", args.out)
         return 0
-    dfa = _read_input(args.words, build_avoidance_dfa, serialize.words_from_text) if args.words else build_avoidance_dfa()
+    dfa = (build_avoidance_dfa() if args.words is None
+           else _read_input(args.words, build_avoidance_dfa, serialize.words_from_text))
     _write(dfa.to_dot() if args.format == "dot" else serialize.dumps(dfa.to_json()), args.out)
     return 0
 
@@ -232,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dfa", help="the minimal factor-avoidance DFA")
     p.add_argument("--format", choices=("json", "dot"), help="json (the default) or dot")
-    p.add_argument("--words", help="plain-text forbidden-word list, one word per line")
+    p.add_argument("--words", type=_path, help="plain-text forbidden-word list, one word per line")
     p.add_argument("--emit-words", action="store_true", help="print the bundled word list")
     p.set_defaults(func=cmd_dfa)
 
@@ -249,15 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cylindric)
 
     p = sub.add_parser("certify", help="verify a certificate against a term")
-    p.add_argument("--term", help="HypTerm JSON file")
-    p.add_argument("--cert", help="certificate JSON file")
+    p.add_argument("--term", type=_path, help="HypTerm JSON file")
+    p.add_argument("--cert", type=_path, help="certificate JSON file")
     p.add_argument("--name", choices=catalog.CERTIFICATE_NAMES, help="bundled set")
     p.add_argument("--verbatim", action="store_true", help="use the unemended bundled data")
     p.add_argument("--recurrence-check", type=int, default=0, metavar="NMAX")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("celine", help="search for a certificate")
-    p.add_argument("--term", help="HypTerm JSON file")
+    p.add_argument("--term", type=_path, help="HypTerm JSON file")
     p.add_argument("--name", choices=catalog.CERTIFICATE_NAMES)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--deg", type=int, help="u-degree bound (default 3)")
@@ -267,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_celine)
 
     p = sub.add_parser("uncouple", help="scalar annihilator of a system component")
-    p.add_argument("--system", required=True, help="system JSON file, builtin-2x2, or builtin-5x5")
+    p.add_argument("--system", type=_path, required=True, help="system JSON file, builtin-2x2, or builtin-5x5")
     p.add_argument("--component", type=int, default=0)
     p.set_defaults(func=cmd_uncouple)
 
@@ -275,12 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qorder", type=int, default=30)
     p.add_argument("--nmax", type=int, default=25, help="recurrence check bound")
     p.add_argument("--timings", action="store_true")
-    p.add_argument("--report", help="write the JSON report to this file")
+    p.add_argument("--report", type=_path, help="write the JSON report to this file")
     p.set_defaults(func=cmd_verify_all)
 
     for name, p in sub.choices.items():
         if name != "verify-all":  # which writes its report to --report
-            p.add_argument("--out")
+            p.add_argument("--out", type=_path)
     return ap
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd as _int_gcd
-from operator import add
+from operator import add, neg
 from typing import Iterable, Mapping
 
 
@@ -163,13 +163,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:  # a monomial maps the terms of b to distinct exponents
-            (ea, ca), = a.items()
-            return LaurentPoly._raw(self.vars, {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()})
-        return LaurentPoly._raw(self.vars, add_products({}, [(a, b)]))
+        return LaurentPoly._raw(self.vars, add_products({}, [(self.terms, other.terms)]))
 
     __rmul__ = __mul__
 
@@ -242,7 +236,7 @@ class LaurentPoly:
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         rem = dict(self.terms)
-        heap = [(-sum(e), tuple(-x for x in e), e) for e in rem]
+        heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
         heapify(heap)
         quo_terms: dict[tuple[int, ...], int] = {}
         le, lc = other.leading()
@@ -266,7 +260,7 @@ class LaurentPoly:
                 s = rem.get(e)
                 if s is None:
                     rem[e] = -c
-                    heappush(heap, (-sum(e), tuple(-x for x in e), e))
+                    heappush(heap, (-sum(e), tuple(map(neg, e)), e))
                 elif s == c:
                     del rem[e]
                 else:
@@ -305,19 +299,40 @@ def add_products(terms: dict[tuple[int, ...], int], pairs: Iterable[tuple[dict, 
     in place, deleting a coefficient that cancels, and return ``terms``.  Of
     each pair the longer factor (the second, if they are as long) is read in
     full before any write, so ``terms`` may be that factor: p becomes
-    (1 - q^e) * p by add_products(p, [({e: -1}, p)])."""
+    (1 - q^e) * p by add_products(p, [({e: -1}, p)]); a monomial times p is the
+    one-pair case.  The exponent sum is written out for two variables ((x, q),
+    (q, u)) and five (the summand's), else generic, all in one term order."""
     for a, b in pairs:
         if len(a) > len(b):
             a, b = b, a
         b = list(b.items())
         for ea, ca in a.items():
-            for eb, cb in b:
-                e = tuple(map(add, ea, eb))
-                s = terms.get(e, 0) + ca * cb
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
+            if len(ea) == 5:
+                a0, a1, a2, a3, a4 = ea
+                for (b0, b1, b2, b3, b4), cb in b:
+                    e = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4)
+                    s = terms.get(e, 0) + ca * cb
+                    if s:
+                        terms[e] = s
+                    else:
+                        del terms[e]
+            elif len(ea) == 2:
+                a0, a1 = ea
+                for (b0, b1), cb in b:
+                    e = (a0 + b0, a1 + b1)
+                    s = terms.get(e, 0) + ca * cb
+                    if s:
+                        terms[e] = s
+                    else:
+                        del terms[e]
+            else:
+                for eb, cb in b:
+                    e = tuple(map(add, ea, eb))
+                    s = terms.get(e, 0) + ca * cb
+                    if s:
+                        terms[e] = s
+                    else:
+                        del terms[e]
     return terms
 
 

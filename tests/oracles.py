@@ -18,11 +18,14 @@ divides on one remainder dict and finds its leading terms by a heap;
 ``schoolbook_divexact`` subtracts a whole polynomial per quotient term and
 rescans the remainder. The library applies each factor 1 - q^e of a
 cleared ratio to one term dict in place; ``cleared_ratios_by_products``
-multiplies the factors with ``LaurentPoly.__mul__``.
+multiplies the factors with ``LaurentPoly.__mul__``. The library writes
+each exponent sum of ``add_products`` out for two and five variables;
+``generic_add_products`` adds every exponent vector with one generic ``map``.
 """
 
 from collections import Counter, defaultdict
 from itertools import chain
+from operator import add
 
 from qpart.celine import _slot_column
 from qpart.colored import _condition_flags, _violation_ending_at, part_key, size
@@ -82,6 +85,25 @@ def schoolbook_laurent_product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             e = tuple(x + y for x, y in zip(ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return LaurentPoly(a.vars, out)
+
+
+def generic_add_products(terms: dict, pairs) -> dict:
+    """The oracle for laurent.add_products: the same walk over the same pairs,
+    every exponent sum one generic ``tuple(map(add, ...))`` whatever the
+    number of variables, so its dict keeps the same keys in the same order."""
+    for a, b in pairs:
+        if len(a) > len(b):
+            a, b = b, a
+        b = list(b.items())
+        for ea, ca in a.items():
+            for eb, cb in b:
+                e = tuple(map(add, ea, eb))
+                s = terms.get(e, 0) + ca * cb
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+    return terms
 
 
 def inv_xq_pochhammer_by_slices(order: int) -> BiSeries:

@@ -17,13 +17,14 @@ from qpart.laurent import (
     RationalFunction,
     VariableMismatch,
     ZeroDenominator,
+    add_products,
     poly_gcd,
     poly_gcd_of,
 )
 
 from qpart.serialize import poly_from_json, system_from_json
 from qpart.verification import verify_all
-from oracles import schoolbook_divexact, schoolbook_laurent_product
+from oracles import generic_add_products, schoolbook_divexact, schoolbook_laurent_product
 
 QV = ("q",)
 UV = ("u", "v")
@@ -181,12 +182,38 @@ def test_ring_laws(a, b, c):
     polys(max_terms=3),
 )
 def test_products_match_the_schoolbook_oracle(mono_exp, mono_coeff, p, r):
-    # a one-term factor takes the monomial path, from either side
+    # a one-term factor is the kernel's one-pair case, from either side
     m = LaurentPoly(UVQ, {mono_exp: mono_coeff})
     expected = schoolbook_laurent_product(m, p)
     assert m * p == expected and p * m == expected
     assert list((m * p).terms) == [tuple(x + y for x, y in zip(mono_exp, e)) for e in p.terms]
     assert p * r == schoolbook_laurent_product(p, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from((2, 3, 4, 5)))
+def test_add_products_keeps_the_generic_loops_terms_in_its_order(data, n):
+    # over two and five variables the exponent sums are written out; exponents
+    # in -1..1 and coefficients in -2..2 make sums collide and cancel
+    exps = st.tuples(*[st.integers(-1, 1)] * n)
+    dicts = st.dictionaries(exps, st.integers(-2, 2).filter(bool), max_size=6)
+    start, a, b = data.draw(dicts), data.draw(dicts), data.draw(dicts)
+    e, c = data.draw(exps), data.draw(st.integers(-2, 2).filter(bool))
+    # both orders of a pair (one has |a| > |b|), a one-term factor, and -a * b
+    # cancelling a * b, so keys are deleted and added again at the end
+    pairs = [(a, b), (b, a), ({e: c}, b), (a, {k: -v for k, v in b.items()})]
+    got, expected = add_products(dict(start), pairs), generic_add_products(dict(start), pairs)
+    assert list(got.items()) == list(expected.items()) and 0 not in got.values()
+    # in place: p becomes (1 - q^e) * p, the longer factor read in full first
+    p, ref = dict(start), dict(start)
+    add_products(p, [({e: -1}, p)])
+    generic_add_products(ref, [({e: -1}, ref)])
+    assert list(p.items()) == list(ref.items()) and 0 not in p.values()
+    # a product of polynomials, a one-term factor included, is the kernel's
+    vars = tuple("xyzwt"[:n])
+    for f, g in ((a, b), ({e: c}, b), (b, {e: c})):
+        product = LaurentPoly(vars, f) * LaurentPoly(vars, g)
+        assert list(product.terms.items()) == list(generic_add_products({}, [(f, g)]).items())
 
 
 @settings(max_examples=200, deadline=None)
