@@ -22,7 +22,9 @@ is tested on the prefix during the walk, and only at a gap <= NEAR.
 The pattern test reads the families only through ``family_windows``: it
 looks up each window among the literal family instances, and is
 cross-checked in the test suite against literal pattern matching over all
-the family generators.
+the family generators.  Both tests can skip the windows ending before a
+``start``: ``pattern-equivalence`` tests each partition of the preorder walk
+at its last part and carries the rest from its prefix.
 """
 
 from __future__ import annotations
@@ -54,15 +56,11 @@ def part_key(p: Part) -> tuple[int, int]:
     return (p[0], 1 if p[1] == PLUS else 0)
 
 
-def is_weakly_decreasing(parts: Sequence[Part]) -> bool:
-    return all(part_key(a) >= part_key(b) for a, b in zip(parts, parts[1:]))
-
-
 def validate(parts: Sequence[Part]) -> Partition:
     t = tuple(parts)
     for p in t:
         part(*p)
-    if not is_weakly_decreasing(t):
+    if any(part_key(a) < part_key(b) for a, b in zip(t, t[1:])):
         raise ValueError(f"parts not weakly decreasing: {t}")
     return t
 
@@ -169,8 +167,8 @@ def _condition_flags(which: Iterable[str]) -> tuple[bool, bool, bool, bool]:
     return _FLAGS[wanted]
 
 
-def check_condition(parts: Sequence[Part], which: Iterable[str]) -> bool:
-    """Check a subset of the conditions {"D1", "D2", "D3", "D4"}.
+def check_condition(parts: Sequence[Part], which: Iterable[str], start: int = 0) -> bool:
+    """Check a subset of {"D1", "D2", "D3", "D4"} on the windows ending at an index >= start.
 
     Only the windows that can fail are tested: those ending at a part at
     most ``NEAR`` below the one before it (a negative gap included), and,
@@ -179,9 +177,11 @@ def check_condition(parts: Sequence[Part], which: Iterable[str]) -> bool:
     flags = _condition_flags(which)
     near, low = _LIMITS[flags]
     d1, d2, d3, d4 = flags
-    # the first part has no gap to test: start its predecessor out of reach
-    prev = parts[0][0] + near + 1 if parts else 0
-    for i, (mag, _) in enumerate(parts):
+    if start and not 0 < start <= len(parts):
+        raise ValueError(f"start must be in 0..{len(parts)}, not {start}")
+    # the gap is read from the part before start; the first part has none: put it out of reach
+    prev = parts[start - 1][0] if start else parts[0][0] + near + 1 if parts else 0
+    for i, (mag, _) in enumerate(parts[start:], start):
         if (prev - mag <= near or mag <= low) and _violation_ending_at(parts, i, d1, d2, d3, d4):
             return False
         prev = mag
@@ -203,11 +203,13 @@ def _windows_ending_in(magnitude: int) -> frozenset[Partition]:
     return frozenset(w for k in range(magnitude + 1) for w in family_windows(k) if w[-1][0] == magnitude)
 
 
-def violates_forbidden_patterns(parts: Sequence[Part]) -> bool:
-    """True iff some window of ``parts`` is an instance of the seven families:
-    at each index, the 2-, 3- and 4-part windows ending there are looked up
-    among the instances ending in its magnitude."""
-    for i in range(1, len(parts)):
+def violates_forbidden_patterns(parts: Sequence[Part], start: int = 0) -> bool:
+    """True iff some window of ``parts`` ending at an index >= start is an
+    instance of the seven families: at each such index, the 2-, 3- and 4-part
+    windows ending there are looked up among the instances ending in its magnitude."""
+    if not 0 <= start <= len(parts):
+        raise ValueError(f"start must be in 0..{len(parts)}, not {start}")
+    for i in range(max(start, 1), len(parts)):
         wins = _windows_ending_in(parts[i][0])
         if (
             (parts[i - 1], parts[i]) in wins
@@ -250,7 +252,8 @@ def family_windows(k: int) -> list[Partition]:
 
 
 def iter_all(max_size: int) -> Iterator[Partition]:
-    """All 2-colored partitions of size <= max_size (unspecified order), lazily."""
+    """All 2-colored partitions of size <= max_size, lazily, in preorder: each nonempty
+    one comes after its prefix (less its last part), with none of the prefix's length between."""
     if max_size < 0:
         return iter(())
     return (lam for _, lam in _walk(max_size, False, False, False, False))

@@ -230,13 +230,22 @@ def task_aux_identity(run: VerificationRun) -> tuple[dict, dict | None]:
 
 
 def task_pattern_equivalence(run: VerificationRun) -> tuple[dict, dict | None]:
-    """Difference conditions D1-D3 match the forbidden-pattern families."""
+    """Difference conditions D1-D3 match the forbidden-pattern families.  Each side is carried
+    from the prefix the preorder walk listed last, and tested on the windows ending at the last part."""
     conds = catalog.identities()["d123"].conds
     witness = None
     count = 0
+    last = {}  # per length: the last partition listed, whether it meets D1-D3 and breaks a pattern
     for lam in iter_all(PATTERN_MAX_SIZE):
         count += 1
-        if check_condition(lam, conds) != (not violates_forbidden_patterns(lam)):
+        end = max(len(lam) - 1, 0)
+        prefix, meets, fails = last.get(end, ((), True, False))
+        if lam[:-1] != prefix:
+            raise ValueError(f"the walk listed {to_pairs(lam)} out of preorder")
+        meets = meets and check_condition(lam, conds, end)
+        fails = fails or violates_forbidden_patterns(lam, end)
+        last[len(lam)] = lam, meets, fails
+        if meets == fails:
             witness = {"kind": "partition", "partition": to_pairs(lam)}
             break
     return {"max_size": PATTERN_MAX_SIZE, "checked": count}, witness

@@ -11,7 +11,10 @@ slice's (q;q)_m on its own. The library lists 2-colored
 partitions in walk order grouped by (size, length); ``listing_order_key``
 is the sort key that states the listing order directly. The library tests
 a window for D1-D4 only where it can fail; ``meets_conditions_everywhere``
-tests the window ending at every index. The library
+tests the window ending at every index. The library checks each listed
+partition against the pattern families at its last part only, carrying
+the rest from its prefix; ``pattern_equivalence_by_full_checks`` checks
+every partition whole. The library
 builds the Celine system one column per slot shape; ``rows_by_slot``
 builds one column per slot and spreads each into the rows. The library
 divides on one remainder dict and finds its leading terms by a heap;
@@ -27,8 +30,9 @@ from collections import Counter, defaultdict
 from itertools import chain
 from operator import add
 
+from qpart import catalog, verification
 from qpart.celine import _slot_column
-from qpart.colored import _condition_flags, _violation_ending_at, part_key, size
+from qpart.colored import _condition_flags, _violation_ending_at, part_key, size, to_pairs
 from qpart.holonomic import TERM_VARS, _dot, _form_value
 from qpart.laurent import LaurentPoly
 from qpart.series import BiSeries, QSeries
@@ -39,11 +43,23 @@ def listing_order_key(lam):
     return (size(lam), len(lam), tuple((-m, -c) for m, c in map(part_key, lam)))
 
 
-def meets_conditions_everywhere(parts, which) -> bool:
-    """The oracle for check_condition and the pruned walk: no index, none
-    skipped, ends a window that violates a selected condition."""
+def meets_conditions_everywhere(parts, which, start=0) -> bool:
+    """The oracle for check_condition and the pruned walk: no index >= start,
+    none skipped, ends a window that violates a selected condition."""
     flags = _condition_flags(which)
-    return not any(_violation_ending_at(parts, i, *flags) for i in range(len(parts)))
+    return not any(_violation_ending_at(parts, i, *flags) for i in range(start, len(parts)))
+
+
+def pattern_equivalence_by_full_checks(run):
+    """The oracle for task_pattern_equivalence: the conditions and the pattern
+    families tested on the whole of each listed partition, until they disagree."""
+    conds = catalog.identities()["d123"].conds
+    inputs = {"max_size": verification.PATTERN_MAX_SIZE, "checked": 0}
+    for lam in verification.iter_all(verification.PATTERN_MAX_SIZE):
+        inputs["checked"] += 1
+        if verification.check_condition(lam, conds) != (not verification.violates_forbidden_patterns(lam)):
+            return inputs, {"kind": "partition", "partition": to_pairs(lam)}
+    return inputs, None
 
 
 def finite_pochhammer(base: int, length: int, order: int) -> QSeries:

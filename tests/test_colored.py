@@ -42,14 +42,16 @@ def contains_pattern(parts, pattern) -> bool:
     return any(tuple(parts[i : i + lq]) == tuple(pattern) for i in range(len(parts) - lq + 1))
 
 
-def violates_by_pattern_matching(parts) -> bool:
-    """The oracle for violates_forbidden_patterns: the family test via contains_pattern."""
+def violates_by_pattern_matching(parts, start=0) -> bool:
+    """The oracle for violates_forbidden_patterns: the family test via
+    contains_pattern, on the windows ending at an index >= start."""
     if not parts:
         return False
     kmax = max(p[0] for p in parts) + 1
     for k in range(kmax + 1):
         for w in family_windows(k):
-            if len(w) <= len(parts) and contains_pattern(parts, w):
+            # an instance at index i ends at i + len(w) - 1
+            if len(w) <= len(parts) and contains_pattern(parts[max(start - len(w) + 1, 0) :], w):
                 return True
     return False
 
@@ -136,6 +138,38 @@ def test_the_pattern_test_reaches_no_condition_code():
         sys.setprofile(None)
     assert {"violates_forbidden_patterns", "_windows_ending_in", "family_windows"} <= called
     assert not called & conditions
+
+
+def test_the_pattern_test_from_start_matches_the_literal_windows_ending_there_or_later():
+    for lam in iter_all(12):
+        for start in range(len(lam) + 1):
+            assert violates_forbidden_patterns(lam, start) == violates_by_pattern_matching(lam, start), (lam, start)
+
+
+@pytest.mark.parametrize("cond", [COND_D123, COND_D1234, frozenset({"D4"})], ids=["D123", "D1234", "D4"])
+def test_check_condition_from_start_tests_the_windows_ending_there_or_later(cond):
+    for lam in iter_all(12):
+        starts = range(len(lam) + 1)
+        assert [check_condition(lam, cond, s) for s in starts] == [meets_conditions_everywhere(lam, cond, s) for s in starts]
+
+
+@pytest.mark.parametrize("start", [-1, 3])
+def test_a_start_outside_the_parts_is_an_error(start):
+    lam = ((2, P), (1, M))
+    with pytest.raises(ValueError, match="start must be in 0..2"):
+        check_condition(lam, COND_D123, start)
+    with pytest.raises(ValueError, match="start must be in 0..2"):
+        violates_forbidden_patterns(lam, start)
+
+
+def test_iter_all_lists_each_partition_right_after_its_prefix():
+    # the preorder that task_pattern_equivalence carries each prefix's results along
+    last = {}
+    for lam in iter_all(14):
+        if lam:
+            assert last[len(lam) - 1] == lam[:-1]
+        last[len(lam)] = lam
+    assert len(last) == 15  # (1-)^14 is the longest
 
 
 def test_equivalence_small():

@@ -217,6 +217,8 @@ def test_verify_all_rejects_low_qorder():
     ["celine", "--term", "missing/term.json", "--order", "3"],
     ["dfa", "--words", "missing/words.txt"],
     ["dfa", "--emit-words", "--out", "missing/words.txt"],
+    # a report that cannot be written is refused before verify-all runs its battery
+    ["verify-all", "--qorder", "10", "--report", "missing/r.json"],
     # an empty path names no file, not the bundled words or stdout; it is
     # refused before verify-all runs its battery
     ["dfa", "--words", ""],
@@ -242,7 +244,7 @@ def test_verify_all_rejects_low_qorder():
         "celine-empty-u-range", "celine-empty-q-range", "celine-negative-kbox",
         "celine-printed-with-deg", "celine-printed-with-qdeg", "celine-printed-with-kbox",
         "uncouple-missing-system", "certify-missing-term", "celine-missing-term", "dfa-missing-words",
-        "out-into-missing-directory", "dfa-empty-words-path", "dfa-empty-out-path", "verify-all-empty-report-path",
+        "out-into-missing-directory", "verify-all-report-into-missing-directory", "dfa-empty-words-path", "dfa-empty-out-path", "verify-all-empty-report-path",
         "certify-g111-verbatim",
         "enumerate-without-max-size", "series-qorder-not-an-integer", "series-as-dot", "unknown-subcommand",
         "no-subcommand", "cylindric-profile-read-as-a-flag", "emit-is-no-subcommand", "cylindric-json-is-no-flag"])

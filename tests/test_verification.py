@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import listing_order_key, pattern_equivalence_by_full_checks
 from qpart import automata, catalog, colored, holonomic, verification
 from qpart.cli import main
 from qpart.laurent import LaurentPoly
@@ -153,16 +154,15 @@ def test_pattern_equivalence_witness_is_the_first_disagreeing_partition(run, mon
     violates = verification.violates_forbidden_patterns
     flipped = ((2, "+"), (1, "+"))
     monkeypatch.setattr(verification, "violates_forbidden_patterns",
-                        lambda lam: violates(lam) != (lam == flipped))
+                        lambda lam, start=0: violates(lam, start) != (lam == flipped))
     inputs, witness = task_pattern_equivalence(run)
-    # the listing (in no fixed order) stops at the flipped partition
+    # the listing, in the walk's preorder, stops at the flipped partition
     checked = next(i for i, lam in enumerate(verification.iter_all(18), 1) if lam == flipped)
     assert inputs == {"max_size": 18, "checked": checked}
     assert witness == {"kind": "partition", "partition": verification.to_pairs(flipped)}
 
 
-@pytest.mark.parametrize("template", range(15))
-def test_pattern_equivalence_needs_every_family_template(run, monkeypatch, template):
+def _without_template(template):
     # family_windows(k) lists all 15 templates for k >= 1, and for k = 0
     # the last 8, which start at k = 0
     windows = colored.family_windows
@@ -170,6 +170,13 @@ def test_pattern_equivalence_needs_every_family_template(run, monkeypatch, templ
     def without_template(k):
         wins = windows(k)
         return [w for i, w in enumerate(wins) if i + 15 - len(wins) != template]
+
+    return without_template
+
+
+@pytest.mark.parametrize("template", range(15))
+def test_pattern_equivalence_needs_every_family_template(run, monkeypatch, template):
+    windows, without_template = colored.family_windows, _without_template(template)
 
     monkeypatch.setattr(colored, "family_windows", without_template)
     colored._windows_ending_in.cache_clear()
@@ -182,6 +189,47 @@ def test_pattern_equivalence_needs_every_family_template(run, monkeypatch, templ
     lam = tuple((m, c) for c, m in witness["partition"])
     dropped = {w for k in range(19) for w in windows(k) if w not in without_template(k)}
     assert any(lam[i : i + len(w)] == w for w in dropped for i in range(len(lam)))
+
+
+def _flip_one_partition(monkeypatch):
+    violates, flipped = verification.violates_forbidden_patterns, ((2, "+"), (1, "+"))
+    monkeypatch.setattr(verification, "violates_forbidden_patterns",
+                        lambda lam, start=0: violates(lam, start) != (lam == flipped))
+
+
+def _drop_the_d3_three_windows(monkeypatch):
+    monkeypatch.setattr(colored, "_d3_win3", lambda a, b, c: False)
+
+
+@pytest.mark.parametrize("change", [
+    None,
+    _flip_one_partition,
+    *(lambda mp, t=t: mp.setattr(colored, "family_windows", _without_template(t)) for t in range(15)),
+    _drop_the_d3_three_windows,
+], ids=["unchanged", "flipped-partition", *(f"without-template-{t}" for t in range(15)), "d3-guard-changed"])
+def test_pattern_equivalence_carried_along_the_walk_is_the_whole_partition_check(run, monkeypatch, change):
+    if change is not None:
+        change(monkeypatch)
+    colored._windows_ending_in.cache_clear()
+    try:
+        got, expected = task_pattern_equivalence(run), pattern_equivalence_by_full_checks(run)
+    finally:
+        colored._windows_ending_in.cache_clear()
+    assert got == expected
+    # every change is seen: each one makes the two sides disagree somewhere below size 18
+    assert (expected[1] is None) == (change is None)
+
+
+def test_pattern_equivalence_refuses_a_listing_out_of_preorder(monkeypatch):
+    # every partition, each once, but by size first: (1+, 1+) comes after (2-), not after (1+)
+    listing = sorted(verification.iter_all(verification.PATTERN_MAX_SIZE), key=listing_order_key)
+    monkeypatch.setattr(verification, "iter_all", lambda max_size: iter(listing))
+    index = verification.TASKS.index(task_pattern_equivalence)
+    monkeypatch.setattr(verification, "TASKS", verification.TASKS[: index + 1])
+    report = verify_all(qorder=10)[index]
+    assert report.task == "pattern-equivalence" and report.status == "error"
+    assert report.witness == {"kind": "exception", "type": "ValueError",
+                              "message": "the walk listed [['+', 1], ['+', 1]] out of preorder"}
 
 
 def test_dfa_table_witness_is_pinned(run, monkeypatch, tmp_path):
