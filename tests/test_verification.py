@@ -150,11 +150,16 @@ def test_combination_identity_witness_is_pinned(run, monkeypatch, doubled, j):
     assert task_combination_identity(run)[1] == {"kind": "remainder-g111", "j": j}
 
 
-def test_pattern_equivalence_witness_is_the_first_disagreeing_partition(run, monkeypatch):
-    violates = verification.violates_forbidden_patterns
-    flipped = ((2, "+"), (1, "+"))
+def _flip_one_partition(monkeypatch):
+    """The pattern side reads (2+, 1+) the wrong way; returns that partition."""
+    violates, flipped = verification.violates_forbidden_patterns, ((2, "+"), (1, "+"))
     monkeypatch.setattr(verification, "violates_forbidden_patterns",
                         lambda lam, start=0: violates(lam, start) != (lam == flipped))
+    return flipped
+
+
+def test_pattern_equivalence_witness_is_the_first_disagreeing_partition(run, monkeypatch):
+    flipped = _flip_one_partition(monkeypatch)
     inputs, witness = task_pattern_equivalence(run)
     # the listing, in the walk's preorder, stops at the flipped partition
     checked = next(i for i, lam in enumerate(verification.iter_all(18), 1) if lam == flipped)
@@ -177,7 +182,6 @@ def _without_template(template):
 @pytest.mark.parametrize("template", range(15))
 def test_pattern_equivalence_needs_every_family_template(run, monkeypatch, template):
     windows, without_template = colored.family_windows, _without_template(template)
-
     monkeypatch.setattr(colored, "family_windows", without_template)
     colored._windows_ending_in.cache_clear()
     try:
@@ -189,12 +193,6 @@ def test_pattern_equivalence_needs_every_family_template(run, monkeypatch, templ
     lam = tuple((m, c) for c, m in witness["partition"])
     dropped = {w for k in range(19) for w in windows(k) if w not in without_template(k)}
     assert any(lam[i : i + len(w)] == w for w in dropped for i in range(len(lam)))
-
-
-def _flip_one_partition(monkeypatch):
-    violates, flipped = verification.violates_forbidden_patterns, ((2, "+"), (1, "+"))
-    monkeypatch.setattr(verification, "violates_forbidden_patterns",
-                        lambda lam, start=0: violates(lam, start) != (lam == flipped))
 
 
 def _drop_the_d3_three_windows(monkeypatch):
