@@ -26,9 +26,12 @@ hold only p_0 columns and form a triangular system that forces p_0 = 0,
 and if some p_0 column is free, its kernel vector is 1 there.  The
 elimination stops once every p_0 column is a pivot, often before most
 bands exist: more rows only add least columns, so "none" is settled
-then.  The certificate returned is the kernel vector of the first free
-p_0 column, primitive and positive at its greatest slot in sorted slot
-order, checked by ``verify_certificate``.
+then.  Once a single column is free, the pivot rows span k^perp (of
+dimension ncols - 1) for its kernel vector k, so a later row r would
+reduce to zero iff r . k = 0, and is then skipped.  The certificate
+returned is the kernel vector of the first free p_0 column, primitive
+and positive at its greatest slot in sorted slot order, checked by
+``verify_certificate``.
 """
 
 from __future__ import annotations
@@ -214,15 +217,26 @@ def _eliminate(bands: Iterable[Iterable[list[int]]], ncols: int, decide_from: in
     kernel vector.  The rows returned then span only part of the system;
     whether a column from ``decide_from`` on is free is still decided
     exactly, and if one is, the elimination runs to the end.
+
+    Once the pivots number ``ncols - 1``, their rows span k^perp, of
+    dimension ncols - 1, for the kernel vector k of the free column.  A
+    later row r is in that span, which is when it would reduce to zero,
+    iff r . k = 0, and then it is skipped; any other row makes the last
+    pivot and ends the elimination.  The pivots are those of reducing
+    every row.
     """
     pivots: dict[int, dict[int, int]] = {}
     undecided = ncols - decide_from
+    kernel: list[int] = []
     for band in bands:
         rows = sorted(band, key=len)
         rows.reverse()  # pop() then yields the rows shortest first, ties in order
         while rows:
-            flat = iter(rows.pop())
-            row = dict(zip(flat, flat))
+            flat = rows.pop()
+            if kernel and not sum(map(mul, flat[1::2], map(kernel.__getitem__, flat[::2]))):
+                continue  # in the span of the pivot rows
+            pairs = iter(flat)
+            row = dict(zip(pairs, pairs))
             hits = [i for i in row if i in pivots]
             heapify(hits)
             while hits:
@@ -261,6 +275,11 @@ def _eliminate(bands: Iterable[Iterable[list[int]]], ncols: int, decide_from: in
                     undecided -= 1
                     if not undecided:
                         return pivots
+                if len(pivots) == ncols:
+                    return pivots
+                if len(pivots) == ncols - 1:
+                    vec = _kernel_vector(pivots, next(i for i in range(ncols) if i not in pivots))
+                    kernel = [vec.get(i, 0) for i in range(ncols)]
     return pivots
 
 

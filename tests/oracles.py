@@ -24,10 +24,15 @@ cleared ratio to one term dict in place; ``cleared_ratios_by_products``
 multiplies the factors with ``LaurentPoly.__mul__``. The library writes
 each exponent sum of ``add_products`` out for two and five variables;
 ``generic_add_products`` adds every exponent vector with one generic ``map``.
+The library's Celine elimination settles each row that comes once a
+single column is free by one dot product with that column's kernel
+vector; ``eliminate_reducing_every_row`` reduces every row.
 """
 
 from collections import Counter, defaultdict
+from heapq import heapify, heappop, heappush
 from itertools import chain
+from math import gcd
 from operator import add
 
 from qpart import catalog, verification
@@ -192,3 +197,57 @@ def cleared_ratios_by_products(term, shifts) -> dict:
             p = p * (one - LaurentPoly.monomial(TERM_VARS, e))
         cleared[s] = p
     return cleared
+
+
+def eliminate_reducing_every_row(bands, ncols: int, decide_from: int) -> dict:
+    """The oracle for celine._eliminate: the same fraction-free elimination,
+    band by band and shortest row first, with every row reduced against the
+    pivot rows however many columns are free, and the same stop once every
+    column from ``decide_from`` on is a pivot."""
+    pivots: dict[int, dict[int, int]] = {}
+    undecided = ncols - decide_from
+    for band in bands:
+        rows = sorted(band, key=len)
+        rows.reverse()  # pop() then yields the rows shortest first, ties in order
+        while rows:
+            flat = iter(rows.pop())
+            row = dict(zip(flat, flat))
+            hits = [i for i in row if i in pivots]
+            heapify(hits)
+            while hits:
+                hit = heappop(hits)
+                a = row.get(hit)
+                if a is None:
+                    continue
+                prow = pivots[hit]
+                b = prow[hit]
+                f = a
+                if b != 1:
+                    g = gcd(a, b)
+                    f = a // g
+                    if b != g:
+                        s = b // g
+                        for i in row:
+                            row[i] *= s
+                for i, c in prow.items():
+                    c = row.get(i, 0) - f * c
+                    if not c:
+                        del row[i]
+                        continue
+                    if i not in row and i in pivots:
+                        heappush(hits, i)
+                    row[i] = c
+            if row:
+                piv = min(row)
+                g = gcd(*row.values())
+                if row[piv] < 0:
+                    g = -g
+                if g != 1:
+                    for i in row:
+                        row[i] //= g
+                pivots[piv] = row
+                if piv >= decide_from:
+                    undecided -= 1
+                    if not undecided:
+                        return pivots
+    return pivots

@@ -33,7 +33,7 @@ from qpart.holonomic import (
     recurrence_holds_at_point,
     verify_certificate,
 )
-from oracles import rows_by_slot, spread_columns
+from oracles import eliminate_reducing_every_row, rows_by_slot, spread_columns
 
 SQUARE_TERM = HypTerm(nsum=0, quad2=((2,),), lin=(0,), const=0, pochs=(((1,), 0, 1),))
 
@@ -432,10 +432,21 @@ def _clear_rationals(sol):
 @st.composite
 def sparse_systems(draw):
     """Columns {exponent: int} from sparse rows with entries in -3..3, some
-    rows repeated or scaled copies of others, inserted in a drawn order."""
+    rows repeated or scaled copies of others, inserted in a drawn order.
+    Half the systems have the kernel spanned by a drawn k with k_f = 1, or
+    lose it to one row: the drawn rows, all or all but the first, are made
+    orthogonal to k by moving r . k out of entry f, and the rows
+    e_i - k_i e_f, which span k^perp, join them."""
     ncols = draw(st.integers(1, 12))
     entry = st.integers(-3, 3)
     rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entry, max_size=5), min_size=1, max_size=14))
+    if draw(st.booleans()):
+        vec = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        f = draw(st.integers(0, ncols - 1))
+        vec[f] = 1
+        for row in rows[draw(st.integers(0, 1)):]:
+            row[f] = row.get(f, 0) - sum(c * vec[i] for i, c in row.items())
+        rows += [{i: 1, f: -vec[i]} for i in range(ncols) if i != f]
     copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.sampled_from([1, -1, 2, -3])), max_size=6))
     rows += [{i: k * c for i, c in rows[r].items()} for r, k in copies]
     order = draw(st.permutations(range(len(rows))))
@@ -526,6 +537,62 @@ def test_compact_rows_keep_the_order_of_the_dict_rows(columns):
         ints = _clear_rationals(oracle[piv])
         sign = 1 if ints[piv] > 0 else -1
         assert row == {i: sign * c for i, c in ints.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems(), st.data())
+def test_the_kernel_test_keeps_the_pivots_of_reducing_every_row(columns, data):
+    # drawn bands and a drawn decide_from: the same pivot columns, in the
+    # same order, with the same rows, as when every row is reduced
+    ncols, (rows,) = len(columns), _rows(columns)
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+    bands = [[row for row, label in zip(rows, labels) if label == b] for b in data.draw(st.permutations(range(3)))]
+    decide_from = data.draw(st.integers(0, ncols))
+    pivots = _eliminate(bands, ncols, decide_from)
+    assert list(pivots.items()) == list(eliminate_reducing_every_row(bands, ncols, decide_from).items())
+
+
+# x_0 + x_2 and x_1 - x_2 leave column 2 free with kernel vector
+# k = (-1, 1, 1); x_0 + x_1 and x_0 + 2 x_1 - x_2 lie in their span
+# (r . k = 0), while x_0 + 2 x_1, which has no entry in column 2, does not
+SPAN = [[[0, 1, 2, 1]], [[1, 1, 2, -1]], [[0, 1, 1, 1], [0, 1, 1, 2, 2, -1]]]
+OUTSIDE = [[0, 1, 1, 2]]
+
+
+def test_a_row_outside_the_span_after_the_kernel_test_starts_makes_a_pivot():
+    # with column 2 as the p_0 block: found while only SPAN is seen, "none" once OUTSIDE comes
+    assert _eliminate(SPAN, 3, 2) == {0: {0: 1, 2: 1}, 1: {1: 1, 2: -1}}
+    pivots = _eliminate([*SPAN, OUTSIDE, [[1, 1]]], 3, 2)
+    assert list(pivots.items()) == [(0, {0: 1, 2: 1}), (1, {1: 1, 2: -1}), (2, {2: 1})]
+    assert pivots == eliminate_reducing_every_row([*SPAN, OUTSIDE, [[1, 1]]], 3, 2)
+
+
+def test_no_row_is_tested_against_a_stale_kernel_vector():
+    # with no block to decide, the pivots fill every column; the rows after
+    # that would all reduce to zero, and none may fail or add a pivot
+    bands = [*SPAN, OUTSIDE, [[2, 5], [0, 3, 1, -1, 2, 4]], SPAN[0]]
+    pivots = _eliminate(bands, 3, 3)
+    assert list(pivots.items()) == [(0, {0: 1, 2: 1}), (1, {1: 1, 2: -1}), (2, {2: 1})]
+    assert pivots == eliminate_reducing_every_row(bands, 3, 3)
+
+
+@pytest.mark.parametrize("name", catalog.CERTIFICATE_NAMES)
+def test_a_printed_support_starts_the_kernel_test(name, monkeypatch):
+    # _eliminate asks for the kernel vector of its one free column once, at
+    # ncols - 1 pivots, before celine_solve asks for the certificate's
+    calls = []
+    kernel_vector = celine._kernel_vector
+
+    def watched(pivots, free):
+        calls.append((len(pivots), free))
+        return kernel_vector(pivots, free)
+
+    monkeypatch.setattr(celine, "_kernel_vector", watched)
+    cert = catalog.certificate(name)
+    support = support_of(cert)
+    assert celine_solve(catalog.certificate_term(name), cert.order, support=support) is not None
+    ncols = len(support)
+    assert len(calls) == 2 and calls[0] == (ncols - 1, calls[1][1])
 
 
 def test_rows_of_equal_length_are_reached_in_the_order_first_seen():
