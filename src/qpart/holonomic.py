@@ -101,9 +101,6 @@ class HypTerm:
     def poch_lengths(self, v: Sequence[int]) -> list[int]:
         return [_dot(c, v) + c0 for c, c0, _ in self.pochs]
 
-    def supported(self, v: Sequence[int]) -> bool:
-        return all(L >= 0 for L in self.poch_lengths(v))
-
     def to_json(self) -> dict:
         return {
             "nsum": self.nsum,

@@ -152,9 +152,6 @@ class LaurentPoly:
     def __sub__(self, other):
         return self + (-other) if isinstance(other, (int, LaurentPoly)) else NotImplemented
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             if not other:

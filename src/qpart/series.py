@@ -77,15 +77,6 @@ class QSeries:
     def zero(cls, order: int) -> "QSeries":
         return cls(order)
 
-    @classmethod
-    def monomial(cls, order: int, exp: int, coeff: int = 1) -> "QSeries":
-        s = cls(order)
-        if 0 <= exp < order:
-            s.coeffs[exp] = coeff
-        elif exp < 0:
-            raise ValueError("negative q-exponent in QSeries")
-        return s
-
     def truncate(self, order: int) -> "QSeries":
         if order > self.order:
             raise TruncationError("cannot extend a truncated series")
@@ -100,13 +91,6 @@ class QSeries:
     def __add__(self, other: "QSeries") -> "QSeries":
         n = min(self.order, other.order)
         return QSeries(n, [a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])])
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        n = min(self.order, other.order)
-        return QSeries(n, [a - b for a, b in zip(self.coeffs[:n], other.coeffs[:n])])
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(self.order, [-a for a in self.coeffs])
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         n = min(self.order, other.order)
@@ -229,14 +213,6 @@ class BiSeries:
     def zero(cls, qorder: int) -> "BiSeries":
         return cls(qorder)
 
-    @classmethod
-    def one(cls, qorder: int) -> "BiSeries":
-        return cls(qorder, {0: QSeries.one(qorder)})
-
-    @classmethod
-    def monomial(cls, qorder: int, xexp: int, qexp: int, coeff: int = 1) -> "BiSeries":
-        return cls(qorder, {xexp: QSeries.monomial(qorder, qexp, coeff)})
-
     def slice(self, m: int) -> QSeries:
         return self.slices.get(m, QSeries.zero(self.qorder))
 
@@ -262,12 +238,6 @@ class BiSeries:
         for m, s in other.slices.items():
             out[m] = out[m] + s if m in out else s.truncate(n)
         return BiSeries(n, out)
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries(self.qorder, {m: -s for m, s in self.slices.items()})
 
     def __mul__(self, other: "BiSeries") -> "BiSeries":
         n = min(self.qorder, other.qorder)

@@ -71,7 +71,7 @@ def finite_pochhammer(base: int, length: int, order: int) -> QSeries:
     """(q^base; q^base)_length modulo q^order: prod_(j=1..length) (1 - q^(base*j))."""
     s = QSeries.one(order)
     for j in range(1, length + 1):
-        s = (QSeries.one(order) - QSeries.monomial(order, base * j)) * s
+        s = QSeries(order, [(i == 0) - (i == base * j) for i in range(order)]) * s
     return s
 
 
@@ -79,7 +79,7 @@ def f_to_g(f: BiSeries) -> BiSeries:
     """The oracle for g_to_f: multiply by the literal product (xq; q)_inf = prod_j (1 - x q^j)."""
     n = f.qorder
     for j in range(1, n):
-        f = f * (BiSeries.one(n) - BiSeries.monomial(n, 1, j))
+        f = f * BiSeries(n, {0: QSeries.one(n), 1: QSeries(n, [0] * j + [-1])})
     return f
 
 

@@ -26,7 +26,7 @@ from qpart.automata import (
 from qpart.colored import COND_D123, COND_D1234, check_condition, enumerate_2colored, gen_fun, iter_all
 from qpart.holonomic import poly_times_biseries
 from qpart.laurent import LaurentPoly
-from qpart.series import BiSeries
+from qpart.series import BiSeries, QSeries
 
 GOLDEN = Path(__file__).resolve().parent.parent / "src" / "qpart" / "golden"
 
@@ -273,7 +273,7 @@ def test_language_series_counts_partition_classes():
     sols = solve_language_series(system, n)
     assert sols[0] == gen_fun(enumerate_2colored(n - 1, COND_D123), n)
     assert sols[1] == gen_fun(enumerate_2colored(n - 1, COND_D1234), n)
-    assert solve_language_series(system, 1)[0] == BiSeries.one(1)
+    assert solve_language_series(system, 1)[0] == BiSeries(1, {0: QSeries.one(1)})
 
 
 def test_language_series_nonnegative_and_consistent():

@@ -38,7 +38,7 @@ def lp(vars, terms):
 
 def test_difference_of_squares():
     q = LaurentPoly.variable(QV, "q")
-    assert (1 + q) * (1 - q) == 1 - q ** 2
+    assert (1 + q) * (-q + 1) == -q ** 2 + 1
 
 
 def test_laurent_unit_inverse():
@@ -303,7 +303,7 @@ def test_divexact_rejects_a_non_divisor():
     for a, b in cases:
         with pytest.raises(ValueError, match="not exactly divisible"):
             a.divexact(b)
-    assert (u**-1 - v**2).divexact(u**-1) == 1 - u * v**2
+    assert (u**-1 - v**2).divexact(u**-1) == -u * v**2 + 1
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.eq], ids=["add", "sub", "mul", "eq"])
