@@ -388,7 +388,7 @@ def recurrence_remainder(a: list[LaurentPoly], b: list[LaurentPoly]) -> dict[int
     power of B (B g_n = g_(n-1), so B * p(u) = p(u/q) * B).  It is empty exactly
     when L a = Q b for a nonzero polynomial L and an operator Q."""
     a, b = ({i: p for i, p in enumerate(plist) if not p.is_zero()} for plist in (a, b))
-    return pseudo_rem(a, b, lambda p, k: p.twist("u", "q", -k))
+    return pseudo_rem(a, b, lambda p, k: p.twist("u", "q", -k))[0]
 
 
 # ----------------------------------------------------------------------

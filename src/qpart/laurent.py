@@ -334,7 +334,7 @@ def add_products(terms: dict[tuple[int, ...], int], pairs: Iterable[tuple[dict, 
 
 
 # ----------------------------------------------------------------------
-# polynomial gcd (primitive PRS), used for rational-function normalization
+# polynomial gcd (subresultant PRS), used for rational-function normalization
 
 
 def _strip_monomial(p: LaurentPoly) -> LaurentPoly:
@@ -354,20 +354,19 @@ def _split_main(p: LaurentPoly, i: int) -> dict[int, LaurentPoly]:
 def _primitive(coeffs: dict[int, LaurentPoly]) -> tuple[LaurentPoly, dict[int, LaurentPoly]]:
     """The content of a univariate coefficient map, and the map divided by it."""
     c = poly_gcd_of(list(coeffs.values()))
-    if c.is_one():
-        return c, coeffs
-    return c, {d: p.divexact(c) for d, p in coeffs.items()}
+    return c, coeffs if c.is_one() else {d: p.divexact(c) for d, p in coeffs.items()}
 
 
-def pseudo_rem(a: dict[int, LaurentPoly], b: dict[int, LaurentPoly], twist) -> dict[int, LaurentPoly]:
+def pseudo_rem(a: dict[int, LaurentPoly], b: dict[int, LaurentPoly], twist) -> tuple[dict[int, LaurentPoly], int]:
     """Right pseudo-remainder of a by b, maps from a power of X to its coefficient,
-    where X^k * p = twist(p, k) * X^k (the identity for ordinary polynomials)."""
+    where X^k * p = twist(p, k) * X^k (the identity for ordinary polynomials), and
+    the number of its steps, each of which multiplies it by a twisted lc(b)."""
     db = max(b)
     lb = b[db]
     zero = LaurentPoly.zero(lb.vars)
-    r = dict(a)
+    r, steps = dict(a), 0
     while r and max(r) >= db:
-        dr = max(r)
+        dr, steps = max(r), steps + 1
         k = dr - db
         lr, lead = r[dr], twist(lb, k)
         # lead * r - lr * X^k * b: the X^dr terms cancel
@@ -376,24 +375,19 @@ def pseudo_rem(a: dict[int, LaurentPoly], b: dict[int, LaurentPoly], twist) -> d
             if d != db:
                 new[d + k] = new.get(d + k, zero) - twist(c, k) * lr
         r = {d: c for d, c in new.items() if not c.is_zero()}
-    return r
+    return r, steps
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """gcd of two Laurent polynomials, up to sign; monomial parts stripped.
 
-    Uses a primitive PRS over the coefficient ring, recursing on the
+    Uses a subresultant PRS over the coefficient ring, recursing on the
     number of variables; the main variable is the one of least degree.
     The result is content-normalized with positive leading coefficient.
     """
     if a.vars != b.vars:
         raise VariableMismatch(f"{a.vars} vs {b.vars}")
-    if a.is_zero():
-        g = b
-    elif b.is_zero():
-        g = a
-    else:
-        g = _gcd_nonneg(_strip_monomial(a), _strip_monomial(b))
+    g = b if a.is_zero() else a if b.is_zero() else _gcd_nonneg(_strip_monomial(a), _strip_monomial(b))
     if g.is_zero():
         return g
     g = _strip_monomial(g)
@@ -424,16 +418,22 @@ def _gcd_nonneg(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     cont = poly_gcd(ca, cb)
     if max(ua) < max(ub):
         ua, ub = ub, ua
-    # each divisor is primitive (the first pair divided by their contents, each
-    # remainder by its own), so the last one is the primitive part of the gcd
+    # subresultant PRS: lc(ub)^(delta + 1) ua mod ub, divided exactly by g h^delta,
+    # takes no content per step (a primitive PRS's is a gcd in one variable fewer
+    # that can swell); the last divisor's primitive part is the gcd's
+    g = h = LaurentPoly.one(vars)
     while True:
-        r = pseudo_rem(ua, ub, lambda p, k: p)
+        delta = max(ua) - max(ub)
+        r, steps = pseudo_rem(ua, ub, lambda p, k: p)
         if not r:
             break
         if max(r) == 0:
             return cont
-        ua, ub = ub, _primitive(r)[1]
-    g = {e[:main] + (d,) + e[main + 1:]: c for d, p in ub.items() for e, c in p.terms.items()}
+        pad, div = ub[max(ub)] ** (delta + 1 - steps), g * h**delta
+        ua, ub = ub, {d: (c * pad).divexact(div) for d, c in r.items()}
+        g = ua[max(ua)]
+        h = h if delta == 0 else g if delta == 1 else (g**delta).divexact(h ** (delta - 1))
+    g = {e[:main] + (d,) + e[main + 1:]: c for d, p in _primitive(ub)[1].items() for e, c in p.terms.items()}
     return LaurentPoly._raw(vars, g) * cont
 
 

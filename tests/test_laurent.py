@@ -7,7 +7,7 @@ from contextlib import redirect_stdout
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qpart import laurent
@@ -253,6 +253,10 @@ unit_monomials = st.builds(
 
 @settings(max_examples=100, deadline=None)
 @given(polys(max_terms=3), polys(max_terms=3), polys(max_terms=3), unit_monomials, unit_monomials)
+# a primitive PRS ran for minutes on these: the content it takes at each step
+# is a gcd of two-variable polynomials of degree 24 and 25
+@example(lp(UVQ, {(-2, 3, -2): 2, (-1, 2, 3): 3, (3, -2, 0): -4}), lp(UVQ, {(3, 1, 3): 4, (-2, -2, -1): 4, (2, 3, 3): -2}),
+         lp(UVQ, {(2, 2, 1): -2, (0, -1, 2): 4, (-2, -2, 1): -1}), lp(UVQ, {(-1, -1, 2): -1}), lp(UVQ, {(0, 0, 1): 1}))
 def test_poly_gcd_is_a_normal_form(a, b, c, m1, m2):
     # RationalFunction and operator bytes rest on this: unit monomial factors
     # and the argument order do not change the gcd, which has least exponents
@@ -332,8 +336,8 @@ def test_rational_functions_read_ints_and_polynomials_as_quotients_over_one(a, b
 
 
 def test_no_entry_point_calls_poly_gcd_with_more_than_two_live_variables(monkeypatch):
-    # the primitive PRS is the gcd's only route; it is sized for the (x, q) and
-    # (q, u) gcds that the entry points reach, not for three or four variables
+    # the subresultant PRS is the gcd's only route; it is sized for the (x, q)
+    # and (q, u) gcds that the entry points reach, not for three or four variables
     live, inner = [], laurent.poly_gcd
 
     def watched(a, b):
