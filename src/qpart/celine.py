@@ -191,8 +191,8 @@ def _banded_rows(shapes: Shapes, packed: dict[Shift, dict[int, int]], places: tu
         yield rows
 
 
-def _eliminate(bands: Iterable[Iterable[list[int]]], ncols: int, decide_from: int) -> dict[int, dict[int, int]]:
-    """Pivot rows of the system with these rows, keyed by pivot column.
+def _eliminate(bands: Iterable[Iterable[list[int]]], ncols: int, decide_from: int) -> tuple[dict, dict | None]:
+    """Pivot rows of the system with these rows, keyed by pivot column, and k below or None.
 
     The rows are flat lists (``_banded_rows``) over ``ncols`` columns,
     taken one band at a time, as the bands come.  A row becomes the dict
@@ -223,11 +223,12 @@ def _eliminate(bands: Iterable[Iterable[list[int]]], ncols: int, decide_from: in
     later row r is in that span, which is when it would reduce to zero,
     iff r . k = 0, and then it is skipped; any other row makes the last
     pivot and ends the elimination.  The pivots are those of reducing
-    every row.
+    every row.  k (``_kernel_vector``) is returned only if the elimination
+    ran to the end with ncols - 1 pivots.
     """
     pivots: dict[int, dict[int, int]] = {}
     undecided = ncols - decide_from
-    kernel: list[int] = []
+    vec, kernel = None, []  # k, and k as a dense list
     for band in bands:
         rows = sorted(band, key=len)
         rows.reverse()  # pop() then yields the rows shortest first, ties in order
@@ -274,13 +275,13 @@ def _eliminate(bands: Iterable[Iterable[list[int]]], ncols: int, decide_from: in
                 if piv >= decide_from:
                     undecided -= 1
                     if not undecided:
-                        return pivots
+                        return pivots, None
                 if len(pivots) == ncols:
-                    return pivots
+                    return pivots, None
                 if len(pivots) == ncols - 1:
                     vec = _kernel_vector(pivots, next(i for i in range(ncols) if i not in pivots))
                     kernel = [vec.get(i, 0) for i in range(ncols)]
-    return pivots
+    return pivots, vec
 
 
 def _kernel_vector(pivots: dict[int, dict[int, int]], free: int) -> dict[int, int]:
@@ -344,11 +345,11 @@ def celine_solve(term: HypTerm, order: int, support: list[Slot]) -> CertificateS
         return None
     shapes = _shapes(slots)
     packed, places = _packed_ratios(term, shapes)
-    pivots = _eliminate(map(dict.values, _banded_rows(shapes, packed, places)), len(slots), first_p0)
+    pivots, kernel = _eliminate(map(dict.values, _banded_rows(shapes, packed, places)), len(slots), first_p0)
     free = next((i for i in range(first_p0, len(slots)) if i not in pivots), None)
     if free is None:
         return None
-    ints = _kernel_vector(pivots, free)
+    ints = kernel or _kernel_vector(pivots, free)  # _eliminate solved it if free is the one free column
     if ints[max(ints, key=slots.__getitem__)] < 0:
         ints = {i: -c for i, c in ints.items()}
     cert = _assemble(order, slots, ints)

@@ -180,7 +180,7 @@ class ShiftOp:
     """An element of the shift algebra, normal-ordered: coeff * shift-monomial.
 
     Multiplication is the skew product: (P * S) * (P' * S') =
-    (P * twist_S(P')) * (S + S').  Addition, powers, and ints and TERM_VARS
+    (P * twist_S(P')) * (S + S').  Addition, coefficient powers, and ints and TERM_VARS
     polynomials on either side (p * op is not twisted) let certificate formulas be written verbatim.
     The constructor drops zero coefficients; the operations leave that to it.
     """
@@ -229,15 +229,10 @@ class ShiftOp:
         return _as_op(other) * self
 
     def __pow__(self, n: int):
-        if self.terms.keys() == {(0, 0, 0, 0)}:
-            # a coefficient powers as a polynomial (n < 0 for unit monomials only)
-            return ShiftOp.coefficient(self.terms[0, 0, 0, 0] ** n)
-        if n < 0:  # no shift inverts
-            raise ValueError("negative powers only for unit coefficient monomials")
-        if not n:
-            return ShiftOp.coefficient(_ONE5)
-        half = self ** (n >> 1)
-        return half * half * self if n & 1 else half * half
+        # a coefficient powers as a polynomial (n < 0 for unit monomials only); no formula powers a shift
+        if self.terms.keys() - {(0, 0, 0, 0)}:
+            raise ValueError("powers only for coefficient operators")
+        return ShiftOp.coefficient(self.terms.get((0, 0, 0, 0), LaurentPoly.zero(TERM_VARS)) ** n)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -271,7 +266,6 @@ class Symbols:
         cf = lambda name: ShiftOp.coefficient(LaurentPoly.variable(TERM_VARS, name))
         self.q, self.u = cf("q"), cf("u")
         self.v1, self.v2, self.v3 = cf("v1"), cf("v2"), cf("v3")
-        self.N = ShiftOp.shift((1, 0, 0, 0))
         self.K1 = ShiftOp.shift((0, 1, 0, 0))
         self.K2 = ShiftOp.shift((0, 0, 1, 0))
         self.K3 = ShiftOp.shift((0, 0, 0, 1))
@@ -305,12 +299,11 @@ class CertificateSet:
         return len(self.families["p"]) - 1
 
     def telescoped(self) -> ShiftOp:
-        N = ShiftOp.shift((1, 0, 0, 0))
         total = ShiftOp()
         for fam, ops in self.families.items():
             tilde = ShiftOp()
             for j, op in enumerate(ops):
-                tilde = tilde + op * N ** j
+                tilde = tilde + op * ShiftOp.shift((j, 0, 0, 0))
             if fam == "p":
                 total = total + tilde
             else:

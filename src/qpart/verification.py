@@ -376,30 +376,14 @@ def task_combination_identity(run: VerificationRun) -> tuple[dict, dict | None]:
 
 
 def task_chain(run: VerificationRun) -> tuple[dict, dict | None]:
-    """The closing chain: four independent routes to each of the two series.
-
-    enumeration = quadruple sum = profile series at x=1 = infinite product,
-    each class tied to its ``profile_at_x1`` in ``catalog.identities``.  Only
-    the sum side at x = 1, up to q^(qorder - 1), is this task's own: the
-    product comparison is ``product-d123``'s and ``product-d1234``'s, and the
-    profile comparison follows from those with ``specialized-products``.
-    """
+    """The closing chain's own link: each class's enumeration equals its quadruple sum
+    at x = 1 mod q^qorder, past ``ag-bigraded``'s q^25.  The product link is ``product-*``'s,
+    and the profile link follows from it with ``specialized-products``."""
     n = run.qorder
-    table = catalog.identities()
-
-    def witness(name: str) -> dict | None:
-        entry = table[name]
-        enumeration = run.series[name].eval_x1()
-        routes = (
-            ("sum-side", evaluate_ag_sum(entry.sum, n).eval_x1()),
-            ("profile-" + "".join(map(str, table[entry.profile_at_x1].profile)),
-             run.series[entry.profile_at_x1].eval_x1()),
-            ("product", pochhammer_expand(entry.product, n)),
-        )
-        return _first_witness(_witness(f"chain-{name}", enumeration, series, routes=["enumeration", route])
-                              for route, series in routes)
-
-    return {"qorder": n}, _first_witness(map(witness, catalog.CLASS_NAMES))
+    return {"qorder": n}, _first_witness(
+        _witness(f"chain-{name}", run.series[name].eval_x1(),
+                 evaluate_ag_sum(catalog.identities()[name].sum, n).eval_x1(), routes=["enumeration", "sum-side"])
+        for name in catalog.CLASS_NAMES)
 
 
 def task_uncoupling(run: VerificationRun) -> tuple[dict, dict | None]:

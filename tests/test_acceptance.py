@@ -102,7 +102,7 @@ def test_criterion_09_certificates(run):
 
 def test_criterion_10_chain(run):
     _, w = task_chain(run)
-    _criterion(10, "four independent routes agree mod q^30 for both classes", w is None,
+    _criterion(10, "enumeration equals the quadruple sum at x = 1 mod q^30 for both classes", w is None,
                json.dumps(w) if w else "")
 
 

@@ -60,6 +60,16 @@ def test_enumerate_jsonl_stream():
     assert rows == [[], [["+", 1]], [["-", 1]], [["+", 2]], [["-", 2]]]
 
 
+@pytest.mark.parametrize("listed, named", [
+    (["enumerate", "--max-size", "12", "--cond", "D1,D2,D3"], ["enumerate", "--max-size", "12", "--cond", "d123"]),
+    (["series", "--which", "D1,D2,D3,D4", "--qorder", "12"], ["series", "--which", "d1234", "--qorder", "12"]),
+], ids=["enumerate", "series"])
+def test_a_listed_condition_set_prints_what_its_class_name_prints(listed, named):
+    code, out, err = run_cli(listed)
+    assert (code, err) == (0, "") and out
+    assert (code, out, err) == run_cli(named)
+
+
 def test_series_csv_header_contract():
     code, out, _ = run_cli(["series", "--which", "d123", "--qorder", "5", "--format", "csv"])
     assert code == 0

@@ -1,6 +1,8 @@
 """The verification task layer: failure witnesses and crash isolation."""
 
+import ast
 import dataclasses
+import importlib
 import json
 import os
 import shutil
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import zipfile
 from collections import Counter
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -52,8 +55,7 @@ def test_product_witnesses_are_pinned(run, monkeypatch):
     assert task_product_d123(run)[1] == {"kind": "coefficient", **coefficient}
     assert task_aux_identity(run)[1] == {"kind": "coefficient", "q_exp": 2, "lhs": "2", "rhs": "1"}
     assert task_specialized_products(run)[1] == {"kind": "g111-vs-d123-product", **coefficient}
-    assert task_chain(run)[1] == {"kind": "chain-d123", "routes": ["enumeration", "product"],
-                                 **coefficient}
+    assert task_chain(run)[1] is None  # the products are the product tasks' own
 
 
 def test_euler_and_d1234_witnesses_are_pinned(run, monkeypatch):
@@ -65,8 +67,7 @@ def test_euler_and_d1234_witnesses_are_pinned(run, monkeypatch):
     coefficient = {"q_exp": 3, "lhs": "2", "rhs": "1"}
     assert task_product_d1234(run)[1] == {"kind": "coefficient", **coefficient}
     assert task_specialized_products(run)[1] == {"kind": "g300-vs-d1234-product", **coefficient}
-    assert task_chain(run)[1] == {"kind": "chain-d1234", "routes": ["enumeration", "product"],
-                                 **coefficient}
+    assert task_chain(run)[1] is None
 
 
 def test_anchor_witnesses_are_pinned(run, monkeypatch):
@@ -78,6 +79,13 @@ def test_anchor_witnesses_are_pinned(run, monkeypatch):
     assert task_product_d123(run)[1] == {
         "kind": "anchor", "got": ["1", "0", "1", "2"], "expected": ["1", "2", "2", "4"]}
     assert task_product_d1234(run)[1] == {"kind": "anchor", "got": ["11", "14"], "expected": ["5", "4"]}
+
+
+def test_chain_compares_the_enumerations_with_the_sums_only(run):
+    # the products and the profile series are other tasks' routes
+    assert task_chain(run) == ({"qorder": 12}, None)
+    assert "cw_family" not in vars(run)
+    assert sorted(run.series) == ["d123", "d1234"]
 
 
 def test_transfer_matrix_witness_is_the_first_mismatch(run, monkeypatch, tmp_path):
@@ -331,14 +339,35 @@ def test_report_names_survive_tasks_wrapped_in_place():
     assert reports[4].status == "error"
 
 
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _benchmark_tracer() -> dict:
+    path = BENCHMARKS / "tracer.py"
+    namespace = {"__name__": "tracer"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)  # no byte code is written beside it
+    return namespace
+
+
 def test_the_benchmark_tracer_names_each_task_as_the_report_does():
     # benchmarks/tracer.py states the report-name rule again: were the two to
     # differ, the benchmark would record no span for the renamed tasks
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
-    namespace = {"__name__": "tracer"}
-    exec(compile(path.read_text(), str(path), "exec"), namespace)  # no byte code is written beside it
-    assert [span for _, _, span, _ in namespace["task_targets"]()] == [
+    assert [span for _, _, span, _ in _benchmark_tracer()["task_targets"]()] == [
         "verification." + name for name in verification.TASK_NAMES]
+
+
+def test_every_name_the_benchmark_traces_is_in_qpart():
+    # a renamed or deleted traced member would otherwise fail only when the
+    # benchmark runs; MUST_FIRE is read without running benchmarks/run.py
+    tracer = _benchmark_tracer()
+    calls = set()
+    for layer, path, span, _ in tracer["TARGETS"]:
+        assert callable(reduce(getattr, path.split("."), importlib.import_module("qpart." + layer)))
+        calls.add(span + ".calls")
+    must_fire = next(ast.literal_eval(node.value) for node in ast.parse((BENCHMARKS / "run.py").read_text()).body
+                     if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "MUST_FIRE")
+    named = {name for names in must_fire.values() for name in names}
+    assert named - calls - set(tracer["Tracer"]().counters) == set()
 
 
 def test_ag_cylindric_pins_the_x_grading_of_the_auxiliary_sum(run, monkeypatch):
@@ -363,8 +392,8 @@ def _first_den_dropped(spec):
     ("AG_AUX", _bumped_lin, {"ag-cylindric", "aux-identity"}),
     ("AG_D123", _bumped_lin, {"ag-bigraded", "certificates", "recurrences", "chain"}),
     ("AG_D1234", _bumped_lin, {"ag-bigraded", "certificates", "recurrences", "chain"}),
-    ("PRODUCT_D123", _first_den_dropped, {"product-d123", "specialized-products", "chain"}),
-    ("PRODUCT_D1234", _first_den_dropped, {"product-d1234", "specialized-products", "chain"}),
+    ("PRODUCT_D123", _first_den_dropped, {"product-d123", "specialized-products"}),
+    ("PRODUCT_D1234", _first_den_dropped, {"product-d1234", "specialized-products"}),
     ("PRODUCT_AUX", _first_den_dropped, {"aux-identity"}),
 ])
 def test_every_datum_of_the_identity_table_reaches_the_tasks_that_read_it(monkeypatch, name, perturb, failing):
