@@ -154,7 +154,7 @@ def cmd_certify(args) -> int:
         cert = _read_input(args.cert, serialize.certificate_from_json)
     res = verify_certificate(term, cert)
     report = {"verified": res.ok, "residual_terms": res.residual_terms}
-    if args.recurrence_check and res.ok:
+    if args.recurrence_check is not None and res.ok:
         plist = recurrence_from_certificate(cert)
         report["recurrence_nmax"] = args.recurrence_check
         report["recurrence_points"] = [str(q0) for q0 in RECURRENCE_POINTS]
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", type=_path, help="certificate JSON file")
     p.add_argument("--name", choices=catalog.CERTIFICATE_NAMES, help="bundled set")
     p.add_argument("--verbatim", action="store_true", help="use the unemended bundled data")
-    p.add_argument("--recurrence-check", type=int, default=0, metavar="NMAX")
+    p.add_argument("--recurrence-check", type=int, metavar="NMAX")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("celine", help="search for a certificate")

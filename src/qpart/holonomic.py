@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import prod
+from math import lcm, prod
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -632,34 +632,44 @@ def sequence_value(term: HypTerm, n: int, q0: Fraction, tables: SequenceTables |
     return Fraction(num, prod(col[0] for col in above) * a ** max(-emin, 0) * b ** max(dmax - bmin, 0))
 
 
-def eval_qu_poly(p: LaurentPoly, n: int, q0: Fraction) -> Fraction:
-    """Evaluate a (q, u)-polynomial at q = q0, u = q0^n.
-
-    With q0 = a/b and the exponents e = eq + n eu between lo and hi, the
-    value is q0^lo times sum c a^(e-lo) b^(hi-e) over b^(hi-lo).
-    """
-    if p.vars != QU_VARS:
-        p = p.project(QU_VARS)
-    exps = [(eq + n * eu, c) for (eq, eu), c in p.terms.items()]
-    if not exps:
-        return Fraction(0)
-    lo, hi = min(exps)[0], max(exps)[0]
+def _qu_integers(plist: Sequence[LaurentPoly], ns: Iterable[int], q0: Fraction, tables: SequenceTables):
+    """For each n of ``ns``, [P_(n,j)]: p_j(q0, q0^n) = q0^lo P_(n,j) / b^(hi-lo) at q0 = a/b, where
+    P_(n,j) = sum c a^(e-lo) b^(hi-e) over the terms c q^eq u^eu of p_j, e = eq + n eu, and [lo, hi]
+    holds every e (lo = 0 at q0 = 0, where an e < 0 is a pole).  The powers come from ``tables``."""
     a, b = q0.numerator, q0.denominator
-    return q0**lo * Fraction(sum(c * a ** (e - lo) * b ** (hi - e) for e, c in exps), b ** (hi - lo))
+    exps = [[(eq, eu, c) for (eq, eu), c in p.project(QU_VARS).terms.items()] for p in plist]
+    for n in ns:
+        es = [[(eq + n * eu, c) for eq, eu, c in p] for p in exps]
+        lo, hi = min((e for p in es for e, _ in p), default=0), max((e for p in es for e, _ in p), default=0)
+        if a == 0 and lo < 0:
+            raise ZeroDivisionError(f"q^{lo} at q0 = 0")
+        lo = lo if a else 0
+        apow, bpow = tables.powers(a, hi - lo + 1), tables.powers(b, hi - lo + 1)
+        yield [sum(c * apow[e - lo] * bpow[hi - e] for e, c in p) for p in es]
 
 
 def recurrence_holds_at_point(term: HypTerm, plist: Sequence[LaurentPoly], nmax: int, q0: Fraction,
                               tables: SequenceTables | None = None) -> bool:
     """Exact check of sum_j p_j(q^n) f_(n-j) = 0 for 0 <= n <= nmax at q = q0,
-    with f_n from ``sequence_value`` on ``tables`` (a fresh one if None)."""
+    with f_n from ``sequence_value`` on ``tables`` (a fresh one if None).
+
+    The check is in integers, with no Fraction arithmetic: each f_m times D, the
+    lcm of their denominators at q0, against each p_j cleared of the nonzero
+    factor all p_j share at one n (``_qu_integers``)."""
     if nmax < 0:
         raise ValueError(f"empty recurrence check: nmax {nmax} < 0")
+    if not plist:
+        raise ValueError("empty p family: no recurrence to check")
     tables = SequenceTables() if tables is None else tables
-    values = {m: sequence_value(term, m, q0, tables) for m in range(-len(plist), nmax + 1)}
-    for n in range(nmax + 1):
-        if sum(eval_qu_poly(p, n, q0) * values[n - j] for j, p in enumerate(plist)) != 0:
-            return False
-    return True
+    values = [sequence_value(term, m, q0, tables) for m in range(-len(plist), nmax + 1)]
+    D = 1
+    for f in values:
+        if D % f.denominator:
+            D = lcm(D, f.denominator)
+    for i, f in enumerate(values):  # f_m D at m + len(plist), each Fraction dropped as it goes
+        values[i] = f.numerator * (D // f.denominator)
+    P = _qu_integers(plist, range(nmax + 1), q0, tables)
+    return not any(_dot(p, values[n + len(plist) : n : -1]) for n, p in enumerate(P))
 
 
 def first_recurrence_failure(term: HypTerm, plist: Sequence[LaurentPoly], nmax: int,
@@ -673,7 +683,7 @@ def first_recurrence_failure(term: HypTerm, plist: Sequence[LaurentPoly], nmax: 
     for q0 in points:
         if not recurrence_holds_at_point(term, plist, nmax, q0, tables=tables):
             return {"q0": str(q0)}
-    if not any(eval_qu_poly(plist[0], n, q0) for n in range(nmax + 1) for q0 in points):
+    if not any(P[0] for q0 in points for P in _qu_integers(plist, range(nmax + 1), q0, tables)):
         return {"p0_zero_up_to_n": nmax}
     return None
 

@@ -348,9 +348,9 @@ def task_certificates(run: VerificationRun) -> tuple[dict, dict | None]:
 def task_recurrences(run: VerificationRun) -> tuple[dict, dict | None]:
     """The certificate recurrences annihilate the brute-force sums.
 
-    Exact rational evaluation over the full support at three fixed points,
-    for every 0 <= n <= run.nmax.  A recurrence whose p_0(q0, q0^n) is zero
-    at every checked n determines no f_n, so that check fails as vacuous.
+    Exact f_n over the full support at three fixed points, 0 <= n <= run.nmax,
+    checked in integers over one denominator per point.  A recurrence whose
+    p_0(q0, q0^n) is zero at every checked n determines no f_n and fails as vacuous.
     """
     nmax = run.nmax
 

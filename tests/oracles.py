@@ -26,10 +26,14 @@ each exponent sum of ``add_products`` out for two and five variables;
 ``generic_add_products`` adds every exponent vector with one generic ``map``.
 The library's Celine elimination settles each row that comes once a
 single column is free by one dot product with that column's kernel
-vector; ``eliminate_reducing_every_row`` reduces every row.
+vector; ``eliminate_reducing_every_row`` reduces every row. The library
+checks a certificate recurrence in integers over one denominator per point;
+``recurrence_holds_by_fractions`` sums Fractions, each p_j(q0, q0^n) by
+``qu_value_by_fractions``, term by term.
 """
 
 from collections import Counter, defaultdict
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd
@@ -38,7 +42,7 @@ from operator import add
 from qpart import catalog, verification
 from qpart.celine import _slot_column
 from qpart.colored import _condition_flags, _violation_ending_at, part_key, size, to_pairs
-from qpart.holonomic import TERM_VARS, _dot, _form_value
+from qpart.holonomic import QU_VARS, TERM_VARS, _dot, _form_value, sequence_value
 from qpart.laurent import LaurentPoly
 from qpart.series import BiSeries, QSeries
 
@@ -251,3 +255,19 @@ def eliminate_reducing_every_row(bands, ncols: int, decide_from: int) -> dict:
                     if not undecided:
                         return pivots
     return pivots
+
+
+def qu_value_by_fractions(p: LaurentPoly, n: int, q0: Fraction) -> Fraction:
+    """p(q0, q0^n) for p over (q, u), or over the term variables with only q and u
+    occurring: the sum of c q0^(eq + n eu) over its terms, each a Fraction."""
+    return sum((c * q0 ** (eq + n * eu) for (eq, eu), c in p.project(QU_VARS).terms.items()), Fraction(0))
+
+
+def recurrence_holds_by_fractions(term, plist, nmax: int, q0: Fraction) -> bool:
+    """The oracle for holonomic.recurrence_holds_at_point: sum_j p_j(q0, q0^n) f_(n-j)
+    summed as Fractions for each 0 <= n <= nmax, f_m from ``sequence_value``."""
+    values = {m: sequence_value(term, m, q0) for m in range(-len(plist), nmax + 1)}
+    for n in range(nmax + 1):
+        if sum(qu_value_by_fractions(p, n, q0) * values[n - j] for j, p in enumerate(plist)) != 0:
+            return False
+    return True

@@ -2,7 +2,7 @@
 
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
 from math import gcd
 
@@ -27,7 +27,6 @@ from qpart.holonomic import (
     annihilation_depth,
     apply_qdiff,
     cleared_ratios,
-    eval_qu_poly,
     evaluate_ag_sum,
     first_recurrence_failure,
     poly_times_biseries,
@@ -42,11 +41,17 @@ from qpart.holonomic import (
     uncouple_system,
     verify_certificate,
 )
-from qpart.holonomic import _polynomial_nullvector, _row_walk, _term_profile
+from qpart.holonomic import _polynomial_nullvector, _qu_integers, _row_walk, _term_profile
 from qpart.laurent import LaurentPoly, RationalFunction
 from qpart.series import BiSeries, QSeries, divide_binomial, inv_xq_pochhammer
 
-from oracles import cleared_ratios_by_products, f_to_g, finite_pochhammer
+from oracles import (
+    cleared_ratios_by_products,
+    f_to_g,
+    finite_pochhammer,
+    qu_value_by_fractions,
+    recurrence_holds_by_fractions,
+)
 
 QU = ("q", "u")
 XQ = ("x", "q")
@@ -477,31 +482,86 @@ def test_a_point_is_stepped_only_from_the_previous_point_along_k_r(name):
 _POINTS = (Fraction(2), Fraction(3), Fraction(7, 5), Fraction(-3, 2), Fraction(1, 3))
 
 
-def _fraction_value(terms: dict, n: int, q0: Fraction) -> Fraction:
-    return sum((c * q0 ** (eq + n * eu) for (eq, eu), c in terms.items()), Fraction(0))
+@cache
+def _recurrence(name: str) -> tuple[LaurentPoly, ...]:
+    return tuple(recurrence_from_certificate(catalog.certificate(name)))
+
+
+def _cleared_values(plist, ns, q0: Fraction) -> list[list[Fraction]]:
+    """Each p_j(q0, q0^n), n in ns: ``_qu_integers`` times the factor q0^lo / b^(hi-lo) it drops."""
+    out = []
+    for n, P in zip(ns, _qu_integers(plist, ns, q0, SequenceTables())):
+        es = [eq + n * eu for p in plist for eq, eu in p.project(QU).terms] or [0]
+        out.append([q0 ** min(es) * Fraction(x, q0.denominator ** (max(es) - min(es))) for x in P])
+    return out
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), st.integers(-5, 5), max_size=6),
+@given(st.lists(st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), st.integers(-5, 5), max_size=6),
+                min_size=1, max_size=3),
        st.integers(-8, 8))
-def test_eval_qu_poly_matches_a_fraction_sum(terms, n):
-    p = LaurentPoly(QU, terms)
+def test_qu_integers_match_a_fraction_sum(families, n):
+    # one shared factor for a family of one to three polynomials, some of them zero
+    plist = [LaurentPoly(QU, terms) for terms in families]
     for q0 in _POINTS:
-        assert eval_qu_poly(p, n, q0) == _fraction_value(terms, n, q0), (terms, n, q0)
+        expected = [qu_value_by_fractions(p, n, q0) for p in plist]
+        assert _cleared_values(plist, [n], q0) == [expected], (families, n, q0)
 
 
-def test_eval_qu_poly_on_the_recurrences():
-    # every exponent sign: the certificate coefficients at negative, zero and positive n,
+def test_qu_integers_on_the_recurrences():
+    # every exponent sign: the certificate families at negative, zero and positive n,
     # and a (q, u) polynomial written over the term variables
-    for name in catalog.CERTIFICATE_NAMES:
-        for p in recurrence_from_certificate(catalog.certificate(name)):
-            for n in (-7, -1, 0, 4):
-                for q0 in _POINTS:
-                    assert eval_qu_poly(p, n, q0) == _fraction_value(p.terms, n, q0)
+    ns = (-7, -1, 0, 4)
+    for plist in map(_recurrence, catalog.CERTIFICATE_NAMES):
+        for q0 in _POINTS:
+            expected = [[qu_value_by_fractions(p, n, q0) for p in plist] for n in ns]
+            assert _cleared_values(plist, ns, q0) == expected
     wide = LaurentPoly(TERM_VARS, {(-3, 2, 0, 0, 0): 4, (5, -1, 0, 0, 0): -1})
     for q0 in _POINTS:
-        assert eval_qu_poly(wide, -2, q0) == 4 * q0 ** -7 - q0 ** 7
-    assert eval_qu_poly(LaurentPoly.zero(QU), 3, Fraction(2)) == 0
+        assert _cleared_values([wide], [-2], q0) == [[4 * q0 ** -7 - q0 ** 7]]
+    assert list(_qu_integers([LaurentPoly.zero(QU)], [3], Fraction(2), SequenceTables())) == [[0]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(catalog.CERTIFICATE_NAMES), st.sampled_from(_POINTS), st.integers(0, 10),
+       st.none() | st.tuples(st.integers(0, 6), st.integers(0, 10**4), st.sampled_from((-1, 1))))
+def test_the_integer_check_agrees_with_fractions(name, q0, nmax, move):
+    # a certificate recurrence as it is, or with one coefficient of one p_j moved by 1
+    term, plist = catalog.certificate_term(name), list(_recurrence(name))
+    if move:
+        j, i, step = move
+        j %= len(plist)
+        keys = sorted(plist[j].terms) or [(0, 0)]
+        plist[j] = plist[j] + LaurentPoly(QU, {keys[i % len(keys)]: step})
+    assert recurrence_holds_at_point(term, plist, nmax, q0) == recurrence_holds_by_fractions(term, plist, nmax, q0)
+
+
+def test_the_recurrences_hold_at_zero():
+    # at q0 = 0 the factor q0^lo / b^(hi-lo) is zero wherever lo > 0, so only 1 / b^hi is dropped
+    for name in catalog.CERTIFICATE_NAMES:
+        term, plist = catalog.certificate_term(name), list(_recurrence(name))
+        assert recurrence_holds_at_point(term, plist, 10, Fraction(0))
+        assert recurrence_holds_by_fractions(term, plist, 10, Fraction(0))
+        plist[0] = plist[0] + 1
+        assert not recurrence_holds_at_point(term, plist, 10, Fraction(0))
+        assert not recurrence_holds_by_fractions(term, plist, 10, Fraction(0))
+    # f_n = 1/(q;q)_n is 1 at q0 = 0: q f_n + q f_(n-1) = 0 is false, but every p_j vanishes
+    # there, so it holds at 0; and a negative power of q has no value at 0, for either check
+    q = LaurentPoly.variable(QU, "q")
+    inverse = HypTerm(nsum=0, quad2=((0,),), lin=(0,), const=0, pochs=(((1,), 0, 1),))
+    for check in (recurrence_holds_at_point, recurrence_holds_by_fractions):
+        assert check(inverse, [q, q], 3, Fraction(0))
+        assert not check(inverse, [q, q], 3, Fraction(2))
+        with pytest.raises(ZeroDivisionError):
+            check(term, [q ** -1, q], 3, Fraction(0))
+
+
+def test_an_empty_p_family_is_refused():
+    term = catalog.certificate_term("g111")
+    with pytest.raises(ValueError, match="empty p family"):
+        first_recurrence_failure(term, [], 3, _POINTS)
+    with pytest.raises(ValueError, match="empty p family"):
+        recurrence_holds_at_point(term, [], 3, Fraction(2))
 
 
 @pytest.mark.parametrize("name", catalog.CERTIFICATE_NAMES)

@@ -123,6 +123,14 @@ def test_certify_checks_the_recurrence_at_the_battery_points():
     assert report["recurrence_points"] == ["2", "3", "7/5"]
 
 
+def test_certify_fails_a_recurrence_check_at_n_0_alone():
+    # p_0(q, 1) = 0, so n = 0 determines no f_n: vacuous, as in verify-all --nmax 0
+    code, out, err = run_cli(["certify", "--name", "g111", "--recurrence-check", "0"])
+    assert (code, err) == (1, "")
+    assert out == ('{"recurrence_nmax":0,"recurrence_ok":false,"recurrence_points":["2","3","7/5"],'
+                   '"residual_terms":0,"verified":true}\n')
+
+
 def test_uncouple_builtin_deterministic():
     code1, out1, _ = run_cli(["uncouple", "--system", "builtin-2x2", "--component", "0"])
     code2, out2, _ = run_cli(["uncouple", "--system", "builtin-2x2", "--component", "0"])

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import listing_order_key, pattern_equivalence_by_full_checks
+from oracles import listing_order_key, pattern_equivalence_by_full_checks, qu_value_by_fractions
 from qpart import automata, catalog, colored, holonomic, verification
 from qpart.cli import main
 from qpart.laurent import LaurentPoly
@@ -284,7 +284,7 @@ def test_recurrences_that_determine_no_value_do_not_pass():
     # p_0(q, 1) = 0 for all four recurrences: at n = 0 alone each holds vacuously
     for name in catalog.CERTIFICATE_NAMES:
         p0 = holonomic.recurrence_from_certificate(catalog.certificate(name))[0]
-        assert all(holonomic.eval_qu_poly(p0, 0, q0) == 0 for q0 in verification.RECURRENCE_POINTS)
+        assert all(qu_value_by_fractions(p0, 0, q0) == 0 for q0 in verification.RECURRENCE_POINTS)
     witness = task_recurrences(VerificationRun(qorder=10, nmax=0))[1]
     assert witness == {"kind": "recurrence-g111", "p0_zero_up_to_n": 0}
     assert task_recurrences(VerificationRun(qorder=10, nmax=3))[1] is None
